@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .families import FAMILY_IDS, UnknownFamilyError, family_logarithm, resolve_family_id
-from .formal_groups import group_law_from_logarithm, integrality_report
+from .formal_groups import Logarithm, group_law_from_logarithm, integrality_report
 from .ordinarity import (
     BudgetExceededError,
     frobenius_power_congruence,
@@ -31,7 +31,7 @@ from .picard_fuchs import (
     pf_congruence_check,
     quintic_picard_fuchs,
 )
-from .polynomials import as_integral, is_integral
+from .polynomials import SparsePolynomial, as_integral, as_x_polynomial, is_integral
 from .serialize import (
     json_dumps,
     tsv_dumps,
@@ -169,11 +169,7 @@ def _cmd_am_log(args) -> ResultDoc:
     for m in range(1, args.mmax + 1):
         value = log.coefficient(m)
         if args.mod is not None:
-            from .polynomials import SparsePolynomial
-
-            if not isinstance(value, SparsePolynomial):
-                value = SparsePolynomial.constant(value, ("x",))
-            value = value.reduce_mod(args.mod)
+            value = as_x_polynomial(value).reduce_mod(args.mod)
         rows.append([str(m), value_to_text(value)])
         entries.append({"m": m, "a": value_to_obj(value)})
     payload = {
@@ -190,9 +186,6 @@ def _cmd_fgl(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     log = family_logarithm(family, max(args.deg, 1), args.method)
     if args.at_x is not None:
-        from .formal_groups import Logarithm
-        from .polynomials import SparsePolynomial
-
         evaluated = []
         for a in log.coeffs:
             if isinstance(a, SparsePolynomial):

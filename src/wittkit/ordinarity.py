@@ -5,7 +5,8 @@ when the p-th logarithm coefficient a_p, evaluated mod p, does not vanish.
 For the elliptic pencil this is checked against an independent oracle: count
 the points of the fiber over F_p by brute force, take the Frobenius trace
 t = p + 1 - count, and call the fiber supersingular exactly when t = 0 mod p.
-The two verdicts must agree; the scan records every comparison.
+The two verdicts must agree; the scan records every comparison.  One
+enumeration of P^N(F_p) counts the points of all p fibers at once.
 
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
@@ -21,13 +22,13 @@ must be excluded before any point count is interpreted as an elliptic trace.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .families import builtin_family, resolve_family_id
 from .formal_groups import Logarithm
-from .polynomials import SparsePolynomial, as_integral
+from .polynomials import SparsePolynomial, as_integral, as_x_polynomial
 
 #: Routine-use budget: an enumeration of P^N(F_p) is refused beyond this many
 #: points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
@@ -141,19 +142,29 @@ def _projective_points(nvars: int, p: int):
     """Canonical representatives of P^(nvars-1)(F_p): first nonzero entry 1."""
     for lead in range(nvars):
         prefix = (0,) * lead + (1,)
-        free = nvars - lead - 1
-        stack = [()]
-        while stack:
-            tail = stack.pop()
-            if len(tail) == free:
-                yield prefix + tail
-            else:
-                for v in range(p - 1, -1, -1):
-                    stack.append(tail + (v,))
+        for tail in product(range(p), repeat=nvars - lead - 1):
+            yield prefix + tail
 
 
 def projective_point_total(dimension: int, p: int) -> int:
     return (p ** (dimension + 1) - 1) // (p - 1)
+
+
+def _check_budget(nvars: int, p: int, budget: int | None) -> None:
+    budget = DEFAULT_POINT_BUDGET if budget is None else budget
+    total = projective_point_total(nvars - 1, p)
+    if total > budget:
+        raise BudgetExceededError(
+            f"P^{nvars - 1}(F_{p}) has {total} points, over the budget {budget}"
+        )
+
+
+def _form_mod(h: SparsePolynomial, p: int):
+    """The map point -> h(point) mod p, for a form with integral coefficients."""
+    terms = [(exps, as_integral(c) % p) for exps, c in h.terms.items()]
+    return lambda point: sum(
+        c * prod(pow(v, e, p) for v, e in zip(point, exps)) for exps, c in terms
+    ) % p
 
 
 def point_count_projective(
@@ -168,29 +179,40 @@ def point_count_projective(
     degrees = {sum(e) for e in h.terms}
     if len(degrees) > 1:
         raise ValueError("the form must be homogeneous")
-    budget = DEFAULT_POINT_BUDGET if budget is None else budget
-    total = projective_point_total(nvars - 1, p)
-    if total > budget:
-        raise BudgetExceededError(
-            f"P^{nvars - 1}(F_{p}) has {total} points, over the budget {budget}"
-        )
-    terms = [(exps, as_integral(c) % p) for exps, c in h.terms.items()]
-    terms = [(e, c) for e, c in terms if c]
-    count = 0
+    _check_budget(nvars, p, budget)
+    value = _form_mod(h, p)
+    return sum(1 for point in _projective_points(nvars, p) if value(point) == 0)
+
+
+def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:
+    """#X_lambda(F_p) for lambda = 0..p-1, from one enumeration of P^N(F_p).
+
+    The pencil is x*A(Z) + B(Z).  A point with A != 0 lies on the single
+    fiber lambda = -B/A; a point with A = B = 0 lies on every fiber.
+    """
+    _require_odd_prime(p)
+    family = builtin_family(family_id).family
+    pencil = family.polynomials[0]
+    nvars = len(family.coordinate_variables())
+    _check_budget(nvars, p, budget)
+    a_mod = _form_mod(pencil.coefficient_of({"x": 1}), p)
+    b_mod = _form_mod(pencil.coefficient_of({"x": 0}), p)
+    counts = [0] * p
+    on_every_fiber = 0
     for point in _projective_points(nvars, p):
-        acc = 0
-        for exps, c in terms:
-            v = c
-            for value, e in zip(point, exps):
-                if e:
-                    if value == 0:
-                        v = 0
-                        break
-                    v = v * pow(value, e, p)
-            acc += v
-        if acc % p == 0:
-            count += 1
-    return count
+        a, b = a_mod(point), b_mod(point)
+        if a:
+            counts[-b * pow(a, -1, p) % p] += 1
+        elif not b:
+            on_every_fiber += 1
+    return tuple(c + on_every_fiber for c in counts)
+
+
+def _classify_count(p: int, lam: int, count: int) -> FiberClassification:
+    """The Frobenius-trace verdict for a smooth elliptic fiber with this count."""
+    trace = p + 1 - count
+    verdict = "supersingular" if trace % p == 0 else "ordinary"
+    return FiberClassification(p, lam, verdict, count, trace)
 
 
 def classify_elliptic_fiber(
@@ -210,49 +232,36 @@ def classify_elliptic_fiber(
     lam = lam % p
     if declared_singular(family_id, lam, p):
         return FiberClassification(p, lam, "singular")
-    entry = builtin_family(family_id)
-    fiber = entry.family.polynomials[0].evaluate({"x": lam})
-    count = point_count_projective(fiber, p, budget)
-    trace = p + 1 - count
-    verdict = "supersingular" if trace % p == 0 else "ordinary"
-    return FiberClassification(p, lam, verdict, count, trace)
+    return _classify_count(p, lam, fiber_point_counts(family_id, p, budget)[lam])
 
 
 def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
     elliptic = family_id in ELLIPTIC_FAMILIES
     poly = hasse_witt_poly(family_id, p)
+    singular = [declared_singular(family_id, lam, p) for lam in range(p)]
+    # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
+    counts = None
+    if with_oracle and not all(singular):
+        counts = fiber_point_counts(family_id, p, budget)
     rows = []
     locus = []
-    agree: bool | None = True if with_oracle else None
     for lam in range(p):
         value = as_integral(poly.evaluate({"x": lam})) % p
-        singular = declared_singular(family_id, lam, p)
-        if singular:
+        if singular[lam]:
             verdict = "singular"
         elif elliptic:
             verdict = "supersingular" if value == 0 else "ordinary"
         else:
             verdict = ""
-        if not singular and value == 0:
+        if not singular[lam] and value == 0:
             locus.append(lam)
-        oracle_verdict = ""
-        row_agree: bool | None = None
         if with_oracle:
-            oracle = classify_elliptic_fiber(family_id, lam, p, budget)
-            oracle_verdict = oracle.verdict
-            row_agree = oracle_verdict == verdict
-            if not row_agree:
-                agree = False
-        rows.append(FiberRow(p, lam, value, verdict, oracle_verdict, row_agree))
+            oracle = "singular" if singular[lam] else _classify_count(p, lam, counts[lam]).verdict
+            rows.append(FiberRow(p, lam, value, verdict, oracle, oracle == verdict))
+        else:
+            rows.append(FiberRow(p, lam, value, verdict, "", None))
+    agree = all(r.agree for r in rows) if with_oracle else None
     return PrimeScan(p, tuple(locus), tuple(rows), agree)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("WITTKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def ordinarity_scan(
@@ -264,9 +273,7 @@ def ordinarity_scan(
     """Non-ordinary loci for every odd prime up to the bound.
 
     With the oracle enabled (elliptic pencils only) every smooth parameter
-    value is cross-checked against the point-count classification.  The
-    report is assembled in sorted order regardless of execution order;
-    WITTKIT_THREADS caps the worker pool.
+    value is cross-checked against the point-count classification.
     """
     if prime_bound < 3:
         raise ValueError("the scan needs a prime bound >= 3")
@@ -275,16 +282,11 @@ def ordinarity_scan(
         raise OracleUnavailableError(
             f"{family_id} has relative dimension != 1; scan without --oracle"
         )
-    primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]
-    workers = _worker_count()
-    if workers > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scans = list(
-                pool.map(lambda p: _scan_prime(family_id, p, with_oracle, budget), primes)
-            )
-    else:
-        scans = [_scan_prime(family_id, p, with_oracle, budget) for p in primes]
-    scans.sort(key=lambda s: s.prime)
+    scans = [
+        _scan_prime(family_id, p, with_oracle, budget)
+        for p in range(3, prime_bound + 1)
+        if is_prime(p)
+    ]
     return OrdinarityReport(family_id, prime_bound, with_oracle, tuple(scans))
 
 
@@ -307,10 +309,7 @@ def frobenius_power_congruence(log: Logarithm, p: int, nu: int) -> CongruenceChe
         )
 
     def coeff_mod(m: int) -> SparsePolynomial:
-        value = log.coefficient(m)
-        if not isinstance(value, SparsePolynomial):
-            value = SparsePolynomial.constant(value, ("x",))
-        return value.reduce_mod(p)
+        return as_x_polynomial(log.coefficient(m)).reduce_mod(p)
 
     lhs = coeff_mod(p**nu)
     rhs = (coeff_mod(p) * coeff_mod(p ** (nu - 1)) ** p).reduce_mod(p)

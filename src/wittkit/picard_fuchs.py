@@ -18,21 +18,10 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .formal_groups import Logarithm
-from .polynomials import SparsePolynomial, Value, values_equal
+from .polynomials import SparsePolynomial, Value, as_x_polynomial, values_equal
 from .series import TruncatedSeries
 
 X = "x"
-
-
-def _as_x_poly(value: Value) -> SparsePolynomial:
-    if isinstance(value, SparsePolynomial):
-        if value.variables == (X,):
-            return value
-        cv = value.constant_value()
-        if cv is None:
-            raise ValueError(f"expected a polynomial in {X!r}, got {value.variables!r}")
-        return SparsePolynomial.constant(cv, (X,))
-    return SparsePolynomial.constant(value, (X,))
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,7 @@ class ThetaOperator:
                 qs = TruncatedSeries(X, qcoeffs, order)
                 result = result + qs * powered
             return result
-        f = _as_x_poly(f)
+        f = as_x_polynomial(f)
         result = SparsePolynomial.zero((X,))
         for k, q in enumerate(self.coefficients):
             if not q.terms:
@@ -184,7 +173,7 @@ def pf_congruence_check(
         )
     results = []
     for k in range(1, k_max + 1):
-        image = operator.apply(_as_x_poly(log.coefficient(k)))
+        image = operator.apply(log.coefficient(k))
         residual = image.reduce_mod(k)
         if residual.terms:
             results.append(CoefficientCongruence(k, False, residual))

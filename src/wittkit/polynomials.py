@@ -341,6 +341,19 @@ def as_integral(value: Value) -> Value:
     raise TypeError(f"not an exact value: {value!r}")
 
 
+def as_x_polynomial(value: Value) -> SparsePolynomial:
+    """A scalar or constant polynomial recast as a polynomial in ``x``;
+    polynomials already in ``x`` pass through unchanged."""
+    if isinstance(value, SparsePolynomial):
+        if value.variables == ("x",):
+            return value
+        cv = value.constant_value()
+        if cv is None:
+            raise VariableMismatchError(f"expected a polynomial in 'x', got {value.variables!r}")
+        value = cv
+    return SparsePolynomial.constant(value, ("x",))
+
+
 def divide_exact(value: Value, k: int) -> Value:
     """Divide by a positive integer, insisting the division is exact."""
     if isinstance(value, int):

@@ -32,6 +32,7 @@ from wittkit.formal_groups import (
 from wittkit.ordinarity import (
     classify_elliptic_fiber,
     declared_singular,
+    fiber_point_counts,
     frobenius_power_congruence,
     hasse_witt_value,
     is_prime,
@@ -380,4 +381,27 @@ def test_acceptance_10_cli_determinism(capsys):
     print(
         f"\nACCEPTANCE 10: PASS - byte-identical output across two runs of "
         f"{requests} golden CLI requests"
+    )
+
+
+def test_acceptance_11_chevalley_warning_all_pencils():
+    """#X_lambda(F_p) = 1 + (-1)^n a_p(lambda) mod p, n homogeneous
+    coordinates, for every lambda (singular fibers included) of all three
+    pencils: hesse p <= 31, quartic p <= 13, quintic p <= 11."""
+    started = time.monotonic()
+    checked = 0
+    mismatches = []
+    for family, pmax in (("hesse-cubic", 31), ("quartic-k3", 13), ("quintic-cy3", 11)):
+        n = len(builtin_family(family).family.coordinate_variables())
+        for p in (p for p in range(3, pmax + 1) if is_prime(p)):
+            for lam, count in enumerate(fiber_point_counts(family, p)):
+                a_p = hasse_witt_value(family, lam, p)
+                if (count - 1 - (-1) ** n * a_p) % p:
+                    mismatches.append((family, p, lam))
+                checked += 1
+    elapsed = time.monotonic() - started
+    assert mismatches == []
+    print(
+        f"\nACCEPTANCE 11: PASS - point counts match a_p mod p "
+        f"on {checked} fibers of all three pencils, {elapsed:.1f}s"
     )

@@ -164,6 +164,14 @@ def test_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_budget_ignores_primes_without_smooth_fibers(capsys):
+    # every hesse parameter is singular mod 7, so P^2(F_7) (57 points) is never counted
+    request = ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--oracle")
+    code, out, _ = run(capsys, *request, "--budget", "40")
+    assert code == 0
+    assert out == run(capsys, *request)[1]
+
+
 def test_manifest_and_out(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     manifest_path = tmp_path / "manifest.json"

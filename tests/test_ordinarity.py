@@ -7,6 +7,7 @@ from wittkit.ordinarity import (
     OracleUnavailableError,
     classify_elliptic_fiber,
     declared_singular,
+    fiber_point_counts,
     frobenius_power_congruence,
     hasse_witt_poly,
     hasse_witt_value,
@@ -168,11 +169,16 @@ def test_scan_bound_validated():
         ordinarity_scan("hesse-cubic", 2)
 
 
-def test_scan_deterministic_under_thread_cap(monkeypatch):
-    baseline = ordinarity_scan("hesse-cubic", 11, with_oracle=True)
-    monkeypatch.setenv("WITTKIT_THREADS", "4")
-    threaded = ordinarity_scan("hesse-cubic", 11, with_oracle=True)
-    assert baseline == threaded
+def test_fiber_point_counts_match_per_fiber_reference():
+    for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
+        pencil = builtin_family(family).family.polynomials[0]
+        for p in (3, 5, 7):
+            counts = fiber_point_counts(family, p)
+            assert len(counts) == p
+            for lam in range(p):
+                assert counts[lam] == point_count_projective(pencil.evaluate({"x": lam}), p)
+    with pytest.raises(BudgetExceededError):
+        fiber_point_counts("hesse-cubic", 11, budget=100)
 
 
 # -- prime power congruence ------------------------------------------------------------
