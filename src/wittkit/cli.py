@@ -6,8 +6,8 @@ or at --out, deterministically: identical requests on identical builds give
 byte-identical output.  --manifest PATH additionally records the request, a
 wall time, and a content hash of the result bytes.
 
-Exit codes: 0 success, 1 usage error, 2 mathematical precondition violation,
-3 enumeration budget exceeded.
+Exit codes: 0 success, 1 usage error or unwritable output path, 2 mathematical
+precondition violation, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -334,7 +334,10 @@ def load_config(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value)
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
@@ -442,6 +445,16 @@ def _apply_config(args) -> None:
         )
 
 
+def _write_file(path: str, text: str) -> bool:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"wittkit: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     started = time.monotonic()
@@ -461,8 +474,8 @@ def main(argv=None) -> int:
         return PRECONDITION_ERROR
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        if not _write_file(args.out, body):
+            return USAGE_ERROR
     else:
         sys.stdout.write(body)
 
@@ -479,8 +492,8 @@ def main(argv=None) -> int:
             "wall_time_s": round(time.monotonic() - started, 6),
             "content_hash": "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest(),
         }
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(json_dumps(manifest))
+        if not _write_file(args.manifest, json_dumps(manifest)):
+            return USAGE_ERROR
     return 0
 
 

@@ -18,8 +18,9 @@ on the parameter locus where those hypotheses hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
-from typing import Callable, Iterable
+from math import comb, factorial, prod
+from operator import add
+from typing import Callable
 
 from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial
@@ -183,55 +184,44 @@ def builtin_family(identifier: str) -> FamilyCatalogEntry:
     return _CATALOG[resolve_family_id(identifier)]
 
 
-def _pruned_product_coefficient(
-    factors: Iterable[SparsePolynomial], zvars: tuple[str, ...], cap: int
-) -> SparsePolynomial:
-    """Coefficient of (prod zvars)^cap in the product of the factors.
+def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
+    """Logarithm of the family with coefficients a_1..a_{m_max}, by extraction.
 
-    Multiplies factor by factor, discarding any partial term whose exponent
-    in some Z-variable already exceeds ``cap``; sound because exponents only
-    grow.  Exponent keys are (x_exponent, z_exponents...).
+    With Q = P_1 * ... * P_s, one expansion of Q^(m_max - 1) gives them all:
+    after the k-th multiplication by Q, a_{k+1} is the coefficient of
+    (Z_0 * ... * Z_N)^k.  Partial terms with a Z-exponent of m_max or more
+    are discarded; sound because exponents only grow.
     """
-    factors = list(factors)
-    variables = factors[0].variables
-    zidx = [variables.index(v) for v in zvars]
-    xidx = variables.index(PARAMETER)
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    q = prod(family.polynomials[1:], start=family.polynomials[0])
+    zidx = [q.variables.index(v) for v in family.coordinate_variables()]
+    xidx = q.variables.index(PARAMETER)
+    qterms = list(q.terms.items())
 
-    partial: dict[tuple, int] = {(0,) * len(variables): 1}
-    for factor in factors:
-        fterms = list(factor.terms.items())
-        nxt: dict[tuple, int] = {}
-        for exps, c in partial.items():
-            for fexps, fc in fterms:
-                merged = tuple(a + b for a, b in zip(exps, fexps))
-                if any(merged[i] > cap for i in zidx):
-                    continue
-                key = merged
-                nxt[key] = nxt.get(key, 0) + c * fc
-        partial = {e: c for e, c in nxt.items() if c}
-    out: dict[tuple, int] = {}
-    for exps, c in partial.items():
-        if all(exps[i] == cap for i in zidx):
-            out[(exps[xidx],)] = out.get((exps[xidx],), 0) + c
-    return SparsePolynomial((PARAMETER,), out)
+    partial: dict[tuple, int] = {(0,) * len(q.variables): 1}
+    coeffs = []
+    for k in range(m_max):
+        if k:
+            nxt: dict[tuple, int] = {}
+            for exps, c in partial.items():
+                for qexps, qc in qterms:
+                    merged = tuple(map(add, exps, qexps))
+                    if any(merged[i] >= m_max for i in zidx):
+                        continue
+                    nxt[merged] = nxt.get(merged, 0) + c * qc
+            partial = {e: c for e, c in nxt.items() if c}
+        # a diagonal term is fixed by its x-exponent, so no two share a key
+        a_k = {(e[xidx],): c for e, c in partial.items() if all(e[i] == k for i in zidx)}
+        coeffs.append(SparsePolynomial((PARAMETER,), a_k))
+    return Logarithm("Z[x]", coeffs)
 
 
 def am_coefficient(family: CompleteIntersectionFamily, m: int) -> SparsePolynomial:
     """The m-th logarithm coefficient of the family, by extraction."""
     if m < 1:
         raise ValueError("coefficients are indexed from 1")
-    if m == 1:
-        return SparsePolynomial.constant(1, (PARAMETER,))
-    zvars = family.coordinate_variables()
-    factors = [p for p in family.polynomials for _ in range(m - 1)]
-    return _pruned_product_coefficient(factors, zvars, m - 1)
-
-
-def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
-    """Logarithm of the family with coefficients a_1..a_{m_max}."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    return Logarithm("Z[x]", [am_coefficient(family, m) for m in range(1, m_max + 1)])
+    return am_logarithm(family, m).coefficient(m)
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:

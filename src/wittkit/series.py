@@ -13,6 +13,7 @@ appear when checking associativity.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polynomials import (
@@ -223,8 +224,8 @@ class TruncatedSeries:
         """Compositional inverse of ``t + higher order``.
 
         Defined by ``self.compose(result) == t`` up to truncation; computed by
-        filtration-contracting fixed-point iteration, so correctness rests
-        only on the round-trip identity.
+        Lagrange inversion: with ``h = (self/t)^(-1)``, the degree-n
+        coefficient of the result is ``[t^(n-1)] h^n / n``.
         """
         if self.order < 1:
             raise TruncationError("reversion needs order >= 1")
@@ -232,18 +233,13 @@ class TruncatedSeries:
             raise ValueError("reversion requires zero constant term")
         if not values_equal(self.coefficients[1], 1):
             raise ValueError("reversion requires leading coefficient 1")
-        t = TruncatedSeries.identity(self.variable, self.order)
-        u = t
-        for _ in range(self.order - 1):
-            acc = t
-            power = u
-            for j in range(2, self.order + 1):
-                power = power * u
-                c = self.coefficients[j]
-                if not _is_zero(c):
-                    acc = acc - power.scale(c)
-            u = acc
-        return u
+        h = TruncatedSeries(self.variable, self.coefficients[1:], self.order - 1).inverse()
+        coeffs: list[Value] = [0, h.coefficients[0]]
+        power = h
+        for n in range(2, self.order + 1):
+            power = power * h
+            coeffs.append(power.coefficients[n - 1] * Fraction(1, n))
+        return TruncatedSeries(self.variable, coeffs, self.order)
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:

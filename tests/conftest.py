@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from wittkit.serialize import witt_to_obj
@@ -15,8 +16,10 @@ def golden_cli_requests():
         ["am-log", "--family", "hesse-cubic", "--mmax", "6"],
         ["am-log", "--family", "quartic-k3", "--mmax", "5", "--mod", "7"],
         ["am-log", "--family", "quintic-cy3", "--mmax", "4", "--method", "closed-form"],
+        ["am-log", "--family", "quintic-cy3", "--mmax", "12"],
         ["fgl", "--family", "hesse-cubic", "--deg", "4"],
         ["fgl", "--family", "hesse-cubic", "--deg", "3", "--at-x", "0"],
+        ["fgl", "--family", "quartic-k3", "--deg", "8", "--method", "closed-form"],
         ["scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--oracle"],
         ["scan-ordinary", "--family", "quintic-cy3", "--pmax", "5"],
         ["pf-check", "--family", "quintic-cy3", "--kmax", "8"],
@@ -26,3 +29,14 @@ def golden_cli_requests():
     for request in base:
         for fmt in ("json", "tsv"):
             yield request + ["--format", fmt]
+
+
+def golden_name(request):
+    """File name under tests/golden/ for one request: its arguments joined
+    by '_', with each JSON argument shortened to 8 hex digits of its sha256."""
+    parts = []
+    for arg in request:
+        if arg.startswith(("{", "[")):
+            arg = hashlib.sha256(arg.encode("utf-8")).hexdigest()[:8]
+        parts.append(arg.lstrip("-"))
+    return "_".join(parts) + ".out"

@@ -214,6 +214,25 @@ def test_config_file_presets(tmp_path, capsys):
     assert out2.strip().split("\n")[-1] == "2\t1"
 
 
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("family = hesse-cubic\nmmax = abc\n")
+    code, out, err = run(capsys, "am-log", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert f"{config}:2:" in err and "'mmax'" in err
+
+
+def test_unwritable_output_paths_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    for flag in ("--out", "--manifest"):
+        code, _, err = run(capsys, "am-log", "--family", "hesse-cubic", "--mmax", "3",
+                           flag, str(missing))
+        assert code == 1, flag
+        assert err == f"wittkit: cannot write {missing}: No such file or directory\n"
+    assert not missing.parent.exists()
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("mystery = 3\n")

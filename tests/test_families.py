@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from wittkit.families import (
@@ -118,14 +120,42 @@ def test_builtin_laws_integral_smaller_degrees():
         assert integrality_report(law).passed
 
 
-def test_user_supplied_codimension_two_family():
+def _two_quadrics():
     # two quadrics in P^3; chosen so a_2 is computable by hand:
     # P1*P2 = (1+x^2) Z0 Z1 Z2 Z3 + x (Z0 Z1)^2 + x (Z2 Z3)^2  =>  a_2 = 1+x^2
     variables = ("x", "Z0", "Z1", "Z2", "Z3")
     p1 = SparsePolynomial(variables, {(0, 1, 1, 0, 0): 1, (1, 0, 0, 1, 1): 1})
     p2 = SparsePolynomial(variables, {(0, 0, 0, 1, 1): 1, (1, 1, 1, 0, 0): 1})
-    family = CompleteIntersectionFamily("two-quadrics", 3, (p1, p2), (2, 2))
+    return p1, p2, CompleteIntersectionFamily("two-quadrics", 3, (p1, p2), (2, 2))
+
+
+def test_user_supplied_codimension_two_family():
+    p1, p2, family = _two_quadrics()
     assert family.dimension == 1
     log = am_logarithm(family, 3)
     assert log.coefficient(1) == 1
     assert log.coefficient(2) == 1 + X**2
+
+
+def _check_against_unpruned_power(family, product, m_max):
+    """a_m by one pass, by am_coefficient, and from the full power of the
+    product of the family's polynomials."""
+    log = am_logarithm(family, m_max)
+    zvars = family.coordinate_variables()
+    for m in range(1, m_max + 1):
+        unpruned = (product ** (m - 1)).coefficient_of({z: m - 1 for z in zvars})
+        assert log.coefficient(m) == am_coefficient(family, m) == unpruned, m
+    return log
+
+
+def test_codimension_two_extraction_against_unpruned_power():
+    p1, p2, family = _two_quadrics()
+    log = _check_against_unpruned_power(family, p1 * p2, 6)
+    for m in range(1, 7):
+        expected = SparsePolynomial(("x",), {(2 * k,): comb(m - 1, k) ** 2 for k in range(m)})
+        assert log.coefficient(m) == expected
+
+
+def test_hesse_extraction_against_unpruned_power():
+    hesse = builtin_family("hesse-cubic").family
+    _check_against_unpruned_power(hesse, hesse.polynomials[0], 8)

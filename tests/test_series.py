@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,13 @@ def test_reversion_of_logarithm_series():
     rev = series_reversion(ell)
     assert rev.coefficients == (0, 1, Fraction(-1, 2), Fraction(1, 6), Fraction(-1, 24))
     assert series_compose(ell, rev) == TruncatedSeries.identity("t", 4)
+    # the same at order 12: 1 - exp(-u) has coefficients (-1)^(n+1)/n!
+    ell = S([0] + [Fraction(1, n) for n in range(1, 13)])
+    rev = series_reversion(ell)
+    assert rev.coefficients == (0,) + tuple(
+        Fraction((-1) ** (n + 1), factorial(n)) for n in range(1, 13)
+    )
+    assert series_compose(ell, rev) == TruncatedSeries.identity("t", 12)
 
 
 def test_reversion_small_example():
