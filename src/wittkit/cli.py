@@ -6,8 +6,8 @@ or at --out, deterministically: identical requests on identical builds give
 byte-identical output.  --manifest PATH additionally records the request, a
 wall time, and a content hash of the result bytes.
 
-Exit codes: 0 success, 1 usage error or unwritable output path, 2 mathematical
-precondition violation, 3 enumeration budget exceeded.
+Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
+unwritable output path), 2 precondition violation, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .picard_fuchs import (
 )
 from .polynomials import SparsePolynomial, as_integral, as_x_polynomial, is_integral
 from .serialize import (
+    SchemaError,
     json_dumps,
     tsv_dumps,
     value_from_obj,
@@ -81,6 +82,10 @@ class ResultDoc:
         raise UsageError(f"unknown format {fmt!r}")
 
 
+#: What a malformed ring element, Witt vector or ghost list raises while parsed.
+_PARSE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, SchemaError)
+
+
 def _parse_value(text: str):
     """A ring element from the command line: an integer or a polynomial
     object in the documented JSON schema."""
@@ -90,14 +95,14 @@ def _parse_value(text: str):
         pass
     try:
         return value_from_obj(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except _PARSE_ERRORS as exc:
         raise UsageError(f"cannot parse ring element {text!r}: {exc}") from exc
 
 
 def _parse_witt(text: str) -> WittVector:
     try:
         return witt_from_obj(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except _PARSE_ERRORS as exc:
         raise UsageError(f"cannot parse Witt vector {text!r}: {exc}") from exc
 
 
@@ -143,7 +148,7 @@ def _cmd_witt(args) -> ResultDoc:
             raise UsageError("from-ghost needs --g (JSON list)")
         try:
             entries = [value_from_obj(e) for e in json.loads(args.g)]
-        except (json.JSONDecodeError, TypeError) as exc:
+        except _PARSE_ERRORS as exc:
             raise UsageError(f"cannot parse ghost entries: {exc}") from exc
         return _witt_result(op, from_ghost(GhostVector(entries)))
     if op == "frobenius":
@@ -322,22 +327,26 @@ _CONFIG_KEYS = {
 
 def load_config(path: str) -> dict:
     """key=value lines; '#' starts a comment; unknown keys are rejected."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
@@ -464,7 +473,9 @@ def main(argv=None) -> int:
         doc = args.handler(args)
         body = doc.emit(args.format)
     except (UsageError, UnknownFamilyError) as exc:
-        print(f"wittkit: usage error: {exc}", file=sys.stderr)
+        # an unreadable input file reads like an unwritable output path
+        kind = "" if isinstance(exc.__cause__, OSError) else "usage error: "
+        print(f"wittkit: {kind}{exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:
         print(f"wittkit: budget exceeded: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 A logarithm is a sequence of integral coefficients ``a_1..a_M`` with
 ``a_1 = 1``, standing for ``l(t) = sum a_m/m t^m``.  The group law it
-generates is ``G(t1, t2) = l^(-1)(l(t1) + l(t2))``; whether the law has
+generates is ``G(t1, t2) = l^(-1)(l(t1) + l(t2))``.  Synthesis needs no
+reversion: ``G`` is the flow of the invariant derivation ``D = w(t) d/dt``,
+``w = 1/l'(t)`` (integral, as ``a_1 = 1``), run from ``t1`` for time
+``l(t2)``, so ``G = sum_k D^k(t1) l(t2)^k / k!``.  Whether the law has
 integral coefficients is a certificate checked after synthesis, never an
 assumption.
 
@@ -14,7 +17,8 @@ substitution ``t -> t^k``, and ``F_k`` collapses to the reindexing
     eta = sum c_m t^m   |-->   F_k eta = sum_m' k * c_{k m'} t^m',
 
 so no roots of unity are ever constructed.  The t-coordinate form
-``gamma = l^(-1)(eta)`` is recovered on demand by series reversion.
+``gamma = l^(-1)(eta)`` is recovered on demand by series reversion, the
+only use of reversion here.
 
 For the multiplicative law (all ``a_m = 1``) the map ``gamma(t) ->
 (1 - gamma(t))^(-1)`` identifies curves with Witt vectors and intertwines
@@ -24,6 +28,7 @@ every operator here with its Witt counterpart.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 from .polynomials import (
@@ -33,11 +38,7 @@ from .polynomials import (
     is_integral,
     values_equal,
 )
-from .series import (
-    MultiTruncatedSeries,
-    TruncatedSeries,
-    substitute_univariate,
-)
+from .series import MultiTruncatedSeries, TruncatedSeries
 from .witt import WittVector
 
 
@@ -163,7 +164,13 @@ class FormalGroupLaw:
 def group_law_from_logarithm(
     log: Logarithm, degree: int, variables: tuple[str, str] = ("t1", "t2")
 ) -> FormalGroupLaw:
-    """Synthesize ``G = l^(-1)(l(t1) + l(t2))`` to the given total degree."""
+    """Synthesize ``G = l^(-1)(l(t1) + l(t2))`` to the given total degree,
+    as ``sum_k f_k(t1) l(t2)^k / k!`` with ``f_0 = t``, ``f_(k+1) = f_k' w``.
+
+    >>> law = group_law_from_logarithm(multiplicative_logarithm(4), 4)
+    >>> [(exps, str(c)) for exps, c in law.series.sorted_terms()]
+    [((0, 1), '1'), ((1, 0), '1'), ((1, 1), '-1')]
+    """
     if degree > log.truncation:
         raise ValueError(
             f"total degree {degree} exceeds logarithm truncation {log.truncation}"
@@ -171,16 +178,20 @@ def group_law_from_logarithm(
     if degree < 1:
         raise ValueError("total degree must be >= 1")
     ell = log.series(degree)
-    summed = MultiTruncatedSeries.zero(variables, degree)
-    for which in (0, 1):
-        terms = {}
-        for m in range(1, degree + 1):
-            exps = (m, 0) if which == 0 else (0, m)
-            terms[exps] = ell.coefficients[m]
-        summed = summed + MultiTruncatedSeries(variables, degree, terms)
-    inverse = log.inverse_series(degree)
-    law = substitute_univariate(inverse, summed)
-    return FormalGroupLaw(law, log)
+    w = TruncatedSeries("t", log.coeffs[:degree]).inverse()  # 1/l'(t)
+    f = TruncatedSeries("t", [0, log.coeffs[0]], degree)  # a_1 as stored keeps its type
+    power = TruncatedSeries.constant(1, "t", degree)  # l^k
+    terms: dict[tuple[int, int], Value] = {}
+    for k in range(degree + 1):
+        scale = Fraction(1, factorial(k))
+        for i, fi in enumerate(f.coefficients):
+            for j in range(k, degree - i + 1):
+                if fi and power.coefficients[j]:
+                    terms[i, j] = terms.get((i, j), 0) + fi * power.coefficients[j] * scale
+        if k < degree:
+            derivative = [i * c for i, c in enumerate(f.coefficients)][1:]
+            f, power = TruncatedSeries("t", derivative) * w, power * ell
+    return FormalGroupLaw(MultiTruncatedSeries(variables, degree, terms), log)
 
 
 class IntegralityReport:
@@ -238,9 +249,6 @@ class Curve:
     def gamma(self) -> TruncatedSeries:
         """Recover the t-coordinate form ``gamma = l^(-1)(eta)``."""
         return self.logarithm.inverse_series(self.order, self.eta.variable).compose(self.eta)
-
-    def is_zero(self) -> bool:
-        return all(values_equal(c, 0) for c in self.eta.coefficients)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Curve):

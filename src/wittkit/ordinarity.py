@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import isqrt, prod
 
 from .families import builtin_family, resolve_family_id
 from .formal_groups import Logarithm
@@ -46,14 +46,7 @@ class OracleUnavailableError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _require_odd_prime(p: int) -> None:

@@ -106,15 +106,6 @@ class SparsePolynomial:
             return next(iter(self.terms.values()))
         return None
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.variables), 0)
-
-    def total_degree(self) -> int:
-        """Maximum total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         if name not in self.variables:
             raise VariableMismatchError(f"{name!r} not among {self.variables!r}")

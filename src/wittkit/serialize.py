@@ -14,7 +14,7 @@ from fractions import Fraction
 from .formal_groups import FormalGroupLaw, Logarithm
 from .polynomials import SparsePolynomial, Value, format_value
 from .series import TruncatedSeries
-from .witt import GhostVector, WittVector
+from .witt import WittVector
 
 
 def scalar_to_str(value) -> str:
@@ -23,10 +23,15 @@ def scalar_to_str(value) -> str:
     return str(value)
 
 
+class SchemaError(ValueError):
+    """A serialized value does not follow the documented schema."""
+
+
 def scalar_from_str(text: str):
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+    try:
+        return Fraction(text) if "/" in text else int(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"not an exact number: {text!r}") from exc
 
 
 def value_to_obj(value: Value) -> dict:
@@ -50,7 +55,10 @@ def value_from_obj(obj) -> Value:
         tuple(t["exponents"]): scalar_from_str(str(t["coefficient"]))
         for t in obj["terms"]
     }
-    poly = SparsePolynomial(variables, terms)
+    try:
+        poly = SparsePolynomial(variables, terms)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     if not variables:
         return poly.constant_value()
     return poly
@@ -81,12 +89,8 @@ def witt_to_obj(w: WittVector) -> dict:
 def witt_from_obj(obj) -> WittVector:
     w = WittVector([value_from_obj(a) for a in obj["coords"]])
     if w.length != obj.get("length", w.length):
-        raise ValueError("declared length does not match coordinate count")
+        raise SchemaError("declared length does not match coordinate count")
     return w
-
-
-def ghost_to_obj(g: GhostVector) -> dict:
-    return {"length": g.length, "entries": [value_to_obj(a) for a in g.entries]}
 
 
 def logarithm_to_obj(log: Logarithm) -> dict:

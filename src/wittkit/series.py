@@ -28,10 +28,6 @@ class TruncationError(ValueError):
     """An operation asked for coefficients beyond the truncation order."""
 
 
-def _is_zero(v: Value) -> bool:
-    return values_equal(v, 0)
-
-
 class TruncatedSeries:
     """One-variable formal power series truncated at a stated order."""
 
@@ -103,7 +99,7 @@ class TruncatedSeries:
 
         parts = []
         for k, c in enumerate(self.coefficients):
-            if _is_zero(c):
+            if not c:
                 continue
             text = format_value(c)
             if k == 0:
@@ -144,9 +140,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.variable, [-c for c in self.coefficients], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        if _is_scalar(other) or isinstance(other, SparsePolynomial):
+        if isinstance(other, (TruncatedSeries, SparsePolynomial)) or _is_scalar(other):
             return self + (-other)
         return NotImplemented
 
@@ -166,11 +160,11 @@ class TruncatedSeries:
         coeffs: list[Value] = [0] * (order + 1)
         for i in range(order + 1):
             a = self.coefficients[i]
-            if _is_zero(a):
+            if not a:
                 continue
             for j in range(order + 1 - i):
                 b = other.coefficients[j]
-                if _is_zero(b):
+                if not b:
                     continue
                 coeffs[i + j] = coeffs[i + j] + a * b
         return TruncatedSeries(self.variable, coeffs, order)
@@ -201,7 +195,7 @@ class TruncatedSeries:
             acc: Value = 0
             for k in range(1, n + 1):
                 a = self.coefficients[k]
-                if _is_zero(a):
+                if not a:
                     continue
                 acc = acc + a * coeffs[n - k]
             coeffs[n] = -acc
@@ -211,7 +205,7 @@ class TruncatedSeries:
         """Substitute ``inner`` (zero constant term) into this series."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
-        if not _is_zero(inner.coefficients[0]):
+        if inner.coefficients[0]:
             raise ValueError("composition requires the inner constant term to vanish")
         order = min(self.order, inner.order)
         inner = inner.truncate(order)
@@ -229,7 +223,7 @@ class TruncatedSeries:
         """
         if self.order < 1:
             raise TruncationError("reversion needs order >= 1")
-        if not _is_zero(self.coefficients[0]):
+        if self.coefficients[0]:
             raise ValueError("reversion requires zero constant term")
         if not values_equal(self.coefficients[1], 1):
             raise ValueError("reversion requires leading coefficient 1")
@@ -272,11 +266,11 @@ class MultiTruncatedSeries:
                 raise TruncationError(
                     f"term {exps!r} exceeds total-degree truncation {degree}"
                 )
-            if not _is_zero(c):
+            if c:
                 clean[exps] = clean.get(exps, 0) + c
         self.variables = variables
         self.degree = degree
-        self.terms = {e: c for e, c in clean.items() if not _is_zero(c)}
+        self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
     def zero(cls, variables: Iterable[str], degree: int) -> "MultiTruncatedSeries":
@@ -348,8 +342,6 @@ class MultiTruncatedSeries:
         )
 
     def __sub__(self, other):
-        if isinstance(other, MultiTruncatedSeries):
-            return self + (-other)
         return self + (-other)
 
     def scale(self, value: Value) -> "MultiTruncatedSeries":
@@ -415,7 +407,7 @@ class MultiTruncatedSeries:
 
 def substitute_univariate(outer: TruncatedSeries, inner: MultiTruncatedSeries) -> MultiTruncatedSeries:
     """Evaluate a one-variable series at a multivariate argument."""
-    if not _is_zero(inner.constant_coefficient()):
+    if inner.constant_coefficient():
         raise ValueError("composition requires the inner constant term to vanish")
     degree = min(outer.order, inner.degree)
     result = MultiTruncatedSeries.constant(
@@ -442,7 +434,7 @@ def compose_multivariate(
     for a in args:
         if a.variables != variables:
             raise ValueError("arguments must share one variable tuple")
-        if not _is_zero(a.constant_coefficient()):
+        if a.constant_coefficient():
             raise ValueError("composition requires zero constant terms")
     max_exp = [0] * len(f.variables)
     for e in f.terms:

@@ -240,3 +240,56 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
                        "hesse-cubic", "--mmax", "2")
     assert code == 1
     assert "unknown config key" in err
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.conf"
+    code, out, err = run(capsys, "am-log", "--family", "hesse-cubic", "--mmax", "3",
+                         "--config", str(missing))
+    assert code == 1
+    assert out == ""
+    assert err == f"wittkit: cannot read {missing}: No such file or directory\n"
+
+
+def _poly(variables, exponents, coefficient="1"):
+    return {"variables": variables,
+            "terms": [{"exponents": exponents, "coefficient": coefficient}]}
+
+
+def _teich(a):
+    return ("--op", "teichmueller", "--length", "2", "--a", json.dumps(a))
+
+
+def _neg(coords, length=None):
+    length = len(coords) if length is None else length
+    return ("--op", "neg", "--u", json.dumps({"length": length, "coords": coords}))
+
+
+def _from_ghost(entries):
+    return ("--op", "from-ghost", "--g", json.dumps(entries))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(_teich(_poly(["x"], [1, 2])), 1, id="exponent-length"),
+        pytest.param(_teich(_poly(["x"], [-1])), 1, id="negative-exponent"),
+        pytest.param(_teich(_poly(["x", "x"], [1, 0])), 1, id="duplicate-variables"),
+        pytest.param(_teich(_poly(["x"], [1], "abc")), 1, id="coefficient-abc"),
+        pytest.param(_teich(_poly(["x"], [1], "1/0")), 1, id="coefficient-1/0"),
+        pytest.param(_neg(["abc"]), 1, id="witt-coordinate-abc"),
+        pytest.param(_neg([_poly(["x"], [1, 1])]), 1, id="witt-exponent-length"),
+        pytest.param(_neg(["1", "2"], length=3), 1, id="witt-length"),
+        pytest.param(_from_ghost(["1/0"]), 1, id="ghost-1/0"),
+        pytest.param(_from_ghost([_poly(["x"], [-2])]), 1, id="ghost-negative-exponent"),
+        # well-formed input: a fractional Witt coordinate is a precondition violation
+        pytest.param(_neg(["1/2"]), 2, id="witt-coordinate-1/2"),
+        pytest.param(_teich(_poly(["x"], [1])), 0, id="well-formed"),
+    ],
+)
+def test_malformed_values_are_usage_errors(capsys, argv, code):
+    got, _, err = run(capsys, "witt", *argv)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("wittkit: usage error: cannot parse ")

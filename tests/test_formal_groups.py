@@ -22,8 +22,13 @@ from wittkit.formal_groups import (
     multiplicative_logarithm,
     witt_cartier_bridge,
 )
-from wittkit.polynomials import SparsePolynomial, values_equal
-from wittkit.series import MultiTruncatedSeries, TruncatedSeries, compose_multivariate
+from wittkit.polynomials import SparsePolynomial, is_integral, values_equal
+from wittkit.series import (
+    MultiTruncatedSeries,
+    TruncatedSeries,
+    compose_multivariate,
+    substitute_univariate,
+)
 from wittkit.witt import (
     WittVector,
     teichmueller,
@@ -158,27 +163,37 @@ def test_integrality_report_failure_lists_coefficients():
     assert values_equal(law.coefficient(1, 3), -1)
 
 
-def test_integrality_report_consistent_with_independent_reversion():
+def _law_by_reversion(log, degree):
     # an unrelated path to the same coefficients: raw reversion + substitution
-    from wittkit.polynomials import is_integral
-    from wittkit.series import substitute_univariate
-
-    log = Logarithm("Z", [1, 0, 0, 1])
-    law = group_law_from_logarithm(log, 4)
-    ell = log.series(4)
-    rev = ell.reversion()
+    ell = log.series(degree)
     summed = MultiTruncatedSeries(
         ("t1", "t2"),
-        4,
-        {(m, 0): ell.coefficients[m] for m in range(1, 5)}
-        | {(0, m): ell.coefficients[m] for m in range(1, 5)},
+        degree,
+        {(m, 0): ell.coefficients[m] for m in range(1, degree + 1)}
+        | {(0, m): ell.coefficients[m] for m in range(1, degree + 1)},
     )
-    law2 = substitute_univariate(rev, summed)
-    assert law.series == law2
-    expected_failures = {
-        (i, j) for (i, j), c in law2.sorted_terms() if not is_integral(c)
-    }
-    assert {(i, j) for i, j, _ in integrality_report(law).failures} == expected_failures
+    return substitute_univariate(ell.reversion(), summed)
+
+
+def test_integrality_report_consistent_with_independent_reversion():
+    quartic = family_logarithm("quartic-k3", 10, "closed-form")
+    cases = [
+        (family_logarithm("hesse-cubic", 8), 8),
+        (family_logarithm("quartic-k3", 8, "closed-form"), 8),
+        (family_logarithm("quintic-cy3", 8, "closed-form"), 8),
+        (Logarithm("Z", [a.evaluate({"x": 2}) for a in quartic.coeffs]), 10),
+        (Logarithm("Z", [1, 0, 0, 1]), 4),  # fails at (2, 2)
+    ]
+    for log, degree in cases:
+        law = group_law_from_logarithm(log, degree)
+        reference = _law_by_reversion(log, degree)
+        assert law.series == reference
+        expected_failures = {
+            (i, j) for (i, j), c in reference.sorted_terms() if not is_integral(c)
+        }
+        failures = {(i, j) for i, j, _ in integrality_report(law).failures}
+        assert failures == expected_failures
+    assert failures == {(2, 2)}
 
 
 # -- curves -----------------------------------------------------------------------
