@@ -330,8 +330,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -474,7 +474,7 @@ def main(argv=None) -> int:
         body = doc.emit(args.format)
     except (UsageError, UnknownFamilyError) as exc:
         # an unreadable input file reads like an unwritable output path
-        kind = "" if isinstance(exc.__cause__, OSError) else "usage error: "
+        kind = "" if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)) else "usage error: "
         print(f"wittkit: {kind}{exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:

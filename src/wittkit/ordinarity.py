@@ -1,12 +1,13 @@
 """Per-prime ordinariness diagnostics for the built-in pencils.
 
 For an odd prime p the fiber at a smooth parameter value is called ordinary
-when the p-th logarithm coefficient a_p, evaluated mod p, does not vanish.
-For the elliptic pencil this is checked against an independent oracle: count
-the points of the fiber over F_p by brute force, take the Frobenius trace
-t = p + 1 - count, and call the fiber supersingular exactly when t = 0 mod p.
-The two verdicts must agree; the scan records every comparison.  One
-enumeration of P^N(F_p) counts the points of all p fibers at once.
+when the p-th logarithm coefficient a_p, reduced mod p and evaluated there by
+Horner's rule over F_p, does not vanish.  For the elliptic pencil this is
+checked against an independent oracle: count the points of the fiber over
+F_p by brute force, take the Frobenius trace t = p + 1 - count, and call the
+fiber supersingular exactly when t = 0 mod p.  The two verdicts must agree;
+the scan records every comparison.  One enumeration of P^N(F_p) counts the
+points of all p fibers at once.
 
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt, prod
+from typing import Iterable
 
 from .families import builtin_family, resolve_family_id
 from .formal_groups import Logarithm
@@ -112,23 +114,24 @@ def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
     return entry.closed_form(p).reduce_mod(p)
 
 
+def _hasse_witt_residues(family_id: str, p: int, lams: Iterable[int]):
+    """Yield a_p(lambda) mod p for each lambda in lams, by Horner over F_p (deg a_p < p)."""
+    terms = hasse_witt_poly(family_id, p).terms
+    dense = [terms.get((e,), 0) for e in reversed(range(p))]
+    for lam in lams:
+        value = 0
+        for c in dense:
+            value = (value * lam + c) % p
+        yield value
+
+
 def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
-    poly = hasse_witt_poly(family_id, p)
-    return as_integral(poly.evaluate({"x": lam % p})) % p
+    return next(_hasse_witt_residues(family_id, p, [lam % p]))
 
 
 def nonordinary_locus(family_id: str, p: int) -> tuple[int, ...]:
-    """Smooth parameter values where a_p vanishes mod p, by enumeration."""
-    _require_odd_prime(p)
-    family_id = resolve_family_id(family_id)
-    poly = hasse_witt_poly(family_id, p)
-    out = []
-    for lam in range(p):
-        if declared_singular(family_id, lam, p):
-            continue
-        if as_integral(poly.evaluate({"x": lam})) % p == 0:
-            out.append(lam)
-    return tuple(out)
+    """Smooth parameter values where a_p vanishes mod p."""
+    return _scan_prime(resolve_family_id(family_id), p, False, None).nonordinary
 
 
 def _projective_points(nvars: int, p: int):
@@ -230,31 +233,28 @@ def classify_elliptic_fiber(
 
 def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
     elliptic = family_id in ELLIPTIC_FAMILIES
-    poly = hasse_witt_poly(family_id, p)
+    residues = tuple(_hasse_witt_residues(family_id, p, range(p)))
     singular = [declared_singular(family_id, lam, p) for lam in range(p)]
     # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
     counts = None
     if with_oracle and not all(singular):
         counts = fiber_point_counts(family_id, p, budget)
     rows = []
-    locus = []
-    for lam in range(p):
-        value = as_integral(poly.evaluate({"x": lam})) % p
+    for lam, value in enumerate(residues):
         if singular[lam]:
             verdict = "singular"
         elif elliptic:
             verdict = "supersingular" if value == 0 else "ordinary"
         else:
             verdict = ""
-        if not singular[lam] and value == 0:
-            locus.append(lam)
         if with_oracle:
             oracle = "singular" if singular[lam] else _classify_count(p, lam, counts[lam]).verdict
             rows.append(FiberRow(p, lam, value, verdict, oracle, oracle == verdict))
         else:
             rows.append(FiberRow(p, lam, value, verdict, "", None))
     agree = all(r.agree for r in rows) if with_oracle else None
-    return PrimeScan(p, tuple(locus), tuple(rows), agree)
+    locus = tuple(lam for lam, value in enumerate(residues) if value == 0 and not singular[lam])
+    return PrimeScan(p, locus, tuple(rows), agree)
 
 
 def ordinarity_scan(

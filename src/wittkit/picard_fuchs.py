@@ -78,14 +78,21 @@ class ThetaOperator:
                 qs = TruncatedSeries(X, qcoeffs, order)
                 result = result + qs * powered
             return result
-        f = as_x_polynomial(f)
-        result = SparsePolynomial.zero((X,))
+        f_terms = as_x_polynomial(f).terms
+        out: dict[tuple, Value] = {}
         for k, q in enumerate(self.coefficients):
-            if not q.terms:
-                continue
-            powered_terms = {exps: c * exps[0] ** k for exps, c in f.terms.items()}
-            result = result + q * SparsePolynomial((X,), powered_terms)
-        return result
+            # theta^k x^n = n^k x^n; zero sums drop out per step, as in + and *, to keep types
+            part: dict[tuple, Value] = {}
+            powered = [(n, c * n**k) for (n,), c in f_terms.items() if n or not k]
+            for (d,), qc in q.terms.items():
+                for n, c in powered:
+                    part[(n + d,)] = part.get((n + d,), 0) + qc * c
+            for e, v in part.items():
+                if v:
+                    out[e] = out.get(e, 0) + v
+                    if not out[e]:
+                        del out[e]
+        return SparsePolynomial((X,), out)
 
     def __str__(self) -> str:
         parts = []

@@ -9,11 +9,11 @@ through the ghost map
     g_k = sum over divisors d of k of  d * a_d^(k/d),
 
 which is an injective ring homomorphism onto entrywise arithmetic whenever
-the coefficient ring is torsion-free.  Every operation here computes on ghost
-components and pulls back, asserting exact divisibility at each step; the
-coefficient rings in scope (Z and Z[x]) make that pullback exact by theory,
-so a divisibility failure inside a ring operation is a library defect, not a
-data error.
+the coefficient ring is torsion-free; it and its inverse are computed by a
+sieve over multiples.  Every operation here computes on ghost components and
+pulls back, asserting exact divisibility at each step; the coefficient rings
+in scope (Z and Z[x]) make that pullback exact by theory, so a divisibility
+failure inside a ring operation is a library defect, not a data error.
 
 Coordinates must be integral (ints, or polynomials with integer
 coefficients); rings with torsion are rejected at construction.  All values
@@ -22,6 +22,8 @@ are immutable and all operations pure.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable
 
 from .polynomials import (
@@ -47,10 +49,6 @@ class IntegralityError(ValueError):
 
 class GhostInvariantViolation(RuntimeError):
     """Internal defect: a ring operation produced a non-integral result."""
-
-
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
 
 
 class GhostVector:
@@ -211,37 +209,32 @@ def teichmueller(a: Value, length: int) -> WittVector:
     return WittVector([a] + [0] * (length - 1))
 
 
+def _add_powers(entries: list, d: int, a: Value, scale: int) -> None:
+    """Add ``scale * a^(m/d)`` to ``entries[m-1]`` for each multiple m of d, one product each."""
+    if not values_equal(a, 0):
+        for m, power in zip(range(d, len(entries) + 1, d), accumulate(repeat(a), mul)):
+            entries[m - 1] = entries[m - 1] + scale * power
+
+
 def to_ghost(w: WittVector) -> GhostVector:
-    """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``."""
-    entries = []
-    for k in range(1, w.length + 1):
-        acc: Value = 0
-        for d in _divisors(k):
-            a = w.coords[d - 1]
-            if values_equal(a, 0):
-                continue
-            acc = acc + d * a ** (k // d)
-        entries.append(acc)
+    """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over multiples."""
+    entries: list[Value] = [0] * w.length
+    for d, a in enumerate(w.coords, start=1):
+        _add_powers(entries, d, a, d)
     return GhostVector(entries)
 
 
 def from_ghost(g: GhostVector) -> WittVector:
     """Solve the ghost recursion; raises IntegralityError when the input is
     not the ghost of an integral vector (first failing index reported)."""
+    rest = list(g.entries)
     coords: list[Value] = []
     for k in range(1, g.length + 1):
-        acc = g.entries[k - 1]
-        for d in _divisors(k):
-            if d == k:
-                continue
-            a = coords[d - 1]
-            if values_equal(a, 0):
-                continue
-            acc = acc - d * a ** (k // d)
         try:
-            coords.append(divide_exact(acc, k))
+            coords.append(divide_exact(rest[k - 1], k))
         except NonIntegralError as exc:
             raise IntegralityError(k, str(exc)) from exc
+        _add_powers(rest, k, coords[-1], -k)
     return WittVector(coords)
 
 

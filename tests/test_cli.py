@@ -249,6 +249,13 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"wittkit: cannot read {missing}: No such file or directory\n"
+    not_utf8 = tmp_path / "latin1.conf"
+    not_utf8.write_bytes(b"mmax = 3\n\xff\xfe\n")
+    code, out, err = run(capsys, "am-log", "--family", "hesse-cubic",
+                         "--config", str(not_utf8))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"wittkit: cannot read {not_utf8}: 'utf-8' codec can't decode")
 
 
 def _poly(variables, exponents, coefficient="1"):

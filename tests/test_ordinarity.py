@@ -18,7 +18,7 @@ from wittkit.ordinarity import (
     projective_point_total,
 )
 from wittkit.families import closed_form_logarithm
-from wittkit.polynomials import SparsePolynomial
+from wittkit.polynomials import SparsePolynomial, as_integral
 
 X = SparsePolynomial.variable("x")
 
@@ -45,6 +45,15 @@ def test_constant_term_one_mod_every_prime():
     for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
         for p in (3, 5, 7, 11, 13):
             assert hasse_witt_value(family, 0, p) == 1
+        # every value against exact evaluation, and the locus against the scan
+        for p in filter(is_prime, range(3, 62)):
+            poly = hasse_witt_poly(family, p)
+            for lam in range(p):
+                expected = as_integral(poly.evaluate({"x": lam})) % p
+                assert hasse_witt_value(family, lam, p) == expected
+            scan = ordinarity_scan(family, p).scans[-1]
+            assert scan.prime == p
+            assert nonordinary_locus(family, p) == scan.nonordinary
 
 
 # -- singular locus and loci ---------------------------------------------------

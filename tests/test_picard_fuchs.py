@@ -74,6 +74,17 @@ def test_apply_to_series_keeps_truncation():
     image = L.apply(f)
     assert image.order == 9
     assert image.coefficient(5) == -75000
+    # the polynomial rule agrees with the series rule, coefficient by coefficient
+    order = 45
+    log = closed_form_logarithm("quintic-cy3", 40)
+    for k in range(1, 41):
+        a_k = log.coefficient(k)
+        dense = [a_k.coefficient_of({"x": e}) for e in range(order + 1)]
+        from_series = L.apply(TruncatedSeries("x", dense, order))
+        from_poly = L.apply(a_k)
+        assert from_poly.degree_in("x") <= order
+        for e in range(order + 1):
+            assert from_poly.coefficient_of({"x": e}) == from_series.coefficient(e)
 
 
 def test_apply_is_linear():

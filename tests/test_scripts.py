@@ -1,0 +1,51 @@
+"""Smoke runs of the scripts under scripts/, each as its own process."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, verdict, expected",
+    [
+        ("group_law_tables.py", ("--deg", "4"), r"integral: ", ["integral: True"] * 3),
+        ("ordinary_sweep.py", ("--pmax", "13"), r"# disagreements: ", ["# disagreements: 0"]),
+        (
+            "quintic_congruences.py",
+            ("--kmax", "10", "--order", "20"),
+            r".*: (PASS|FAIL)",
+            [
+                "L a_k = 0 mod k for k <= 10: PASS",
+                "L f = 0 through x^20: PASS",
+                "a_(p^2) = a_p * a_p^p mod p at p=3: PASS",
+                "a_(p^2) = a_p * a_p^p mod p at p=5: PASS",
+                "a_(p^2) = a_p * a_p^p mod p at p=7: PASS",
+            ],
+        ),
+    ],
+    ids=["group_law_tables", "ordinary_sweep", "quintic_congruences"],
+)
+def test_script_smoke(name, args, verdict, expected):
+    """Exit 0 and the script's own verdict lines (cut at ';', which starts
+    the elapsed time)."""
+    result = run_script(name, *args)
+    assert result.returncode == 0, result.stderr
+    lines = (result.stdout + result.stderr).splitlines()
+    assert [line.split(";")[0] for line in lines if re.match(verdict, line)] == expected

@@ -68,8 +68,13 @@ def test_from_ghost_examples():
 def test_ghost_round_trip_random():
     rng = random.Random(7)
     for _ in range(50):
-        w = rand_vector(rng, rng.randrange(1, 9), polynomial=rng.random() < 0.5)
-        assert from_ghost(to_ghost(w)) == w
+        w = rand_vector(rng, rng.randrange(1, 17), polynomial=rng.random() < 0.5)
+        g = to_ghost(w)
+        # the literal divisor sum g_k = sum_{d|k} d * a_d^(k/d)
+        for k in range(1, w.length + 1):
+            divisors = [d for d in range(1, k + 1) if k % d == 0]
+            assert g[k - 1] == sum(d * w.coords[d - 1] ** (k // d) for d in divisors)
+        assert from_ghost(g) == w
 
 
 def test_constructor_rejects_fractional_coordinates():
