@@ -29,6 +29,10 @@ def golden_cli_requests():
     for request in base:
         for fmt in ("json", "tsv"):
             yield request + ["--format", fmt]
+    # extraction at benchmark size, one format each
+    yield ["am-log", "--family", "hesse-cubic", "--mmax", "40"]
+    yield ["am-log", "--family", "quartic-k3", "--mmax", "30", "--mod", "999983"]
+    yield ["am-log", "--family", "quintic-cy3", "--mmax", "25", "--format", "tsv"]
 
 
 def golden_name(request):
