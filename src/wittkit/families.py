@@ -9,6 +9,7 @@ of homogeneous coordinates) is
 an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
 are built in, each with a closed-form coefficient rule used as an independent
 oracle; the extraction path is the authority if the two ever disagree.
+Extraction works on exponent vectors packed into ints (see ``am_logarithm``).
 
 The regular-sequence and smoothness hypotheses behind the construction are
 not verified (they are not decidable at this level); outputs are meaningful
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
-from operator import add
 from typing import Callable
 
 from .formal_groups import Logarithm
@@ -191,28 +191,40 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     after the k-th multiplication by Q, a_{k+1} is the coefficient of
     (Z_0 * ... * Z_N)^k.  Partial terms with a Z-exponent of m_max or more
     are discarded; sound because exponents only grow.
+
+    Exponent vectors are packed into ints: b = (m_max + qmax).bit_length() + 1
+    bits per Z_i (qmax the largest exponent in Q), x unbounded on top.  Z fields
+    are stored plus 2^(b-1) - m_max, so a product is one addition, a field has
+    reached m_max exactly when its top (guard) bit is set, and none carries.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     q = prod(family.polynomials[1:], start=family.polynomials[0])
     zidx = [q.variables.index(v) for v in family.coordinate_variables()]
     xidx = q.variables.index(PARAMETER)
-    qterms = list(q.terms.items())
+    b = (m_max + max(map(max, q.terms), default=0)).bit_length() + 1
+    xshift = b * len(zidx)
+    zmask = (1 << xshift) - 1
+    ones = zmask // ((1 << b) - 1)  # 1 in every Z field
+    guard, bias = ones << (b - 1), ones * ((1 << (b - 1)) - m_max)
+    qterms = [(sum(e[i] << b * j for j, i in enumerate(zidx)) + (e[xidx] << xshift), c)
+              for e, c in q.terms.items()]
 
-    partial: dict[tuple, int] = {(0,) * len(q.variables): 1}
+    partial: dict[int, int] = {bias: 1}
     coeffs = []
     for k in range(m_max):
         if k:
-            nxt: dict[tuple, int] = {}
-            for exps, c in partial.items():
-                for qexps, qc in qterms:
-                    merged = tuple(map(add, exps, qexps))
-                    if any(merged[i] >= m_max for i in zidx):
+            nxt: dict[int, int] = {}
+            for key, c in partial.items():
+                for qkey, qc in qterms:
+                    merged = key + qkey
+                    if merged & guard:
                         continue
                     nxt[merged] = nxt.get(merged, 0) + c * qc
             partial = {e: c for e, c in nxt.items() if c}
         # a diagonal term is fixed by its x-exponent, so no two share a key
-        a_k = {(e[xidx],): c for e, c in partial.items() if all(e[i] == k for i in zidx)}
+        diagonal = k * ones + bias
+        a_k = {(e >> xshift,): c for e, c in partial.items() if e & zmask == diagonal}
         coeffs.append(SparsePolynomial((PARAMETER,), a_k))
     return Logarithm("Z[x]", coeffs)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Iterable
 
 from .families import builtin_family, resolve_family_id
@@ -115,13 +115,15 @@ def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
 
 
 def _hasse_witt_residues(family_id: str, p: int, lams: Iterable[int]):
-    """Yield a_p(lambda) mod p for each lambda in lams, by Horner over F_p (deg a_p < p)."""
+    """Yield a_p(lambda) mod p for each lambda in lams: Horner over F_p in x^g (deg a_p < p)."""
     terms = hasse_witt_poly(family_id, p).terms
-    dense = [terms.get((e,), 0) for e in reversed(range(p))]
+    g = gcd(*(e for (e,) in terms)) or 1  # a_p is a polynomial in x^g
+    dense = [terms.get((e,), 0) for e in reversed(range(0, p, g))]
     for lam in lams:
+        y = pow(lam, g, p)
         value = 0
         for c in dense:
-            value = (value * lam + c) % p
+            value = (value * y + c) % p
         yield value
 
 

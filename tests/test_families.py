@@ -1,4 +1,5 @@
-from math import comb
+from math import comb, prod
+from operator import add
 
 import pytest
 
@@ -159,3 +160,76 @@ def test_codimension_two_extraction_against_unpruned_power():
 def test_hesse_extraction_against_unpruned_power():
     hesse = builtin_family("hesse-cubic").family
     _check_against_unpruned_power(hesse, hesse.polynomials[0], 8)
+
+
+def _tuple_am_logarithm(family, m_max):
+    """Reference: the expansion with tuple exponent keys that am_logarithm
+    ran before exponent vectors were packed into ints."""
+    q = prod(family.polynomials[1:], start=family.polynomials[0])
+    zidx = [q.variables.index(v) for v in family.coordinate_variables()]
+    xidx = q.variables.index("x")
+    partial = {(0,) * len(q.variables): 1}
+    coeffs = []
+    for k in range(m_max):
+        if k:
+            nxt = {}
+            for exps, c in partial.items():
+                for qexps, qc in q.terms.items():
+                    merged = tuple(map(add, exps, qexps))
+                    if any(merged[i] >= m_max for i in zidx):
+                        continue
+                    nxt[merged] = nxt.get(merged, 0) + c * qc
+            partial = {e: c for e, c in nxt.items() if c}
+        a_k = {(e[xidx],): c for e, c in partial.items() if all(e[i] == k for i in zidx)}
+        coeffs.append(SparsePolynomial(("x",), a_k))
+    return coeffs
+
+
+def _exact_shape(value):
+    """Type, terms in order, and coefficient types: all that must not move."""
+    terms = value.terms.items() if isinstance(value, SparsePolynomial) else [((), value)]
+    return type(value), [(e, c, type(c)) for e, c in terms]
+
+
+def _field_width_edges(family, m_cap):
+    """m_max = 1 and each m_max on either side of m_max + qmax reaching a
+    power of two, where the packed field width grows by one bit."""
+    q = prod(family.polynomials[1:], start=family.polynomials[0])
+    qmax = max(max(e) for e in q.terms)
+    edges = {1}
+    for j in range(1, m_cap.bit_length() + 2):
+        edges.update(m for m in (2**j - qmax - 1, 2**j - qmax) if 1 <= m <= m_cap)
+    return sorted(edges)
+
+
+def _x_in_the_middle():
+    # a cubic pencil whose variable tuple does not start with x, with an x
+    # exponent above every Z exponent and coefficients of both signs
+    variables = ("X", "x", "Y", "Z")
+    p = SparsePolynomial(
+        variables,
+        {(1, 0, 1, 1): 1, (3, 1, 0, 0): 1, (0, 2, 3, 0): -2, (0, 5, 0, 3): 3, (2, 1, 1, 0): 1},
+    )
+    return CompleteIntersectionFamily("x-in-the-middle", 2, (p,), (3,))
+
+
+@pytest.mark.parametrize(
+    "family, m_cap",
+    [
+        (builtin_family("hesse-cubic").family, 61),
+        (builtin_family("quartic-k3").family, 28),
+        (builtin_family("quintic-cy3").family, 27),
+        (_two_quadrics()[2], 30),
+        (_x_in_the_middle(), 27),
+    ],
+    ids=["hesse-cubic", "quartic-k3", "quintic-cy3", "two-quadrics", "x-in-the-middle"],
+)
+def test_packed_extraction_matches_tuple_reference(family, m_cap):
+    edges = _field_width_edges(family, m_cap)
+    assert m_cap in edges
+    for m_max in edges:
+        packed = am_logarithm(family, m_max)
+        reference = _tuple_am_logarithm(family, m_max)
+        assert [_exact_shape(packed.coefficient(m)) for m in range(1, m_max + 1)] == [
+            _exact_shape(a) for a in reference
+        ], m_max
