@@ -187,8 +187,7 @@ def _tuple_am_logarithm(family, m_max):
 
 def _exact_shape(value):
     """Type, terms in order, and coefficient types: all that must not move."""
-    terms = value.terms.items() if isinstance(value, SparsePolynomial) else [((), value)]
-    return type(value), [(e, c, type(c)) for e, c in terms]
+    return type(value), [(e, c, type(c)) for e, c in value.terms.items()]
 
 
 def _field_width_edges(family, m_cap):
