@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .families import FAMILY_IDS, UnknownFamilyError, family_logarithm, resolve_family_id
+from .families import FAMILY_IDS, UnknownFamilyError, builtin_family, family_logarithm, resolve_family_id
 from .formal_groups import Logarithm, group_law_from_logarithm, integrality_report
 from .ordinarity import (
     BudgetExceededError,
@@ -106,8 +106,8 @@ def _parse_witt(text: str) -> WittVector:
         raise UsageError(f"cannot parse Witt vector {text!r}: {exc}") from exc
 
 
-def _witt_result(op: str, w: WittVector) -> ResultDoc:
-    ghost = to_ghost(w)
+def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> ResultDoc:
+    ghost = to_ghost(w) if ghost is None else ghost
     payload = {
         "op": op,
         "result": witt_to_obj(w),
@@ -130,11 +130,12 @@ def _cmd_witt(args) -> ResultDoc:
         if args.u is None or args.v is None:
             raise UsageError(f"{op} needs --u and --v")
         u, v = _parse_witt(args.u), _parse_witt(args.v)
-        return _witt_result(op, witt_add(u, v) if op == "add" else witt_mul(u, v))
+        ring_op = witt_add if op == "add" else witt_mul
+        return _witt_result(op, *ring_op(u, v, with_ghost=True))
     if op == "neg":
         if args.u is None:
             raise UsageError("neg needs --u")
-        return _witt_result(op, witt_neg(_parse_witt(args.u)))
+        return _witt_result(op, *witt_neg(_parse_witt(args.u), with_ghost=True))
     if op == "ghost":
         if args.u is None:
             raise UsageError("ghost needs --u")
@@ -154,7 +155,8 @@ def _cmd_witt(args) -> ResultDoc:
     if op == "frobenius":
         if args.u is None or args.m is None:
             raise UsageError("frobenius needs --u and --m")
-        return _witt_result(op, witt_frobenius(args.m, _parse_witt(args.u), args.length))
+        u = _parse_witt(args.u)
+        return _witt_result(op, *witt_frobenius(args.m, u, args.length, with_ghost=True))
     if op == "verschiebung":
         if args.u is None or args.m is None:
             raise UsageError("verschiebung needs --u and --m")
@@ -294,9 +296,7 @@ def _cmd_pf_check(args) -> ResultDoc:
 
 def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
-    need = args.p**args.nu
-    log = family_logarithm(family, need, "closed-form")
-    check = frobenius_power_congruence(log, args.p, args.nu)
+    check = frobenius_power_congruence(builtin_family(family).closed_form, args.p, args.nu)
     residual = "" if check.residual is None else value_to_text(check.residual)
     payload = {
         "family": family,

@@ -39,7 +39,7 @@ from .polynomials import (
     values_equal,
 )
 from .series import MultiTruncatedSeries, TruncatedSeries
-from .witt import WittVector
+from .witt import GhostVector, WittVector, from_ghost
 
 
 class AmbientMismatchError(ValueError):
@@ -335,12 +335,12 @@ def witt_cartier_bridge(c: Curve) -> WittVector:
     length-``n`` vector, ``n`` the curve truncation.  Under this map
     formal-group addition becomes Witt addition, gamma(at) becomes
     multiplication by the multiplicative lift of ``a``, and the V_k / F_k
-    operators match on both sides.
+    operators match on both sides.  As ``eta = -log(1 - gamma)``, that
+    series is ``exp(eta)``, whose ghost components are ``g_k = k * c_k``
+    for ``eta = sum c_k t^k``; no reversion is needed.
     """
     if not c.logarithm.is_multiplicative():
         raise AmbientMismatchError(
             "the Witt identification needs the multiplicative law (all a_m = 1)"
         )
-    gamma = c.gamma()
-    one_minus = TruncatedSeries.constant(1, gamma.variable, gamma.order) - gamma
-    return WittVector.from_series(one_minus.inverse())
+    return from_ghost(GhostVector(k * c.eta.coefficients[k] for k in range(1, c.order + 1)))

@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .families import builtin_family, resolve_family_id
 from .formal_groups import Logarithm
-from .polynomials import SparsePolynomial, as_integral, as_x_polynomial
+from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
 #: Routine-use budget: an enumeration of P^N(F_p) is refused beyond this many
 #: points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
@@ -293,21 +293,26 @@ class CongruenceCheck:
     residual: SparsePolynomial | None
 
 
-def frobenius_power_congruence(log: Logarithm, p: int, nu: int) -> CongruenceCheck:
-    """Check  a_{p^nu} = a_p * (a_{p^(nu-1)})^p  mod p  in F_p[x]."""
+def frobenius_power_congruence(
+    log: Logarithm | Callable[[int], Value], p: int, nu: int
+) -> CongruenceCheck:
+    """Check  a_{p^nu} = a_p * (a_{p^(nu-1)})^p  mod p  in F_p[x].
+
+    ``log`` is a Logarithm or a rule m -> a_m, such as a catalog entry's
+    ``closed_form``; only a_p, a_(p^(nu-1)) and a_(p^nu) are read, and the
+    p-th power is f(x^p), which it equals in F_p[x].
+    """
     _require_odd_prime(p)
     if nu < 2:
         raise ValueError("the congruence concerns prime powers p^nu with nu >= 2")
-    if p**nu > log.truncation:
-        raise ValueError(
-            f"logarithm truncation {log.truncation} is below p^nu = {p ** nu}"
-        )
+    coefficient = log.coefficient if isinstance(log, Logarithm) else log
 
     def coeff_mod(m: int) -> SparsePolynomial:
-        return as_x_polynomial(log.coefficient(m)).reduce_mod(p)
+        return as_x_polynomial(coefficient(m)).reduce_mod(p)
 
     lhs = coeff_mod(p**nu)
-    rhs = (coeff_mod(p) * coeff_mod(p ** (nu - 1)) ** p).reduce_mod(p)
+    pth_power = {(e * p,): c for (e,), c in coeff_mod(p ** (nu - 1)).terms.items()}
+    rhs = (coeff_mod(p) * SparsePolynomial(("x",), pth_power)).reduce_mod(p)
     residual = (lhs - rhs).reduce_mod(p)
     if residual.terms:
         return CongruenceCheck(p, nu, False, residual)

@@ -7,6 +7,12 @@ names.  The stored form is canonical (no zero terms, exponent vectors of the
 declared length), so two polynomials are equal exactly when their variable
 tuples and term maps are equal.
 
+Inputs are validated once, at the public boundary: ``SparsePolynomial(...)``,
+the classmethod constructors, ``map_coefficients``, ``coefficient_of``,
+``evaluate`` and deserialization.  Results of ``+``, ``-``, ``*``, ``**`` and
+``reduce_mod`` come from validated operands and are built by the private
+``_canonical``, which only drops zero terms.
+
 Values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
 
@@ -18,6 +24,7 @@ function, so they are safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 #: Exact rational scalars.  ``Fraction`` already maintains the canonical form
@@ -65,6 +72,14 @@ class SparsePolynomial:
                 clean[exps] = clean.get(exps, 0) + c
         self.variables = variables
         self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def _canonical(cls, variables: tuple, terms: dict) -> "SparsePolynomial":
+        """Trusted constructor for results of validated operands: only drops zero terms."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -125,21 +140,19 @@ class SparsePolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _align(self, other) -> "tuple[SparsePolynomial, SparsePolynomial] | None":
-        if _is_scalar(other):
-            return self, SparsePolynomial.constant(other, self.variables)
-        if not isinstance(other, SparsePolynomial):
-            return None
-        if other.variables == self.variables:
+        if isinstance(other, SparsePolynomial) and other.variables == self.variables:
             return self, other
-        oc = other.constant_value()
+        if not (_is_scalar(other) or isinstance(other, SparsePolynomial)):
+            return None
+        oc = other if _is_scalar(other) else other.constant_value()
         if oc is not None:
-            return self, SparsePolynomial.constant(oc, self.variables)
+            return self, self._canonical(self.variables, {(0,) * len(self.variables): oc})
         sc = self.constant_value()
-        if sc is not None:
-            return SparsePolynomial.constant(sc, other.variables), other
-        raise VariableMismatchError(
-            f"cannot combine polynomials over {self.variables!r} and {other.variables!r}"
-        )
+        if sc is None:
+            raise VariableMismatchError(
+                f"cannot combine polynomials over {self.variables!r} and {other.variables!r}"
+            )
+        return self._canonical(other.variables, {(0,) * len(other.variables): sc}), other
 
     def __add__(self, other):
         pair = self._align(other)
@@ -149,12 +162,12 @@ class SparsePolynomial:
         terms = dict(a.terms)
         for e, c in b.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return SparsePolynomial(a.variables, terms)
+        return SparsePolynomial._canonical(a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePolynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return SparsePolynomial._canonical(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         pair = self._align(other)
@@ -174,9 +187,9 @@ class SparsePolynomial:
         terms: dict[tuple, Scalar] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return SparsePolynomial(a.variables, terms)
+        return SparsePolynomial._canonical(a.variables, terms)
 
     __rmul__ = __mul__
 
@@ -250,10 +263,9 @@ class SparsePolynomial:
         """
         if not isinstance(modulus, int) or modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        terms = {}
-        for e, c in self.terms.items():
-            terms[e] = as_integral(c) % modulus
-        return SparsePolynomial(self.variables, terms)
+        return SparsePolynomial._canonical(
+            self.variables, {e: as_integral(c) % modulus for e, c in self.terms.items()}
+        )
 
     def evaluate(self, assignment: Mapping[str, Value]):
         """Substitute values for some variables; exact, possibly partial.

@@ -28,6 +28,7 @@ from typing import Iterable
 
 from .polynomials import (
     NonIntegralError,
+    SparsePolynomial,
     Value,
     as_integral,
     divide_exact,
@@ -102,9 +103,6 @@ class GhostVector:
 
     def scale(self, c: int) -> "GhostVector":
         return GhostVector(a * c for a in self.entries)
-
-    def truncate(self, k: int) -> "GhostVector":
-        return GhostVector(self.entries[:k])
 
 
 class WittVector:
@@ -253,20 +251,76 @@ def _check_lengths(u: WittVector, v: WittVector) -> None:
         raise ValueError(f"length mismatch: {u.length} vs {v.length}")
 
 
-def witt_add(u: WittVector, v: WittVector) -> WittVector:
-    """Group law of 1 + tA[[t]]: multiplication of the series forms."""
-    _check_lengths(u, v)
-    return _pullback(to_ghost(u) + to_ghost(v), "witt_add")
+#: A ring operation's result, or with ``with_ghost=True`` (result, to_ghost(result)).
+WittOrWithGhost = WittVector | tuple[WittVector, GhostVector]
 
 
-def witt_neg(u: WittVector) -> WittVector:
-    return _pullback(-to_ghost(u), "witt_neg")
+def _ghost_form(w: WittVector, g: GhostVector) -> GhostVector:
+    """``g``, equal to ``to_ghost(w)``, recast into the form ``to_ghost(w)``
+    builds: g_k is an int unless some nonzero a_d (d | k) is a polynomial, and
+    then a polynomial over the variables of the first nonconstant such a_d,
+    or of the first one if all are constant."""
+    forms: list = [None] * w.length  # (variables, nonconstant) per entry
+    for d, a in enumerate(w.coords, start=1):
+        if isinstance(a, SparsePolynomial) and a:
+            form = (a.variables, not a.is_constant())
+            for m in range(d - 1, w.length, d):
+                if forms[m] is None or (form[1] and not forms[m][1]):
+                    forms[m] = form
+    entries = []
+    for value, form in zip(g.entries, forms):
+        c = value.constant_value() if isinstance(value, SparsePolynomial) else value
+        if c is not None:
+            value = c if form is None else SparsePolynomial.constant(c, form[0])
+        entries.append(value)
+    return GhostVector(entries)
 
 
-def witt_mul(u: WittVector, v: WittVector) -> WittVector:
+def _ring_operation(op: str, operands: tuple, with_ghost: bool) -> WittOrWithGhost:
+    """``witt_<op>(*operands)``; with ``with_ghost`` also the ghost vector of
+    the result, read off the ghost it was pulled back from (F_1 is a
+    truncation and maps its result)."""
+    if op == "frobenius":
+        m, w, length = operands
+        if m < 1:
+            raise ValueError("Frobenius index must be >= 1")
+        k_max = w.length // m
+        k = k_max if length is None else length
+        if k < 1 or k > k_max:
+            raise ValueError(
+                f"insufficient input length {w.length} for F_{m} at output length {k or 1}"
+            )
+        if m == 1:
+            w = witt_truncate(w, k)
+            return (w, to_ghost(w)) if with_ghost else w
+        g = to_ghost(w)
+        g = GhostVector(g.entries[m * j - 1] for j in range(1, k + 1))
+    elif op == "neg":
+        g = -to_ghost(*operands)
+    else:
+        u, v = operands
+        _check_lengths(u, v)
+        g = to_ghost(u) + to_ghost(v) if op == "add" else to_ghost(u) * to_ghost(v)
+    w = _pullback(g, f"witt_{op}")
+    return (w, _ghost_form(w, g)) if with_ghost else w
+
+
+def witt_add(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittOrWithGhost:
+    """Group law of 1 + tA[[t]]: multiplication of the series forms.
+
+    ``with_ghost=True`` returns ``(result, to_ghost(result))`` without mapping
+    the result again; so do witt_neg, witt_mul and witt_frobenius.
+    """
+    return _ring_operation("add", (u, v), with_ghost)
+
+
+def witt_neg(u: WittVector, *, with_ghost: bool = False) -> WittOrWithGhost:
+    return _ring_operation("neg", (u,), with_ghost)
+
+
+def witt_mul(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittOrWithGhost:
     """Ring product, defined by entrywise ghost multiplication."""
-    _check_lengths(u, v)
-    return _pullback(to_ghost(u) * to_ghost(v), "witt_mul")
+    return _ring_operation("mul", (u, v), with_ghost)
 
 
 def witt_scale_int(n: int, u: WittVector) -> WittVector:
@@ -274,23 +328,14 @@ def witt_scale_int(n: int, u: WittVector) -> WittVector:
     return _pullback(to_ghost(u).scale(n), "witt_scale_int")
 
 
-def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVector:
+def witt_frobenius(
+    m: int, w: WittVector, length: int | None = None, *, with_ghost: bool = False
+) -> WittOrWithGhost:
     """F_m: ghost components are reindexed by ``g_j -> g_{mj}``.
 
     A length-``mk`` input is needed for a length-``k`` output.
     """
-    if m < 1:
-        raise ValueError("Frobenius index must be >= 1")
-    k_max = w.length // m
-    k = k_max if length is None else length
-    if k < 1 or k > k_max:
-        raise ValueError(
-            f"insufficient input length {w.length} for F_{m} at output length {k or 1}"
-        )
-    if m == 1:
-        return witt_truncate(w, k)
-    g = to_ghost(w)
-    return _pullback(GhostVector(g.entries[m * j - 1] for j in range(1, k + 1)), "witt_frobenius")
+    return _ring_operation("frobenius", (m, w, length), with_ghost)
 
 
 def witt_verschiebung(m: int, w: WittVector, length: int | None = None) -> WittVector:

@@ -25,6 +25,7 @@ def golden_cli_requests():
         ["pf-check", "--family", "quintic-cy3", "--kmax", "8"],
         ["congruence", "--family", "quintic-cy3", "--p", "3", "--nu", "2"],
         ["congruence", "--family", "hesse-cubic", "--p", "5", "--nu", "2"],
+        ["congruence", "--family", "quintic-cy3", "--p", "11", "--nu", "3"],
     ]
     for request in base:
         for fmt in ("json", "tsv"):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,16 @@ def test_congruence(capsys):
                        "--nu", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_congruence_reads_only_three_coefficients(capsys):
+    # only a_13, a_169 and a_2197 are built; all of a_1..a_2197 would take over a minute
+    started = time.monotonic()
+    code, out, _ = run(capsys, "congruence", "--family", "quintic-cy3", "--p", "13", "--nu", "3")
+    elapsed = time.monotonic() - started
+    assert code == 0
+    assert out == '{"family":"quintic-cy3","nu":3,"p":13,"passed":true,"residual":null}\n'
+    assert elapsed < 1.0
 
 
 def test_witt_add(capsys):

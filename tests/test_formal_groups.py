@@ -361,3 +361,40 @@ def test_bridge_intertwines_operators():
             if n // k >= 1:
                 fk = witt_cartier_bridge(curve_frobenius(k, c1))
                 assert fk == witt_frobenius(k, w1)
+
+
+def _bridge_by_reversion(c):
+    """The bridge as the series (1 - gamma)^(-1), gamma recovered by reversion."""
+    gamma = c.gamma()
+    one_minus = TruncatedSeries.constant(1, gamma.variable, gamma.order) - gamma
+    return WittVector.from_series(one_minus.inverse())
+
+
+def test_bridge_matches_reversion_reference():
+    order = 16
+    log = multiplicative_logarithm(order)
+    # the first curves acceptance 8 draws, with every operator it applies
+    rng = random.Random(20240008)
+    curves = []
+    for _ in range(5):
+        c1, c2 = (
+            Curve.from_gamma(
+                log, TruncatedSeries("t", [0] + [rng.randrange(-3, 4) for _ in range(order)], order)
+            )
+            for _ in range(2)
+        )
+        a, k = rng.randrange(-5, 6), rng.choice((2, 3, 4, 5))
+        curves += [c1, c2, fg_add(c1, c2), curve_scale(a, c1)]
+        curves += [curve_verschiebung(k, c1), curve_frobenius(k, c1)]
+    # random integral curves at truncation 16, sparse and dense, and over Z[x]
+    rng = random.Random(16)
+    for _ in range(20):
+        coeffs = [0] + [rng.randrange(-9, 10) if rng.random() < 0.5 else 0 for _ in range(order)]
+        curves.append(Curve.from_gamma(log, TruncatedSeries("t", coeffs, order)))
+    for n in range(2, 6):
+        coeffs = [0] + [rng.randrange(-2, 3) * X + rng.randrange(-2, 3) for _ in range(n)]
+        curves.append(Curve.from_gamma(multiplicative_logarithm(n), TruncatedSeries("t", coeffs, n)))
+    for c in curves:
+        got, want = witt_cartier_bridge(c), _bridge_by_reversion(c)
+        assert got == want
+        assert [type(a) for a in got.coords] == [type(a) for a in want.coords]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wittkit.families import builtin_family
@@ -225,6 +227,27 @@ def test_congruence_failure_carries_witness():
     got = frobenius_power_congruence(log, 3, 2)
     assert not got.passed
     assert got.residual == X
+
+
+def test_congruence_residual_matches_pth_power_reference():
+    # the check raises a_(p^(nu-1)) to the p-th power as f(x^p); the
+    # reference takes the power in Z[x] and reduces afterwards
+    from wittkit.formal_groups import Logarithm
+
+    rng = random.Random(5)
+    for p, nu in ((3, 2), (3, 3), (5, 2), (7, 2)):
+        for _ in range(4):
+            coeffs = [SparsePolynomial.constant(1, ("x",))] + [
+                SparsePolynomial(("x",), {(e,): rng.randrange(-9, 10) for e in range(3)})
+                for _ in range(p**nu - 1)
+            ]
+            log = Logarithm("Z[x]", coeffs)
+            a = [None] + [c.reduce_mod(p) for c in coeffs]
+            rhs = (a[p] * a[p ** (nu - 1)] ** p).reduce_mod(p)
+            residual = (a[p**nu] - rhs).reduce_mod(p)
+            got = frobenius_power_congruence(log, p, nu)
+            assert got.passed == (not residual.terms)
+            assert got.residual == (residual if residual.terms else None)
 
 
 def test_congruence_truncation_guard():

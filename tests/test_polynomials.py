@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,73 @@ def test_coefficient_of_agrees_with_dense_expansion(p, q):
     for exps in list(dense) + [(0,) * len(variables)]:
         monomial = dict(zip(variables, exps))
         assert prod.coefficient_of(monomial) == dense.get(exps, 0)
+
+
+# -- the trusted constructor behind arithmetic -----------------------------------
+
+
+def _assert_canonical(r):
+    """``r`` is exactly what the validating constructor makes of its terms:
+    same values, same coefficient types, same term order."""
+    assert isinstance(r, SparsePolynomial)
+    ref = SparsePolynomial(r.variables, r.terms)
+    assert r.variables == ref.variables
+    assert list(r.terms.items()) == list(ref.terms.items())
+    assert [type(c) for c in r.terms.values()] == [type(c) for c in ref.terms.values()]
+
+
+def _random_scalar(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("Z", "Q"))
+    if kind == "Z":
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _random_poly(rng, variables, kind):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        terms[tuple(rng.randint(0, 2) for _ in variables)] = _random_scalar(rng, kind)
+    return SparsePolynomial(variables, terms)
+
+
+def test_arithmetic_results_match_validating_constructor():
+    rng = random.Random(20260007)
+    cases = 0
+    for _ in range(400):
+        kind = rng.choice(("Z", "Q", "mixed"))
+        variables = ("a", "b", "c")[: rng.randint(1, 3)]
+        p, q = _random_poly(rng, variables, kind), _random_poly(rng, variables, kind)
+        s = _random_scalar(rng, kind)
+        # constants over other variables align to the other operand's variables
+        foreign = SparsePolynomial.constant(_random_scalar(rng, kind), ("z",))
+        empty = SparsePolynomial.zero(("w",))
+        results = [p + q, p - q, p * q, -p, p - p, (p + q) - q, p + (-p), (p - q) * (p + q)]
+        for other in (s, foreign, empty, Fraction(0), 0):
+            results += [p + other, other + p, p - other, other - p, p * other, other * p]
+            results += [foreign * other, other - foreign] if other is not foreign else []
+            results += list(p._align(other))
+        results += [p ** rng.randint(0, 3), foreign**2]
+        if p.is_integral():
+            results.append(p.reduce_mod(rng.randint(1, 7)))
+        for r in results:
+            _assert_canonical(r)
+        cases += len(results)
+    assert cases > 20000
+
+
+@pytest.mark.parametrize(
+    "variables, terms, error",
+    [
+        (("x", "x"), {(1, 0): 1}, VariableMismatchError),
+        (("x", "y"), {(1,): 1}, VariableMismatchError),
+        (("x",), {(-1,): 1}, ValueError),
+        (("x",), {(1,): 1.5}, TypeError),
+        (("x",), {(1,): "1"}, TypeError),
+        (("x",), {(1,): True}, TypeError),
+    ],
+    ids=["duplicate-names", "exponent-length", "negative-exponent", "float", "str", "bool"],
+)
+def test_public_constructor_still_validates(variables, terms, error):
+    with pytest.raises(error):
+        SparsePolynomial(variables, terms)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from wittkit.polynomials import SparsePolynomial
+from wittkit.serialize import value_to_obj
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
     GhostVector,
@@ -286,3 +287,47 @@ def test_fv_commute_coprime_small():
         rhs = witt_frobenius(m, witt_verschiebung(k, alpha))
         n = min(lhs.length, rhs.length)
         assert witt_truncate(lhs, n) == witt_truncate(rhs, n)
+
+
+def _mixed_coordinate(rng, foreign):
+    """An int, a zero polynomial, a constant or a degree-1 polynomial in x, or
+    (with ``foreign``) a constant or a polynomial in y."""
+    kind = rng.randrange(6 if foreign else 4)
+    if kind == 0:
+        return rng.randint(-2, 2)
+    if kind == 1:
+        return SparsePolynomial(("x",), {})
+    if kind == 2:
+        return SparsePolynomial(("x",), {(e,): rng.randint(-2, 2) for e in (0, 1)})
+    if kind == 3:
+        return SparsePolynomial(("x",), {(0,): rng.randint(-2, 2)})
+    if kind == 4:
+        return SparsePolynomial(("y",), {(0,): rng.randint(-2, 2)})
+    return SparsePolynomial(("y",), {(e,): rng.randint(-2, 2) for e in (0, 1)})
+
+
+def test_operation_ghost_prints_like_ghost_of_result():
+    """The ghost a ring operation hands back with ``with_ghost=True`` is
+    to_ghost of its result, down to which entries are ints and over which
+    variables the others are."""
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(500):
+        n, foreign = rng.randint(1, 8), rng.random() < 0.3
+        u = WittVector([_mixed_coordinate(rng, foreign) for _ in range(n)])
+        v = WittVector([_mixed_coordinate(rng, foreign) for _ in range(n)])
+        for op, operands in (
+            (witt_add, (u, v)),
+            (witt_mul, (u, v)),
+            (witt_neg, (u,)),
+            (witt_frobenius, (rng.randint(1, 3), u)),
+        ):
+            try:
+                w, ghost = op(*operands, with_ghost=True)
+            except ValueError:  # coordinates over both x and y, or n < m
+                continue
+            assert w == op(*operands)
+            reference = to_ghost(w)
+            assert [value_to_obj(g) for g in ghost] == [value_to_obj(g) for g in reference]
+            compared += 1
+    assert compared > 1500
