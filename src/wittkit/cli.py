@@ -13,6 +13,7 @@ unwritable output path), 2 precondition violation, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -350,6 +351,7 @@ def load_config(path: str) -> dict:
     return values
 
 
+@functools.cache  # one parser per process: parsing does not change it
 def build_parser() -> _Parser:
     parser = _Parser(prog="wittkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wittkit {__version__}")

@@ -19,7 +19,7 @@ on the parameter locus where those hypotheses hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial, prod
+from math import prod
 from typing import Callable
 
 from .formal_groups import Logarithm
@@ -102,19 +102,20 @@ def _pencil_poly(zvars: tuple[str, ...], sign: int) -> SparsePolynomial:
 
 
 def _symmetric_closed_form(n: int, sign: int) -> Callable[[int], SparsePolynomial]:
-    """a_m = sum_j sign^j (nj)!/(j!)^n C(m-1, nj) x^(nj)."""
+    """a_m = sum_j sign^j (nj)!/(j!)^n C(m-1, nj) x^(nj).
+
+    Each term comes from the previous one: the ratio of the j-th to the
+    (j-1)-th is sign * (m-nj) (m-nj+1) ... (m-nj+n-1) / j^n.
+    """
 
     def rule(m: int) -> SparsePolynomial:
         if m < 1:
             raise ValueError("coefficients are indexed from 1")
-        terms = {}
-        j = 0
-        while n * j <= m - 1:
-            c = comb(m - 1, n * j)
-            if c:
-                value = (sign**j) * (factorial(n * j) // factorial(j) ** n) * c
-                terms[(n * j,)] = value
-            j += 1
+        terms = {(0,): 1}
+        c = 1
+        for j in range(1, (m - 1) // n + 1):
+            c = c * sign * prod(range(m - n * j, m - n * j + n)) // j**n
+            terms[(n * j,)] = c
         return SparsePolynomial((PARAMETER,), terms)
 
     return rule

@@ -49,7 +49,7 @@ class AmbientMismatchError(ValueError):
 class Logarithm:
     """Integral coefficient sequence ``a_1..a_M`` of a formal group logarithm."""
 
-    __slots__ = ("ring", "coeffs", "_reversion_cache")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: str, coeffs: Iterable[Value]):
         if ring not in ("Z", "Z[x]"):
@@ -67,7 +67,6 @@ class Logarithm:
             raise ValueError("a logarithm requires a_1 = 1")
         self.ring = ring
         self.coeffs = tuple(checked)
-        self._reversion_cache: dict[int, TruncatedSeries] = {}
 
     @property
     def truncation(self) -> int:
@@ -90,14 +89,8 @@ class Logarithm:
         return TruncatedSeries(variable, coeffs, order)
 
     def inverse_series(self, order: int, variable: str = "t") -> TruncatedSeries:
-        """Compositional inverse of the logarithm, cached per order."""
-        cached = self._reversion_cache.get(order)
-        if cached is None:
-            cached = self.series(order, variable).reversion()
-            self._reversion_cache[order] = cached
-        if cached.variable != variable:
-            return TruncatedSeries(variable, cached.coefficients, order)
-        return cached
+        """Compositional inverse of the logarithm."""
+        return self.series(order, variable).reversion()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Logarithm):

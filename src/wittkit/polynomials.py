@@ -332,8 +332,11 @@ def is_integral(value: Value) -> bool:
 
 
 def as_integral(value: Value) -> Value:
-    """Convert an integral value to int coefficients; raise otherwise."""
+    """Convert an integral value to int coefficients; raise otherwise.
+    A polynomial whose coefficients are all ints is returned unchanged."""
     if isinstance(value, SparsePolynomial):
+        if all(isinstance(c, int) for c in value.terms.values()):
+            return value
         return value.map_coefficients(as_integral)
     if isinstance(value, Fraction):
         if value.denominator != 1:
@@ -370,7 +373,9 @@ def divide_exact(value: Value, k: int) -> Value:
             raise NonIntegralError(f"{value} is not divisible by {k}")
         return int(q)
     if isinstance(value, SparsePolynomial):
-        return value.map_coefficients(lambda c: divide_exact(c, k))
+        return SparsePolynomial._canonical(
+            value.variables, {e: divide_exact(c, k) for e, c in value.terms.items()}
+        )
     raise TypeError(f"not an exact value: {value!r}")
 
 

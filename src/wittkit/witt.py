@@ -13,7 +13,9 @@ the coefficient ring is torsion-free; it and its inverse are computed by a
 sieve over multiples.  Every operation here computes on ghost components and
 pulls back, asserting exact divisibility at each step; the coefficient rings
 in scope (Z and Z[x]) make that pullback exact by theory, so a divisibility
-failure inside a ring operation is a library defect, not a data error.
+failure inside a ring operation is a library defect, not a data error.  The
+pullback sums the powers ``k * a_k^(m/k)`` it subtracts into a second list,
+which is the ghost of the result; ``with_ghost=True`` hands it back.
 
 Coordinates must be integral (ints, or polynomials with integer
 coefficients); rings with torsion are rejected at construction.  All values
@@ -28,7 +30,6 @@ from typing import Iterable
 
 from .polynomials import (
     NonIntegralError,
-    SparsePolynomial,
     Value,
     as_integral,
     divide_exact,
@@ -207,43 +208,53 @@ def teichmueller(a: Value, length: int) -> WittVector:
     return WittVector([a] + [0] * (length - 1))
 
 
-def _add_powers(entries: list, d: int, a: Value, scale: int) -> None:
-    """Add ``scale * a^(m/d)`` to ``entries[m-1]`` for each multiple m of d, one product each."""
-    if not values_equal(a, 0):
-        for m, power in zip(range(d, len(entries) + 1, d), accumulate(repeat(a), mul)):
-            entries[m - 1] = entries[m - 1] + scale * power
+def _ghost_terms(d: int, a: Value, n: int):
+    """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple."""
+    if values_equal(a, 0):
+        return ()
+    return ((m - 1, d * power) for m, power in zip(range(d, n + 1, d), accumulate(repeat(a), mul)))
 
 
 def to_ghost(w: WittVector) -> GhostVector:
     """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over multiples."""
     entries: list[Value] = [0] * w.length
     for d, a in enumerate(w.coords, start=1):
-        _add_powers(entries, d, a, d)
+        for i, term in _ghost_terms(d, a, w.length):
+            entries[i] = entries[i] + term
     return GhostVector(entries)
 
 
-def from_ghost(g: GhostVector) -> WittVector:
-    """Solve the ghost recursion; raises IntegralityError when the input is
-    not the ghost of an integral vector (first failing index reported)."""
-    rest = list(g.entries)
+def _solve_ghost(g: GhostVector) -> tuple[WittVector, GhostVector]:
+    """The vector with ghost ``g`` and its ghost, summed from the same powers
+    in the order ``to_ghost`` sums them, so it is ``to_ghost`` of the vector."""
+    rest, ghost = list(g.entries), [0] * g.length
     coords: list[Value] = []
     for k in range(1, g.length + 1):
         try:
             coords.append(divide_exact(rest[k - 1], k))
         except NonIntegralError as exc:
             raise IntegralityError(k, str(exc)) from exc
-        _add_powers(rest, k, coords[-1], -k)
-    return WittVector(coords)
+        for i, term in _ghost_terms(k, coords[-1], g.length):
+            rest[i] = rest[i] - term
+            ghost[i] = ghost[i] + term
+    return WittVector(coords), GhostVector(ghost)
 
 
-def _pullback(g: GhostVector, operation: str) -> WittVector:
+def from_ghost(g: GhostVector) -> WittVector:
+    """Solve the ghost recursion; raises IntegralityError when the input is
+    not the ghost of an integral vector (first failing index reported)."""
+    return _solve_ghost(g)[0]
+
+
+def _pullback(g: GhostVector, operation: str, with_ghost: bool = False) -> WittVector | tuple:
     try:
-        return from_ghost(g)
+        w, ghost = _solve_ghost(g)
     except IntegralityError as exc:
         raise GhostInvariantViolation(
             f"{operation} produced a non-integral ghost vector at index {exc.index}; "
             "this is a library defect for torsion-free coefficient rings"
         ) from exc
+    return (w, ghost) if with_ghost else w
 
 
 def _check_lengths(u: WittVector, v: WittVector) -> None:
@@ -251,76 +262,31 @@ def _check_lengths(u: WittVector, v: WittVector) -> None:
         raise ValueError(f"length mismatch: {u.length} vs {v.length}")
 
 
-#: A ring operation's result, or with ``with_ghost=True`` (result, to_ghost(result)).
-WittOrWithGhost = WittVector | tuple[WittVector, GhostVector]
-
-
-def _ghost_form(w: WittVector, g: GhostVector) -> GhostVector:
-    """``g``, equal to ``to_ghost(w)``, recast into the form ``to_ghost(w)``
-    builds: g_k is an int unless some nonzero a_d (d | k) is a polynomial, and
-    then a polynomial over the variables of the first nonconstant such a_d,
-    or of the first one if all are constant."""
-    forms: list = [None] * w.length  # (variables, nonconstant) per entry
-    for d, a in enumerate(w.coords, start=1):
-        if isinstance(a, SparsePolynomial) and a:
-            form = (a.variables, not a.is_constant())
-            for m in range(d - 1, w.length, d):
-                if forms[m] is None or (form[1] and not forms[m][1]):
-                    forms[m] = form
-    entries = []
-    for value, form in zip(g.entries, forms):
-        c = value.constant_value() if isinstance(value, SparsePolynomial) else value
-        if c is not None:
-            value = c if form is None else SparsePolynomial.constant(c, form[0])
-        entries.append(value)
-    return GhostVector(entries)
-
-
-def _ring_operation(op: str, operands: tuple, with_ghost: bool) -> WittOrWithGhost:
-    """``witt_<op>(*operands)``; with ``with_ghost`` also the ghost vector of
-    the result, read off the ghost it was pulled back from (F_1 is a
-    truncation and maps its result)."""
-    if op == "frobenius":
-        m, w, length = operands
-        if m < 1:
-            raise ValueError("Frobenius index must be >= 1")
-        k_max = w.length // m
-        k = k_max if length is None else length
-        if k < 1 or k > k_max:
-            raise ValueError(
-                f"insufficient input length {w.length} for F_{m} at output length {k or 1}"
-            )
-        if m == 1:
-            w = witt_truncate(w, k)
-            return (w, to_ghost(w)) if with_ghost else w
-        g = to_ghost(w)
-        g = GhostVector(g.entries[m * j - 1] for j in range(1, k + 1))
-    elif op == "neg":
-        g = -to_ghost(*operands)
-    else:
-        u, v = operands
-        _check_lengths(u, v)
-        g = to_ghost(u) + to_ghost(v) if op == "add" else to_ghost(u) * to_ghost(v)
-    w = _pullback(g, f"witt_{op}")
-    return (w, _ghost_form(w, g)) if with_ghost else w
-
-
-def witt_add(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittOrWithGhost:
+def witt_add(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittVector | tuple:
     """Group law of 1 + tA[[t]]: multiplication of the series forms.
 
-    ``with_ghost=True`` returns ``(result, to_ghost(result))`` without mapping
-    the result again; so do witt_neg, witt_mul and witt_frobenius.
+    ``with_ghost=True`` returns ``(result, to_ghost(result))``, the ghost
+    summed in the pullback; so do witt_neg, witt_mul and witt_frobenius.
     """
-    return _ring_operation("add", (u, v), with_ghost)
+    _check_lengths(u, v)
+    return _pullback(to_ghost(u) + to_ghost(v), "witt_add", with_ghost)
 
 
-def witt_neg(u: WittVector, *, with_ghost: bool = False) -> WittOrWithGhost:
-    return _ring_operation("neg", (u,), with_ghost)
+def witt_neg(u: WittVector, *, with_ghost: bool = False) -> WittVector | tuple:
+    return _pullback(-to_ghost(u), "witt_neg", with_ghost)
 
 
-def witt_mul(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittOrWithGhost:
-    """Ring product, defined by entrywise ghost multiplication."""
-    return _ring_operation("mul", (u, v), with_ghost)
+def witt_mul(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittVector | tuple:
+    """Ring product, defined by entrywise ghost multiplication.
+
+    >>> w, g = witt_mul(WittVector([1, 2]), WittVector([3, 0]), with_ghost=True)
+    >>> w, g
+    (WittVector([3, 18]), GhostVector([3, 45]))
+    >>> g == to_ghost(w)
+    True
+    """
+    _check_lengths(u, v)
+    return _pullback(to_ghost(u) * to_ghost(v), "witt_mul", with_ghost)
 
 
 def witt_scale_int(n: int, u: WittVector) -> WittVector:
@@ -330,12 +296,26 @@ def witt_scale_int(n: int, u: WittVector) -> WittVector:
 
 def witt_frobenius(
     m: int, w: WittVector, length: int | None = None, *, with_ghost: bool = False
-) -> WittOrWithGhost:
+) -> WittVector | tuple:
     """F_m: ghost components are reindexed by ``g_j -> g_{mj}``.
 
-    A length-``mk`` input is needed for a length-``k`` output.
+    A length-``mk`` input is needed for a length-``k`` output.  F_1 is a
+    truncation and maps its result.
     """
-    return _ring_operation("frobenius", (m, w, length), with_ghost)
+    if m < 1:
+        raise ValueError("Frobenius index must be >= 1")
+    k_max = w.length // m
+    k = k_max if length is None else length
+    if k < 1 or k > k_max:
+        raise ValueError(
+            f"insufficient input length {w.length} for F_{m} at output length {k or 1}"
+        )
+    if m == 1:
+        w = witt_truncate(w, k)
+        return (w, to_ghost(w)) if with_ghost else w
+    g = to_ghost(w)
+    g = GhostVector(g.entries[m * j - 1] for j in range(1, k + 1))
+    return _pullback(g, "witt_frobenius", with_ghost)
 
 
 def witt_verschiebung(m: int, w: WittVector, length: int | None = None) -> WittVector:

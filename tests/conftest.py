@@ -26,6 +26,7 @@ def golden_cli_requests():
         ["congruence", "--family", "quintic-cy3", "--p", "3", "--nu", "2"],
         ["congruence", "--family", "hesse-cubic", "--p", "5", "--nu", "2"],
         ["congruence", "--family", "quintic-cy3", "--p", "11", "--nu", "3"],
+        ["congruence", "--family", "quintic-cy3", "--p", "17", "--nu", "3"],
     ]
     for request in base:
         for fmt in ("json", "tsv"):

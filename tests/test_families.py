@@ -1,4 +1,4 @@
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import add
 
 import pytest
@@ -86,6 +86,27 @@ def test_closed_form_examples():
     assert closed_form_logarithm("quintic-cy3", 11).coefficient(11) == (
         1 - 30240 * X**5 + 113400 * X**10
     )
+
+
+def _literal_closed_form(n, sign, m):
+    """The printed rule, every term from factorials and a binomial."""
+    terms = {}
+    for j in range((m - 1) // n + 1):
+        terms[(n * j,)] = sign**j * (factorial(n * j) // factorial(j) ** n) * comb(m - 1, n * j)
+    return SparsePolynomial(("x",), terms)
+
+
+@pytest.mark.parametrize(
+    "family, n, sign", [("hesse-cubic", 3, 1), ("quartic-k3", 4, 1), ("quintic-cy3", 5, -1)]
+)
+def test_closed_form_matches_literal_formula(family, n, sign):
+    """The term recurrence gives the literal formula's values, types and term order."""
+    log = closed_form_logarithm(family, 300)
+    for m in range(1, 301):
+        reference = _literal_closed_form(n, sign, m)
+        got = log.coefficient(m)
+        assert list(got.terms.items()) == list(reference.terms.items())
+        assert all(type(c) is int for c in got.terms.values())
 
 
 def test_constant_term_always_one():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wittkit.cli import main
+from wittkit.cli import build_parser, main
 
 from conftest import golden_cli_requests, golden_name
 
@@ -30,6 +30,25 @@ def test_golden_output(request_argv, capsys):
     expected = (GOLDEN_DIR / golden_name(request_argv)).read_bytes()
     assert main(list(request_argv)) == 0
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_usage_errors_leave_the_shared_parser_intact(capsys):
+    """main reuses one parser per process; requests it rejected do not
+    change what a later valid request prints."""
+    for bad in (
+        ["am-log", "--unknown-flag", "3"],
+        ["witt", "--op", "cube"],
+        ["congruence", "--family", "hesse-cubic", "--p", "five"],
+        ["fgl", "--family", "hesse-cubic"],
+        [],
+    ):
+        assert main(bad) == 1
+    capsys.readouterr()
+    assert build_parser() is build_parser()
+    for argv in REQUESTS[:4]:
+        assert main(list(argv)) == 0
+        expected = (GOLDEN_DIR / golden_name(argv)).read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from wittkit.polynomials import SparsePolynomial
-from wittkit.serialize import value_to_obj
+from wittkit.serialize import json_dumps, value_to_obj, witt_to_obj
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
     GhostVector,
@@ -331,3 +331,25 @@ def test_operation_ghost_prints_like_ghost_of_result():
             assert [value_to_obj(g) for g in ghost] == [value_to_obj(g) for g in reference]
             compared += 1
     assert compared > 1500
+
+
+def test_frobenius_one_is_truncation():
+    """F_1 keeps each coordinate as given: its result prints like
+    witt_truncate's, with or without the ghost, for every output length."""
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        u = WittVector([_mixed_coordinate(rng, True) for _ in range(n)])
+        for k in range(1, n + 1):
+            expected = json_dumps(witt_to_obj(witt_truncate(u, k)))
+            assert json_dumps(witt_to_obj(witt_frobenius(1, u, k))) == expected
+            try:
+                reference = to_ghost(witt_truncate(u, k))
+            except ValueError:  # nonconstant coordinates over both x and y
+                continue
+            w, ghost = witt_frobenius(1, u, k, with_ghost=True)
+            assert json_dumps(witt_to_obj(w)) == expected
+            assert [value_to_obj(g) for g in ghost] == [value_to_obj(g) for g in reference]
+            compared += 1
+    assert compared > 1000
