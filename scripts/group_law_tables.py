@@ -7,27 +7,20 @@ its coefficients clear every denominator, and print the low-degree terms.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from wittkit.families import FAMILY_IDS, builtin_family, am_logarithm
+from wittkit.families import FAMILY_IDS, builtin_family, am_logarithm, resolve_family_id
 from wittkit.formal_groups import group_law_from_logarithm, integrality_report
 from wittkit.polynomials import format_value
 
 
-@dataclass
-class TableConfig:
-    degree: int = 8
-    families: tuple[str, ...] = FAMILY_IDS
-
-
-def run(config: TableConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     failures = 0
-    for family_id in config.families:
+    for family_id in args.family or FAMILY_IDS:
         entry = builtin_family(family_id)
-        log = am_logarithm(entry.family, config.degree)
-        law = group_law_from_logarithm(log, config.degree)
+        log = am_logarithm(entry.family, args.deg)
+        law = group_law_from_logarithm(log, args.deg)
         report = integrality_report(law)
-        print(f"== {family_id} (total degree {config.degree}) ==")
+        print(f"== {family_id} (total degree {args.deg}) ==")
         print(f"integral: {report.passed}")
         if not report.passed:
             failures += 1
@@ -42,11 +35,9 @@ def run(config: TableConfig) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--deg", type=int, default=8)
-    parser.add_argument("--family", action="append", default=None,
+    parser.add_argument("--family", action="append", type=resolve_family_id,
                         help="restrict to one family (repeatable)")
-    args = parser.parse_args()
-    families = tuple(args.family) if args.family else FAMILY_IDS
-    return run(TableConfig(degree=args.deg, families=families))
+    return run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -9,22 +9,14 @@ projective plane per prime counts every fiber).
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
-from wittkit.ordinarity import ordinarity_scan
-
-
-@dataclass
-class SweepConfig:
-    family: str = "hesse-cubic"
-    pmax: int = 31
-    budget: int | None = None
+from wittkit.families import resolve_family_id
+from wittkit.ordinarity import ELLIPTIC_FAMILIES, ordinarity_scan
 
 
-def run(config: SweepConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    report = ordinarity_scan(config.family, config.pmax, with_oracle=True,
-                             budget=config.budget)
+    report = ordinarity_scan(args.family, args.pmax, with_oracle=True, budget=args.budget)
     print("p\tlambda\ta_p\tverdict\toracle\tagree")
     disagreements = 0
     for scan in report.scans:
@@ -43,11 +35,11 @@ def run(config: SweepConfig) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", default="hesse-cubic")
+    parser.add_argument("--family", type=resolve_family_id, choices=ELLIPTIC_FAMILIES,
+                        default="hesse-cubic", help="an elliptic pencil (the oracle's scope)")
     parser.add_argument("--pmax", type=int, default=31)
     parser.add_argument("--budget", type=int, default=None)
-    args = parser.parse_args()
-    return run(SweepConfig(args.family, args.pmax, args.budget))
+    return run(parser.parse_args())
 
 
 if __name__ == "__main__":

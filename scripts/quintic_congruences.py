@@ -9,7 +9,6 @@ Frobenius congruence.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from wittkit.families import closed_form_logarithm
 from wittkit.ordinarity import frobenius_power_congruence
@@ -21,31 +20,28 @@ from wittkit.picard_fuchs import (
 )
 
 
-@dataclass
-class CongruenceConfig:
-    kmax: int = 50
-    order: int = 200
-    primes: tuple[int, ...] = (3, 5, 7)
+#: Primes at which a_(p^2) = a_p * a_p^p mod p is checked.
+PRIMES = (3, 5, 7)
 
 
-def run(config: CongruenceConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     operator = quintic_picard_fuchs()
-    log = closed_form_logarithm("quintic-cy3", max(config.kmax, 49))
+    log = closed_form_logarithm("quintic-cy3", max(args.kmax, 49))
     failures = 0
 
-    results = pf_congruence_check(operator, log, config.kmax)
+    results = pf_congruence_check(operator, log, args.kmax)
     bad = [r for r in results if not r.passed]
-    print(f"L a_k = 0 mod k for k <= {config.kmax}: "
+    print(f"L a_k = 0 mod k for k <= {args.kmax}: "
           f"{'PASS' if not bad else 'FAIL at ' + str([r.k for r in bad])}")
     failures += len(bad)
 
-    period = quintic_fundamental_period(config.order + 5)
-    solution = series_solution_check(operator, period, config.order)
-    print(f"L f = 0 through x^{config.order}: "
+    period = quintic_fundamental_period(args.order + 5)
+    solution = series_solution_check(operator, period, args.order)
+    print(f"L f = 0 through x^{args.order}: "
           f"{'PASS' if solution.passed else f'FAIL at order {solution.first_failure}'}")
     failures += 0 if solution.passed else 1
 
-    for p in config.primes:
+    for p in PRIMES:
         if p * p > log.truncation:
             log = closed_form_logarithm("quintic-cy3", p * p)
         check = frobenius_power_congruence(log, p, 2)
@@ -60,8 +56,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=50)
     parser.add_argument("--order", type=int, default=200)
-    args = parser.parse_args()
-    return run(CongruenceConfig(kmax=args.kmax, order=args.order))
+    return run(parser.parse_args())
 
 
 if __name__ == "__main__":

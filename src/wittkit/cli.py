@@ -4,7 +4,9 @@ Subcommands: witt, am-log, fgl, scan-ordinary, pf-check, congruence.  Each
 run emits exactly one result document (JSON or TSV per --format) on stdout
 or at --out, deterministically: identical requests on identical builds give
 byte-identical output.  --manifest PATH additionally records the request, a
-wall time, and a content hash of the result bytes.
+wall time, and a content hash of the result bytes.  --config PATH presets
+flags from key=value lines; each subcommand's parser is the one declaration
+of its flags' types, choices and defaults, and checks the presets too.
 
 Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
 unwritable output path), 2 precondition violation, 3 budget exceeded.
@@ -76,11 +78,9 @@ class ResultDoc:
     tsv_rows: list[list[str]]
 
     def emit(self, fmt: str) -> str:
-        if fmt == "json":
-            return json_dumps(self.payload)
         if fmt == "tsv":
             return tsv_dumps(self.tsv_header, self.tsv_rows)
-        raise UsageError(f"unknown format {fmt!r}")
+        return json_dumps(self.payload)
 
 
 #: What a malformed ring element, Witt vector or ghost list raises while parsed.
@@ -124,49 +124,29 @@ def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> Re
 def _cmd_witt(args) -> ResultDoc:
     op = args.op
     if op == "teichmueller":
-        if args.a is None or args.length is None:
-            raise UsageError("teichmueller needs --a and --length")
         return _witt_result(op, teichmueller(_parse_value(args.a), args.length))
-    if op in ("add", "mul"):
-        if args.u is None or args.v is None:
-            raise UsageError(f"{op} needs --u and --v")
-        u, v = _parse_witt(args.u), _parse_witt(args.v)
-        ring_op = witt_add if op == "add" else witt_mul
-        return _witt_result(op, *ring_op(u, v, with_ghost=True))
-    if op == "neg":
-        if args.u is None:
-            raise UsageError("neg needs --u")
-        return _witt_result(op, *witt_neg(_parse_witt(args.u), with_ghost=True))
-    if op == "ghost":
-        if args.u is None:
-            raise UsageError("ghost needs --u")
-        w = _parse_witt(args.u)
-        ghost = to_ghost(w)
-        payload = {"op": op, "ghost": [value_to_obj(g) for g in ghost.entries]}
-        rows = [[str(i), value_to_text(g)] for i, g in enumerate(ghost.entries, 1)]
-        return ResultDoc(payload, ["index", "ghost"], rows)
     if op == "from-ghost":
-        if args.g is None:
-            raise UsageError("from-ghost needs --g (JSON list)")
         try:
             entries = [value_from_obj(e) for e in json.loads(args.g)]
         except _PARSE_ERRORS as exc:
             raise UsageError(f"cannot parse ghost entries: {exc}") from exc
         return _witt_result(op, from_ghost(GhostVector(entries)))
+    u = _parse_witt(args.u)
+    if op in ("add", "mul"):
+        ring_op = witt_add if op == "add" else witt_mul
+        return _witt_result(op, *ring_op(u, _parse_witt(args.v), with_ghost=True))
+    if op == "neg":
+        return _witt_result(op, *witt_neg(u, with_ghost=True))
+    if op == "ghost":
+        ghost = to_ghost(u)
+        payload = {"op": op, "ghost": [value_to_obj(g) for g in ghost.entries]}
+        rows = [[str(i), value_to_text(g)] for i, g in enumerate(ghost.entries, 1)]
+        return ResultDoc(payload, ["index", "ghost"], rows)
     if op == "frobenius":
-        if args.u is None or args.m is None:
-            raise UsageError("frobenius needs --u and --m")
-        u = _parse_witt(args.u)
         return _witt_result(op, *witt_frobenius(args.m, u, args.length, with_ghost=True))
     if op == "verschiebung":
-        if args.u is None or args.m is None:
-            raise UsageError("verschiebung needs --u and --m")
-        return _witt_result(op, witt_verschiebung(args.m, _parse_witt(args.u), args.length))
-    if op == "truncate":
-        if args.u is None or args.k is None:
-            raise UsageError("truncate needs --u and --k")
-        return _witt_result(op, witt_truncate(_parse_witt(args.u), args.k))
-    raise UsageError(f"unknown Witt operation {op!r}")
+        return _witt_result(op, witt_verschiebung(args.m, u, args.length))
+    return _witt_result(op, witt_truncate(u, args.k))
 
 
 def _cmd_am_log(args) -> ResultDoc:
@@ -310,30 +290,26 @@ def _cmd_congruence(args) -> ResultDoc:
     return ResultDoc(payload, ["p", "nu", "pass", "residual"], rows)
 
 
-_CONFIG_KEYS = {
-    "family": str,
-    "format": str,
-    "method": str,
-    "mmax": int,
-    "deg": int,
-    "pmax": int,
-    "kmax": int,
-    "nu": int,
-    "p": int,
-    "budget": int,
-    "mod": int,
-    "oracle": lambda v: v.lower() in ("1", "true", "yes", "on"),
-}
+#: The documented config keys; each presets the subcommand flag of that name.
+_CONFIG_KEYS = (
+    "family", "format", "method", "mmax", "deg", "pmax",
+    "kmax", "nu", "p", "budget", "mod", "oracle",
+)
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def load_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment; unknown keys are rejected."""
+def load_config(path: str, command: str) -> list[str]:
+    """The flags a key=value preset file ('#' starts a comment) sets for one
+    subcommand, each checked by parsing it.  Keys of other subcommands are
+    skipped; a key no subcommand takes is rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    values = {}
+    parser = build_parser()
+    takes = vars(parser.parse_args([command]))
+    flags = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -344,11 +320,16 @@ def load_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in takes or (key == "oracle" and value.lower() in _FALSE):
+            continue
+        # --oracle is a switch: argparse rejects any value left on it
+        flag = "--oracle" if key == "oracle" and value.lower() in _TRUE else f"--{key}={value}"
         try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
+            parser.parse_args([command, flag])
+        except UsageError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return values
+        flags.append(flag)
+    return flags
 
 
 @functools.cache  # one parser per process: parsing does not change it
@@ -358,27 +339,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("json", "tsv"), default=None)
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", default=None, help="write the result document here")
         p.add_argument("--manifest", default=None, help="write a run manifest here")
         p.add_argument("--config", default=None, help="key=value preset file")
 
     w = sub.add_parser("witt", help="Witt vector arithmetic")
-    w.add_argument(
-        "--op",
-        required=True,
-        choices=(
-            "teichmueller",
-            "add",
-            "mul",
-            "neg",
-            "ghost",
-            "from-ghost",
-            "frobenius",
-            "verschiebung",
-            "truncate",
-        ),
-    )
+    w.add_argument("--op", choices=tuple(_WITT_OPS), default=None)
     w.add_argument("--a", default=None, help="ring element (int or polynomial JSON)")
     w.add_argument("--u", default=None, help="Witt vector JSON")
     w.add_argument("--v", default=None, help="Witt vector JSON")
@@ -408,7 +375,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("scan-ordinary", help="per-prime non-ordinary loci")
     s.add_argument("--family", default=None)
     s.add_argument("--pmax", type=int, default=None)
-    s.add_argument("--oracle", action="store_true", default=None)
+    s.add_argument("--oracle", action="store_true")
     s.add_argument("--budget", type=int, default=None, help="point enumeration cap")
     common(s)
     s.set_defaults(handler=_cmd_scan)
@@ -429,31 +396,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: The flags each Witt --op needs; its keys are the --op choices.
+_WITT_OPS = {
+    "teichmueller": ("a", "length"),
+    "add": ("u", "v"),
+    "mul": ("u", "v"),
+    "neg": ("u",),
+    "ghost": ("u",),
+    "from-ghost": ("g",),
+    "frobenius": ("u", "m"),
+    "verschiebung": ("u", "m"),
+    "truncate": ("u", "k"),
+}
+#: The flags each subcommand and each Witt --op needs, checked after presets apply.
 _REQUIRED = {
     "am-log": ("family", "mmax"),
     "fgl": ("family", "deg"),
     "scan-ordinary": ("family", "pmax"),
     "pf-check": ("family", "kmax"),
     "congruence": ("family", "p"),
-    "witt": (),
+    "witt": ("op",),
+    **_WITT_OPS,
 }
 
 
-def _apply_config(args) -> None:
-    if args.config:
-        for key, value in load_config(args.config).items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, value)
-    if args.format is None:
-        args.format = "json"
-    if getattr(args, "oracle", None) is None and hasattr(args, "oracle"):
-        args.oracle = False
-    missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
-    if missing:
-        raise UsageError(
-            f"{args.command} is missing required flags: " + ", ".join(f"--{m}" for m in missing)
-        )
+def _check_required(args) -> None:
+    for name in (args.command, getattr(args, "op", None)):
+        missing = [f"--{k}" for k in _REQUIRED.get(name, ()) if getattr(args, k) is None]
+        if missing:
+            raise UsageError(f"{name} is missing required flags: " + ", ".join(missing))
 
 
 def _write_file(path: str, text: str) -> bool:
@@ -468,10 +439,15 @@ def _write_file(path: str, text: str) -> bool:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if args.config:
+            # presets come first, so the command line's own flags win
+            presets = load_config(args.config, args.command)
+            args = parser.parse_args([args.command, *presets, *argv[1:]])
+        _check_required(args)
         doc = args.handler(args)
         body = doc.emit(args.format)
     except (UsageError, UnknownFamilyError) as exc:

@@ -174,7 +174,10 @@ class SparsePolynomial:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a + (-b)
+        terms = dict(a.terms)
+        for e, c in b.terms.items():
+            terms[e] = terms.get(e, 0) - c
+        return SparsePolynomial._canonical(a.variables, terms)
 
     def __rsub__(self, other):
         return (-self) + other

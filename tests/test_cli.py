@@ -1,9 +1,11 @@
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from wittkit.cli import main
+from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.serialize import witt_to_obj
 from wittkit.witt import WittVector
 
@@ -267,6 +269,95 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith(f"wittkit: cannot read {not_utf8}: 'utf-8' codec can't decode")
+
+
+def test_config_presets_every_flag_it_names(tmp_path, capsys):
+    """method and nu have non-None defaults and are still preset by a config
+    file; an explicit flag still wins."""
+    config = tmp_path / "wittkit.conf"
+    config.write_text("family = hesse-cubic\nmmax = 2\nmethod = closed-form\n")
+    code, out, _ = run(capsys, "am-log", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["method"] == "closed-form"
+    config.write_text("family = quintic-cy3\np = 3\nnu = 3\n")
+    code, out, _ = run(capsys, "congruence", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["nu"] == 3
+    code, out, _ = run(capsys, "congruence", "--config", str(config), "--nu", "2")
+    assert code == 0
+    assert json.loads(out)["nu"] == 2
+
+
+@pytest.mark.parametrize(
+    "line, request_argv",
+    [
+        ("format = xml", ("am-log", "--family", "hesse-cubic", "--mmax", "3")),
+        ("oracle = maybe", ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "5")),
+    ],
+    ids=["format", "oracle"],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, line, request_argv):
+    config = tmp_path / "bad.conf"
+    config.write_text(line + "\n")
+    code, out, err = run(capsys, *request_argv, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"wittkit: usage error: {config}:1: bad value for ")
+
+
+def test_config_skips_keys_of_other_subcommands(tmp_path, capsys):
+    config = tmp_path / "shared.conf"
+    config.write_text("family = hesse-cubic\nmmax = 3\npmax = 7\nkmax = 4\noracle = yes\n")
+    manifest = tmp_path / "manifest.json"
+    code, out, _ = run(capsys, "am-log", "--config", str(config), "--manifest", str(manifest))
+    assert code == 0
+    assert out == run(capsys, "am-log", "--family", "hesse-cubic", "--mmax", "3")[1]
+    request = json.loads(manifest.read_text())["request"]
+    assert {"pmax", "kmax", "oracle"}.isdisjoint(request)
+    assert request["mmax"] == 3
+
+
+def test_config_presets_witt_format(tmp_path, capsys):
+    config = tmp_path / "tsv.conf"
+    config.write_text("format = tsv\n")
+    code, out, _ = run(capsys, "witt", "--op", "ghost", "--u", witt_json([1, 2]),
+                       "--config", str(config))
+    assert code == 0
+    assert out == "index\tghost\n1\t1\n2\t5\n"
+
+
+_FLAG_VALUES = {
+    "family": "quintic-cy3", "mmax": "3", "deg": "2", "pmax": "5", "kmax": "4", "p": "3",
+    "a": "2", "length": "3", "u": witt_json([1, 2]), "v": witt_json([3, 4]),
+    "g": '["1", "3"]', "m": "2", "k": "1",
+}
+_SUBCOMMANDS = [name for name in _REQUIRED if name not in _WITT_OPS]
+
+
+@pytest.mark.parametrize(
+    "name, flag", [(name, flag) for name, flags in _REQUIRED.items() for flag in flags]
+)
+def test_missing_required_flag_is_usage_error(capsys, name, flag):
+    argv = ["witt", "--op", name] if name in _WITT_OPS else [name]
+    for other in _REQUIRED[name]:
+        if other != flag:
+            argv += [f"--{other}", _FLAG_VALUES[other]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"wittkit: usage error: {name} is missing required flags: --{flag}\n"
+
+
+def test_documented_config_keys_match_the_cli():
+    """docs/formats.md lists the config keys in _CONFIG_KEYS order, and each
+    presets a flag of at least one subcommand."""
+    docs = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    listed = re.search(r"Known\s+keys:(.*?)\.", docs, re.S).group(1)
+    assert tuple(re.findall(r"`([a-z]+)`", listed)) == _CONFIG_KEYS
+    flags = set()
+    for command in _SUBCOMMANDS:
+        flags.update(vars(build_parser().parse_args([command])))
+    assert set(_CONFIG_KEYS) <= flags
 
 
 def _poly(variables, exponents, coefficient="1"):

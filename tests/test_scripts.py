@@ -28,6 +28,14 @@ def run_script(name, *args):
         ("group_law_tables.py", ("--deg", "4"), r"integral: ", ["integral: True"] * 3),
         ("ordinary_sweep.py", ("--pmax", "13"), r"# disagreements: ", ["# disagreements: 0"]),
         (
+            "group_law_tables.py",
+            ("--deg", "3", "--family", "hesse"),
+            r"== ",
+            ["== hesse-cubic (total degree 3) =="],
+        ),
+        ("ordinary_sweep.py", ("--pmax", "7", "--family", "hesse"), r"# disagreements: ",
+         ["# disagreements: 0"]),
+        (
             "quintic_congruences.py",
             ("--kmax", "10", "--order", "20"),
             r".*: (PASS|FAIL)",
@@ -40,7 +48,8 @@ def run_script(name, *args):
             ],
         ),
     ],
-    ids=["group_law_tables", "ordinary_sweep", "quintic_congruences"],
+    ids=["group_law_tables", "ordinary_sweep", "group_law_tables_alias", "ordinary_sweep_alias",
+         "quintic_congruences"],
 )
 def test_script_smoke(name, args, verdict, expected):
     """Exit 0 and the script's own verdict lines (cut at ';', which starts
@@ -49,3 +58,21 @@ def test_script_smoke(name, args, verdict, expected):
     assert result.returncode == 0, result.stderr
     lines = (result.stdout + result.stderr).splitlines()
     assert [line.split(";")[0] for line in lines if re.match(verdict, line)] == expected
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("group_law_tables.py", ("--family", "bogus")),
+        ("ordinary_sweep.py", ("--family", "bogus")),
+        # the sweep's oracle counts points on elliptic pencils only
+        ("ordinary_sweep.py", ("--family", "quartic")),
+    ],
+    ids=["group_law_tables-bogus", "ordinary_sweep-bogus", "ordinary_sweep-quartic"],
+)
+def test_script_rejects_family_with_usage(name, args):
+    result = run_script(name, *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ") and "argument --family: invalid" in result.stderr
+    assert "Traceback" not in result.stderr
