@@ -6,6 +6,7 @@ its coefficients clear every denominator, and print the low-degree terms.
 """
 
 import argparse
+import os
 import sys
 
 from wittkit.families import FAMILY_IDS, builtin_family, am_logarithm, resolve_family_id
@@ -41,4 +42,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

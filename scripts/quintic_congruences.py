@@ -8,6 +8,7 @@ Frobenius congruence.
 """
 
 import argparse
+import os
 import sys
 
 from wittkit.families import closed_form_logarithm
@@ -60,4 +61,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

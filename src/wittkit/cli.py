@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -34,14 +35,13 @@ from .picard_fuchs import (
     pf_congruence_check,
     quintic_picard_fuchs,
 )
-from .polynomials import SparsePolynomial, as_integral, as_x_polynomial, is_integral
+from .polynomials import SparsePolynomial, as_integral, as_x_polynomial, format_value, is_integral
 from .serialize import (
     SchemaError,
     json_dumps,
     tsv_dumps,
     value_from_obj,
     value_to_obj,
-    value_to_text,
     witt_from_obj,
     witt_to_obj,
 )
@@ -84,7 +84,15 @@ class ResultDoc:
 
 
 #: What a malformed ring element, Witt vector or ghost list raises while parsed.
-_PARSE_ERRORS = (json.JSONDecodeError, KeyError, TypeError, SchemaError)
+_PARSE_ERRORS = (json.JSONDecodeError, SchemaError)
+
+
+def _parse_json(text: str, what: str, reader):
+    """``reader`` applied to the JSON in ``text``; a malformed input is a usage error."""
+    try:
+        return reader(json.loads(text))
+    except _PARSE_ERRORS as exc:
+        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _parse_value(text: str):
@@ -93,18 +101,17 @@ def _parse_value(text: str):
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        return value_from_obj(json.loads(text))
-    except _PARSE_ERRORS as exc:
-        raise UsageError(f"cannot parse ring element {text!r}: {exc}") from exc
+        return _parse_json(text, "ring element", value_from_obj)
 
 
 def _parse_witt(text: str) -> WittVector:
-    try:
-        return witt_from_obj(json.loads(text))
-    except _PARSE_ERRORS as exc:
-        raise UsageError(f"cannot parse Witt vector {text!r}: {exc}") from exc
+    return _parse_json(text, "Witt vector", witt_from_obj)
+
+
+def _ghost_from_obj(obj) -> GhostVector:
+    if type(obj) is not list:
+        raise SchemaError(f"ghost entries must be a list, not {type(obj).__name__}")
+    return GhostVector(value_from_obj(e) for e in obj)
 
 
 def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> ResultDoc:
@@ -115,7 +122,7 @@ def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> Re
         "ghost": [value_to_obj(g) for g in ghost.entries],
     }
     rows = [
-        [str(i), value_to_text(a), value_to_text(g)]
+        [str(i), format_value(a), format_value(g)]
         for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)
     ]
     return ResultDoc(payload, ["index", "coordinate", "ghost"], rows)
@@ -126,11 +133,7 @@ def _cmd_witt(args) -> ResultDoc:
     if op == "teichmueller":
         return _witt_result(op, teichmueller(_parse_value(args.a), args.length))
     if op == "from-ghost":
-        try:
-            entries = [value_from_obj(e) for e in json.loads(args.g)]
-        except _PARSE_ERRORS as exc:
-            raise UsageError(f"cannot parse ghost entries: {exc}") from exc
-        return _witt_result(op, from_ghost(GhostVector(entries)))
+        return _witt_result(op, from_ghost(_parse_json(args.g, "ghost entries", _ghost_from_obj)))
     u = _parse_witt(args.u)
     if op in ("add", "mul"):
         ring_op = witt_add if op == "add" else witt_mul
@@ -140,7 +143,7 @@ def _cmd_witt(args) -> ResultDoc:
     if op == "ghost":
         ghost = to_ghost(u)
         payload = {"op": op, "ghost": [value_to_obj(g) for g in ghost.entries]}
-        rows = [[str(i), value_to_text(g)] for i, g in enumerate(ghost.entries, 1)]
+        rows = [[str(i), format_value(g)] for i, g in enumerate(ghost.entries, 1)]
         return ResultDoc(payload, ["index", "ghost"], rows)
     if op == "frobenius":
         return _witt_result(op, *witt_frobenius(args.m, u, args.length, with_ghost=True))
@@ -158,7 +161,7 @@ def _cmd_am_log(args) -> ResultDoc:
         value = log.coefficient(m)
         if args.mod is not None:
             value = as_x_polynomial(value).reduce_mod(args.mod)
-        rows.append([str(m), value_to_text(value)])
+        rows.append([str(m), format_value(value)])
         entries.append({"m": m, "a": value_to_obj(value)})
     payload = {
         "family": family,
@@ -188,7 +191,7 @@ def _cmd_fgl(args) -> ResultDoc:
         ok = is_integral(c)
         display = as_integral(c) if ok else c
         terms.append({"i": i, "j": j, "coeff": value_to_obj(display), "integral": ok})
-        rows.append([str(i), str(j), value_to_text(display), "true" if ok else "false"])
+        rows.append([str(i), str(j), format_value(display), "true" if ok else "false"])
     payload = {
         "family": family,
         "degree": args.deg,
@@ -252,12 +255,12 @@ def _cmd_pf_check(args) -> ResultDoc:
             "only the quintic pencil ships a bundled differential operator; "
             "use the library API to supply one for other families"
         )
-    log = family_logarithm(family, args.kmax, "closed-form")
+    log = family_logarithm(family, max(args.kmax, 1), "closed-form")
     results = pf_congruence_check(quintic_picard_fuchs(), log, args.kmax)
     rows = []
     checks = []
     for r in results:
-        residual = "" if r.residual is None else value_to_text(r.residual)
+        residual = "" if r.residual is None else format_value(r.residual)
         rows.append([str(r.k), "true" if r.passed else "false", residual])
         checks.append(
             {
@@ -278,7 +281,7 @@ def _cmd_pf_check(args) -> ResultDoc:
 def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     check = frobenius_power_congruence(builtin_family(family).closed_form, args.p, args.nu)
-    residual = "" if check.residual is None else value_to_text(check.residual)
+    residual = "" if check.residual is None else format_value(check.residual)
     payload = {
         "family": family,
         "p": args.p,
@@ -466,7 +469,13 @@ def main(argv=None) -> int:
         if not _write_file(args.out, body):
             return USAGE_ERROR
     else:
-        sys.stdout.write(body)
+        try:
+            sys.stdout.write(body)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: point stdout at devnull so the flush at exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return USAGE_ERROR
 
     if args.manifest:
         request = {

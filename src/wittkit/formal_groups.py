@@ -31,13 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .polynomials import (
-    NonIntegralError,
-    Value,
-    as_integral,
-    is_integral,
-    values_equal,
-)
+from .polynomials import NonIntegralError, Value, as_integral, is_integral
 from .series import MultiTruncatedSeries, TruncatedSeries
 from .witt import GhostVector, WittVector, from_ghost
 
@@ -63,7 +57,7 @@ class Logarithm:
                 checked.append(as_integral(a))
             except NonIntegralError as exc:
                 raise ValueError(f"coefficient a_{m} must be integral: {exc}") from exc
-        if not values_equal(checked[0], 1):
+        if checked[0] != 1:
             raise ValueError("a logarithm requires a_1 = 1")
         self.ring = ring
         self.coeffs = tuple(checked)
@@ -95,9 +89,7 @@ class Logarithm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Logarithm):
             return NotImplemented
-        return self.ring == other.ring and len(self.coeffs) == len(other.coeffs) and all(
-            values_equal(a, b) for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return (self.ring, self.coeffs) == (other.ring, other.coeffs)
 
     def __hash__(self):
         return hash((self.ring, len(self.coeffs)))
@@ -106,7 +98,7 @@ class Logarithm:
         return f"Logarithm({self.ring!r}, {list(self.coeffs)!r})"
 
     def is_multiplicative(self) -> bool:
-        return all(values_equal(a, 1) for a in self.coeffs)
+        return all(a == 1 for a in self.coeffs)
 
 
 def additive_logarithm(truncation: int) -> Logarithm:
@@ -220,7 +212,7 @@ class Curve:
     __slots__ = ("logarithm", "eta")
 
     def __init__(self, logarithm: Logarithm, eta: TruncatedSeries):
-        if not values_equal(eta.coefficient(0), 0):
+        if eta.coefficient(0):
             raise ValueError("curves have zero constant term")
         if eta.order > logarithm.truncation:
             raise ValueError(

@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .formal_groups import Logarithm
-from .polynomials import SparsePolynomial, Value, as_x_polynomial, values_equal
+from .polynomials import SparsePolynomial, Value, as_x_polynomial
 from .series import TruncatedSeries
 
 X = "x"
@@ -63,27 +63,17 @@ class ThetaOperator:
         if isinstance(f, TruncatedSeries):
             if f.variable != X:
                 raise ValueError(f"expected a series in {X!r}")
-            order = f.order
-            result = TruncatedSeries.zero(X, order)
-            for k, q in enumerate(self.coefficients):
-                if not q.terms:
-                    continue
-                powered = TruncatedSeries(
-                    X, [f.coefficients[n] * n**k for n in range(order + 1)], order
-                )
-                qcoeffs: list[Value] = [0] * (order + 1)
-                for (e,), c in q.terms.items():
-                    if e <= order:
-                        qcoeffs[e] = qcoeffs[e] + c
-                qs = TruncatedSeries(X, qcoeffs, order)
-                result = result + qs * powered
-            return result
-        f_terms = as_x_polynomial(f).terms
+            out = self._apply_terms({(n,): c for n, c in enumerate(f.coefficients) if c})
+            return TruncatedSeries(X, [out.get((n,), 0) for n in range(f.order + 1)], f.order)
+        return SparsePolynomial((X,), self._apply_terms(as_x_polynomial(f).terms))
+
+    def _apply_terms(self, terms: dict[tuple, Value]) -> dict[tuple, Value]:
+        """The image of ``sum c x^n``, given and returned as ``{(n,): c}``."""
         out: dict[tuple, Value] = {}
         for k, q in enumerate(self.coefficients):
             # theta^k x^n = n^k x^n; zero sums drop out per step, as in + and *, to keep types
             part: dict[tuple, Value] = {}
-            powered = [(n, c * n**k) for (n,), c in f_terms.items() if n or not k]
+            powered = [(n, c * n**k) for (n,), c in terms.items() if n or not k]
             for (d,), qc in q.terms.items():
                 for n, c in powered:
                     part[(n + d,)] = part.get((n + d,), 0) + qc * c
@@ -92,7 +82,7 @@ class ThetaOperator:
                     out[e] = out.get(e, 0) + v
                     if not out[e]:
                         del out[e]
-        return SparsePolynomial((X,), out)
+        return out
 
     def __str__(self) -> str:
         parts = []
@@ -208,6 +198,6 @@ def series_solution_check(
     image = operator.apply(f)
     for d in range(through + 1):
         c = image.coefficient(d)
-        if not values_equal(c, 0):
+        if c:
             return SolutionCheck(False, through, d, c)
     return SolutionCheck(True, through, None, None)

@@ -317,15 +317,6 @@ class SparsePolynomial:
 # -- value helpers (shared by series, Witt vectors, formal groups) ----------
 
 
-def values_equal(a: Value, b: Value) -> bool:
-    """Exact equality across the int / Fraction / polynomial mix."""
-    if isinstance(a, SparsePolynomial) or isinstance(b, SparsePolynomial):
-        if isinstance(a, SparsePolynomial):
-            return a == b
-        return b == a
-    return a == b
-
-
 def is_integral(value: Value) -> bool:
     if isinstance(value, SparsePolynomial):
         return value.is_integral()
@@ -382,10 +373,6 @@ def divide_exact(value: Value, k: int) -> Value:
     raise TypeError(f"not an exact value: {value!r}")
 
 
-def format_scalar(c: Scalar) -> str:
-    return str(c)
-
-
 def format_value(value: Value) -> str:
     """Canonical text form: terms ascending by degree, explicit * and ^.
 
@@ -393,7 +380,7 @@ def format_value(value: Value) -> str:
     '1-120*x^5'
     """
     if _is_scalar(value):
-        return format_scalar(value)
+        return str(value)
     if not value.terms:
         return "0"
     parts = []
@@ -402,13 +389,13 @@ def format_value(value: Value) -> str:
             f"{v}^{e}" for v, e in zip(value.variables, exps) if e
         )
         if not mono:
-            text = format_scalar(c)
+            text = str(c)
         elif c == 1:
             text = mono
         elif c == -1:
             text = "-" + mono
         else:
-            text = f"{format_scalar(c)}*{mono}"
+            text = f"{c}*{mono}"
         parts.append(text)
     out = parts[0]
     for text in parts[1:]:

@@ -12,15 +12,9 @@ import json
 from fractions import Fraction
 
 from .formal_groups import FormalGroupLaw, Logarithm
-from .polynomials import SparsePolynomial, Value, format_value
+from .polynomials import SparsePolynomial, Value
 from .series import TruncatedSeries
 from .witt import WittVector
-
-
-def scalar_to_str(value) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
 
 
 class SchemaError(ValueError):
@@ -41,20 +35,44 @@ def value_to_obj(value: Value) -> dict:
     return {
         "variables": list(value.variables),
         "terms": [
-            {"exponents": list(exps), "coefficient": scalar_to_str(c)}
+            {"exponents": list(exps), "coefficient": str(c)}
             for exps, c in value.sorted_terms()
         ],
     }
 
 
+def _field(obj, key: str, kind: type | None = None):
+    """``obj[key]``, which must exist (and have the JSON type ``kind``, if given)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"expected an object with key {key!r}")
+    return obj[key] if kind is None else _typed(obj[key], kind, repr(key))
+
+
+def _typed(value, kind: type, what: str):
+    if type(value) is kind:  # exact: JSON true and false are bools, not ints
+        return value
+    raise SchemaError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+
+
+def _scalar_from_obj(obj):
+    """A JSON integer, or a decimal string, as an exact scalar."""
+    if type(obj) is int:
+        return obj
+    if type(obj) is str:
+        return scalar_from_str(obj)
+    raise SchemaError(f"a number must be an int or a decimal string, not {type(obj).__name__}")
+
+
 def value_from_obj(obj) -> Value:
-    if isinstance(obj, (int, str)):
-        return scalar_from_str(str(obj))
-    variables = tuple(obj["variables"])
-    terms = {
-        tuple(t["exponents"]): scalar_from_str(str(t["coefficient"]))
-        for t in obj["terms"]
-    }
+    if not isinstance(obj, dict):
+        return _scalar_from_obj(obj)
+    variables = tuple(_typed(v, str, "a variable name") for v in _field(obj, "variables", list))
+    terms = {}
+    for t in _field(obj, "terms", list):
+        exps = tuple(_typed(e, int, "an exponent") for e in _field(t, "exponents", list))
+        if exps in terms:
+            raise SchemaError(f"duplicate exponent vector {list(exps)}")
+        terms[exps] = _scalar_from_obj(_field(t, "coefficient"))
     try:
         poly = SparsePolynomial(variables, terms)
     except ValueError as exc:
@@ -62,10 +80,6 @@ def value_from_obj(obj) -> Value:
     if not variables:
         return poly.constant_value()
     return poly
-
-
-def value_to_text(value: Value) -> str:
-    return format_value(value)
 
 
 def series_to_obj(series: TruncatedSeries) -> dict:
@@ -87,10 +101,10 @@ def witt_to_obj(w: WittVector) -> dict:
 
 
 def witt_from_obj(obj) -> WittVector:
-    w = WittVector([value_from_obj(a) for a in obj["coords"]])
-    if w.length != obj.get("length", w.length):
+    coords = [value_from_obj(a) for a in _field(obj, "coords", list)]
+    if "length" in obj and _field(obj, "length", int) != len(coords):
         raise SchemaError("declared length does not match coordinate count")
-    return w
+    return WittVector(coords)
 
 
 def logarithm_to_obj(log: Logarithm) -> dict:

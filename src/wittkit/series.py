@@ -16,12 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomials import (
-    SparsePolynomial,
-    Value,
-    _is_scalar,
-    values_equal,
-)
+from .polynomials import SparsePolynomial, Value, _is_scalar
 
 
 class TruncationError(ValueError):
@@ -85,10 +80,8 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.variable == other.variable
-            and self.order == other.order
-            and all(values_equal(a, b) for a, b in zip(self.coefficients, other.coefficients))
+        return (self.variable, self.order, self.coefficients) == (
+            other.variable, other.order, other.coefficients
         )
 
     def __hash__(self):
@@ -188,7 +181,7 @@ class TruncatedSeries:
         >>> one_minus_t.inverse().coefficients
         (1, 1, 1, 1)
         """
-        if not values_equal(self.coefficients[0], 1):
+        if self.coefficients[0] != 1:
             raise ValueError("series inverse requires constant term 1")
         coeffs: list[Value] = [1] + [0] * self.order
         for n in range(1, self.order + 1):
@@ -225,7 +218,7 @@ class TruncatedSeries:
             raise TruncationError("reversion needs order >= 1")
         if self.coefficients[0]:
             raise ValueError("reversion requires zero constant term")
-        if not values_equal(self.coefficients[1], 1):
+        if self.coefficients[1] != 1:
             raise ValueError("reversion requires leading coefficient 1")
         h = TruncatedSeries(self.variable, self.coefficients[1:], self.order - 1).inverse()
         coeffs: list[Value] = [0, h.coefficients[0]]
@@ -312,10 +305,10 @@ class MultiTruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiTruncatedSeries):
             return NotImplemented
-        if self.variables != other.variables or self.degree != other.degree:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(values_equal(self.terms.get(k, 0), other.terms.get(k, 0)) for k in keys)
+        # the constructor drops zero terms, so equal series have equal term dicts
+        return (self.variables, self.degree, self.terms) == (
+            other.variables, other.degree, other.terms
+        )
 
     def __hash__(self):
         return hash((self.variables, self.degree, len(self.terms)))

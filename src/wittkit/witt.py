@@ -28,13 +28,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable
 
-from .polynomials import (
-    NonIntegralError,
-    Value,
-    as_integral,
-    divide_exact,
-    values_equal,
-)
+from .polynomials import NonIntegralError, Value, as_integral, divide_exact
 from .series import TruncatedSeries
 
 
@@ -76,9 +70,7 @@ class GhostVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GhostVector):
             return NotImplemented
-        return self.length == other.length and all(
-            values_equal(a, b) for a, b in zip(self.entries, other.entries)
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash(self.length)
@@ -136,9 +128,7 @@ class WittVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WittVector):
             return NotImplemented
-        return self.length == other.length and all(
-            values_equal(a, b) for a, b in zip(self.coords, other.coords)
-        )
+        return self.coords == other.coords
 
     def __hash__(self):
         return hash(self.length)
@@ -169,7 +159,7 @@ class WittVector:
         order = self.length if order is None else order
         denom = TruncatedSeries.constant(1, variable, order)
         for i, a in enumerate(self.coords, start=1):
-            if values_equal(a, 0) or i > order:
+            if not a or i > order:
                 continue
             factor_coeffs: list[Value] = [0] * (order + 1)
             factor_coeffs[0] = 1
@@ -183,7 +173,7 @@ class WittVector:
 
         Inverse of :meth:`to_series`; the length is the series order.
         """
-        if not values_equal(series.coefficient(0), 1):
+        if series.coefficient(0) != 1:
             raise ValueError("Witt coordinates require a series with constant term 1")
         n = series.order
         if n < 1:
@@ -193,7 +183,7 @@ class WittVector:
         for i in range(1, n + 1):
             a = h.coefficient(i)
             coords.append(a)
-            if not values_equal(a, 0):
+            if a:
                 factor_coeffs: list[Value] = [0] * (n + 1)
                 factor_coeffs[0] = 1
                 factor_coeffs[i] = -a
@@ -210,7 +200,7 @@ def teichmueller(a: Value, length: int) -> WittVector:
 
 def _ghost_terms(d: int, a: Value, n: int):
     """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple."""
-    if values_equal(a, 0):
+    if not a:
         return ()
     return ((m - 1, d * power) for m, power in zip(range(d, n + 1, d), accumulate(repeat(a), mul)))
 

@@ -43,7 +43,7 @@ from wittkit.picard_fuchs import (
     quintic_picard_fuchs,
     series_solution_check,
 )
-from wittkit.polynomials import SparsePolynomial, values_equal
+from wittkit.polynomials import SparsePolynomial
 from wittkit.series import MultiTruncatedSeries, TruncatedSeries
 from wittkit.witt import (
     WittVector,
@@ -186,7 +186,7 @@ def test_acceptance_3_extraction_equals_closed_forms():
         extracted = family_logarithm(family, m_max, "extraction")
         formula = family_logarithm(family, m_max, "closed-form")
         for m in range(1, m_max + 1):
-            assert values_equal(extracted.coefficient(m), formula.coefficient(m)), (
+            assert extracted.coefficient(m) == formula.coefficient(m), (
                 family,
                 m,
             )
@@ -195,7 +195,7 @@ def test_acceptance_3_extraction_equals_closed_forms():
     elapsed = time.monotonic() - started
     formula = family_logarithm("quintic-cy3", 8, "closed-form")
     for m in range(1, 9):
-        assert values_equal(extracted.coefficient(m), formula.coefficient(m))
+        assert extracted.coefficient(m) == formula.coefficient(m)
     assert elapsed < 120.0
     print(
         "\nACCEPTANCE 3: PASS - extraction = closed form (hesse m<=12, "
@@ -279,7 +279,7 @@ def test_acceptance_6_prime_power_congruence():
         assert log.truncation >= 25
         for p in (3, 5):
             for m in (p, p * p):
-                assert values_equal(log.coefficient(m), independent(family, m)), (
+                assert log.coefficient(m) == independent(family, m), (
                     family,
                     m,
                 )
@@ -359,7 +359,7 @@ def test_acceptance_9_frobenius_degree_one_coefficient():
     logs.append(am_logarithm(builtin_family("hesse-cubic").family, 10))
     for log in logs:
         for k in range(1, log.truncation + 1):
-            assert values_equal(frobenius_matrix_1d(log, k), log.coefficient(k))
+            assert frobenius_matrix_1d(log, k) == log.coefficient(k)
     print(
         "\nACCEPTANCE 9: PASS - F_k on the canonical curve reads off a_k "
         "for every k <= M on all built-in families"

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.serialize import witt_to_obj
@@ -169,6 +173,10 @@ def test_precondition_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "congruence", "--family", "hesse-cubic", "--p", "2")
     assert code == 2
+    # the message names the flag's own parameter, not the logarithm's truncation
+    code, _, err = run(capsys, "pf-check", "--family", "quintic-cy3", "--kmax", "0")
+    assert code == 2
+    assert err == "wittkit: k_max must be >= 1\n"
 
 
 def test_budget_exit_code(capsys):
@@ -391,6 +399,25 @@ def _from_ghost(entries):
         pytest.param(_neg(["1", "2"], length=3), 1, id="witt-length"),
         pytest.param(_from_ghost(["1/0"]), 1, id="ghost-1/0"),
         pytest.param(_from_ghost([_poly(["x"], [-2])]), 1, id="ghost-negative-exponent"),
+        # shapes the schema forbids, each once read as something else
+        pytest.param(_teich(_poly(["x"], [1.7])), 1, id="exponent-float"),
+        pytest.param(_teich(_poly(["x"], [True])), 1, id="exponent-true"),
+        pytest.param(_teich(_poly(["x"], ["2"])), 1, id="exponent-string"),
+        pytest.param(_teich({"variables": ["x"], "terms": [
+            {"exponents": [1], "coefficient": "3"}, {"exponents": [1], "coefficient": "4"}
+        ]}), 1, id="duplicate-exponents"),
+        pytest.param(_teich({"variables": "xy", "terms": []}), 1, id="variables-string"),
+        pytest.param(_teich(_poly(["x"], [1], True)), 1, id="coefficient-true"),
+        pytest.param(_teich(_poly(["x"], [1], 1.5)), 1, id="coefficient-float"),
+        pytest.param(_teich({"variables": ["x"]}), 1, id="terms-missing"),
+        pytest.param(_teich({"variables": ["x"], "terms": [[1]]}), 1, id="term-not-object"),
+        pytest.param(_teich([1]), 1, id="value-list"),
+        pytest.param(_neg("12", length=2), 1, id="witt-coords-string"),
+        pytest.param(_neg(["1", "2"], length=2.0), 1, id="witt-length-float"),
+        pytest.param(_neg(["1"], length=True), 1, id="witt-length-true"),
+        pytest.param(("--op", "neg", "--u", "[1]"), 1, id="witt-not-object"),
+        pytest.param(_from_ghost("12"), 1, id="ghost-string"),
+        pytest.param(_from_ghost({"0": "1"}), 1, id="ghost-object"),
         # well-formed input: a fractional Witt coordinate is a precondition violation
         pytest.param(_neg(["1/2"]), 2, id="witt-coordinate-1/2"),
         pytest.param(_teich(_poly(["x"], [1])), 0, id="well-formed"),
@@ -402,3 +429,22 @@ def test_malformed_values_are_usage_errors(capsys, argv, code):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("wittkit: usage error: cannot parse ")
+
+
+_SCHEMA_KEYS = ("variables", "terms", "exponents", "coefficient", "coords", "length")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON, flag=st.sampled_from(["--a", "--u", "--g"]))
+def test_random_json_exits_with_a_documented_code(obj, flag):
+    op = {"--a": ("teichmueller", "--length", "3"), "--u": ("neg",), "--g": ("from-ghost",)}[flag]
+    argv = ["witt", "--op", *op, f"{flag}={json.dumps(obj)}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

@@ -14,7 +14,7 @@ from wittkit.families import (
     resolve_family_id,
 )
 from wittkit.formal_groups import group_law_from_logarithm, integrality_report
-from wittkit.polynomials import SparsePolynomial, values_equal
+from wittkit.polynomials import SparsePolynomial
 
 X = SparsePolynomial.variable("x")
 

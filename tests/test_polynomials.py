@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit.formal_groups import Logarithm
 from wittkit.polynomials import (
     NonIntegralError,
     SparsePolynomial,
@@ -14,8 +15,10 @@ from wittkit.polynomials import (
     divide_exact,
     format_value,
     poly_reduce_mod,
-    values_equal,
 )
+
+from wittkit.series import MultiTruncatedSeries, TruncatedSeries
+from wittkit.witt import GhostVector, WittVector
 
 X = SparsePolynomial.variable("x")
 
@@ -306,3 +309,46 @@ def test_arithmetic_results_match_validating_constructor():
 def test_public_constructor_still_validates(variables, terms, error):
     with pytest.raises(error):
         SparsePolynomial(variables, terms)
+
+
+# -- containers compare their entries by == --------------------------------------
+
+
+def _containers(values, extra=0, name="t"):
+    """The five value containers, each holding ``values`` (plus ``extra``
+    zeros); ``name`` is the formal variable of the two series."""
+    vals = list(values) + [0] * extra
+    return [
+        TruncatedSeries(name, [1, *vals]),
+        MultiTruncatedSeries(("s", name), len(vals), {(0, k): v for k, v in enumerate(vals, 1)}),
+        GhostVector(vals),
+        WittVector(vals),
+        Logarithm("Z[x]", [1, *vals]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (2, Fraction(2)),
+        (2, SparsePolynomial.constant(2, ("x",))),
+        (SparsePolynomial.constant(3, ("x",)), SparsePolynomial.constant(3, ("y",))),
+        (0, SparsePolynomial.zero(("x",))),
+    ],
+    ids=["int-fraction", "int-constant", "constants-in-x-and-y", "zero-polynomial"],
+)
+def test_container_equality_follows_eq(a, b):
+    assert a == b
+    for left, right in zip(_containers([a, 5]), _containers([b, 5])):
+        assert left == right and not left != right, type(left).__name__
+        assert hash(left) == hash(right)
+
+
+def test_container_inequality():
+    Y = SparsePolynomial.variable("y")
+    pairs = list(zip(_containers([X]), _containers([Y])))
+    pairs += zip(_containers([1]), _containers([1], extra=1))  # lengths and orders
+    pairs += zip(_containers([1])[:2], _containers([1], name="u")[:2])  # series variables
+    pairs.append((Logarithm("Z", [1]), Logarithm("Z[x]", [1])))
+    for left, right in pairs:
+        assert left != right and not left == right, type(left).__name__

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under scripts/, each as its own process."""
+"""Smoke runs of the scripts under scripts/ (and of the CLI where a real
+stdout matters), each as its own process."""
 
 import os
 import re
@@ -11,14 +12,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, stdout=subprocess.PIPE):
+    """Run scripts/NAME, or the CLI module when NAME is ``-m wittkit.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    target = name.split() if name.startswith("-m ") else [str(ROOT / "scripts" / name)]
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *target, *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -76,3 +79,25 @@ def test_script_rejects_family_with_usage(name, args):
     assert result.stdout == ""
     assert result.stderr.startswith("usage: ") and "argument --family: invalid" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("-m wittkit.cli", ("am-log", "--family", "hesse", "--mmax", "5")),
+        ("group_law_tables.py", ("--deg", "3")),
+        ("ordinary_sweep.py", ("--pmax", "7")),
+        ("quintic_congruences.py", ("--kmax", "5", "--order", "10")),
+    ],
+    ids=["cli", "group_law_tables", "ordinary_sweep", "quintic_congruences"],
+)
+def test_closed_stdout_exits_1_without_traceback(name, args):
+    # a pipe whose read end is closed before the run: every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_script(name, *args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr and "BrokenPipeError" not in result.stderr

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from wittkit.families import family_logarithm
 from wittkit.formal_groups import group_law_from_logarithm, multiplicative_logarithm
-from wittkit.polynomials import SparsePolynomial
+from wittkit.polynomials import SparsePolynomial, format_value
 from wittkit.serialize import (
     json_dumps,
     law_to_obj,
@@ -14,7 +14,6 @@ from wittkit.serialize import (
     tsv_dumps,
     value_from_obj,
     value_to_obj,
-    value_to_text,
     witt_from_obj,
     witt_to_obj,
 )
@@ -81,6 +80,6 @@ def test_tsv_shape():
 
 
 def test_text_grammar():
-    assert value_to_text(1 + 4 * X**3) == "1+4*x^3"
-    assert value_to_text(17) == "17"
-    assert value_to_text(Fraction(-1, 3)) == "-1/3"
+    assert format_value(1 + 4 * X**3) == "1+4*x^3"
+    assert format_value(17) == "17"
+    assert format_value(Fraction(-1, 3)) == "-1/3"
