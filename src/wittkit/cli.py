@@ -83,15 +83,21 @@ class ResultDoc:
         return json_dumps(self.payload)
 
 
-#: What a malformed ring element, Witt vector or ghost list raises while parsed.
-_PARSE_ERRORS = (json.JSONDecodeError, SchemaError)
-
-
 def _parse_json(text: str, what: str, reader):
-    """``reader`` applied to the JSON in ``text``; a malformed input is a usage error."""
+    """``reader`` applied to the JSON in ``text``; a malformed input is a usage error.
+
+    ``json.loads`` raises ValueError on malformed JSON or an integer over
+    Python's digit limit, and RecursionError on JSON nested too deep; the
+    reader raises SchemaError.  Any other error of the reader is not the
+    input's fault and propagates.
+    """
     try:
-        return reader(json.loads(text))
-    except _PARSE_ERRORS as exc:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+    try:
+        return reader(obj)
+    except SchemaError as exc:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 

@@ -9,6 +9,11 @@ fiber supersingular exactly when t = 0 mod p.  The two verdicts must agree;
 the scan records every comparison.  One enumeration of P^N(F_p) counts the
 points of all p fibers at once.
 
+Point counts stay exhaustive, and so independent of a_p, but evaluate a
+form a row at a time: a row fixes every coordinate but the last, and the
+form's value along it is sum_k q_k * z^k over the last coordinate z, each
+q_k computed once per row and z^k read from a per-prime table of powers.
+
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
 locus of a_p: nonvanishing there is necessary for ordinariness but not known
@@ -99,12 +104,12 @@ class OrdinarityReport:
 
 def declared_singular(family_id: str, lam: int, p: int) -> bool:
     """Membership of the parameter value in the declared singular locus mod p."""
-    entry = builtin_family(family_id)
-    if lam % p == 0:
-        return True
-    return any(
-        (c * pow(lam, e, p) - 1) % p == 0 for c, e in entry.singular_rules
-    )
+    return _in_singular_locus(builtin_family(family_id).singular_rules, lam, p)
+
+
+def _in_singular_locus(rules: tuple[tuple[int, int], ...], lam: int, p: int) -> bool:
+    """lam = 0 or c * lam^e = 1 mod p for some rule (c, e)."""
+    return lam % p == 0 or any((c * pow(lam, e, p) - 1) % p == 0 for c, e in rules)
 
 
 def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
@@ -115,16 +120,22 @@ def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
 
 
 def _hasse_witt_residues(family_id: str, p: int, lams: Iterable[int]):
-    """Yield a_p(lambda) mod p for each lambda in lams: Horner over F_p in x^g (deg a_p < p)."""
+    """Yield a_p(lambda) mod p for each lambda in lams: Horner over F_p in x^g (deg a_p < p).
+
+    Only y = lambda^g mod p enters, so each distinct y is evaluated once.
+    """
     terms = hasse_witt_poly(family_id, p).terms
     g = gcd(*(e for (e,) in terms)) or 1  # a_p is a polynomial in x^g
     dense = [terms.get((e,), 0) for e in reversed(range(0, p, g))]
+    by_y: dict[int, int] = {}
     for lam in lams:
         y = pow(lam, g, p)
-        value = 0
-        for c in dense:
-            value = (value * y + c) % p
-        yield value
+        if y not in by_y:
+            value = 0
+            for c in dense:
+                value = (value * y + c) % p
+            by_y[y] = value
+        yield by_y[y]
 
 
 def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
@@ -134,14 +145,6 @@ def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
 def nonordinary_locus(family_id: str, p: int) -> tuple[int, ...]:
     """Smooth parameter values where a_p vanishes mod p."""
     return _scan_prime(resolve_family_id(family_id), p, False, None).nonordinary
-
-
-def _projective_points(nvars: int, p: int):
-    """Canonical representatives of P^(nvars-1)(F_p): first nonzero entry 1."""
-    for lead in range(nvars):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(p), repeat=nvars - lead - 1):
-            yield prefix + tail
 
 
 def projective_point_total(dimension: int, p: int) -> int:
@@ -157,12 +160,38 @@ def _check_budget(nvars: int, p: int, budget: int | None) -> None:
         )
 
 
-def _form_mod(h: SparsePolynomial, p: int):
-    """The map point -> h(point) mod p, for a form with integral coefficients."""
-    terms = [(exps, as_integral(c) % p) for exps, c in h.terms.items()]
-    return lambda point: sum(
-        c * prod(pow(v, e, p) for v, e in zip(point, exps)) for exps, c in terms
-    ) % p
+def _form_rows(h: SparsePolynomial, p: int):
+    """h mod p over the canonical points of P^N(F_p), one row at a time.
+
+    A row fixes a canonical prefix (first nonzero entry 1) of every
+    coordinate but the last and runs the last coordinate z over F_p; the
+    lone point (0, ..., 0, 1) is one extra row of length 1.  Grouping the
+    monomials by their exponent k of z writes h = sum_k q_k * z^k, so a row
+    is sum_k q_k * T_k[z] with T_e = [v^e mod p for v in F_p] (T_0 is all
+    ones, as pow(0, 0, p) == 1).
+    """
+    nvars = len(h.variables)
+    exponents = {e for exps in h.terms for e in exps}
+    tables = {e: [pow(v, e, p) for v in range(p)] for e in exponents}
+    by_last: dict[int, list] = {}  # exponent k of z -> [(c mod p, [(i, T_e_i)])]
+    for exps, c in h.terms.items():
+        factors = [(i, tables[e]) for i, e in enumerate(exps[:-1]) if e]
+        by_last.setdefault(exps[-1], []).append((as_integral(c) % p, factors))
+    groups = [(tables[k], monomials) for k, monomials in by_last.items()]
+
+    def row(prefix: tuple[int, ...]) -> list[int]:
+        values = [0] * p
+        for table, monomials in groups:
+            q = sum(c * prod(t[prefix[i]] for i, t in factors) for c, factors in monomials) % p
+            if q:
+                values = [v + q * t for v, t in zip(values, table)]
+        return [v % p for v in values]
+
+    for lead in range(nvars - 1):
+        head = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=nvars - lead - 2):
+            yield row(head + tail)
+    yield row((0,) * (nvars - 1))[1:2]
 
 
 def point_count_projective(
@@ -178,8 +207,7 @@ def point_count_projective(
     if len(degrees) > 1:
         raise ValueError("the form must be homogeneous")
     _check_budget(nvars, p, budget)
-    value = _form_mod(h, p)
-    return sum(1 for point in _projective_points(nvars, p) if value(point) == 0)
+    return sum(row.count(0) for row in _form_rows(h, p))
 
 
 def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:
@@ -193,16 +221,17 @@ def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tup
     pencil = family.polynomials[0]
     nvars = len(family.coordinate_variables())
     _check_budget(nvars, p, budget)
-    a_mod = _form_mod(pencil.coefficient_of({"x": 1}), p)
-    b_mod = _form_mod(pencil.coefficient_of({"x": 0}), p)
+    a_rows = _form_rows(pencil.coefficient_of({"x": 1}), p)
+    b_rows = _form_rows(pencil.coefficient_of({"x": 0}), p)
+    neg_inverse = [0] + [-pow(a, -1, p) for a in range(1, p)]
     counts = [0] * p
     on_every_fiber = 0
-    for point in _projective_points(nvars, p):
-        a, b = a_mod(point), b_mod(point)
-        if a:
-            counts[-b * pow(a, -1, p) % p] += 1
-        elif not b:
-            on_every_fiber += 1
+    for a_row, b_row in zip(a_rows, b_rows):
+        for a, b in zip(a_row, b_row):
+            if a:
+                counts[b * neg_inverse[a] % p] += 1
+            elif not b:
+                on_every_fiber += 1
     return tuple(c + on_every_fiber for c in counts)
 
 
@@ -236,7 +265,8 @@ def classify_elliptic_fiber(
 def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
     elliptic = family_id in ELLIPTIC_FAMILIES
     residues = tuple(_hasse_witt_residues(family_id, p, range(p)))
-    singular = [declared_singular(family_id, lam, p) for lam in range(p)]
+    rules = builtin_family(family_id).singular_rules
+    singular = [_in_singular_locus(rules, lam, p) for lam in range(p)]
     # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
     counts = None
     if with_oracle and not all(singular):

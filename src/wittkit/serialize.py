@@ -92,7 +92,9 @@ def series_to_obj(series: TruncatedSeries) -> dict:
 
 def series_from_obj(obj) -> TruncatedSeries:
     return TruncatedSeries(
-        obj["variable"], [value_from_obj(c) for c in obj["coefficients"]], obj["order"]
+        _field(obj, "variable", str),
+        [value_from_obj(c) for c in _field(obj, "coefficients", list)],
+        _field(obj, "order", int),
     )
 
 
@@ -112,7 +114,8 @@ def logarithm_to_obj(log: Logarithm) -> dict:
 
 
 def logarithm_from_obj(obj) -> Logarithm:
-    return Logarithm(obj["ring"], [value_from_obj(a) for a in obj["coeffs"]])
+    coeffs = [value_from_obj(a) for a in _field(obj, "coeffs", list)]
+    return Logarithm(_field(obj, "ring", str), coeffs)
 
 
 def law_to_obj(law: FormalGroupLaw) -> dict:

@@ -418,6 +418,10 @@ def _from_ghost(entries):
         pytest.param(("--op", "neg", "--u", "[1]"), 1, id="witt-not-object"),
         pytest.param(_from_ghost("12"), 1, id="ghost-string"),
         pytest.param(_from_ghost({"0": "1"}), 1, id="ghost-object"),
+        # json.loads refuses these itself: nesting past the recursion limit,
+        # and an integer over Python's digit limit for int conversion
+        pytest.param(("--op", "neg", "--u", "[" * 100_000), 1, id="json-nested-too-deep"),
+        pytest.param(("--op", "neg", "--u", "7" * 5_000), 1, id="json-integer-too-long"),
         # well-formed input: a fractional Witt coordinate is a precondition violation
         pytest.param(_neg(["1/2"]), 2, id="witt-coordinate-1/2"),
         pytest.param(_teich(_poly(["x"], [1])), 0, id="well-formed"),

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +22,7 @@ from wittkit.ordinarity import (
     projective_point_total,
 )
 from wittkit.families import closed_form_logarithm
-from wittkit.polynomials import SparsePolynomial, as_integral
+from wittkit.polynomials import NonIntegralError, SparsePolynomial, as_integral
 
 X = SparsePolynomial.variable("x")
 
@@ -104,6 +106,50 @@ def test_point_count_fermat_like_cubic():
     count = point_count_projective(h, 5)
     assert abs(count - 6) <= 4  # Hasse bound at p = 5
     assert count == 6  # trace 0: the supersingular fiber at parameter 1
+
+
+def _reference_point_count(h, p):
+    """Zeros of h in P^N(F_p): exact evaluation at every canonical point."""
+    n = len(h.variables)
+    count = 0
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - lead - 1):
+            point = (0,) * lead + (1,) + tail
+            count += as_integral(h.evaluate(dict(zip(h.variables, point)))) % p == 0
+    return count
+
+
+def _random_form(rng):
+    """A form in 2-4 variables with coefficients in [-9, 9], some of them
+    integral Fractions; the last variable is left out of about a third."""
+    n = rng.randrange(2, 5)
+    degree = rng.randrange(1, 9)
+    used = n - (rng.random() < 1 / 3)
+    terms = {}
+    for _ in range(rng.randrange(0, 7)):
+        exps = [0] * n
+        for _ in range(degree):
+            exps[rng.randrange(used)] += 1
+        c = rng.randrange(-9, 10)
+        terms[tuple(exps)] = Fraction(3 * c, 3) if rng.random() < 0.3 else c
+    return SparsePolynomial(tuple(f"Z{i}" for i in range(n)), terms)
+
+
+def test_point_count_matches_exact_evaluation():
+    rng = random.Random(11)
+    seen = {"no last variable": 0, "exponent >= p": 0, "Fraction": 0, "negative": 0}
+    for _ in range(150):
+        h = _random_form(rng)
+        for p in (2, 3, 5, 7):
+            assert point_count_projective(h, p) == _reference_point_count(h, p), (h, p)
+            seen["exponent >= p"] += any(e >= p for exps in h.terms for e in exps)
+        seen["no last variable"] += all(exps[-1] == 0 for exps in h.terms)
+        seen["Fraction"] += any(type(c) is Fraction for c in h.terms.values())
+        seen["negative"] += any(c < 0 for c in h.terms.values())
+    assert min(seen.values()) > 10, seen
+    half = SparsePolynomial(("X", "Y"), {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    with pytest.raises(NonIntegralError):
+        point_count_projective(half, 5)
 
 
 def test_point_count_rejects_inhomogeneous():

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from wittkit.families import family_logarithm
 from wittkit.formal_groups import group_law_from_logarithm, multiplicative_logarithm
 from wittkit.polynomials import SparsePolynomial, format_value
@@ -9,6 +11,7 @@ from wittkit.serialize import (
     law_to_obj,
     logarithm_from_obj,
     logarithm_to_obj,
+    SchemaError,
     series_from_obj,
     series_to_obj,
     tsv_dumps,
@@ -58,6 +61,32 @@ def test_witt_round_trip():
 def test_logarithm_round_trip():
     log = family_logarithm("hesse-cubic", 5)
     assert logarithm_from_obj(logarithm_to_obj(log)) == log
+
+
+@pytest.mark.parametrize(
+    "reader, obj",
+    [
+        pytest.param(series_from_obj, {"variable": "t", "coefficients": "12", "order": 1},
+                     id="series-coefficients-string"),
+        pytest.param(series_from_obj, {"variable": "t", "coefficients": [1, 2], "order": 1.0},
+                     id="series-order-float"),
+        pytest.param(series_from_obj, {"variable": "t", "coefficients": [1, 2], "order": True},
+                     id="series-order-true"),
+        pytest.param(series_from_obj, {"variable": ["t"], "coefficients": [1, 2], "order": 1},
+                     id="series-variable-list"),
+        pytest.param(series_from_obj, {"coefficients": [1, 2], "order": 1},
+                     id="series-variable-missing"),
+        pytest.param(series_from_obj, [1, 2], id="series-list"),
+        pytest.param(logarithm_from_obj, {"ring": "Z", "coeffs": "12"}, id="log-coeffs-string"),
+        pytest.param(logarithm_from_obj, {"ring": "Z", "coeffs": {"0": 1}}, id="log-coeffs-object"),
+        pytest.param(logarithm_from_obj, {"ring": 1, "coeffs": [1]}, id="log-ring-int"),
+        pytest.param(logarithm_from_obj, {"coeffs": [1]}, id="log-ring-missing"),
+        pytest.param(logarithm_from_obj, "12", id="log-string"),
+    ],
+)
+def test_readers_refuse_forbidden_shapes(reader, obj):
+    with pytest.raises(SchemaError):
+        reader(obj)
 
 
 def test_law_serialization_sorted():
