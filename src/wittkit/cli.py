@@ -94,11 +94,22 @@ def _parse_json(text: str, what: str, reader):
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+        raise UsageError(_cannot_parse(what, text, exc)) from exc
     try:
         return reader(obj)
     except SchemaError as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+        raise UsageError(_cannot_parse(what, text, exc)) from exc
+
+
+def _cannot_parse(what: str, text: str, exc: Exception) -> str:
+    """The usage message for a malformed input, quoting a bounded prefix of it
+    (the reason, which may quote a part of it, is bounded too)."""
+    return f"cannot parse {what} {_excerpt(repr(text), 80)}: {_excerpt(str(exc), 200)}"
+
+
+def _excerpt(text: str, limit: int) -> str:
+    """``text`` cut to its first ``limit`` characters, marked with ``…`` when cut."""
+    return text if len(text) <= limit else text[:limit] + "…"
 
 
 def _parse_value(text: str):

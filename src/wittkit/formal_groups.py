@@ -5,9 +5,12 @@ A logarithm is a sequence of integral coefficients ``a_1..a_M`` with
 generates is ``G(t1, t2) = l^(-1)(l(t1) + l(t2))``.  Synthesis needs no
 reversion: ``G`` is the flow of the invariant derivation ``D = w(t) d/dt``,
 ``w = 1/l'(t)`` (integral, as ``a_1 = 1``), run from ``t1`` for time
-``l(t2)``, so ``G = sum_k D^k(t1) l(t2)^k / k!``.  Whether the law has
-integral coefficients is a certificate checked after synthesis, never an
-assumption.
+``l(t2)``, so ``G = sum_k D^k(t1) l(t2)^k / k!``.  Every input of that sum
+is integral up to one known denominator: with ``L = lcm(1..deg)``,
+``L*l(t)`` is integral, so the sum is taken over integer numerators and
+the common denominator ``L^deg * deg!`` is divided out once per
+coefficient, at the end.  Whether the law has integral coefficients is a
+certificate checked after synthesis, never an assumption.
 
 Curves in the formal group are kept in log-coordinates ``eta = l(gamma)``:
 formal-group addition becomes literal addition of series, scaling ``gamma(t)
@@ -28,7 +31,7 @@ every operator here with its Witt counterpart.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 from .polynomials import NonIntegralError, Value, as_integral, is_integral
@@ -152,6 +155,11 @@ def group_law_from_logarithm(
     """Synthesize ``G = l^(-1)(l(t1) + l(t2))`` to the given total degree,
     as ``sum_k f_k(t1) l(t2)^k / k!`` with ``f_0 = t``, ``f_(k+1) = f_k' w``.
 
+    With ``L = lcm(1..degree)`` and ``lam = L*l`` (integral), the term ``k``
+    is ``f_k(t1) lam(t2)^k * D/(L^k k!)`` over ``D = L^degree * degree!``:
+    the integer numerators are summed and each coefficient is divided by
+    ``D`` once.
+
     >>> law = group_law_from_logarithm(multiplicative_logarithm(4), 4)
     >>> [(exps, str(c)) for exps, c in law.series.sorted_terms()]
     [((0, 1), '1'), ((1, 0), '1'), ((1, 1), '-1')]
@@ -162,20 +170,29 @@ def group_law_from_logarithm(
         )
     if degree < 1:
         raise ValueError("total degree must be >= 1")
-    ell = log.series(degree)
+    common = lcm(*range(1, degree + 1))  # L: clears every 1/m of l
+    lam = TruncatedSeries(
+        "t", [0] + [a * (common // m) for m, a in enumerate(log.coeffs[:degree], 1)], degree
+    )
     w = TruncatedSeries("t", log.coeffs[:degree]).inverse()  # 1/l'(t)
     f = TruncatedSeries("t", [0, log.coeffs[0]], degree)  # a_1 as stored keeps its type
-    power = TruncatedSeries.constant(1, "t", degree)  # l^k
-    terms: dict[tuple[int, int], Value] = {}
+    power = TruncatedSeries.constant(1, "t", degree)  # lam^k
+    denominator = scale = common**degree * factorial(degree)  # scale = D/(L^k k!)
+    numerators: dict[tuple[int, int], Value] = {}
     for k in range(degree + 1):
-        scale = Fraction(1, factorial(k))
+        scaled = power.scale(scale).coefficients
         for i, fi in enumerate(f.coefficients):
+            if not fi:
+                continue
             for j in range(k, degree - i + 1):
-                if fi and power.coefficients[j]:
-                    terms[i, j] = terms.get((i, j), 0) + fi * power.coefficients[j] * scale
+                if scaled[j]:
+                    numerators[i, j] = numerators.get((i, j), 0) + fi * scaled[j]
         if k < degree:
             derivative = [i * c for i, c in enumerate(f.coefficients)][1:]
-            f, power = TruncatedSeries("t", derivative) * w, power * ell
+            f, power = TruncatedSeries("t", derivative) * w, power * lam
+            scale //= common * (k + 1)
+    inverse = Fraction(1, denominator)
+    terms = {ij: n * inverse for ij, n in numerators.items()}
     return FormalGroupLaw(MultiTruncatedSeries(variables, degree, terms), log)
 
 

@@ -23,6 +23,7 @@ function, so they are safe to share across threads.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Union
@@ -379,8 +380,23 @@ def format_value(value: Value) -> str:
     >>> format_value(SparsePolynomial(("x",), {(0,): 1, (5,): -120}))
     '1-120*x^5'
     """
+    try:
+        return _format_value(value, str)
+    except ValueError:  # an integer past CPython's digit limit for str()
+        return _format_value(value, _long_str)
+
+
+def _long_str(c: Scalar) -> str:
+    """``str(c)`` for a scalar of any size: CPython's ``str`` refuses ints of
+    more than 4,300 digits, and ``decimal`` has no such limit."""
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return f"{_long_str(c.numerator)}/{_long_str(c.denominator)}"
+    return str(Decimal(int(c)))
+
+
+def _format_value(value: Value, text_of) -> str:
     if _is_scalar(value):
-        return str(value)
+        return text_of(value)
     if not value.terms:
         return "0"
     parts = []
@@ -389,13 +405,13 @@ def format_value(value: Value) -> str:
             f"{v}^{e}" for v, e in zip(value.variables, exps) if e
         )
         if not mono:
-            text = str(c)
+            text = text_of(c)
         elif c == 1:
             text = mono
         elif c == -1:
             text = "-" + mono
         else:
-            text = f"{c}*{mono}"
+            text = f"{text_of(c)}*{mono}"
         parts.append(text)
     out = parts[0]
     for text in parts[1:]:

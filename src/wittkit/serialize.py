@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .formal_groups import FormalGroupLaw, Logarithm
-from .polynomials import SparsePolynomial, Value
+from .polynomials import SparsePolynomial, Value, _long_str
 from .series import TruncatedSeries
 from .witt import WittVector
 
@@ -32,10 +32,17 @@ def value_to_obj(value: Value) -> dict:
     """Every value is carried as a polynomial; scalars get no variables."""
     if not isinstance(value, SparsePolynomial):
         value = SparsePolynomial.constant(value)
+    try:
+        return _polynomial_obj(value, str)
+    except ValueError:  # an integer past CPython's digit limit for str()
+        return _polynomial_obj(value, _long_str)
+
+
+def _polynomial_obj(value: SparsePolynomial, text_of) -> dict:
     return {
         "variables": list(value.variables),
         "terms": [
-            {"exponents": list(exps), "coefficient": str(c)}
+            {"exponents": list(exps), "coefficient": text_of(c)}
             for exps, c in value.sorted_terms()
         ],
     }

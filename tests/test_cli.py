@@ -124,6 +124,20 @@ def test_witt_teichmueller_tsv(capsys):
     assert out == "index\tcoordinate\tghost\n1\t2\t2\n2\t0\t4\n3\t0\t8\n"
 
 
+def test_integers_past_the_digit_limit_print_exactly(capsys):
+    # the ghost components of [10^1000] are 10^1000k: the last one has 5,001
+    # digits, past CPython's 4,300-digit limit for str(int)
+    a = "1" + "0" * 1000
+    code, out, err = run(capsys, "witt", "--op", "teichmueller", "--a", a, "--length", "5")
+    assert code == 0, err
+    ghost = [g["terms"][0]["coefficient"] for g in json.loads(out)["ghost"]]
+    assert ghost == ["1" + "0" * (1000 * k) for k in range(1, 6)]
+    code, out, err = run(capsys, "witt", "--op", "teichmueller", "--a", "-" + a,
+                         "--length", "5", "--format", "tsv")
+    assert code == 0, err
+    assert out.splitlines()[5] == "5\t0\t-1" + "0" * 5000
+
+
 # -- determinism -------------------------------------------------------------------
 
 
@@ -433,6 +447,20 @@ def test_malformed_values_are_usage_errors(capsys, argv, code):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("wittkit: usage error: cannot parse ")
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        pytest.param("--u", "[" * 100_000, id="nested"),
+        pytest.param("--u", json.dumps({"coords": ["a" * 100_000]}), id="coefficient"),
+    ],
+)
+def test_usage_errors_quote_a_bounded_prefix_of_the_input(capsys, flag, text):
+    code, _, err = run(capsys, "witt", "--op", "neg", flag, text)
+    assert code == 1
+    assert err.startswith("wittkit: usage error: cannot parse Witt vector '" + text[:20])
+    assert len(err.encode("utf-8")) < 1000
 
 
 _SCHEMA_KEYS = ("variables", "terms", "exponents", "coefficient", "coords", "length")

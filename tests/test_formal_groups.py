@@ -196,6 +196,35 @@ def test_integrality_report_consistent_with_independent_reversion():
     assert failures == {(2, 2)}
 
 
+def test_synthesis_matches_reversion_on_a_seeded_grid():
+    # random integer logarithms of every degree 1..12, random Z[x] ones of
+    # degree 1..9 (the reference slows sharply in Z[x] past that), and the
+    # integral laws of c^(m-1) and (c x)^(m-1), t1 + t2 - c t1 t2 and its x-form
+    rng = random.Random(20)
+    cases = []
+    for degree in range(1, 13):
+        a = rng.randint(-3, 3) * (1 if degree % 2 else X)
+        cases.append(Logarithm("Z" if degree % 2 else "Z[x]", [a ** m for m in range(degree)]))
+        for _ in range(2):
+            cases.append(Logarithm("Z", [1] + [rng.randint(-6, 6) for _ in range(degree - 1)]))
+        if degree <= 9:
+            cases.append(Logarithm("Z[x]", [1] + [
+                rng.randint(-2, 2) + rng.choice((0, 0, 0, 0, 1, -1)) * X for _ in range(degree - 1)
+            ]))
+    seen = set()
+    for log in cases:
+        law = group_law_from_logarithm(log, log.truncation)
+        reference = _law_by_reversion(log, log.truncation)
+        assert law.series == reference
+        expected_failures = {
+            (i, j) for (i, j), c in reference.sorted_terms() if not is_integral(c)
+        }
+        failures = {(i, j) for i, j, _ in integrality_report(law).failures}
+        assert failures == expected_failures
+        seen.add((log.ring, bool(failures)))
+    assert seen == {("Z", False), ("Z", True), ("Z[x]", False), ("Z[x]", True)}
+
+
 # -- curves -----------------------------------------------------------------------
 
 
