@@ -199,7 +199,8 @@ def test_integrality_report_consistent_with_independent_reversion():
 def test_synthesis_matches_reversion_on_a_seeded_grid():
     # random integer logarithms of every degree 1..12, random Z[x] ones of
     # degree 1..9 (the reference slows sharply in Z[x] past that), and the
-    # integral laws of c^(m-1) and (c x)^(m-1), t1 + t2 - c t1 t2 and its x-form
+    # logarithms c^(m-1) over Z and (c x)^(m-1) over Z[x], whose laws
+    # t1 + t2 - c t1 t2 and t1 + t2 - c x t1 t2 are integral
     rng = random.Random(20)
     cases = []
     for degree in range(1, 13):
