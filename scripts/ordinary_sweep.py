@@ -13,20 +13,16 @@ import time
 
 from wittkit.families import resolve_family_id
 from wittkit.ordinarity import ELLIPTIC_FAMILIES, ordinarity_scan
+from wittkit.serialize import tsv_dumps
 
 
 def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = ordinarity_scan(args.family, args.pmax, with_oracle=True, budget=args.budget)
-    print("p\tlambda\ta_p\tverdict\toracle\tagree")
-    disagreements = 0
-    for scan in report.scans:
-        for row in scan.rows:
-            agree = "" if row.agree is None else str(row.agree).lower()
-            print(f"{row.prime}\t{row.parameter}\t{row.hasse_witt_value}"
-                  f"\t{row.verdict}\t{row.oracle_verdict}\t{agree}")
-            if row.agree is False:
-                disagreements += 1
+    rows = [[r.prime, r.parameter, r.hasse_witt_value, r.verdict, r.oracle_verdict, r.agree]
+            for scan in report.scans for r in scan.rows]
+    sys.stdout.write(tsv_dumps(["p", "lambda", "a_p", "verdict", "oracle", "agree"], rows))
+    disagreements = sum(row[-1] is False for row in rows)
     elapsed = time.monotonic() - started
     loci = {s.prime: list(s.nonordinary) for s in report.scans}
     print(f"# non-ordinary loci: {loci}", file=sys.stderr)

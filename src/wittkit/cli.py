@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .picard_fuchs import (
     pf_congruence_check,
     quintic_picard_fuchs,
 )
-from .polynomials import SparsePolynomial, as_integral, as_x_polynomial, format_value, is_integral
+from .polynomials import as_integral, as_x_polynomial, is_integral
 from .serialize import (
     SchemaError,
     json_dumps,
@@ -68,14 +69,15 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        # argparse quotes a malformed flag value whole, however long it is
+        raise UsageError(_bounded(message))
 
 
 @dataclass
 class ResultDoc:
     payload: dict
     tsv_header: list[str]
-    tsv_rows: list[list[str]]
+    tsv_rows: list[list]
 
     def emit(self, fmt: str) -> str:
         if fmt == "tsv":
@@ -112,6 +114,16 @@ def _excerpt(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[:limit] + "…"
 
 
+#: What a message echoes of the input: a quoted Python string, or a bare word.
+_ECHOED = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+
+
+def _bounded(message: str) -> str:
+    """``message`` with each quoted value and each word in it cut to 80
+    characters, and the whole cut to 500."""
+    return _excerpt(_ECHOED.sub(lambda m: _excerpt(m[0], 80), message), 500)
+
+
 def _parse_value(text: str):
     """A ring element from the command line: an integer or a polynomial
     object in the documented JSON schema."""
@@ -138,10 +150,7 @@ def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> Re
         "result": witt_to_obj(w),
         "ghost": [value_to_obj(g) for g in ghost.entries],
     }
-    rows = [
-        [str(i), format_value(a), format_value(g)]
-        for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)
-    ]
+    rows = [[i, a, g] for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)]
     return ResultDoc(payload, ["index", "coordinate", "ghost"], rows)
 
 
@@ -160,7 +169,7 @@ def _cmd_witt(args) -> ResultDoc:
     if op == "ghost":
         ghost = to_ghost(u)
         payload = {"op": op, "ghost": [value_to_obj(g) for g in ghost.entries]}
-        rows = [[str(i), format_value(g)] for i, g in enumerate(ghost.entries, 1)]
+        rows = [[i, g] for i, g in enumerate(ghost.entries, 1)]
         return ResultDoc(payload, ["index", "ghost"], rows)
     if op == "frobenius":
         return _witt_result(op, *witt_frobenius(args.m, u, args.length, with_ghost=True))
@@ -178,7 +187,7 @@ def _cmd_am_log(args) -> ResultDoc:
         value = log.coefficient(m)
         if args.mod is not None:
             value = as_x_polynomial(value).reduce_mod(args.mod)
-        rows.append([str(m), format_value(value)])
+        rows.append([m, value])
         entries.append({"m": m, "a": value_to_obj(value)})
     payload = {
         "family": family,
@@ -194,12 +203,7 @@ def _cmd_fgl(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     log = family_logarithm(family, max(args.deg, 1), args.method)
     if args.at_x is not None:
-        evaluated = []
-        for a in log.coeffs:
-            if isinstance(a, SparsePolynomial):
-                a = a.evaluate({"x": args.at_x})
-            evaluated.append(a)
-        log = Logarithm("Z", evaluated)
+        log = Logarithm("Z", [a.evaluate({"x": args.at_x}) for a in log.coeffs])
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
     terms = []
@@ -208,7 +212,7 @@ def _cmd_fgl(args) -> ResultDoc:
         ok = is_integral(c)
         display = as_integral(c) if ok else c
         terms.append({"i": i, "j": j, "coeff": value_to_obj(display), "integral": ok})
-        rows.append([str(i), str(j), format_value(display), "true" if ok else "false"])
+        rows.append([i, j, display, ok])
     payload = {
         "family": family,
         "degree": args.deg,
@@ -223,37 +227,29 @@ def _cmd_fgl(args) -> ResultDoc:
 def _cmd_scan(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     report = ordinarity_scan(family, args.pmax, args.oracle, args.budget)
-    rows = []
-    primes = []
-    for scan in report.scans:
-        for row in scan.rows:
-            rows.append(
-                [
-                    str(row.prime),
-                    str(row.parameter),
-                    str(row.hasse_witt_value),
-                    row.verdict,
-                    row.oracle_verdict,
-                    "" if row.agree is None else ("true" if row.agree else "false"),
-                ]
-            )
-        primes.append(
-            {
-                "p": scan.prime,
-                "nonordinary": list(scan.nonordinary),
-                "agree": scan.agree,
-                "rows": [
-                    {
-                        "lambda": r.parameter,
-                        "a_p": str(r.hasse_witt_value),
-                        "verdict": r.verdict,
-                        "oracle_verdict": r.oracle_verdict,
-                        "agree": r.agree,
-                    }
-                    for r in scan.rows
-                ],
-            }
-        )
+    rows = [
+        [r.prime, r.parameter, r.hasse_witt_value, r.verdict, r.oracle_verdict, r.agree]
+        for scan in report.scans
+        for r in scan.rows
+    ]
+    primes = [
+        {
+            "p": scan.prime,
+            "nonordinary": list(scan.nonordinary),
+            "agree": scan.agree,
+            "rows": [
+                {
+                    "lambda": r.parameter,
+                    "a_p": str(r.hasse_witt_value),
+                    "verdict": r.verdict,
+                    "oracle_verdict": r.oracle_verdict,
+                    "agree": r.agree,
+                }
+                for r in scan.rows
+            ],
+        }
+        for scan in report.scans
+    ]
     payload = {
         "family": family,
         "pmax": args.pmax,
@@ -274,31 +270,22 @@ def _cmd_pf_check(args) -> ResultDoc:
         )
     log = family_logarithm(family, max(args.kmax, 1), "closed-form")
     results = pf_congruence_check(quintic_picard_fuchs(), log, args.kmax)
-    rows = []
-    checks = []
-    for r in results:
-        residual = "" if r.residual is None else format_value(r.residual)
-        rows.append([str(r.k), "true" if r.passed else "false", residual])
-        checks.append(
-            {
-                "k": r.k,
-                "passed": r.passed,
-                "residual": None if r.residual is None else value_to_obj(r.residual),
-            }
-        )
+    checks = [
+        {"k": r.k, "passed": r.passed, "residual": None if r.residual is None else value_to_obj(r.residual)}
+        for r in results
+    ]
     payload = {
         "family": family,
         "kmax": args.kmax,
         "all_passed": all(r.passed for r in results),
         "checks": checks,
     }
-    return ResultDoc(payload, ["k", "pass", "residual"], rows)
+    return ResultDoc(payload, ["k", "pass", "residual"], [[r.k, r.passed, r.residual] for r in results])
 
 
 def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     check = frobenius_power_congruence(builtin_family(family).closed_form, args.p, args.nu)
-    residual = "" if check.residual is None else format_value(check.residual)
     payload = {
         "family": family,
         "p": args.p,
@@ -306,7 +293,7 @@ def _cmd_congruence(args) -> ResultDoc:
         "passed": check.passed,
         "residual": None if check.residual is None else value_to_obj(check.residual),
     }
-    rows = [[str(args.p), str(args.nu), "true" if check.passed else "false", residual]]
+    rows = [[args.p, args.nu, check.passed, check.residual]]
     return ResultDoc(payload, ["p", "nu", "pass", "residual"], rows)
 
 
@@ -339,7 +326,7 @@ def load_config(path: str, command: str) -> list[str]:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown config key {_excerpt(repr(key), 80)}")
         if key not in takes or (key == "oracle" and value.lower() in _FALSE):
             continue
         # --oracle is a switch: argparse rejects any value left on it
@@ -473,7 +460,8 @@ def main(argv=None) -> int:
     except (UsageError, UnknownFamilyError) as exc:
         # an unreadable input file reads like an unwritable output path
         kind = "" if isinstance(exc.__cause__, (OSError, UnicodeDecodeError)) else "usage error: "
-        print(f"wittkit: {kind}{exc}", file=sys.stderr)
+        message = _bounded(str(exc)) if isinstance(exc, UnknownFamilyError) else exc
+        print(f"wittkit: {kind}{message}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:
         print(f"wittkit: budget exceeded: {exc}", file=sys.stderr)

@@ -375,28 +375,14 @@ def divide_exact(value: Value, k: int) -> Value:
 
 
 def format_value(value: Value) -> str:
-    """Canonical text form: terms ascending by degree, explicit * and ^.
+    """Canonical text form: terms ascending by degree, explicit * and ^, each
+    coefficient printed exactly however many digits it has.
 
     >>> format_value(SparsePolynomial(("x",), {(0,): 1, (5,): -120}))
     '1-120*x^5'
     """
-    try:
-        return _format_value(value, str)
-    except ValueError:  # an integer past CPython's digit limit for str()
-        return _format_value(value, _long_str)
-
-
-def _long_str(c: Scalar) -> str:
-    """``str(c)`` for a scalar of any size: CPython's ``str`` refuses ints of
-    more than 4,300 digits, and ``decimal`` has no such limit."""
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{_long_str(c.numerator)}/{_long_str(c.denominator)}"
-    return str(Decimal(int(c)))
-
-
-def _format_value(value: Value, text_of) -> str:
     if _is_scalar(value):
-        return text_of(value)
+        return _scalar_text(value)
     if not value.terms:
         return "0"
     parts = []
@@ -405,18 +391,29 @@ def _format_value(value: Value, text_of) -> str:
             f"{v}^{e}" for v, e in zip(value.variables, exps) if e
         )
         if not mono:
-            text = text_of(c)
+            text = _scalar_text(c)
         elif c == 1:
             text = mono
         elif c == -1:
             text = "-" + mono
         else:
-            text = f"{text_of(c)}*{mono}"
+            text = f"{_scalar_text(c)}*{mono}"
         parts.append(text)
     out = parts[0]
     for text in parts[1:]:
         out += text if text.startswith("-") else "+" + text
     return out
+
+
+def _scalar_text(c: Scalar) -> str:
+    """``str(c)`` for a scalar of any size: CPython's ``str`` refuses ints of
+    more than 4,300 digits, and ``decimal`` has no such limit."""
+    try:
+        return str(c)
+    except ValueError:
+        if isinstance(c, Fraction) and c.denominator != 1:
+            return f"{_scalar_text(c.numerator)}/{_scalar_text(c.denominator)}"
+        return str(Decimal(int(c)))
 
 
 # -- spec-level operation names ---------------------------------------------

@@ -2,8 +2,10 @@
 
 All numbers travel as decimal strings so arbitrary precision survives the
 trip; rationals use the form ``p/q``.  Keys are emitted sorted and rows
-sorted, so identical values always produce identical bytes.  The schemas and
-the polynomial text grammar are documented in docs/formats.md.
+sorted, so identical values always produce identical bytes.  Callers hand
+over plain values: every number and polynomial is printed here, TSV cells
+by the one rule of ``tsv_dumps``.  The schemas and the polynomial text
+grammar are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .formal_groups import FormalGroupLaw, Logarithm
-from .polynomials import SparsePolynomial, Value, _long_str
+from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
 from .series import TruncatedSeries
 from .witt import WittVector
 
@@ -32,17 +34,10 @@ def value_to_obj(value: Value) -> dict:
     """Every value is carried as a polynomial; scalars get no variables."""
     if not isinstance(value, SparsePolynomial):
         value = SparsePolynomial.constant(value)
-    try:
-        return _polynomial_obj(value, str)
-    except ValueError:  # an integer past CPython's digit limit for str()
-        return _polynomial_obj(value, _long_str)
-
-
-def _polynomial_obj(value: SparsePolynomial, text_of) -> dict:
     return {
         "variables": list(value.variables),
         "terms": [
-            {"exponents": list(exps), "coefficient": text_of(c)}
+            {"exponents": list(exps), "coefficient": _scalar_text(c)}
             for exps, c in value.sorted_terms()
         ],
     }
@@ -141,8 +136,23 @@ def json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def tsv_dumps(header: list[str], rows: list[list[str]]) -> str:
+def tsv_dumps(header: list[str], rows: list[list]) -> str:
+    """The header line, then one line per row, tab-separated.  A cell of
+    ``None`` is empty, a bool is ``true``/``false``, a string is printed as
+    given, and any other value is its exact ``format_value`` text."""
     lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(row))
+    lines.extend("\t".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    kind = type(value)  # str and int first: they are most of the cells
+    if kind is str:
+        return value
+    if kind is int:
+        return _scalar_text(value)
+    if value is None:
+        return ""
+    if kind is bool:
+        return "true" if value else "false"
+    return format_value(value)

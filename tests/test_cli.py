@@ -275,6 +275,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
                        "hesse-cubic", "--mmax", "2")
     assert code == 1
     assert "unknown config key" in err
+    config.write_text("m" * 100_000 + " = 3\n")
+    code, _, err = run(capsys, "am-log", "--config", str(config), "--family",
+                       "hesse-cubic", "--mmax", "2")
+    assert code == 1
+    assert len(err.encode("utf-8")) < 1000
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):
@@ -315,8 +320,9 @@ def test_config_presets_every_flag_it_names(tmp_path, capsys):
     [
         ("format = xml", ("am-log", "--family", "hesse-cubic", "--mmax", "3")),
         ("oracle = maybe", ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "5")),
+        ("format = " + "x" * 100_000, ("am-log", "--family", "hesse-cubic", "--mmax", "3")),
     ],
-    ids=["format", "oracle"],
+    ids=["format", "oracle", "format-long"],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, line, request_argv):
     config = tmp_path / "bad.conf"
@@ -325,6 +331,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, line, request_ar
     assert code == 1
     assert out == ""
     assert err.startswith(f"wittkit: usage error: {config}:1: bad value for ")
+    assert len(err.encode("utf-8")) < 1000
 
 
 def test_config_skips_keys_of_other_subcommands(tmp_path, capsys):
@@ -463,6 +470,35 @@ def test_usage_errors_quote_a_bounded_prefix_of_the_input(capsys, flag, text):
     assert len(err.encode("utf-8")) < 1000
 
 
+_LONG = "a" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, head, tail",
+    [
+        pytest.param(("fgl", "--family", "hesse", "--deg", "2", "--at-x", _LONG),
+                     "argument --at-x: invalid int value: 'aaa", "…\n", id="at-x"),
+        pytest.param(("am-log", "--family", _LONG, "--mmax", "2"), "unknown family 'aaa",
+                     "…; available: hesse-cubic, quartic-k3, quintic-cy3\n", id="family"),
+        pytest.param(("am-log", "--family", "hesse", "--mmax", "2", "--format", _LONG),
+                     "argument --format: invalid choice: 'aaa", "… (choose from 'json', 'tsv')\n",
+                     id="format"),
+        pytest.param(("witt", "--op", _LONG), "argument --op: invalid choice: 'aaa",
+                     "'verschiebung', 'truncate')\n", id="op"),
+        pytest.param(("am-log", "--family", "hesse", "--mmax", "9" * 5_000),
+                     "argument --mmax: invalid int value: '999", "…\n", id="mmax"),
+        pytest.param(("witt", "--op", "neg", "--u", "[1]", _LONG, *["x"] * 2_000),
+                     "unrecognized arguments: aaa", "…\n", id="unrecognized"),
+    ],
+)
+def test_malformed_flag_values_are_quoted_bounded(capsys, argv, head, tail):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("wittkit: usage error: " + head) and err.endswith(tail)
+    assert len(err.encode("utf-8")) < 1000
+
+
 _SCHEMA_KEYS = ("variables", "terms", "exponents", "coefficient", "coords", "length")
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -480,3 +516,53 @@ def test_random_json_exits_with_a_documented_code(obj, flag):
     argv = ["witt", "--op", *op, f"{flag}={json.dumps(obj)}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2)
+
+
+# values stay small so that every request is cheap: p^nu, mmax, deg, kmax and pmax
+_SMALL = st.integers(-3, 8).map(str)
+_JUNK = st.text(max_size=6) | st.sampled_from(["a", "9", "[", "-", " ", "'", '"\\']).map(lambda c: c * 5_000)
+_FAMILY = st.sampled_from(["hesse-cubic", "quartic-k3", "quintic-cy3", "hesse", "quartic", "quintic"])
+_RING = st.integers(-3, 3).map(str) | st.sampled_from([json.dumps(_poly(["x"], [1], "2")), '"1/2"'])
+_WITT = st.lists(st.integers(-3, 3) | st.just("1/2"), max_size=3).map(
+    lambda coords: json.dumps({"coords": [str(c) for c in coords]})
+)
+_FLAG_STRATEGIES = {
+    "witt": {"op": st.sampled_from(tuple(_WITT_OPS)), "a": _RING, "u": _WITT, "v": _WITT,
+             "g": st.lists(_RING, max_size=3).map(lambda e: "[" + ", ".join(e) + "]"),
+             "m": _SMALL, "k": _SMALL, "length": _SMALL},
+    "am-log": {"family": _FAMILY, "mmax": _SMALL, "method": st.sampled_from(["extraction", "closed-form"]),
+               "mod": _SMALL},
+    "fgl": {"family": _FAMILY, "deg": _SMALL, "at-x": _SMALL,
+            "method": st.sampled_from(["extraction", "closed-form"])},
+    "scan-ordinary": {"family": _FAMILY, "pmax": _SMALL, "oracle": None, "budget": _SMALL},
+    "pf-check": {"family": _FAMILY, "kmax": _SMALL},
+    "congruence": {"family": _FAMILY, "p": _SMALL, "nu": st.integers(-3, 3).map(str)},
+}
+
+
+@st.composite
+def _flag_sets(draw):
+    """A subcommand with its required flags (each left out now and then), some
+    of its other flags, and now and then junk in place of a valid value."""
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    argv, op = [command], None
+    for flag, strategy in {**_FLAG_STRATEGIES[command], "format": st.sampled_from(["json", "tsv"])}.items():
+        required = flag in _REQUIRED[command] + _REQUIRED.get(op, ())
+        if draw(st.integers(0, 9)) >= (9 if required else 3):
+            continue
+        if strategy is None:  # a switch
+            argv.append(f"--{flag}")
+            continue
+        value = draw(_JUNK if draw(st.integers(0, 9)) == 0 else strategy)
+        op = value if flag == "op" else op
+        argv += [f"--{flag}", value] if draw(st.booleans()) else [f"--{flag}={value}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_flag_sets())
+def test_random_flags_exit_with_a_documented_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 1, 2, 3)
+    assert len(err.getvalue().encode("utf-8")) < 1000

@@ -106,6 +106,13 @@ def test_tsv_shape():
     text = tsv_dumps(["a", "b"], [["1", "2"], ["3", "4"]])
     assert text == "a\tb\n1\t2\n3\t4\n"
     assert tsv_dumps(["only", "header"], []) == "only\theader\n"
+    # cells that are values all print by one rule, exact past str()'s digit limit
+    row = [None, True, False, "as is", 0, -7, Fraction(-1, 3), 1 - 120 * X**5,
+           -10**5000, Fraction(-10**5000 - 1, 3)]
+    assert tsv_dumps(["c"] * len(row), [row]).split("\n")[1].split("\t") == [
+        "", "true", "false", "as is", "0", "-7", "-1/3", "1-120*x^5",
+        "-1" + "0" * 5000, "-1" + "0" * 4999 + "1/3",
+    ]
 
 
 def test_text_grammar():
