@@ -6,12 +6,12 @@ its coefficients clear every denominator, and print the low-degree terms.
 """
 
 import argparse
-import os
-import sys
 
 from wittkit.families import FAMILY_IDS, builtin_family, am_logarithm, resolve_family_id
 from wittkit.formal_groups import group_law_from_logarithm, integrality_report
 from wittkit.polynomials import format_value
+
+from _script import Parser, run_main
 
 
 def run(args: argparse.Namespace) -> int:
@@ -34,7 +34,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--deg", type=int, default=8)
     parser.add_argument("--family", action="append", type=resolve_family_id,
                         help="restrict to one family (repeatable)")
@@ -42,11 +42,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+    run_main(main)

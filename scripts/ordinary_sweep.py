@@ -7,13 +7,14 @@ projective plane per prime counts every fiber).
 """
 
 import argparse
-import os
 import sys
 import time
 
 from wittkit.families import resolve_family_id
 from wittkit.ordinarity import ELLIPTIC_FAMILIES, ordinarity_scan
 from wittkit.serialize import tsv_dumps
+
+from _script import Parser, run_main
 
 
 def run(args: argparse.Namespace) -> int:
@@ -31,7 +32,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--family", type=resolve_family_id, choices=ELLIPTIC_FAMILIES,
                         default="hesse-cubic", help="an elliptic pencil (the oracle's scope)")
     parser.add_argument("--pmax", type=int, default=31)
@@ -40,11 +41,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+    run_main(main)

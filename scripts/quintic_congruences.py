@@ -8,8 +8,6 @@ Frobenius congruence.
 """
 
 import argparse
-import os
-import sys
 
 from wittkit.families import closed_form_logarithm
 from wittkit.ordinarity import frobenius_power_congruence
@@ -19,6 +17,8 @@ from wittkit.picard_fuchs import (
     quintic_picard_fuchs,
     series_solution_check,
 )
+
+from _script import Parser, run_main
 
 
 #: Primes at which a_(p^2) = a_p * a_p^p mod p is checked.
@@ -54,18 +54,11 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=50)
     parser.add_argument("--order", type=int, default=200)
     return run(parser.parse_args())
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+    run_main(main)

@@ -3,10 +3,13 @@
 Subcommands: witt, am-log, fgl, scan-ordinary, pf-check, congruence.  Each
 run emits exactly one result document (JSON or TSV per --format) on stdout
 or at --out, deterministically: identical requests on identical builds give
-byte-identical output.  --manifest PATH additionally records the request, a
-wall time, and a content hash of the result bytes.  --config PATH presets
-flags from key=value lines; each subcommand's parser is the one declaration
-of its flags' types, choices and defaults, and checks the presets too.
+byte-identical output.  Each handler builds one value table per result; the
+TSV document prints it, and the JSON payload, a keyed view of it, is built
+only when --format json asks for it.  --manifest PATH additionally records
+the request, a wall time, and a content hash of the result bytes.  --config
+PATH presets flags from key=value lines; each subcommand's parser is the one
+declaration of its flags' types, choices and defaults, and checks the
+presets too.
 
 Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
 unwritable output path), 2 precondition violation, 3 budget exceeded.
@@ -17,11 +20,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__
@@ -75,14 +80,17 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class ResultDoc:
-    payload: dict
+    """One result: its value table, and its JSON payload as a zero-argument
+    callable that builds a keyed view of that table on demand."""
+
     tsv_header: list[str]
     tsv_rows: list[list]
+    payload: Callable[[], dict]
 
     def emit(self, fmt: str) -> str:
         if fmt == "tsv":
             return tsv_dumps(self.tsv_header, self.tsv_rows)
-        return json_dumps(self.payload)
+        return json_dumps(self.payload())
 
 
 def _parse_json(text: str, what: str, reader):
@@ -145,13 +153,12 @@ def _ghost_from_obj(obj) -> GhostVector:
 
 def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> ResultDoc:
     ghost = to_ghost(w) if ghost is None else ghost
-    payload = {
+    rows = [[i, a, g] for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)]
+    return ResultDoc(["index", "coordinate", "ghost"], rows, lambda: {
         "op": op,
         "result": witt_to_obj(w),
         "ghost": [value_to_obj(g) for g in ghost.entries],
-    }
-    rows = [[i, a, g] for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)]
-    return ResultDoc(payload, ["index", "coordinate", "ghost"], rows)
+    })
 
 
 def _cmd_witt(args) -> ResultDoc:
@@ -167,10 +174,11 @@ def _cmd_witt(args) -> ResultDoc:
     if op == "neg":
         return _witt_result(op, *witt_neg(u, with_ghost=True))
     if op == "ghost":
-        ghost = to_ghost(u)
-        payload = {"op": op, "ghost": [value_to_obj(g) for g in ghost.entries]}
-        rows = [[i, g] for i, g in enumerate(ghost.entries, 1)]
-        return ResultDoc(payload, ["index", "ghost"], rows)
+        rows = [[i, g] for i, g in enumerate(to_ghost(u).entries, 1)]
+        return ResultDoc(["index", "ghost"], rows, lambda: {
+            "op": op,
+            "ghost": [value_to_obj(g) for _, g in rows],
+        })
     if op == "frobenius":
         return _witt_result(op, *witt_frobenius(args.m, u, args.length, with_ghost=True))
     if op == "verschiebung":
@@ -181,22 +189,16 @@ def _cmd_witt(args) -> ResultDoc:
 def _cmd_am_log(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     log = family_logarithm(family, args.mmax, args.method)
-    rows = []
-    entries = []
-    for m in range(1, args.mmax + 1):
-        value = log.coefficient(m)
-        if args.mod is not None:
-            value = as_x_polynomial(value).reduce_mod(args.mod)
-        rows.append([m, value])
-        entries.append({"m": m, "a": value_to_obj(value)})
-    payload = {
+    rows = [[m, log.coefficient(m)] for m in range(1, args.mmax + 1)]
+    if args.mod is not None:
+        rows = [[m, as_x_polynomial(a).reduce_mod(args.mod)] for m, a in rows]
+    return ResultDoc(["m", "a_m"], rows, lambda: {
         "family": family,
         "method": args.method,
         "mmax": args.mmax,
         "mod": args.mod,
-        "coefficients": entries,
-    }
-    return ResultDoc(payload, ["m", "a_m"], rows)
+        "coefficients": [{"m": m, "a": value_to_obj(a)} for m, a in rows],
+    })
 
 
 def _cmd_fgl(args) -> ResultDoc:
@@ -206,22 +208,18 @@ def _cmd_fgl(args) -> ResultDoc:
         log = Logarithm("Z", [a.evaluate({"x": args.at_x}) for a in log.coeffs])
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
-    terms = []
     rows = []
     for (i, j), c in law.series.sorted_terms():
         ok = is_integral(c)
-        display = as_integral(c) if ok else c
-        terms.append({"i": i, "j": j, "coeff": value_to_obj(display), "integral": ok})
-        rows.append([i, j, display, ok])
-    payload = {
+        rows.append([i, j, as_integral(c) if ok else c, ok])
+    return ResultDoc(["i", "j", "coeff", "integral"], rows, lambda: {
         "family": family,
         "degree": args.deg,
         "at_x": args.at_x,
         "integral": report.passed,
         "failures": [{"i": i, "j": j} for i, j, _ in report.failures],
-        "terms": terms,
-    }
-    return ResultDoc(payload, ["i", "j", "coeff", "integral"], rows)
+        "terms": [{"i": i, "j": j, "coeff": value_to_obj(c), "integral": ok} for i, j, c, ok in rows],
+    })
 
 
 def _cmd_scan(args) -> ResultDoc:
@@ -232,33 +230,37 @@ def _cmd_scan(args) -> ResultDoc:
         for scan in report.scans
         for r in scan.rows
     ]
-    primes = [
-        {
-            "p": scan.prime,
-            "nonordinary": list(scan.nonordinary),
-            "agree": scan.agree,
-            "rows": [
+    # the payload reads the table, not the report, so the report is freed on return
+    primes = [(s.prime, list(s.nonordinary), s.agree, len(s.rows)) for s in report.scans]
+    all_agree = report.all_agree if args.oracle else None
+
+    def payload() -> dict:
+        table = iter(rows)  # each prime's rows, in order, are the next `count` of the table
+        return {
+            "family": family,
+            "pmax": args.pmax,
+            "oracle": args.oracle,
+            "all_agree": all_agree,
+            "primes": [
                 {
-                    "lambda": r.parameter,
-                    "a_p": str(r.hasse_witt_value),
-                    "verdict": r.verdict,
-                    "oracle_verdict": r.oracle_verdict,
-                    "agree": r.agree,
+                    "p": p,
+                    "nonordinary": nonordinary,
+                    "agree": agree,
+                    "rows": [
+                        {"lambda": lam, "a_p": str(a_p), "verdict": v, "oracle_verdict": o, "agree": ok}
+                        for _, lam, a_p, v, o, ok in itertools.islice(table, count)
+                    ],
                 }
-                for r in scan.rows
+                for p, nonordinary, agree, count in primes
             ],
         }
-        for scan in report.scans
-    ]
-    payload = {
-        "family": family,
-        "pmax": args.pmax,
-        "oracle": args.oracle,
-        "all_agree": report.all_agree if args.oracle else None,
-        "primes": primes,
-    }
-    header = ["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"]
-    return ResultDoc(payload, header, rows)
+
+    return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], rows, payload)
+
+
+def _residual_obj(residual):
+    """A check's residual in a JSON payload: ``None`` when it passed."""
+    return None if residual is None else value_to_obj(residual)
 
 
 def _cmd_pf_check(args) -> ResultDoc:
@@ -270,31 +272,26 @@ def _cmd_pf_check(args) -> ResultDoc:
         )
     log = family_logarithm(family, max(args.kmax, 1), "closed-form")
     results = pf_congruence_check(quintic_picard_fuchs(), log, args.kmax)
-    checks = [
-        {"k": r.k, "passed": r.passed, "residual": None if r.residual is None else value_to_obj(r.residual)}
-        for r in results
-    ]
-    payload = {
+    rows = [[r.k, r.passed, r.residual] for r in results]
+    return ResultDoc(["k", "pass", "residual"], rows, lambda: {
         "family": family,
         "kmax": args.kmax,
-        "all_passed": all(r.passed for r in results),
-        "checks": checks,
-    }
-    return ResultDoc(payload, ["k", "pass", "residual"], [[r.k, r.passed, r.residual] for r in results])
+        "all_passed": all(ok for _, ok, _ in rows),
+        "checks": [{"k": k, "passed": ok, "residual": _residual_obj(res)} for k, ok, res in rows],
+    })
 
 
 def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     check = frobenius_power_congruence(builtin_family(family).closed_form, args.p, args.nu)
-    payload = {
+    rows = [[args.p, args.nu, check.passed, check.residual]]
+    return ResultDoc(["p", "nu", "pass", "residual"], rows, lambda: {
         "family": family,
         "p": args.p,
         "nu": args.nu,
         "passed": check.passed,
-        "residual": None if check.residual is None else value_to_obj(check.residual),
-    }
-    rows = [[args.p, args.nu, check.passed, check.residual]]
-    return ResultDoc(payload, ["p", "nu", "pass", "residual"], rows)
+        "residual": _residual_obj(check.residual),
+    })
 
 
 #: The documented config keys; each presets the subcommand flag of that name.

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from wittkit import cli
 from wittkit.cli import build_parser, main
 
 from conftest import golden_cli_requests, golden_name
@@ -27,6 +28,20 @@ def test_golden_names_unique():
 
 @pytest.mark.parametrize("request_argv", REQUESTS, ids=golden_name)
 def test_golden_output(request_argv, capsys):
+    expected = (GOLDEN_DIR / golden_name(request_argv)).read_bytes()
+    assert main(list(request_argv)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("request_argv", [r for r in REQUESTS if r[-1] == "tsv"], ids=golden_name)
+def test_tsv_requests_build_no_json(request_argv, capsys, monkeypatch):
+    """A TSV request prints its value table; no part of the JSON view is built."""
+
+    def no_json(*args):
+        raise AssertionError("a TSV request built JSON")
+
+    for name in ("value_to_obj", "witt_to_obj", "json_dumps"):
+        monkeypatch.setattr(cli, name, no_json)
     expected = (GOLDEN_DIR / golden_name(request_argv)).read_bytes()
     assert main(list(request_argv)) == 0
     assert capsys.readouterr().out.encode("utf-8") == expected

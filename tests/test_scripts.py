@@ -82,6 +82,24 @@ def test_script_rejects_family_with_usage(name, args):
 
 
 @pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("ordinary_sweep.py", "--family", "a" * 100_000),
+        ("ordinary_sweep.py", "--pmax", "9" * 5_000),
+        ("group_law_tables.py", "--deg", "x" * 100_000),
+        ("quintic_congruences.py", "--kmax", "x" * 100_000),
+    ],
+    ids=["ordinary_sweep-family", "ordinary_sweep-pmax", "group_law_tables-deg", "quintic_congruences-kmax"],
+)
+def test_script_usage_errors_quote_a_bounded_value(name, flag, value):
+    result = run_script(name, f"{flag}={value}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.encode("utf-8")) < 1000
+    assert result.stderr.startswith("usage: ") and f"argument {flag}: invalid" in result.stderr
+
+
+@pytest.mark.parametrize(
     "name, args",
     [
         ("-m wittkit.cli", ("am-log", "--family", "hesse", "--mmax", "5")),
