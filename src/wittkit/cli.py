@@ -41,7 +41,7 @@ from .picard_fuchs import (
     pf_congruence_check,
     quintic_picard_fuchs,
 )
-from .polynomials import as_integral, as_x_polynomial, is_integral
+from .polynomials import as_integral, as_x_polynomial
 from .serialize import (
     SchemaError,
     json_dumps,
@@ -208,10 +208,9 @@ def _cmd_fgl(args) -> ResultDoc:
         log = Logarithm("Z", [a.evaluate({"x": args.at_x}) for a in log.coeffs])
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
-    rows = []
-    for (i, j), c in law.series.sorted_terms():
-        ok = is_integral(c)
-        rows.append([i, j, as_integral(c) if ok else c, ok])
+    failed = {(i, j) for i, j, _ in report.failures}
+    rows = [[i, j, c, False] if (i, j) in failed else [i, j, as_integral(c), True]
+            for (i, j), c in law.series.sorted_terms()]
     return ResultDoc(["i", "j", "coeff", "integral"], rows, lambda: {
         "family": family,
         "degree": args.deg,

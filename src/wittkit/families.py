@@ -9,7 +9,7 @@ of homogeneous coordinates) is
 an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
 are built in, each with a closed-form coefficient rule used as an independent
 oracle; the extraction path is the authority if the two ever disagree.
-Extraction works on exponent vectors packed into ints (see ``am_logarithm``).
+Extraction keeps coefficient sums over coordinate orbits (see ``am_logarithm``).
 
 The regular-sequence and smoothness hypotheses behind the construction are
 not verified (they are not decidable at this level); outputs are meaningful
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import add
 from typing import Callable
 
 from .formal_groups import Logarithm
@@ -193,39 +194,39 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     (Z_0 * ... * Z_N)^k.  Partial terms with a Z-exponent of m_max or more
     are discarded; sound because exponents only grow.
 
-    Exponent vectors are packed into ints: b = (m_max + qmax).bit_length() + 1
-    bits per Z_i (qmax the largest exponent in Q), x unbounded on top.  Z fields
-    are stored plus 2^(b-1) - m_max, so a product is one addition, a field has
-    reached m_max exactly when its top (guard) bit is set, and none carries.
+    One term is kept per orbit of the Z permutations fixing Q, valued at the
+    orbit's coefficient sum.  If the generators (Z_0 Z_1) and (Z_0 ... Z_N)
+    fix Q, x exponents and coefficients included, a term's key is its sorted
+    Z vector and x exponent, else its vector as is.  A step adds D[v] * Q_q
+    to D'[canon(v + q)]: exact, since sigma(v) + sigma(q) lies in the orbit
+    of v + q and Q_sigma(q) = Q_q, and the prune's largest Z-exponent is the
+    same across an orbit.  The diagonal (k, ..., k) is an orbit of one, so
+    its orbit sum is a_{k+1} itself, with no division.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     q = prod(family.polynomials[1:], start=family.polynomials[0])
     zidx = [q.variables.index(v) for v in family.coordinate_variables()]
     xidx = q.variables.index(PARAMETER)
-    b = (m_max + max(map(max, q.terms), default=0)).bit_length() + 1
-    xshift = b * len(zidx)
-    zmask = (1 << xshift) - 1
-    ones = zmask // ((1 << b) - 1)  # 1 in every Z field
-    guard, bias = ones << (b - 1), ones * ((1 << (b - 1)) - m_max)
-    qterms = [(sum(e[i] << b * j for j, i in enumerate(zidx)) + (e[xidx] << xshift), c)
-              for e, c in q.terms.items()]
-
-    partial: dict[int, int] = {bias: 1}
+    qterms = {(tuple(e[i] for i in zidx), e[xidx]): c for e, c in q.terms.items()}
+    ids = tuple(range(len(zidx)))
+    symmetric = all(qterms == {(tuple(z[i] for i in p), x): c for (z, x), c in qterms.items()}
+                    for p in (ids[1::-1] + ids[2:], ids[1:] + ids[:1]))
+    canon = sorted if symmetric else list
+    partial = {((0,) * len(zidx), 0): 1}
     coeffs = []
     for k in range(m_max):
         if k:
-            nxt: dict[int, int] = {}
-            for key, c in partial.items():
-                for qkey, qc in qterms:
-                    merged = key + qkey
-                    if merged & guard:
-                        continue
-                    nxt[merged] = nxt.get(merged, 0) + c * qc
+            nxt: dict[tuple, int] = {}
+            for (z, x), c in partial.items():
+                for (qz, qx), qc in qterms.items():
+                    nz = canon(map(add, z, qz))
+                    if max(nz) < m_max:
+                        key = (tuple(nz), x + qx)
+                        nxt[key] = nxt.get(key, 0) + c * qc
             partial = {e: c for e, c in nxt.items() if c}
-        # a diagonal term is fixed by its x-exponent, so no two share a key
-        diagonal = k * ones + bias
-        a_k = {(e >> xshift,): c for e, c in partial.items() if e & zmask == diagonal}
+        diagonal = (k,) * len(zidx)
+        a_k = {(x,): c for (z, x), c in partial.items() if z == diagonal}
         coeffs.append(SparsePolynomial((PARAMETER,), a_k))
     return Logarithm("Z[x]", coeffs)
 

@@ -3,12 +3,14 @@ import io
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit import cli
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.serialize import witt_to_obj
 from wittkit.witt import WittVector
@@ -61,6 +63,32 @@ def test_fgl_json_reports_integrality(capsys):
     payload = json.loads(out)
     assert payload["integral"] is True
     assert payload["failures"] == []
+
+
+@pytest.mark.parametrize("at_x", [[], ["--at-x", "2"]], ids=["over-Z[x]", "at-x"])
+def test_fgl_rows_and_failures_flag_the_same_terms(capsys, monkeypatch, at_x):
+    """A term given a denominator is flagged in its row and listed in the
+    failures, in both formats, and is printed as it stands."""
+    real = cli.group_law_from_logarithm
+
+    def with_a_failing_term(log, degree):
+        law = real(log, degree)
+        law.series.terms[(2, 2)] = law.series.terms[(2, 2)] * Fraction(1, 7)
+        return law
+
+    monkeypatch.setattr(cli, "group_law_from_logarithm", with_a_failing_term)
+    argv = ("fgl", "--family", "hesse-cubic", "--deg", "4", *at_x)
+    code, out, _ = run(capsys, *argv, "--format", "tsv")
+    assert code == 0
+    lines = (line.split("\t") for line in out.strip().split("\n")[1:])
+    rows = {(i, j): (coeff, ok) for i, j, coeff, ok in lines}
+    assert {key: ok for key, (_, ok) in rows.items() if ok != "true"} == {("2", "2"): "false"}
+    assert rows["2", "2"][0] == ("-72/7" if at_x else "-9/7*x^3")
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert payload["integral"] is False
+    assert payload["failures"] == [{"i": 2, "j": 2}]
+    assert [(t["i"], t["j"]) for t in payload["terms"] if not t["integral"]] == [(2, 2)]
 
 
 def test_scan_matches_library(capsys):

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import comb, factorial, prod
 from operator import add
 
@@ -135,6 +136,13 @@ def test_extraction_equals_closed_form_small():
         assert by_extraction == by_formula
 
 
+def test_extraction_equals_closed_form_at_dwork_sizes():
+    # p^(s+1) <= 49 for the quintic and <= 64 for the quartic (ROADMAP item 3)
+    for family, m_max in (("quintic-cy3", 49), ("quartic-k3", 64)):
+        by_extraction = family_logarithm(family, m_max, "extraction")
+        assert by_extraction == family_logarithm(family, m_max, "closed-form")
+
+
 def test_builtin_laws_integral_smaller_degrees():
     for family, degree in (("hesse-cubic", 6), ("quartic-k3", 6), ("quintic-cy3", 6)):
         log = closed_form_logarithm(family, degree)
@@ -251,5 +259,54 @@ def test_packed_extraction_matches_tuple_reference(family, m_cap):
         packed = am_logarithm(family, m_max)
         reference = _tuple_am_logarithm(family, m_max)
         assert [_exact_shape(packed.coefficient(m)) for m in range(1, m_max + 1)] == [
+            _exact_shape(a) for a in reference
+        ], m_max
+
+
+def _cubic(name, terms):
+    """A cubic in (X, Y, Z) from {(x-exponent, X, Y, Z exponents): coefficient}."""
+    return CompleteIntersectionFamily(name, 2, (SparsePolynomial(("x", "X", "Y", "Z"), terms),), (3,))
+
+
+def _cyclic_cubic():
+    # X^2 Y + Y^2 Z + Z^2 X + x XYZ + 2x (X^3 + Y^3 + Z^3): fixed by the
+    # cycle (X Y Z), moved by the transposition (X Y)
+    return _cubic("cyclic-only", {
+        (0, 2, 1, 0): 1, (0, 0, 2, 1): 1, (0, 1, 0, 2): 1, (1, 1, 1, 1): 1,
+        (1, 3, 0, 0): 2, (1, 0, 3, 0): 2, (1, 0, 0, 3): 2,
+    })
+
+
+def _transposition_cubic():
+    # XYZ + x (X^3 + Y^3 + 2 Z^3): fixed by (X Y), moved by the cycle
+    return _cubic("transposition-only", {
+        (0, 1, 1, 1): 1, (1, 3, 0, 0): 1, (1, 0, 3, 0): 1, (1, 0, 0, 3): 2,
+    })
+
+
+def _symmetric_cubic():
+    # XYZ - x (X^3 + Y^3 + Z^3) + 3x^2 sum_{i != j} Z_i^2 Z_j: fixed by all
+    # of S_3, with three monomial types and coefficients of both signs
+    terms = {(0, 1, 1, 1): 1, (1, 3, 0, 0): -1, (1, 0, 3, 0): -1, (1, 0, 0, 3): -1}
+    for i, j in permutations(range(3), 2):
+        exps = [2, 0, 0, 0]
+        exps[1 + i], exps[1 + j] = 2, 1
+        terms[tuple(exps)] = 3
+    return _cubic("fully-symmetric", terms)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [_cyclic_cubic(), _transposition_cubic(), _symmetric_cubic()],
+    ids=["cyclic-only", "transposition-only", "fully-symmetric"],
+)
+def test_orbit_extraction_matches_tuple_reference_under_partial_symmetry(family):
+    """Sorting the Z vectors of a Q that only part of S_(N+1) fixes gives
+    wrong coefficients by m = 12, so the symmetry test must see both
+    generators."""
+    for m_max in range(1, 13):
+        got = am_logarithm(family, m_max)
+        reference = _tuple_am_logarithm(family, m_max)
+        assert [_exact_shape(got.coefficient(m)) for m in range(1, m_max + 1)] == [
             _exact_shape(a) for a in reference
         ], m_max
