@@ -9,7 +9,7 @@ of homogeneous coordinates) is
 an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
 are built in, each with a closed-form coefficient rule used as an independent
 oracle; the extraction path is the authority if the two ever disagree.
-Extraction keeps coefficient sums over coordinate orbits (see ``am_logarithm``).
+Extraction keys orbit sums by Z vector; a_m's terms ascend in x (see ``am_logarithm``).
 
 The regular-sequence and smoothness hypotheses behind the construction are
 not verified (they are not decidable at this level); outputs are meaningful
@@ -47,12 +47,17 @@ class CompleteIntersectionFamily:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.polynomials) != len(self.degrees):
-            raise ValueError("one degree per polynomial")
+        if not self.polynomials or len(self.polynomials) != len(self.degrees):
+            raise ValueError("need at least one polynomial and one degree per polynomial")
         if sum(self.degrees) != self.ambient_dim + 1:
             raise ValueError(
                 f"degrees {self.degrees} must sum to N+1 = {self.ambient_dim + 1}"
             )
+        variables = self.polynomials[0].variables
+        if any(poly.variables != variables for poly in self.polynomials):
+            raise ValueError(f"every polynomial must declare the variables {variables}")
+        if PARAMETER not in variables:
+            raise ValueError(f"variables {variables} do not contain the parameter {PARAMETER!r}")
         zvars = self.coordinate_variables()
         if len(zvars) != self.ambient_dim + 1:
             raise ValueError(
@@ -194,14 +199,20 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     (Z_0 * ... * Z_N)^k.  Partial terms with a Z-exponent of m_max or more
     are discarded; sound because exponents only grow.
 
-    One term is kept per orbit of the Z permutations fixing Q, valued at the
-    orbit's coefficient sum.  If the generators (Z_0 Z_1) and (Z_0 ... Z_N)
-    fix Q, x exponents and coefficients included, a term's key is its sorted
-    Z vector and x exponent, else its vector as is.  A step adds D[v] * Q_q
-    to D'[canon(v + q)]: exact, since sigma(v) + sigma(q) lies in the orbit
-    of v + q and Q_sigma(q) = Q_q, and the prune's largest Z-exponent is the
-    same across an orbit.  The diagonal (k, ..., k) is an orbit of one, so
-    its orbit sum is a_{k+1} itself, with no division.
+    The expansion maps each Z vector to {x exponent: coefficient} and groups
+    Q's terms by Z part, so each (Z vector, Z part of Q) pair costs one
+    canonicalization and one prune test.  One Z vector is kept per orbit
+    of the Z permutations fixing Q, valued at the orbit's coefficient sums.
+    If the generators (Z_0 Z_1) and (Z_0 ... Z_N) fix Q, x exponents and
+    coefficients included, the key is the sorted Z vector, else the vector
+    as is.  A step adds D[v] * Q_q to D'[canon(v + q)]: exact, since
+    sigma(v) + sigma(q) lies in the orbit of v + q and Q_sigma(q) = Q_q, and
+    the prune's largest Z-exponent is the same across an orbit.  The diagonal
+    (k, ..., k) is an orbit of one, so its orbit sum is a_{k+1} itself, with
+    no division.  The terms of a_m ascend in x.
+
+    >>> am_logarithm(builtin_family("hesse-cubic").family, 7).coefficient(7).terms
+    {(0,): 1, (3,): 120, (6,): 90}
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -213,21 +224,25 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     symmetric = all(qterms == {(tuple(z[i] for i in p), x): c for (z, x), c in qterms.items()}
                     for p in (ids[1::-1] + ids[2:], ids[1:] + ids[:1]))
     canon = sorted if symmetric else list
-    partial = {((0,) * len(zidx), 0): 1}
+    qrows: dict[tuple, list] = {}
+    for (qz, qx), qc in qterms.items():
+        qrows.setdefault(qz, []).append((qx, qc))
+    partial = {(0,) * len(zidx): {0: 1}}
     coeffs = []
     for k in range(m_max):
         if k:
-            nxt: dict[tuple, int] = {}
-            for (z, x), c in partial.items():
-                for (qz, qx), qc in qterms.items():
+            nxt: dict[tuple, dict[int, int]] = {}
+            for z, row in partial.items():
+                for qz, qrow in qrows.items():
                     nz = canon(map(add, z, qz))
                     if max(nz) < m_max:
-                        key = (tuple(nz), x + qx)
-                        nxt[key] = nxt.get(key, 0) + c * qc
-            partial = {e: c for e, c in nxt.items() if c}
-        diagonal = (k,) * len(zidx)
-        a_k = {(x,): c for (z, x), c in partial.items() if z == diagonal}
-        coeffs.append(SparsePolynomial((PARAMETER,), a_k))
+                        out = nxt.setdefault(tuple(nz), {})
+                        for x, c in row.items():
+                            for qx, qc in qrow:
+                                out[x + qx] = out.get(x + qx, 0) + c * qc
+            partial = {z: r for z, row in nxt.items() if (r := {x: c for x, c in row.items() if c})}
+        a_k = partial.get((k,) * len(zidx), {})
+        coeffs.append(SparsePolynomial((PARAMETER,), {(x,): a_k[x] for x in sorted(a_k)}))
     return Logarithm("Z[x]", coeffs)
 
 

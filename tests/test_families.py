@@ -60,6 +60,16 @@ def test_family_invariants_enforced():
         CompleteIntersectionFamily("bad", 1, (bad,), (3,))  # not homogeneous deg 3
     with pytest.raises(ValueError):
         CompleteIntersectionFamily("bad", 2, (bad,), (2,))  # degrees don't sum to N+1
+    variables = ("x", "Z0", "Z1", "Z2", "Z3")
+    p1 = SparsePolynomial(variables, {(0, 1, 1, 0, 0): 1, (1, 0, 0, 1, 1): 1})
+    p2 = SparsePolynomial(variables[1:], {(0, 0, 1, 1): 1, (1, 1, 0, 0): 1})
+    with pytest.raises(ValueError, match="every polynomial must declare the variables"):
+        CompleteIntersectionFamily("bad", 3, (p1, p2), (2, 2))  # no shared variable tuple
+    no_x = SparsePolynomial(("X", "Y", "Z"), {(1, 1, 1): 1, (3, 0, 0): 1})
+    with pytest.raises(ValueError, match="do not contain the parameter 'x'"):
+        CompleteIntersectionFamily("bad", 2, (no_x,), (3,))  # no parameter x
+    with pytest.raises(ValueError, match="at least one polynomial"):
+        CompleteIntersectionFamily("bad", -1, (), ())  # no polynomial
 
 
 def test_first_coefficient_is_one():
@@ -137,8 +147,11 @@ def test_extraction_equals_closed_form_small():
 
 
 def test_extraction_equals_closed_form_at_dwork_sizes():
-    # p^(s+1) <= 49 for the quintic and <= 64 for the quartic (ROADMAP item 3)
-    for family, m_max in (("quintic-cy3", 49), ("quartic-k3", 64)):
+    # p^(s+1) <= 49 for the quintic, <= 64 for the quartic, and 3^4 = 81
+    # (s = 3) for the cubic and the quartic
+    for family, m_max in (
+        ("quintic-cy3", 49), ("quartic-k3", 64), ("hesse-cubic", 81), ("quartic-k3", 81)
+    ):
         by_extraction = family_logarithm(family, m_max, "extraction")
         assert by_extraction == family_logarithm(family, m_max, "closed-form")
 
@@ -192,8 +205,9 @@ def test_hesse_extraction_against_unpruned_power():
 
 
 def _tuple_am_logarithm(family, m_max):
-    """Reference: the expansion with tuple exponent keys that am_logarithm
-    ran before exponent vectors were packed into ints."""
+    """Reference: the plain pruned expansion of Q^k, keyed by whole exponent
+    tuples (x and every Z), with no orbit sums and no grouping by Z vector.
+    Its terms come in the order the expansion meets them."""
     q = prod(family.polynomials[1:], start=family.polynomials[0])
     zidx = [q.variables.index(v) for v in family.coordinate_variables()]
     xidx = q.variables.index("x")
@@ -219,9 +233,15 @@ def _exact_shape(value):
     return type(value), [(e, c, type(c)) for e, c in value.terms.items()]
 
 
+def _ascending_in_x(a):
+    """a with its terms in ascending x, the order am_logarithm states."""
+    return SparsePolynomial(a.variables, dict(sorted(a.terms.items())))
+
+
 def _field_width_edges(family, m_cap):
-    """m_max = 1 and each m_max on either side of m_max + qmax reaching a
-    power of two, where the packed field width grows by one bit."""
+    """The m_max grid up to m_cap: 1 and each m_max on either side of
+    m_max + qmax reaching a power of two, so both small and large sizes are
+    checked, each with its neighbor."""
     q = prod(family.polynomials[1:], start=family.polynomials[0])
     qmax = max(max(e) for e in q.terms)
     edges = {1}
@@ -256,10 +276,10 @@ def test_packed_extraction_matches_tuple_reference(family, m_cap):
     edges = _field_width_edges(family, m_cap)
     assert m_cap in edges
     for m_max in edges:
-        packed = am_logarithm(family, m_max)
+        got = am_logarithm(family, m_max)
         reference = _tuple_am_logarithm(family, m_max)
-        assert [_exact_shape(packed.coefficient(m)) for m in range(1, m_max + 1)] == [
-            _exact_shape(a) for a in reference
+        assert [_exact_shape(got.coefficient(m)) for m in range(1, m_max + 1)] == [
+            _exact_shape(_ascending_in_x(a)) for a in reference
         ], m_max
 
 
@@ -308,5 +328,5 @@ def test_orbit_extraction_matches_tuple_reference_under_partial_symmetry(family)
         got = am_logarithm(family, m_max)
         reference = _tuple_am_logarithm(family, m_max)
         assert [_exact_shape(got.coefficient(m)) for m in range(1, m_max + 1)] == [
-            _exact_shape(a) for a in reference
+            _exact_shape(_ascending_in_x(a)) for a in reference
         ], m_max
