@@ -1,6 +1,6 @@
 """What the scripts under scripts/ share: a parser whose usage errors quote
-a bounded excerpt of a malformed value, and the run that turns a closed
-stdout into exit 1.
+a bounded excerpt of a malformed value, and the run that maps errors to the
+CLI's exit codes with no traceback.
 
     from _script import Parser, run_main
 """
@@ -9,7 +9,8 @@ import argparse
 import os
 import sys
 
-from wittkit.cli import _bounded
+from wittkit.cli import BUDGET_ERROR, PRECONDITION_ERROR, _bounded
+from wittkit.ordinarity import BudgetExceededError
 
 
 class Parser(argparse.ArgumentParser):
@@ -21,7 +22,10 @@ class Parser(argparse.ArgumentParser):
 
 
 def run_main(main) -> None:
-    """Exit with ``main()``'s code; a closed stdout exits 1 with no traceback."""
+    """Exit with ``main()``'s code.  A closed stdout exits 1, a precondition
+    violation 2 and a budget overrun 3, as in the CLI, each with no traceback;
+    the last two print one line naming the script."""
+    name = os.path.basename(sys.argv[0])
     try:
         code = main()
         sys.stdout.flush()
@@ -29,4 +33,10 @@ def run_main(main) -> None:
         # the reader is gone: point stdout at devnull so the flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    except BudgetExceededError as exc:
+        print(f"{name}: budget exceeded: {exc}", file=sys.stderr)
+        code = BUDGET_ERROR
+    except (ValueError, ArithmeticError) as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        code = PRECONDITION_ERROR
     sys.exit(code)

@@ -20,10 +20,9 @@ from _script import Parser, run_main
 def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = ordinarity_scan(args.family, args.pmax, with_oracle=True, budget=args.budget)
-    rows = [[r.prime, r.parameter, r.hasse_witt_value, r.verdict, r.oracle_verdict, r.agree]
-            for scan in report.scans for r in scan.rows]
+    rows = [row for scan in report.scans for row in scan.rows]
     sys.stdout.write(tsv_dumps(["p", "lambda", "a_p", "verdict", "oracle", "agree"], rows))
-    disagreements = sum(row[-1] is False for row in rows)
+    disagreements = sum(row.agree is False for row in rows)
     elapsed = time.monotonic() - started
     loci = {s.prime: list(s.nonordinary) for s in report.scans}
     print(f"# non-ordinary loci: {loci}", file=sys.stderr)

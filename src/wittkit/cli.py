@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import os
 import re
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from . import __version__
@@ -84,7 +83,7 @@ class ResultDoc:
     callable that builds a keyed view of that table on demand."""
 
     tsv_header: list[str]
-    tsv_rows: list[list]
+    tsv_rows: Sequence[Sequence]
     payload: Callable[[], dict]
 
     def emit(self, fmt: str) -> str:
@@ -224,37 +223,25 @@ def _cmd_fgl(args) -> ResultDoc:
 def _cmd_scan(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     report = ordinarity_scan(family, args.pmax, args.oracle, args.budget)
-    rows = [
-        [r.prime, r.parameter, r.hasse_witt_value, r.verdict, r.oracle_verdict, r.agree]
-        for scan in report.scans
-        for r in scan.rows
-    ]
-    # the payload reads the table, not the report, so the report is freed on return
-    primes = [(s.prime, list(s.nonordinary), s.agree, len(s.rows)) for s in report.scans]
-    all_agree = report.all_agree if args.oracle else None
-
-    def payload() -> dict:
-        table = iter(rows)  # each prime's rows, in order, are the next `count` of the table
-        return {
-            "family": family,
-            "pmax": args.pmax,
-            "oracle": args.oracle,
-            "all_agree": all_agree,
-            "primes": [
-                {
-                    "p": p,
-                    "nonordinary": nonordinary,
-                    "agree": agree,
-                    "rows": [
-                        {"lambda": lam, "a_p": str(a_p), "verdict": v, "oracle_verdict": o, "agree": ok}
-                        for _, lam, a_p, v, o, ok in itertools.islice(table, count)
-                    ],
-                }
-                for p, nonordinary, agree, count in primes
-            ],
-        }
-
-    return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], rows, payload)
+    rows = [row for scan in report.scans for row in scan.rows]
+    return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], rows, lambda: {
+        "family": family,
+        "pmax": args.pmax,
+        "oracle": args.oracle,
+        "all_agree": report.all_agree if args.oracle else None,
+        "primes": [
+            {
+                "p": scan.prime,
+                "nonordinary": list(scan.nonordinary),
+                "agree": scan.agree,
+                "rows": [
+                    {"lambda": lam, "a_p": str(a_p), "verdict": v, "oracle_verdict": o, "agree": ok}
+                    for _, lam, a_p, v, o, ok in scan.rows
+                ],
+            }
+            for scan in report.scans
+        ],
+    })
 
 
 def _residual_obj(residual):
@@ -271,20 +258,18 @@ def _cmd_pf_check(args) -> ResultDoc:
         )
     log = family_logarithm(family, max(args.kmax, 1), "closed-form")
     results = pf_congruence_check(quintic_picard_fuchs(), log, args.kmax)
-    rows = [[r.k, r.passed, r.residual] for r in results]
-    return ResultDoc(["k", "pass", "residual"], rows, lambda: {
+    return ResultDoc(["k", "pass", "residual"], results, lambda: {
         "family": family,
         "kmax": args.kmax,
-        "all_passed": all(ok for _, ok, _ in rows),
-        "checks": [{"k": k, "passed": ok, "residual": _residual_obj(res)} for k, ok, res in rows],
+        "all_passed": all(r.passed for r in results),
+        "checks": [{"k": k, "passed": ok, "residual": _residual_obj(res)} for k, ok, res in results],
     })
 
 
 def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     check = frobenius_power_congruence(builtin_family(family).closed_form, args.p, args.nu)
-    rows = [[args.p, args.nu, check.passed, check.residual]]
-    return ResultDoc(["p", "nu", "pass", "residual"], rows, lambda: {
+    return ResultDoc(["p", "nu", "pass", "residual"], [check], lambda: {
         "family": family,
         "p": args.p,
         "nu": args.nu,

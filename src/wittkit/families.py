@@ -85,12 +85,15 @@ class CompleteIntersectionFamily:
 class FamilyCatalogEntry:
     identifier: str
     family: CompleteIntersectionFamily
-    dimension: int
     closed_form: Callable[[int], SparsePolynomial] = field(compare=False)
     # declared singular parameter values: x = 0 plus every (c, e) condition
     # c * x^e = 1.  For the cubic pencil both 27x^3 = 1 and 27x^3 = -1 are
     # declared; the latter fibers factor into three lines (check x = -1/3).
     singular_rules: tuple[tuple[int, int], ...] = field(compare=False, default=())
+
+    @property
+    def dimension(self) -> int:
+        return self.family.dimension
 
 
 def _pencil_poly(zvars: tuple[str, ...], sign: int) -> SparsePolynomial:
@@ -150,21 +153,18 @@ def _build_catalog() -> dict[str, FamilyCatalogEntry]:
         "hesse-cubic": FamilyCatalogEntry(
             "hesse-cubic",
             hesse,
-            hesse.dimension,
             _symmetric_closed_form(3, 1),
             ((27, 3), (-27, 3)),
         ),
         "quartic-k3": FamilyCatalogEntry(
             "quartic-k3",
             quartic,
-            quartic.dimension,
             _symmetric_closed_form(4, 1),
             ((256, 4),),
         ),
         "quintic-cy3": FamilyCatalogEntry(
             "quintic-cy3",
             quintic,
-            quintic.dimension,
             _symmetric_closed_form(5, -1),
             ((3125, 5),),
         ),

@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .families import builtin_family, resolve_family_id
+from .families import FAMILY_IDS, builtin_family, resolve_family_id
 from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
@@ -41,7 +41,8 @@ from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 #: points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
 DEFAULT_POINT_BUDGET = 100_000
 
-ELLIPTIC_FAMILIES = ("hesse-cubic",)
+#: The catalog pencils of relative dimension 1: the point-count oracle's scope.
+ELLIPTIC_FAMILIES = tuple(f for f in FAMILY_IDS if builtin_family(f).dimension == 1)
 
 
 class BudgetExceededError(RuntimeError):
@@ -72,8 +73,9 @@ class FiberClassification:
     trace: int | None = None
 
 
-@dataclass(frozen=True)
-class FiberRow:
+class FiberRow(NamedTuple):
+    """One fiber's row of the scan table, its fields in the table's column order."""
+
     prime: int
     parameter: int
     hasse_witt_value: int
@@ -315,8 +317,9 @@ def ordinarity_scan(
     return OrdinarityReport(family_id, prime_bound, with_oracle, tuple(scans))
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
+    """The ``congruence`` table's one row, its fields in column order."""
+
     prime: int
     exponent: int
     passed: bool

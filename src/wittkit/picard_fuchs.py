@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial, Value, as_x_polynomial
@@ -151,8 +151,9 @@ def quintic_fundamental_period(order: int) -> TruncatedSeries:
     return TruncatedSeries(X, coeffs, order)
 
 
-@dataclass(frozen=True)
-class CoefficientCongruence:
+class CoefficientCongruence(NamedTuple):
+    """One row of the ``pf-check`` table, its fields in column order."""
+
     k: int
     passed: bool
     residual: SparsePolynomial | None

@@ -11,6 +11,7 @@ grammar are documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .formal_groups import FormalGroupLaw, Logarithm
@@ -136,7 +137,7 @@ def json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def tsv_dumps(header: list[str], rows: list[list]) -> str:
+def tsv_dumps(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """The header line, then one line per row, tab-separated.  A cell of
     ``None`` is empty, a bool is ``true``/``false``, a string is printed as
     given, and any other value is its exact ``format_value`` text."""

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 
 from wittkit import cli
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
-from wittkit.serialize import witt_to_obj
+from wittkit.formal_groups import Logarithm
+from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
+from wittkit.picard_fuchs import pf_congruence_check, quintic_picard_fuchs
+from wittkit.polynomials import SparsePolynomial, format_value
+from wittkit.serialize import tsv_dumps, value_to_obj, witt_to_obj
 from wittkit.witt import WittVector
+
+X = SparsePolynomial.variable("x")
 
 
 def run(capsys, *argv):
@@ -92,21 +99,31 @@ def test_fgl_rows_and_failures_flag_the_same_terms(capsys, monkeypatch, at_x):
 
 
 def test_scan_matches_library(capsys):
-    code, out, _ = run(capsys, "scan-ordinary", "--family", "hesse-cubic",
-                       "--pmax", "5", "--oracle")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["all_agree"] is True
-    by_prime = {entry["p"]: entry for entry in payload["primes"]}
-    assert by_prime[3]["nonordinary"] == []
-    assert by_prime[5]["nonordinary"] == [1]
-
-    from wittkit.ordinarity import ordinarity_scan
-
-    report = ordinarity_scan("hesse-cubic", 5, with_oracle=True)
-    assert [s.prime for s in report.scans] == sorted(by_prime)
-    for scan in report.scans:
-        assert list(scan.nonordinary) == by_prime[scan.prime]["nonordinary"]
+    """Every row of both formats is the library's row, prime by prime."""
+    header = ["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"]
+    for family, oracle in (("hesse-cubic", True), ("quartic-k3", False)):
+        argv = ("scan-ordinary", "--family", family, "--pmax", "31", *(["--oracle"] if oracle else []))
+        report = ordinarity_scan(family, 31, with_oracle=oracle)
+        code, out, _ = run(capsys, *argv, "--format", "tsv")
+        assert code == 0
+        assert out == tsv_dumps(header, [row for scan in report.scans for row in scan.rows])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_agree"] is (True if oracle else None)
+        by_prime = {entry["p"]: entry for entry in payload["primes"]}
+        assert [s.prime for s in report.scans] == sorted(by_prime)
+        for scan in report.scans:
+            entry = by_prime[scan.prime]
+            assert entry["nonordinary"] == list(scan.nonordinary)
+            assert entry["agree"] is scan.agree
+            assert entry["rows"] == [
+                {"lambda": lam, "a_p": str(a_p), "verdict": v, "oracle_verdict": o, "agree": ok}
+                for _, lam, a_p, v, o, ok in scan.rows
+            ]
+        if family == "hesse-cubic":
+            assert by_prime[3]["nonordinary"] == []
+            assert by_prime[5]["nonordinary"] == [1]
 
 
 def test_pf_check_rows(capsys):
@@ -124,6 +141,54 @@ def test_congruence(capsys):
                        "--nu", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_pf_check_prints_failing_residuals(capsys, monkeypatch):
+    """a_7 off by x fails L a_7 = 0 mod 7; both formats print the library's residual."""
+    real = cli.family_logarithm
+
+    def with_a_wrong_coefficient(family, m_max, method):
+        coeffs = list(real(family, m_max, method).coeffs)
+        coeffs[6] = coeffs[6] + X
+        return Logarithm("Z[x]", coeffs)
+
+    monkeypatch.setattr(cli, "family_logarithm", with_a_wrong_coefficient)
+    expected = pf_congruence_check(
+        quintic_picard_fuchs(), with_a_wrong_coefficient("quintic-cy3", 8, "closed-form"), 8
+    )
+    assert [r.k for r in expected if not r.passed] == [7]
+    argv = ("pf-check", "--family", "quintic-cy3", "--kmax", "8")
+    code, out, _ = run(capsys, *argv, "--format", "tsv")
+    assert code == 0
+    assert out.split("\n")[7] == f"7\tfalse\t{format_value(expected[6].residual)}"
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    assert payload["checks"][6] == {"k": 7, "passed": False, "residual": value_to_obj(expected[6].residual)}
+    assert [c["passed"] for c in payload["checks"]] == [r.passed for r in expected]
+
+
+def test_congruence_prints_failing_residual(capsys, monkeypatch):
+    """a_25 off by 1 fails the hesse congruence at p = 5; both formats print
+    the library's residual."""
+    real = cli.builtin_family
+
+    def with_a_wrong_coefficient(identifier):
+        entry = real(identifier)
+        rule = entry.closed_form
+        return dataclasses.replace(entry, closed_form=lambda m: rule(m) + 1 if m == 25 else rule(m))
+
+    monkeypatch.setattr(cli, "builtin_family", with_a_wrong_coefficient)
+    expected = frobenius_power_congruence(with_a_wrong_coefficient("hesse-cubic").closed_form, 5, 2)
+    assert not expected.passed
+    argv = ("congruence", "--family", "hesse-cubic", "--p", "5", "--nu", "2")
+    code, out, _ = run(capsys, *argv, "--format", "tsv")
+    assert code == 0
+    assert out == f"p\tnu\tpass\tresidual\n5\t2\tfalse\t{format_value(expected.residual)}\n"
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["residual"] == value_to_obj(expected.residual)
 
 
 def test_congruence_reads_only_three_coefficients(capsys):

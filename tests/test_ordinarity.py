@@ -7,6 +7,7 @@ import pytest
 from wittkit.families import builtin_family
 from wittkit.formal_groups import multiplicative_logarithm
 from wittkit.ordinarity import (
+    ELLIPTIC_FAMILIES,
     BudgetExceededError,
     OracleUnavailableError,
     classify_elliptic_fiber,
@@ -182,6 +183,8 @@ def test_classify_supersingular_fiber():
 
 
 def test_classify_requires_elliptic_family():
+    # the oracle's scope is read from the catalog's dimensions
+    assert ELLIPTIC_FAMILIES == ("hesse-cubic",)
     with pytest.raises(OracleUnavailableError):
         classify_elliptic_fiber("quintic-cy3", 1, 5)
 
