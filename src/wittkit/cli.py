@@ -4,12 +4,12 @@ Subcommands: witt, am-log, fgl, scan-ordinary, pf-check, congruence.  Each
 run emits exactly one result document (JSON or TSV per --format) on stdout
 or at --out, deterministically: identical requests on identical builds give
 byte-identical output.  Each handler builds one value table per result; the
-TSV document prints it, and the JSON payload, a keyed view of it, is built
-only when --format json asks for it.  --manifest PATH additionally records
-the request, a wall time, and a content hash of the result bytes.  --config
-PATH presets flags from key=value lines; each subcommand's parser is the one
-declaration of its flags' types, choices and defaults, and checks the
-presets too.
+TSV document prints it, and the JSON payload, a keyed view of it whose long
+lists are generators written a record at a time, is built only when --format
+json asks for it.  --manifest PATH records the request, a wall time, and a
+content hash of the result bytes.  --config PATH presets flags from key=value
+lines; each subcommand's parser is the one declaration of its flags' types,
+choices and defaults, and checks the presets too.
 
 Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
 unwritable output path), 2 precondition violation, 3 budget exceeded.
@@ -196,7 +196,7 @@ def _cmd_am_log(args) -> ResultDoc:
         "method": args.method,
         "mmax": args.mmax,
         "mod": args.mod,
-        "coefficients": [{"m": m, "a": value_to_obj(a)} for m, a in rows],
+        "coefficients": ({"m": m, "a": value_to_obj(a)} for m, a in rows),
     })
 
 
@@ -216,7 +216,7 @@ def _cmd_fgl(args) -> ResultDoc:
         "at_x": args.at_x,
         "integral": report.passed,
         "failures": [{"i": i, "j": j} for i, j, _ in report.failures],
-        "terms": [{"i": i, "j": j, "coeff": value_to_obj(c), "integral": ok} for i, j, c, ok in rows],
+        "terms": ({"i": i, "j": j, "coeff": value_to_obj(c), "integral": ok} for i, j, c, ok in rows),
     })
 
 
@@ -229,7 +229,7 @@ def _cmd_scan(args) -> ResultDoc:
         "pmax": args.pmax,
         "oracle": args.oracle,
         "all_agree": report.all_agree if args.oracle else None,
-        "primes": [
+        "primes": (
             {
                 "p": scan.prime,
                 "nonordinary": list(scan.nonordinary),
@@ -240,7 +240,7 @@ def _cmd_scan(args) -> ResultDoc:
                 ],
             }
             for scan in report.scans
-        ],
+        ),
     })
 
 

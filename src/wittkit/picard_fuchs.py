@@ -192,10 +192,10 @@ def series_solution_check(
     operator: ThetaOperator, f: TruncatedSeries, through: int
 ) -> SolutionCheck:
     """Does L annihilate the series exactly through the stated order?"""
+    if through < 0:
+        raise ValueError(f"cannot check a solution through a negative order {through}")
     if f.order < through:
-        raise ValueError(
-            f"series supplied to order {f.order}, cannot check through {through}"
-        )
+        raise ValueError(f"series supplied to order {f.order}, cannot check through {through}")
     image = operator.apply(f)
     for d in range(through + 1):
         c = image.coefficient(d)

@@ -4,14 +4,15 @@ All numbers travel as decimal strings so arbitrary precision survives the
 trip; rationals use the form ``p/q``.  Keys are emitted sorted and rows
 sorted, so identical values always produce identical bytes.  Callers hand
 over plain values: every number and polynomial is printed here, TSV cells
-by the one rule of ``tsv_dumps``.  The schemas and the polynomial text
-grammar are documented in docs/formats.md.
+by the one rule of ``tsv_dumps``.  ``json_dumps`` streams an iterator an
+element at a time and writes everything else through the C encoder.  The
+schemas and the polynomial text grammar are documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .formal_groups import FormalGroupLaw, Logarithm
@@ -132,9 +133,32 @@ def law_to_obj(law: FormalGroupLaw) -> dict:
     }
 
 
+class _Encoder(json.JSONEncoder):
+    def default(self, o):  # an iterator inside a finished value is listed
+        return list(o) if isinstance(o, Iterator) else super().default(o)
+
+
+_ENCODER = _Encoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no incidental whitespace differences."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON: string keys sorted, no incidental whitespace differences."""
+    return "".join([*_chunks(obj), "\n"])
+
+
+def _chunks(obj):
+    if isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + _ENCODER.encode(key) + ":"
+            yield from _chunks(obj[key])
+        yield "}" if obj else "{}"
+    elif isinstance(obj, Iterator):
+        yield "["
+        for i, item in enumerate(obj):
+            yield ("," if i else "") + _ENCODER.encode(item)
+        yield "]"
+    else:
+        yield _ENCODER.encode(obj)
 
 
 def tsv_dumps(header: Sequence[str], rows: Sequence[Sequence]) -> str:

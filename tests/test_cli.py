@@ -4,6 +4,7 @@ import io
 import json
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,6 +265,24 @@ def test_byte_identical_across_runs(capsys, fmt):
         code2, out2, _ = run(capsys, *request)
         assert code1 == code2 == 0
         assert out1 == out2, f"nondeterministic output for {request}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-ordinary", "--family", "quartic-k3", "--pmax", "300"),
+    ("fgl", "--family", "hesse-cubic", "--deg", "20"),
+])
+def test_json_emit_peak_stays_below_four_bodies(argv):
+    """The JSON document is written a record at a time: emitting it never
+    holds the whole payload tree or the encoder's chunks beside the body."""
+    args = build_parser().parse_args(argv)
+    doc = args.handler(args)
+    tracemalloc.start()
+    try:
+        body = doc.emit("json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(body)
 
 
 # -- exit codes, manifest, config -----------------------------------------------------

@@ -175,3 +175,12 @@ def test_solution_check_needs_enough_series():
     f = quintic_fundamental_period(20)
     with pytest.raises(ValueError):
         series_solution_check(L, f, 30)
+
+
+def test_solution_check_refuses_a_negative_order():
+    # through x^-1 no coefficient is checked: that is no pass
+    L = quintic_picard_fuchs()
+    f = quintic_fundamental_period(5)
+    with pytest.raises(ValueError, match="negative order -1"):
+        series_solution_check(L, f, -1)
+    assert series_solution_check(L, f, 0).checked_through == 0

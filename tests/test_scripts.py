@@ -102,14 +102,16 @@ def test_script_usage_errors_quote_a_bounded_value(name, flag, value):
 @pytest.mark.parametrize(
     "name, args, code, message",
     [
-        ("group_law_tables.py", ("--deg", "0"), 2, "m_max must be >= 1"),
+        ("group_law_tables.py", ("--deg", "0"), 2, "total degree must be >= 1"),
         ("ordinary_sweep.py", ("--pmax", "2"), 2, "the scan needs a prime bound >= 3"),
         ("ordinary_sweep.py", ("--pmax", "31", "--budget", "10"), 3,
          "budget exceeded: P^2(F_3) has 13 points, over the budget 10"),
         ("quintic_congruences.py", ("--kmax", "0"), 2, "k_max must be >= 1"),
+        ("quintic_congruences.py", ("--order", "-1"), 2,
+         "cannot check a solution through a negative order -1"),
     ],
     ids=["group_law_tables-deg", "ordinary_sweep-pmax", "ordinary_sweep-budget",
-         "quintic_congruences-kmax"],
+         "quintic_congruences-kmax", "quintic_congruences-order"],
 )
 def test_script_errors_exit_with_the_cli_codes(name, args, code, message):
     """A precondition violation exits 2 and a budget overrun 3, with one

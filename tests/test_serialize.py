@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wittkit.families import family_logarithm
 from wittkit.formal_groups import group_law_from_logarithm, multiplicative_logarithm
@@ -100,6 +102,40 @@ def test_json_dumps_deterministic():
     payload = {"b": 1, "a": [3, 2, 1], "nested": {"z": "s", "y": 2}}
     assert json_dumps(payload) == json_dumps(json.loads(json_dumps(payload)))
     assert json_dumps(payload).endswith("\n")
+
+
+# digit strings past int()'s 4,300-digit limit, cheap to draw
+_DIGITS = st.builds(lambda head, n: (head * n)[:n], st.text("0123456789", min_size=1, max_size=5),
+                    st.integers(4301, 4400))
+_TREE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.text(st.characters(min_codepoint=0x80), max_size=4) | _DIGITS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _iterated(obj, pick):
+    """``obj`` with each list that ``pick()`` chooses replaced by an iterator over it."""
+    if isinstance(obj, dict):
+        return {key: _iterated(value, pick) for key, value in obj.items()}
+    if isinstance(obj, list):
+        items = [_iterated(item, pick) for item in obj]
+        return iter(items) if pick() else items
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREE, data=st.data())
+@example(tree=[], data=None)
+@example(tree={}, data=None)
+@example(tree={"b": {"c": [[], {}]}, "a": ["\u00e9\U0001d11e", "7" * 5000]}, data=None)
+def test_json_dumps_equals_json_dumps_with_iterators(tree, data):
+    expected = json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+    assert json_dumps(tree) == expected
+    assert json_dumps(_iterated(tree, lambda: True)) == expected
+    if data is not None:
+        assert json_dumps(_iterated(tree, lambda: data.draw(st.booleans()))) == expected
 
 
 def test_tsv_shape():
