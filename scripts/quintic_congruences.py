@@ -9,7 +9,7 @@ Frobenius congruence.
 
 import argparse
 
-from wittkit.families import closed_form_logarithm
+from wittkit.families import builtin_family, closed_form_logarithm
 from wittkit.ordinarity import frobenius_power_congruence
 from wittkit.picard_fuchs import (
     pf_congruence_check,
@@ -27,7 +27,7 @@ PRIMES = (3, 5, 7)
 
 def run(args: argparse.Namespace) -> int:
     operator = quintic_picard_fuchs()
-    log = closed_form_logarithm("quintic-cy3", max(args.kmax, 49))
+    log = closed_form_logarithm("quintic-cy3", max(args.kmax, 1))
     failures = 0
 
     results = pf_congruence_check(operator, log, args.kmax)
@@ -42,10 +42,9 @@ def run(args: argparse.Namespace) -> int:
           f"{'PASS' if solution.passed else f'FAIL at order {solution.first_failure}'}")
     failures += 0 if solution.passed else 1
 
+    closed_form = builtin_family("quintic-cy3").closed_form
     for p in PRIMES:
-        if p * p > log.truncation:
-            log = closed_form_logarithm("quintic-cy3", p * p)
-        check = frobenius_power_congruence(log, p, 2)
+        check = frobenius_power_congruence(closed_form, p, 2)
         print(f"a_(p^2) = a_p * a_p^p mod p at p={p}: "
               f"{'PASS' if check.passed else 'FAIL: ' + str(check.residual)}")
         failures += 0 if check.passed else 1

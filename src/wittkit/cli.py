@@ -40,7 +40,7 @@ from .picard_fuchs import (
     pf_congruence_check,
     quintic_picard_fuchs,
 )
-from .polynomials import as_integral, as_x_polynomial
+from .polynomials import as_x_polynomial
 from .serialize import (
     SchemaError,
     json_dumps,
@@ -150,8 +150,8 @@ def _ghost_from_obj(obj) -> GhostVector:
     return GhostVector(value_from_obj(e) for e in obj)
 
 
-def _witt_result(op: str, w: WittVector, ghost: GhostVector | None = None) -> ResultDoc:
-    ghost = to_ghost(w) if ghost is None else ghost
+def _witt_result(op: str, w: WittVector) -> ResultDoc:
+    ghost = to_ghost(w)
     rows = [[i, a, g] for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)]
     return ResultDoc(["index", "coordinate", "ghost"], rows, lambda: {
         "op": op,
@@ -169,9 +169,9 @@ def _cmd_witt(args) -> ResultDoc:
     u = _parse_witt(args.u)
     if op in ("add", "mul"):
         ring_op = witt_add if op == "add" else witt_mul
-        return _witt_result(op, *ring_op(u, _parse_witt(args.v), with_ghost=True))
+        return _witt_result(op, ring_op(u, _parse_witt(args.v)))
     if op == "neg":
-        return _witt_result(op, *witt_neg(u, with_ghost=True))
+        return _witt_result(op, witt_neg(u))
     if op == "ghost":
         rows = [[i, g] for i, g in enumerate(to_ghost(u).entries, 1)]
         return ResultDoc(["index", "ghost"], rows, lambda: {
@@ -179,7 +179,7 @@ def _cmd_witt(args) -> ResultDoc:
             "ghost": [value_to_obj(g) for _, g in rows],
         })
     if op == "frobenius":
-        return _witt_result(op, *witt_frobenius(args.m, u, args.length, with_ghost=True))
+        return _witt_result(op, witt_frobenius(args.m, u, args.length))
     if op == "verschiebung":
         return _witt_result(op, witt_verschiebung(args.m, u, args.length))
     return _witt_result(op, witt_truncate(u, args.k))
@@ -208,8 +208,7 @@ def _cmd_fgl(args) -> ResultDoc:
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
     failed = {(i, j) for i, j, _ in report.failures}
-    rows = [[i, j, c, False] if (i, j) in failed else [i, j, as_integral(c), True]
-            for (i, j), c in law.series.sorted_terms()]
+    rows = [[i, j, c, (i, j) not in failed] for (i, j), c in law.series.sorted_terms()]
     return ResultDoc(["i", "j", "coeff", "integral"], rows, lambda: {
         "family": family,
         "degree": args.deg,

@@ -149,9 +149,7 @@ class FormalGroupLaw:
         return FormalGroupLaw(self.series.map_coefficients(as_integral), self.logarithm)
 
 
-def group_law_from_logarithm(
-    log: Logarithm, degree: int, variables: tuple[str, str] = ("t1", "t2")
-) -> FormalGroupLaw:
+def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
     """Synthesize ``G = l^(-1)(l(t1) + l(t2))`` to the given total degree,
     as ``sum_k f_k(t1) l(t2)^k / k!`` with ``f_0 = t``, ``f_(k+1) = f_k' w``.
 
@@ -193,7 +191,7 @@ def group_law_from_logarithm(
             scale //= common * (k + 1)
     inverse = Fraction(1, denominator)
     terms = {ij: n * inverse for ij, n in numerators.items()}
-    return FormalGroupLaw(MultiTruncatedSeries(variables, degree, terms), log)
+    return FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, terms), log)
 
 
 class IntegralityReport:

@@ -102,10 +102,6 @@ class SparsePolynomial:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: 1})
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coefficient: Scalar = 1) -> "SparsePolynomial":
-        return cls(variables, {tuple(exponents): coefficient})
-
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -246,17 +242,13 @@ class SparsePolynomial:
                 raise VariableMismatchError(f"{name!r} not among {self.variables!r}")
         selected = [(i, monomial[v]) for i, v in enumerate(self.variables) if v in monomial]
         remaining = [i for i, v in enumerate(self.variables) if v not in monomial]
-        if not remaining:
-            total = 0
-            for exps, c in self.terms.items():
-                if all(exps[i] == want for i, want in selected):
-                    total += c
-            return total
         out: dict[tuple, Scalar] = {}
         for exps, c in self.terms.items():
             if all(exps[i] == want for i, want in selected):
                 key = tuple(exps[i] for i in remaining)
                 out[key] = out.get(key, 0) + c
+        if not remaining:
+            return out.get((), 0)
         return SparsePolynomial(tuple(self.variables[i] for i in remaining), out)
 
     def reduce_mod(self, modulus: int) -> "SparsePolynomial":
@@ -282,15 +274,6 @@ class SparsePolynomial:
                 raise VariableMismatchError(f"{name!r} not among {self.variables!r}")
         assigned = [(i, assignment[v]) for i, v in enumerate(self.variables) if v in assignment]
         remaining = [i for i, v in enumerate(self.variables) if v not in assignment]
-        if not remaining:
-            total: Value = 0
-            for exps, c in self.terms.items():
-                value = c
-                for i, v in assigned:
-                    if exps[i]:
-                        value = value * v ** exps[i]
-                total = total + value
-            return total
         out: dict[tuple, Scalar] = {}
         for exps, c in self.terms.items():
             value = c
@@ -299,6 +282,8 @@ class SparsePolynomial:
                     value = value * v ** exps[i]
             key = tuple(exps[i] for i in remaining)
             out[key] = out.get(key, 0) + value
+        if not remaining:
+            return out.get((), 0)
         return SparsePolynomial(tuple(self.variables[i] for i in remaining), out)
 
     # -- formatting ----------------------------------------------------------

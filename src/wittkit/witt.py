@@ -13,13 +13,17 @@ the coefficient ring is torsion-free; it and its inverse are computed by a
 sieve over multiples.  Every operation here computes on ghost components and
 pulls back, asserting exact divisibility at each step; the coefficient rings
 in scope (Z and Z[x]) make that pullback exact by theory, so a divisibility
-failure inside a ring operation is a library defect, not a data error.  The
-pullback sums the powers ``k * a_k^(m/k)`` it subtracts into a second list,
-which is the ghost of the result; ``with_ghost=True`` hands it back.
+failure inside a ring operation is a library defect, not a data error.
+
+A vector keeps its ghost: the pullback sums the powers ``k * a_k^(m/k)`` it
+subtracts into the ghost of its result, and ``to_ghost`` runs the sieve at
+most once per vector.  The kept ghost is what the sieve would return, entry
+for entry; equality, hashing and repr read only the coordinates.
 
 Coordinates must be integral (ints, or polynomials with integer
 coefficients); rings with torsion are rejected at construction.  All values
-are immutable and all operations pure.
+are immutable and all operations pure; the kept ghost is written once, and
+two threads that race on it only compute equal values twice.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ class GhostVector:
 class WittVector:
     """A length-``n`` generalized Witt vector with integral coordinates."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_ghost")
 
     def __init__(self, coords: Iterable[Value]):
         coords = tuple(coords)
@@ -116,6 +120,7 @@ class WittVector:
                     f"coordinate a_{i} must lie in a torsion-free integral ring: {exc}"
                 ) from exc
         self.coords = tuple(checked)
+        self._ghost: GhostVector | None = None
 
     @property
     def length(self) -> int:
@@ -206,17 +211,24 @@ def _ghost_terms(d: int, a: Value, n: int):
 
 
 def to_ghost(w: WittVector) -> GhostVector:
-    """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over multiples."""
-    entries: list[Value] = [0] * w.length
-    for d, a in enumerate(w.coords, start=1):
-        for i, term in _ghost_terms(d, a, w.length):
-            entries[i] = entries[i] + term
-    return GhostVector(entries)
+    """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over
+    multiples; the vector keeps them, so the sieve runs once per vector."""
+    if w._ghost is None:
+        entries: list[Value] = [0] * w.length
+        for d, a in enumerate(w.coords, start=1):
+            for i, term in _ghost_terms(d, a, w.length):
+                entries[i] = entries[i] + term
+        w._ghost = GhostVector(entries)
+    return w._ghost
 
 
-def _solve_ghost(g: GhostVector) -> tuple[WittVector, GhostVector]:
-    """The vector with ghost ``g`` and its ghost, summed from the same powers
-    in the order ``to_ghost`` sums them, so it is ``to_ghost`` of the vector."""
+def from_ghost(g: GhostVector) -> WittVector:
+    """Solve the ghost recursion; raises IntegralityError when the input is
+    not the ghost of an integral vector (first failing index reported).
+
+    The result keeps the ghost summed from the powers the recursion
+    subtracts, in the order ``to_ghost`` sums them.
+    """
     rest, ghost = list(g.entries), [0] * g.length
     coords: list[Value] = []
     for k in range(1, g.length + 1):
@@ -227,24 +239,19 @@ def _solve_ghost(g: GhostVector) -> tuple[WittVector, GhostVector]:
         for i, term in _ghost_terms(k, coords[-1], g.length):
             rest[i] = rest[i] - term
             ghost[i] = ghost[i] + term
-    return WittVector(coords), GhostVector(ghost)
+    w = WittVector(coords)
+    w._ghost = GhostVector(ghost)
+    return w
 
 
-def from_ghost(g: GhostVector) -> WittVector:
-    """Solve the ghost recursion; raises IntegralityError when the input is
-    not the ghost of an integral vector (first failing index reported)."""
-    return _solve_ghost(g)[0]
-
-
-def _pullback(g: GhostVector, operation: str, with_ghost: bool = False) -> WittVector | tuple:
+def _pullback(g: GhostVector, operation: str) -> WittVector:
     try:
-        w, ghost = _solve_ghost(g)
+        return from_ghost(g)
     except IntegralityError as exc:
         raise GhostInvariantViolation(
             f"{operation} produced a non-integral ghost vector at index {exc.index}; "
             "this is a library defect for torsion-free coefficient rings"
         ) from exc
-    return (w, ghost) if with_ghost else w
 
 
 def _check_lengths(u: WittVector, v: WittVector) -> None:
@@ -252,31 +259,27 @@ def _check_lengths(u: WittVector, v: WittVector) -> None:
         raise ValueError(f"length mismatch: {u.length} vs {v.length}")
 
 
-def witt_add(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittVector | tuple:
-    """Group law of 1 + tA[[t]]: multiplication of the series forms.
-
-    ``with_ghost=True`` returns ``(result, to_ghost(result))``, the ghost
-    summed in the pullback; so do witt_neg, witt_mul and witt_frobenius.
-    """
+def witt_add(u: WittVector, v: WittVector) -> WittVector:
+    """Group law of 1 + tA[[t]]: multiplication of the series forms."""
     _check_lengths(u, v)
-    return _pullback(to_ghost(u) + to_ghost(v), "witt_add", with_ghost)
+    return _pullback(to_ghost(u) + to_ghost(v), "witt_add")
 
 
-def witt_neg(u: WittVector, *, with_ghost: bool = False) -> WittVector | tuple:
-    return _pullback(-to_ghost(u), "witt_neg", with_ghost)
+def witt_neg(u: WittVector) -> WittVector:
+    return _pullback(-to_ghost(u), "witt_neg")
 
 
-def witt_mul(u: WittVector, v: WittVector, *, with_ghost: bool = False) -> WittVector | tuple:
+def witt_mul(u: WittVector, v: WittVector) -> WittVector:
     """Ring product, defined by entrywise ghost multiplication.
 
-    >>> w, g = witt_mul(WittVector([1, 2]), WittVector([3, 0]), with_ghost=True)
-    >>> w, g
+    >>> w = witt_mul(WittVector([1, 2]), WittVector([3, 0]))
+    >>> w, to_ghost(w)
     (WittVector([3, 18]), GhostVector([3, 45]))
-    >>> g == to_ghost(w)
+    >>> to_ghost(w) is to_ghost(w)
     True
     """
     _check_lengths(u, v)
-    return _pullback(to_ghost(u) * to_ghost(v), "witt_mul", with_ghost)
+    return _pullback(to_ghost(u) * to_ghost(v), "witt_mul")
 
 
 def witt_scale_int(n: int, u: WittVector) -> WittVector:
@@ -284,13 +287,11 @@ def witt_scale_int(n: int, u: WittVector) -> WittVector:
     return _pullback(to_ghost(u).scale(n), "witt_scale_int")
 
 
-def witt_frobenius(
-    m: int, w: WittVector, length: int | None = None, *, with_ghost: bool = False
-) -> WittVector | tuple:
+def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVector:
     """F_m: ghost components are reindexed by ``g_j -> g_{mj}``.
 
     A length-``mk`` input is needed for a length-``k`` output.  F_1 is a
-    truncation and maps its result.
+    truncation.
     """
     if m < 1:
         raise ValueError("Frobenius index must be >= 1")
@@ -301,11 +302,10 @@ def witt_frobenius(
             f"insufficient input length {w.length} for F_{m} at output length {k or 1}"
         )
     if m == 1:
-        w = witt_truncate(w, k)
-        return (w, to_ghost(w)) if with_ghost else w
+        return witt_truncate(w, k)
     g = to_ghost(w)
     g = GhostVector(g.entries[m * j - 1] for j in range(1, k + 1))
-    return _pullback(g, "witt_frobenius", with_ghost)
+    return _pullback(g, "witt_frobenius")
 
 
 def witt_verschiebung(m: int, w: WittVector, length: int | None = None) -> WittVector:

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from wittkit import witt
 from wittkit.polynomials import SparsePolynomial
 from wittkit.serialize import json_dumps, value_to_obj, witt_to_obj
 from wittkit.series import TruncatedSeries
@@ -306,10 +307,15 @@ def _mixed_coordinate(rng, foreign):
     return SparsePolynomial(("y",), {(e,): rng.randint(-2, 2) for e in (0, 1)})
 
 
+def _sieved(w):
+    """The ghost of ``w`` by a fresh sieve, not the one ``w`` keeps."""
+    return [value_to_obj(g) for g in to_ghost(WittVector(w.coords))]
+
+
 def test_operation_ghost_prints_like_ghost_of_result():
-    """The ghost a ring operation hands back with ``with_ghost=True`` is
-    to_ghost of its result, down to which entries are ints and over which
-    variables the others are."""
+    """The ghost a ring operation's result keeps is the sieve of its
+    coordinates, down to which entries are ints and over which variables
+    the others are."""
     rng = random.Random(7)
     compared = 0
     for _ in range(500):
@@ -323,33 +329,64 @@ def test_operation_ghost_prints_like_ghost_of_result():
             (witt_frobenius, (rng.randint(1, 3), u)),
         ):
             try:
-                w, ghost = op(*operands, with_ghost=True)
+                w = op(*operands)
+                ghost = [value_to_obj(g) for g in to_ghost(w)]
             except ValueError:  # coordinates over both x and y, or n < m
                 continue
-            assert w == op(*operands)
-            reference = to_ghost(w)
-            assert [value_to_obj(g) for g in ghost] == [value_to_obj(g) for g in reference]
+            assert ghost == _sieved(w)
             compared += 1
     assert compared > 1500
 
 
 def test_frobenius_one_is_truncation():
     """F_1 keeps each coordinate as given: its result prints like
-    witt_truncate's, with or without the ghost, for every output length."""
+    witt_truncate's, and so does its ghost, for every output length."""
     rng = random.Random(11)
     compared = 0
     for _ in range(400):
         n = rng.randint(1, 8)
         u = WittVector([_mixed_coordinate(rng, True) for _ in range(n)])
         for k in range(1, n + 1):
-            expected = json_dumps(witt_to_obj(witt_truncate(u, k)))
-            assert json_dumps(witt_to_obj(witt_frobenius(1, u, k))) == expected
+            w = witt_frobenius(1, u, k)
+            assert json_dumps(witt_to_obj(w)) == json_dumps(witt_to_obj(witt_truncate(u, k)))
             try:
-                reference = to_ghost(witt_truncate(u, k))
+                ghost = [value_to_obj(g) for g in to_ghost(w)]
             except ValueError:  # nonconstant coordinates over both x and y
                 continue
-            w, ghost = witt_frobenius(1, u, k, with_ghost=True)
-            assert json_dumps(witt_to_obj(w)) == expected
-            assert [value_to_obj(g) for g in ghost] == [value_to_obj(g) for g in reference]
+            assert ghost == _sieved(w)
             compared += 1
     assert compared > 1000
+
+
+def test_results_keep_their_ghost(monkeypatch):
+    """A ring operation's result, and from_ghost's, keeps the ghost the
+    pullback summed: to_ghost hands back the same object every time, and
+    the sieve runs once on each operand and never on a result."""
+    sieved = []  # one entry per coordinate the sieve or the pullback reads
+    real_terms = witt._ghost_terms
+    monkeypatch.setattr(witt, "_ghost_terms", lambda d, a, n: sieved.append(d) or real_terms(d, a, n))
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        u, v = rand_vector(rng, n), rand_vector(rng, n, polynomial=True)
+        g = to_ghost(rand_vector(rng, n))
+        m = rng.randint(2, n)
+        for op, operands in (
+            (witt_add, (u, v)),
+            (witt_neg, (u,)),
+            (witt_mul, (u, v)),
+            (lambda w: witt_frobenius(m, w), (u,)),
+            (lambda: from_ghost(g), ()),
+        ):
+            operands = [WittVector(w.coords) for w in operands]  # no kept ghost yet
+            sieved.clear()
+            r = op(*operands)
+            # each operand sieved once, r read once by the pullback
+            assert len(sieved) == sum(w.length for w in operands) + r.length
+            sieved.clear()
+            ghost = to_ghost(r)
+            assert to_ghost(r) is ghost
+            assert all(to_ghost(w) is to_ghost(w) for w in operands)
+            assert witt_add(r, r) == witt_scale_int(2, r)
+            assert len(sieved) == 2 * r.length  # two pullbacks, no sieve at all
+            assert [value_to_obj(x) for x in ghost] == _sieved(r)
