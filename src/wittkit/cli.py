@@ -267,7 +267,8 @@ def _cmd_pf_check(args) -> ResultDoc:
 
 def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
-    check = frobenius_power_congruence(builtin_family(family).closed_form, args.p, args.nu)
+    rule = builtin_family(family).closed_form_mod
+    check = frobenius_power_congruence(lambda m: rule(m, args.p, 1), args.p, args.nu)
     return ResultDoc(["p", "nu", "pass", "residual"], [check], lambda: {
         "family": family,
         "p": args.p,

@@ -19,7 +19,7 @@ on the parameter locus where those hypotheses hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isqrt, prod
 from operator import add
 from typing import Callable
 
@@ -86,6 +86,8 @@ class FamilyCatalogEntry:
     identifier: str
     family: CompleteIntersectionFamily
     closed_form: Callable[[int], SparsePolynomial] = field(compare=False)
+    # (m, p, s) -> a_m mod p^s from the same formula, over small ints
+    closed_form_mod: Callable[[int, int, int], SparsePolynomial] = field(compare=False)
     # declared singular parameter values: x = 0 plus every (c, e) condition
     # c * x^e = 1.  For the cubic pencil both 27x^3 = 1 and 27x^3 = -1 are
     # declared; the latter fibers factor into three lines (check x = -1/3).
@@ -125,50 +127,64 @@ def _symmetric_closed_form(n: int, sign: int) -> Callable[[int], SparsePolynomia
         for j in range(1, (m - 1) // n + 1):
             c = c * sign * prod(range(m - n * j, m - n * j + n)) // j**n
             terms[(n * j,)] = c
-        return SparsePolynomial((PARAMETER,), terms)
+        return SparsePolynomial._canonical((PARAMETER,), terms)
+
+    return rule
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], SparsePolynomial]:
+    """a_m mod p^s for a prime p, in O(m) operations on ints below p^s.
+
+    Write k! = p^v(k) u(k) with u(k) prime to p (v by Legendre).  The
+    coefficient of x^(nj) is sign^j (m-1)! / ((j!)^n (m-1-nj)!), that is
+    sign^j u(m-1) u(j)^(-n) u(m-1-nj)^(-1) p^e with e = v(m-1) - n v(j) -
+    v(m-1-nj); it vanishes mod p^s when e >= s.  The inverses of u(k) come
+    from one inversion and a backward pass.
+    """
+
+    def rule(m: int, p: int, s: int) -> SparsePolynomial:
+        if m < 1 or s < 1 or not is_prime(p):
+            raise ValueError(f"need m >= 1, a prime p and s >= 1; got m = {m}, p = {p}, s = {s}")
+        q = p**s
+        parts, units, vals = [1] * m, [1] * m, [0] * m
+        for k in range(1, m):
+            part, v = k, vals[k - 1]
+            while not part % p:
+                part //= p
+                v += 1
+            parts[k], units[k], vals[k] = part, units[k - 1] * part % q, v
+        inverse = [pow(units[m - 1], -1, q)] * m
+        for k in range(m - 1, 0, -1):
+            inverse[k - 1] = inverse[k] * parts[k] % q
+        terms = {}
+        for j in range((m - 1) // n + 1):
+            r = m - 1 - n * j
+            e = vals[m - 1] - n * vals[j] - vals[r]
+            if e < s:
+                terms[(n * j,)] = sign**j * units[m - 1] * inverse[j] ** n * inverse[r] * p**e % q
+        return SparsePolynomial._canonical((PARAMETER,), terms)
 
     return rule
 
 
 def _build_catalog() -> dict[str, FamilyCatalogEntry]:
-    hesse = CompleteIntersectionFamily(
-        name="hesse-cubic",
-        ambient_dim=2,
-        polynomials=(_pencil_poly(("X", "Y", "Z"), 1),),
-        degrees=(3,),
+    pencils = (  # identifier, coordinates, sign, singular rules
+        ("hesse-cubic", ("X", "Y", "Z"), 1, ((27, 3), (-27, 3))),
+        ("quartic-k3", ("W", "X", "Y", "Z"), 1, ((256, 4),)),
+        ("quintic-cy3", ("Z0", "Z1", "Z2", "Z3", "Z4"), -1, ((3125, 5),)),
     )
-    quartic = CompleteIntersectionFamily(
-        name="quartic-k3",
-        ambient_dim=3,
-        polynomials=(_pencil_poly(("W", "X", "Y", "Z"), 1),),
-        degrees=(4,),
-    )
-    quintic = CompleteIntersectionFamily(
-        name="quintic-cy3",
-        ambient_dim=4,
-        polynomials=(_pencil_poly(("Z0", "Z1", "Z2", "Z3", "Z4"), -1),),
-        degrees=(5,),
-    )
-    return {
-        "hesse-cubic": FamilyCatalogEntry(
-            "hesse-cubic",
-            hesse,
-            _symmetric_closed_form(3, 1),
-            ((27, 3), (-27, 3)),
-        ),
-        "quartic-k3": FamilyCatalogEntry(
-            "quartic-k3",
-            quartic,
-            _symmetric_closed_form(4, 1),
-            ((256, 4),),
-        ),
-        "quintic-cy3": FamilyCatalogEntry(
-            "quintic-cy3",
-            quintic,
-            _symmetric_closed_form(5, -1),
-            ((3125, 5),),
-        ),
-    }
+    catalog = {}
+    for name, zvars, sign, rules in pencils:
+        n = len(zvars)
+        family = CompleteIntersectionFamily(name, n - 1, (_pencil_poly(zvars, sign),), (n,))
+        catalog[name] = FamilyCatalogEntry(
+            name, family, _symmetric_closed_form(n, sign), _symmetric_closed_form_mod(n, sign), rules
+        )
+    return catalog
 
 
 _CATALOG = _build_catalog()

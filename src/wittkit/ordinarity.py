@@ -9,6 +9,10 @@ fiber supersingular exactly when t = 0 mod p.  The two verdicts must agree;
 the scan records every comparison.  One enumeration of P^N(F_p) counts the
 points of all p fibers at once.
 
+a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
+from tables of factorial unit parts mod p, in O(p) small-int operations, and
+the ``congruence`` command reads a_(p^nu) mod p the same way.
+
 Point counts stay exhaustive, and so independent of a_p, but evaluate a
 form a row at a time: a row fixes every coordinate but the last, and the
 form's value along it is sum_k q_k * z^k over the last coordinate z, each
@@ -24,16 +28,18 @@ detected by Jacobian rank at runtime.  For the elliptic pencil the declared
 set is x = 0 together with 27x^3 = 1 and 27x^3 = -1: the fibers on the
 latter branch factor into three lines (substitute x = -1/3), so both signs
 must be excluded before any point count is interpreted as an elliptic trace.
+One pass per prime flags all p parameter values; ``declared_singular`` reads
+the same flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple
 
-from .families import FAMILY_IDS, builtin_family, resolve_family_id
+from .families import FAMILY_IDS, builtin_family, is_prime, resolve_family_id
 from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
@@ -51,10 +57,6 @@ class BudgetExceededError(RuntimeError):
 
 class OracleUnavailableError(ValueError):
     """Point-count verdicts exist only for pencils of relative dimension 1."""
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _require_odd_prime(p: int) -> None:
@@ -106,19 +108,23 @@ class OrdinarityReport:
 
 def declared_singular(family_id: str, lam: int, p: int) -> bool:
     """Membership of the parameter value in the declared singular locus mod p."""
-    return _in_singular_locus(builtin_family(family_id).singular_rules, lam, p)
+    return _singular_flags(builtin_family(family_id).singular_rules, p)[lam % p]
 
 
-def _in_singular_locus(rules: tuple[tuple[int, int], ...], lam: int, p: int) -> bool:
-    """lam = 0 or c * lam^e = 1 mod p for some rule (c, e)."""
-    return lam % p == 0 or any((c * pow(lam, e, p) - 1) % p == 0 for c, e in rules)
+def _singular_flags(rules: tuple[tuple[int, int], ...], p: int) -> list[bool]:
+    """For lam = 0..p-1: lam = 0, or c * lam^e = 1 mod p for some rule (c, e)."""
+    flags = [True] + [False] * (p - 1)
+    for c, e in rules:
+        for lam in range(1, p):
+            if c * pow(lam, e, p) % p == 1:
+                flags[lam] = True
+    return flags
 
 
 def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
-    """a_p(x) reduced mod p, from the closed-form coefficient rule."""
+    """a_p(x) reduced mod p, from the closed-form rule evaluated mod p."""
     _require_odd_prime(p)
-    entry = builtin_family(family_id)
-    return entry.closed_form(p).reduce_mod(p)
+    return builtin_family(family_id).closed_form_mod(p, p, 1)
 
 
 def _hasse_witt_residues(family_id: str, p: int, lams: Iterable[int]):
@@ -267,8 +273,7 @@ def classify_elliptic_fiber(
 def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
     elliptic = family_id in ELLIPTIC_FAMILIES
     residues = tuple(_hasse_witt_residues(family_id, p, range(p)))
-    rules = builtin_family(family_id).singular_rules
-    singular = [_in_singular_locus(rules, lam, p) for lam in range(p)]
+    singular = _singular_flags(builtin_family(family_id).singular_rules, p)
     # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
     counts = None
     if with_oracle and not all(singular):
@@ -331,9 +336,10 @@ def frobenius_power_congruence(
 ) -> CongruenceCheck:
     """Check  a_{p^nu} = a_p * (a_{p^(nu-1)})^p  mod p  in F_p[x].
 
-    ``log`` is a Logarithm or a rule m -> a_m, such as a catalog entry's
-    ``closed_form``; only a_p, a_(p^(nu-1)) and a_(p^nu) are read, and the
-    p-th power is f(x^p), which it equals in F_p[x].
+    ``log`` is a Logarithm or a rule m -> a_m (or a_m mod p), such as a
+    catalog entry's ``closed_form`` or ``closed_form_mod`` at s = 1; only
+    a_p, a_(p^(nu-1)) and a_(p^nu) are read, and the p-th power is f(x^p),
+    which it equals in F_p[x].
     """
     _require_odd_prime(p)
     if nu < 2:

@@ -8,7 +8,9 @@ expanded at construction; moving an x-monomial across theta uses
 
 The two checks: L annihilating the distinguished solution series exactly
 through a stated order, and the coefficient congruence ``L a_k = 0 mod k``
-in Z[x] for logarithm coefficients a_k.
+in Z[x] for logarithm coefficients a_k.  The congruence applies L to
+``a_k mod k``, whose coefficients are below k: L has Z[x] coefficients, so
+the residual is the one L a_k gives, without L a_k's big integers.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class ThetaOperator:
                 raise ValueError(f"expected a series in {X!r}")
             out = self._apply_terms({(n,): c for n, c in enumerate(f.coefficients) if c})
             return TruncatedSeries(X, [out.get((n,), 0) for n in range(f.order + 1)], f.order)
-        return SparsePolynomial((X,), self._apply_terms(as_x_polynomial(f).terms))
+        return SparsePolynomial._canonical((X,), self._apply_terms(as_x_polynomial(f).terms))
 
     def _apply_terms(self, terms: dict[tuple, Value]) -> dict[tuple, Value]:
         """The image of ``sum c x^n``, given and returned as ``{(n,): c}``."""
@@ -162,16 +164,18 @@ class CoefficientCongruence(NamedTuple):
 def pf_congruence_check(
     operator: ThetaOperator, log: Logarithm, k_max: int
 ) -> tuple[CoefficientCongruence, ...]:
-    """Verdicts of ``L a_k = 0 mod k Z[x]`` for k = 1..k_max."""
+    """Verdicts of ``L a_k = 0 mod k Z[x]`` for k = 1..k_max, from L (a_k mod k)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if k_max > log.truncation:
         raise ValueError(
             f"logarithm truncation {log.truncation} is below k_max = {k_max}"
         )
+    if not all(q.is_integral() for q in operator.coefficients):
+        raise ValueError("the coefficient congruence needs an operator over Z[x]")
     results = []
     for k in range(1, k_max + 1):
-        image = operator.apply(log.coefficient(k))
+        image = operator.apply(as_x_polynomial(log.coefficient(k)).reduce_mod(k))
         residual = image.reduce_mod(k)
         if residual.terms:
             results.append(CoefficientCongruence(k, False, residual))

@@ -32,7 +32,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable
 
-from .polynomials import NonIntegralError, Value, as_integral, divide_exact
+from .polynomials import NonIntegralError, Value, as_integral, divide_exact, is_integral
 from .series import TruncatedSeries
 
 
@@ -235,6 +235,9 @@ def from_ghost(g: GhostVector) -> WittVector:
         try:
             coords.append(divide_exact(rest[k - 1], k))
         except NonIntegralError as exc:
+            # the subtracted terms are integral, so a non-integral rest means g_k is not
+            if not is_integral(rest[k - 1]):
+                raise IntegralityError(k, f"g_{k} = {g.entries[k - 1]} is not an integer") from exc
             raise IntegralityError(k, str(exc)) from exc
         for i, term in _ghost_terms(k, coords[-1], g.length):
             rest[i] = rest[i] - term

@@ -176,11 +176,14 @@ def test_congruence_prints_failing_residual(capsys, monkeypatch):
 
     def with_a_wrong_coefficient(identifier):
         entry = real(identifier)
-        rule = entry.closed_form
-        return dataclasses.replace(entry, closed_form=lambda m: rule(m) + 1 if m == 25 else rule(m))
+        rule = entry.closed_form_mod
+        return dataclasses.replace(
+            entry, closed_form_mod=lambda m, p, s: rule(m, p, s) + 1 if m == 25 else rule(m, p, s)
+        )
 
     monkeypatch.setattr(cli, "builtin_family", with_a_wrong_coefficient)
-    expected = frobenius_power_congruence(with_a_wrong_coefficient("hesse-cubic").closed_form, 5, 2)
+    wrong = with_a_wrong_coefficient("hesse-cubic").closed_form_mod
+    expected = frobenius_power_congruence(lambda m: wrong(m, 5, 1), 5, 2)
     assert not expected.passed
     argv = ("congruence", "--family", "hesse-cubic", "--p", "5", "--nu", "2")
     code, out, _ = run(capsys, *argv, "--format", "tsv")
@@ -199,6 +202,17 @@ def test_congruence_reads_only_three_coefficients(capsys):
     elapsed = time.monotonic() - started
     assert code == 0
     assert out == '{"family":"quintic-cy3","nu":3,"p":13,"passed":true,"residual":null}\n'
+    assert elapsed < 1.0
+
+
+def test_congruence_quintic_p43_nu3_reads_residues(capsys):
+    # a_43, a_1849 and a_79507 are read mod 43 from factorial tables; over Z
+    # a_79507 alone has about 16,000 terms of up to 55,000 digits
+    started = time.monotonic()
+    code, out, _ = run(capsys, "congruence", "--family", "quintic-cy3", "--p", "43", "--nu", "3")
+    elapsed = time.monotonic() - started
+    assert code == 0
+    assert out == '{"family":"quintic-cy3","nu":3,"p":43,"passed":true,"residual":null}\n'
     assert elapsed < 1.0
 
 
@@ -303,6 +317,15 @@ def test_precondition_exit_code(capsys):
     code, _, err = run(capsys, "pf-check", "--family", "quintic-cy3", "--kmax", "0")
     assert code == 2
     assert err == "wittkit: k_max must be >= 1\n"
+
+
+def test_from_ghost_names_a_non_integral_entry(capsys):
+    code, out, err = run(capsys, "witt", "--op", "from-ghost", "--g", '["1/2",0]')
+    assert (code, out) == (2, "")
+    assert err == "wittkit: integrality failure at index 1: g_1 = 1/2 is not an integer\n"
+    code, out, err = run(capsys, "witt", "--op", "from-ghost", "--g", '[1,2]')
+    assert (code, out) == (2, "")
+    assert err == "wittkit: integrality failure at index 2: 1 is not divisible by 2\n"
 
 
 def test_budget_exit_code(capsys):

@@ -120,6 +120,35 @@ def test_closed_form_matches_literal_formula(family, n, sign):
         assert all(type(c) is int for c in got.terms.values())
 
 
+MOD_GRID = [
+    (p, s, m)
+    for p in (3, 5, 7, 11)
+    for s in (1, 2, 3)
+    for m in (p, p**2, p**3, 2 * p**2 + 1, 100)
+    if m <= 1400
+]
+
+
+@pytest.mark.parametrize("family", ["hesse-cubic", "quartic-k3", "quintic-cy3"])
+def test_closed_form_mod_equals_closed_form_reduced(family):
+    """The factorial-table rule gives closed_form(m) mod p^s: values, int
+    types and term order, on every pencil."""
+    entry = builtin_family(family)
+    assert len(MOD_GRID) == 60
+    for p, s, m in MOD_GRID:
+        got = entry.closed_form_mod(m, p, s)
+        reference = entry.closed_form(m).reduce_mod(p**s)
+        assert got.variables == ("x",)
+        assert list(got.terms.items()) == list(reference.terms.items()), (p, s, m)
+        assert all(type(c) is int for c in got.terms.values())
+
+
+@pytest.mark.parametrize("m, p, s", [(0, 5, 1), (5, 1, 1), (5, 0, 2), (5, 4, 1), (5, 9, 2), (5, 5, 0)])
+def test_closed_form_mod_rejects_bad_arguments(m, p, s):
+    with pytest.raises(ValueError, match="need m >= 1, a prime p and s >= 1"):
+        builtin_family("hesse-cubic").closed_form_mod(m, p, s)
+
+
 def test_constant_term_always_one():
     for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
         log = closed_form_logarithm(family, 10)

@@ -71,6 +71,17 @@ def test_declared_singular_hesse():
     assert not declared_singular("hesse-cubic", 1, 3)
 
 
+def test_declared_singular_follows_the_rules():
+    """One flag pass per prime gives lam = 0 or c * lam^e = 1 mod p for some
+    catalog rule (c, e), on every pencil and every lam."""
+    for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
+        rules = builtin_family(family).singular_rules
+        for p in (3, 5, 7, 11, 13, 61):
+            for lam in range(-p, 2 * p):
+                literal = lam % p == 0 or any(c * lam**e % p == 1 for c, e in rules)
+                assert declared_singular(family, lam, p) == literal
+
+
 def test_nonordinary_locus_examples():
     assert nonordinary_locus("hesse-cubic", 5) == (1,)
     assert nonordinary_locus("hesse-cubic", 3) == ()

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from wittkit.families import closed_form_logarithm
+from wittkit.formal_groups import Logarithm
 from wittkit.picard_fuchs import (
     ThetaOperator,
     expand_operator,
@@ -133,6 +135,32 @@ def test_congruence_residual_on_failure():
     assert results[5].passed  # k = 6: theta(1 - 120 x^5) = -600 x^5 = 0 mod 6
     assert not results[6].passed
     assert results[6].residual == 5 * X**5
+
+
+def test_congruence_reports_a_changed_coefficient():
+    """a_k + 1 adds L(1) = q_0 = -75000 x^5 to L a_k, so k fails unless k
+    divides 75000; every residual is L a_k over Z reduced mod k."""
+    L = quintic_picard_fuchs()
+    assert L.apply(ONE) == -75000 * X**5
+    coeffs = list(closed_form_logarithm("quintic-cy3", 60).coeffs)
+    for k in range(2, 61):
+        changed = coeffs[:k - 1] + [coeffs[k - 1] + 1]
+        results = pf_congruence_check(L, Logarithm("Z[x]", changed), k)
+        assert [r.k for r in results if not r.passed] == ([k] if 75000 % k else [])
+        for r, a in zip(results, changed):
+            reference = L.apply(a).reduce_mod(r.k)
+            assert r.residual == (reference if reference.terms else None)
+
+
+def test_congruence_needs_an_operator_over_z():
+    half = ThetaOperator((SparsePolynomial(("x",), {(5,): Fraction(1, 2)}), ONE))
+    log = closed_form_logarithm("quintic-cy3", 3)
+    with pytest.raises(ValueError, match="needs an operator over Z"):
+        pf_congruence_check(half, log, 3)
+    whole = ThetaOperator((SparsePolynomial(("x",), {(5,): Fraction(4, 2)}), ONE))
+    assert pf_congruence_check(whole, log, 3) == pf_congruence_check(
+        expand_operator([(2, 5, ()), (1, 0, (0,))]), log, 3
+    )
 
 
 def test_congruence_requires_enough_coefficients():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -65,6 +66,21 @@ def test_from_ghost_examples():
     with pytest.raises(IntegralityError) as err:
         from_ghost(GhostVector([1, 0]))
     assert err.value.index == 2
+
+
+def test_from_ghost_names_a_non_integral_entry():
+    """A non-integral remainder at index k means g_k is not an integer."""
+    cases = [
+        ([Fraction(1, 2), 0], 1, "g_1 = 1/2 is not an integer"),
+        ([1, Fraction(3, 2), 0], 2, "g_2 = 3/2 is not an integer"),
+        ([A, A * Fraction(1, 3)], 2, "g_2 = 1/3*a^1 is not an integer"),
+        ([1, 0], 2, "-1 is not divisible by 2"),  # the remainder g_2 - 1^2
+    ]
+    for entries, index, detail in cases:
+        with pytest.raises(IntegralityError) as err:
+            from_ghost(GhostVector(entries))
+        assert err.value.index == index
+        assert str(err.value) == f"integrality failure at index {index}: {detail}"
 
 
 def test_ghost_round_trip_random():
