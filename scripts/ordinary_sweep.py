@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 
+from wittkit.cli import budget_count
 from wittkit.families import resolve_family_id
 from wittkit.ordinarity import ELLIPTIC_FAMILIES, ordinarity_scan
 from wittkit.serialize import tsv_dumps
@@ -35,7 +36,7 @@ def main() -> int:
     parser.add_argument("--family", type=resolve_family_id, choices=ELLIPTIC_FAMILIES,
                         default="hesse-cubic", help="an elliptic pencil (the oracle's scope)")
     parser.add_argument("--pmax", type=int, default=31)
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=budget_count, default=None)
     return run(parser.parse_args())
 
 

@@ -10,7 +10,6 @@ from .families import (
     CompleteIntersectionFamily,
     FamilyCatalogEntry,
     UnknownFamilyError,
-    am_coefficient,
     am_logarithm,
     builtin_family,
     closed_form_logarithm,
@@ -23,13 +22,11 @@ from .formal_groups import (
     FormalGroupLaw,
     IntegralityReport,
     Logarithm,
-    additive_logarithm,
     canonical_curve,
     curve_frobenius,
     curve_scale,
     curve_verschiebung,
     fg_add,
-    fg_neg,
     frobenius_matrix_1d,
     group_law_from_logarithm,
     integrality_report,
@@ -46,15 +43,12 @@ from .ordinarity import (
     frobenius_power_congruence,
     hasse_witt_poly,
     hasse_witt_value,
-    nonordinary_locus,
     ordinarity_scan,
-    point_count_projective,
 )
 from .picard_fuchs import (
     CoefficientCongruence,
     SolutionCheck,
     ThetaOperator,
-    apply_operator,
     expand_operator,
     pf_congruence_check,
     quintic_fundamental_period,
@@ -66,18 +60,11 @@ from .polynomials import (
     NonIntegralError,
     SparsePolynomial,
     VariableMismatchError,
-    coefficient_of,
-    poly_reduce_mod,
 )
 from .series import (
     MultiTruncatedSeries,
     TruncatedSeries,
     TruncationError,
-    compose_multivariate,
-    series_compose,
-    series_inverse,
-    series_reversion,
-    substitute_univariate,
 )
 from .witt import (
     GhostInvariantViolation,

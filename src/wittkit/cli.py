@@ -320,6 +320,17 @@ def load_config(path: str, command: str) -> list[str]:
     return flags
 
 
+def budget_count(text: str) -> int:
+    """``--budget``'s type: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid negative budget: {text!r}")
+    return value
+
+
 @functools.cache  # one parser per process: parsing does not change it
 def build_parser() -> _Parser:
     parser = _Parser(prog="wittkit", description=__doc__)
@@ -364,7 +375,7 @@ def build_parser() -> _Parser:
     s.add_argument("--family", default=None)
     s.add_argument("--pmax", type=int, default=None)
     s.add_argument("--oracle", action="store_true")
-    s.add_argument("--budget", type=int, default=None, help="point enumeration cap")
+    s.add_argument("--budget", type=budget_count, default=None, help="point enumeration cap")
     common(s)
     s.set_defaults(handler=_cmd_scan)
 

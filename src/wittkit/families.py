@@ -262,13 +262,6 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     return Logarithm("Z[x]", coeffs)
 
 
-def am_coefficient(family: CompleteIntersectionFamily, m: int) -> SparsePolynomial:
-    """The m-th logarithm coefficient of the family, by extraction."""
-    if m < 1:
-        raise ValueError("coefficients are indexed from 1")
-    return am_logarithm(family, m).coefficient(m)
-
-
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:
     """Logarithm from the printed binomial/factorial rule of a built-in family."""
     if m_max < 1:

@@ -104,11 +104,6 @@ class Logarithm:
         return all(a == 1 for a in self.coeffs)
 
 
-def additive_logarithm(truncation: int) -> Logarithm:
-    """l(t) = t, the additive law."""
-    return Logarithm("Z", [1] + [0] * (truncation - 1))
-
-
 def multiplicative_logarithm(truncation: int) -> Logarithm:
     """All coefficients 1; the law t1 + t2 - t1*t2."""
     return Logarithm("Z", [1] * truncation)
@@ -279,10 +274,6 @@ def fg_add(c1: Curve, c2: Curve) -> Curve:
     """Formal-group addition; literal addition in log-coordinates."""
     _check_ambient(c1, c2)
     return Curve(c1.logarithm, c1.eta + c2.eta)
-
-
-def fg_neg(c: Curve) -> Curve:
-    return Curve(c.logarithm, -c.eta)
 
 
 def curve_scale(a: Value, c: Curve) -> Curve:

@@ -150,11 +150,6 @@ def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
     return next(_hasse_witt_residues(family_id, p, [lam % p]))
 
 
-def nonordinary_locus(family_id: str, p: int) -> tuple[int, ...]:
-    """Smooth parameter values where a_p vanishes mod p."""
-    return _scan_prime(resolve_family_id(family_id), p, False, None).nonordinary
-
-
 def projective_point_total(dimension: int, p: int) -> int:
     return (p ** (dimension + 1) - 1) // (p - 1)
 

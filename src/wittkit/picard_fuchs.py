@@ -96,11 +96,6 @@ class ThetaOperator:
         return " + ".join(parts) if parts else "0"
 
 
-def apply_operator(operator: ThetaOperator, f):
-    """Apply a theta-operator to a polynomial or truncated series in x."""
-    return operator.apply(f)
-
-
 def expand_operator(terms: Iterable[tuple[int, int, Sequence[int]]]) -> ThetaOperator:
     """Normal form of a sum of (coefficient, x-power, theta-shift factors).
 

@@ -118,14 +118,6 @@ class SparsePolynomial:
             return next(iter(self.terms.values()))
         return None
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.variables:
-            raise VariableMismatchError(f"{name!r} not among {self.variables!r}")
-        i = self.variables.index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self.terms.values())
 
@@ -399,14 +391,3 @@ def _scalar_text(c: Scalar) -> str:
         if isinstance(c, Fraction) and c.denominator != 1:
             return f"{_scalar_text(c.numerator)}/{_scalar_text(c.denominator)}"
         return str(Decimal(int(c)))
-
-
-# -- spec-level operation names ---------------------------------------------
-
-
-def coefficient_of(p: SparsePolynomial, monomial: Mapping[str, int]):
-    return p.coefficient_of(monomial)
-
-
-def poly_reduce_mod(p: SparsePolynomial, modulus: int) -> SparsePolynomial:
-    return p.reduce_mod(modulus)

@@ -7,8 +7,8 @@ precision loss is always explicit.  Coefficients may be ints, Fractions, or
 :class:`~wittkit.polynomials.SparsePolynomial` values.
 
 :class:`MultiTruncatedSeries` is the several-variable analogue, truncated in
-total degree.  Two formal variables is the common case (group laws), three
-appear when checking associativity.
+total degree.  Group laws use two formal variables; a one-variable series is
+evaluated at a multivariate argument by :func:`substitute_univariate`.
 """
 
 from __future__ import annotations
@@ -229,18 +229,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.variable, coeffs, self.order)
 
 
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    return s.inverse()
-
-
-def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    return outer.compose(inner)
-
-
-def series_reversion(s: TruncatedSeries) -> TruncatedSeries:
-    return s.reversion()
-
-
 class MultiTruncatedSeries:
     """Formal power series in several variables, truncated in total degree."""
 
@@ -264,10 +252,6 @@ class MultiTruncatedSeries:
         self.variables = variables
         self.degree = degree
         self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, variables: Iterable[str], degree: int) -> "MultiTruncatedSeries":
-        return cls(variables, degree, {})
 
     @classmethod
     def constant(cls, value: Value, variables: Iterable[str], degree: int) -> "MultiTruncatedSeries":
@@ -368,35 +352,6 @@ class MultiTruncatedSeries:
             self.variables, self.degree, {e: fn(c) for e, c in self.terms.items()}
         )
 
-    def set_variable_zero(self, name: str) -> "MultiTruncatedSeries":
-        """Substitute 0 for one variable, dropping it from the ring."""
-        if name not in self.variables:
-            raise ValueError(f"{name!r} not among {self.variables!r}")
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1 :]
-        terms = {
-            e[:i] + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == 0
-        }
-        return MultiTruncatedSeries(rest, self.degree, terms)
-
-    def swap_variables(self, a: str, b: str) -> "MultiTruncatedSeries":
-        i, j = self.variables.index(a), self.variables.index(b)
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i], e2[j] = e2[j], e2[i]
-            terms[tuple(e2)] = c
-        return MultiTruncatedSeries(self.variables, self.degree, terms)
-
-    def to_univariate(self, variable: str | None = None) -> TruncatedSeries:
-        if len(self.variables) != 1:
-            raise ValueError("only single-variable series convert to TruncatedSeries")
-        name = variable or self.variables[0]
-        coeffs = [0] * (self.degree + 1)
-        for (e,), c in self.terms.items():
-            coeffs[e] = c
-        return TruncatedSeries(name, coeffs, self.degree)
-
 
 def substitute_univariate(outer: TruncatedSeries, inner: MultiTruncatedSeries) -> MultiTruncatedSeries:
     """Evaluate a one-variable series at a multivariate argument."""
@@ -411,44 +366,4 @@ def substitute_univariate(outer: TruncatedSeries, inner: MultiTruncatedSeries) -
     )
     for k in range(degree - 1, -1, -1):
         result = result * inner + outer.coefficients[k]
-    return result
-
-
-def compose_multivariate(
-    f: MultiTruncatedSeries, args: Sequence[MultiTruncatedSeries]
-) -> MultiTruncatedSeries:
-    """Evaluate ``f(x_1, ..., x_n)`` at multivariate series arguments."""
-    if len(args) != len(f.variables):
-        raise ValueError("argument count does not match variable count")
-    if not args:
-        raise ValueError("need at least one argument")
-    variables = args[0].variables
-    degree = min([f.degree] + [a.degree for a in args])
-    for a in args:
-        if a.variables != variables:
-            raise ValueError("arguments must share one variable tuple")
-        if a.constant_coefficient():
-            raise ValueError("composition requires zero constant terms")
-    max_exp = [0] * len(f.variables)
-    for e in f.terms:
-        for i, x in enumerate(e):
-            max_exp[i] = max(max_exp[i], x)
-    powers: list[list[MultiTruncatedSeries]] = []
-    for i, a in enumerate(args):
-        row = [MultiTruncatedSeries.constant(1, variables, degree)]
-        current = row[0]
-        a = MultiTruncatedSeries(
-            variables, degree, {e: c for e, c in a.terms.items() if sum(e) <= degree}
-        )
-        for _ in range(max_exp[i]):
-            current = current * a
-            row.append(current)
-        powers.append(row)
-    result = MultiTruncatedSeries.zero(variables, degree)
-    for e, c in f.terms.items():
-        term = MultiTruncatedSeries.constant(c, variables, degree)
-        for i, x in enumerate(e):
-            if x:
-                term = term * powers[i][x]
-        result = result + term
     return result

@@ -306,6 +306,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "am-log", "--family", "hesse-cubic")[0] == 1  # missing --mmax
     assert run(capsys, "am-log", "--family", "not-a-family", "--mmax", "3")[0] == 1
     assert run(capsys, "am-log", "--unknown-flag", "3")[0] == 1  # unknown flag rejected
+    # a negative budget is a bad flag value, not an exceeded budget
+    code, out, err = run(capsys, "scan-ordinary", "--family", "hesse", "--pmax", "40",
+                         "--oracle", "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert err == "wittkit: usage error: argument --budget: invalid negative budget: '-1'\n"
 
 
 def test_precondition_exit_code(capsys):
@@ -332,6 +337,10 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "scan-ordinary", "--family", "hesse-cubic",
                        "--pmax", "7", "--oracle", "--budget", "3")
     assert code == 3
+    code, _, err = run(capsys, "scan-ordinary", "--family", "hesse-cubic",
+                       "--pmax", "7", "--oracle", "--budget", "0")
+    assert code == 3
+    assert err == "wittkit: budget exceeded: P^2(F_3) has 13 points, over the budget 0\n"
 
 
 def test_budget_ignores_primes_without_smooth_fibers(capsys):
@@ -456,8 +465,9 @@ def test_config_presets_every_flag_it_names(tmp_path, capsys):
         ("format = xml", ("am-log", "--family", "hesse-cubic", "--mmax", "3")),
         ("oracle = maybe", ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "5")),
         ("format = " + "x" * 100_000, ("am-log", "--family", "hesse-cubic", "--mmax", "3")),
+        ("budget = -1", ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "5", "--oracle")),
     ],
-    ids=["format", "oracle", "format-long"],
+    ids=["format", "oracle", "format-long", "budget"],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, line, request_argv):
     config = tmp_path / "bad.conf"

@@ -7,7 +7,6 @@ import pytest
 from wittkit.families import (
     CompleteIntersectionFamily,
     UnknownFamilyError,
-    am_coefficient,
     am_logarithm,
     builtin_family,
     closed_form_logarithm,
@@ -75,15 +74,15 @@ def test_family_invariants_enforced():
 def test_first_coefficient_is_one():
     for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
         entry = builtin_family(family)
-        assert am_coefficient(entry.family, 1) == 1
+        assert am_logarithm(entry.family, 1).coefficient(1) == 1
         assert entry.closed_form(1) == 1
 
 
 def test_extraction_examples():
     hesse = builtin_family("hesse-cubic").family
-    assert am_coefficient(hesse, 4) == 1 + 6 * X**3
+    assert am_logarithm(hesse, 4).coefficient(4) == 1 + 6 * X**3
     quintic = builtin_family("quintic-cy3").family
-    assert am_coefficient(quintic, 6) == 1 - 120 * X**5
+    assert am_logarithm(quintic, 6).coefficient(6) == 1 - 120 * X**5
 
 
 def test_closed_form_examples():
@@ -164,7 +163,7 @@ def test_degree_bound():
         for m in range(1, m_max + 1):
             a = log.coefficient(m)
             if isinstance(a, SparsePolynomial):
-                assert a.degree_in("x") <= m - 1
+                assert max(e for (e,) in a.terms) <= m - 1
 
 
 def test_extraction_equals_closed_form_small():
@@ -210,13 +209,13 @@ def test_user_supplied_codimension_two_family():
 
 
 def _check_against_unpruned_power(family, product, m_max):
-    """a_m by one pass, by am_coefficient, and from the full power of the
-    product of the family's polynomials."""
+    """a_m by one pass to m_max, by a pass that stops at m, and from the full
+    power of the product of the family's polynomials."""
     log = am_logarithm(family, m_max)
     zvars = family.coordinate_variables()
     for m in range(1, m_max + 1):
         unpruned = (product ** (m - 1)).coefficient_of({z: m - 1 for z in zvars})
-        assert log.coefficient(m) == am_coefficient(family, m) == unpruned, m
+        assert log.coefficient(m) == am_logarithm(family, m).coefficient(m) == unpruned, m
     return log
 
 

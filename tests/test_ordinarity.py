@@ -17,7 +17,6 @@ from wittkit.ordinarity import (
     hasse_witt_poly,
     hasse_witt_value,
     is_prime,
-    nonordinary_locus,
     ordinarity_scan,
     point_count_projective,
     projective_point_total,
@@ -43,14 +42,15 @@ def test_p_two_and_composites_rejected():
     with pytest.raises(ValueError):
         hasse_witt_poly("hesse-cubic", 9)
     with pytest.raises(ValueError):
-        nonordinary_locus("hesse-cubic", 15)
+        hasse_witt_poly("hesse-cubic", 15)
 
 
 def test_constant_term_one_mod_every_prime():
     for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
         for p in (3, 5, 7, 11, 13):
             assert hasse_witt_value(family, 0, p) == 1
-        # every value against exact evaluation, and the locus against the scan
+        # every value against exact evaluation, and the scan's locus against
+        # the values
         for p in filter(is_prime, range(3, 62)):
             poly = hasse_witt_poly(family, p)
             for lam in range(p):
@@ -58,7 +58,10 @@ def test_constant_term_one_mod_every_prime():
                 assert hasse_witt_value(family, lam, p) == expected
             scan = ordinarity_scan(family, p).scans[-1]
             assert scan.prime == p
-            assert nonordinary_locus(family, p) == scan.nonordinary
+            assert scan.nonordinary == tuple(
+                lam for lam in range(p)
+                if hasse_witt_value(family, lam, p) == 0 and not declared_singular(family, lam, p)
+            )
 
 
 # -- singular locus and loci ---------------------------------------------------
@@ -83,12 +86,15 @@ def test_declared_singular_follows_the_rules():
 
 
 def test_nonordinary_locus_examples():
-    assert nonordinary_locus("hesse-cubic", 5) == (1,)
-    assert nonordinary_locus("hesse-cubic", 3) == ()
+    at_3, at_5 = ordinarity_scan("hesse-cubic", 5).scans
+    assert (at_3.prime, at_3.nonordinary) == (3, ())
+    assert (at_5.prime, at_5.nonordinary) == (5, (1,))
 
 
 def test_nonordinary_locus_p7_matches_oracle():
-    locus = set(nonordinary_locus("hesse-cubic", 7))
+    scan = ordinarity_scan("hesse-cubic", 7).scans[-1]
+    assert scan.prime == 7
+    locus = set(scan.nonordinary)
     by_count = set()
     for lam in range(7):
         verdict = classify_elliptic_fiber("hesse-cubic", lam, 7)

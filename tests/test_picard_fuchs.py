@@ -84,7 +84,7 @@ def test_apply_to_series_keeps_truncation():
         dense = [a_k.coefficient_of({"x": e}) for e in range(order + 1)]
         from_series = L.apply(TruncatedSeries("x", dense, order))
         from_poly = L.apply(a_k)
-        assert from_poly.degree_in("x") <= order
+        assert max((e for (e,) in from_poly.terms), default=0) <= order
         for e in range(order + 1):
             assert from_poly.coefficient_of({"x": e}) == from_series.coefficient(e)
 

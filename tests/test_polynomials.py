@@ -11,10 +11,8 @@ from wittkit.polynomials import (
     SparsePolynomial,
     VariableMismatchError,
     as_integral,
-    coefficient_of,
     divide_exact,
     format_value,
-    poly_reduce_mod,
 )
 
 from wittkit.series import MultiTruncatedSeries, TruncatedSeries
@@ -69,7 +67,7 @@ def hesse_pencil():
 
 def test_coefficient_of_keeps_parameter():
     p = hesse_pencil()
-    c = coefficient_of(p, {"X": 1, "Y": 1, "Z": 1})
+    c = p.coefficient_of({"X": 1, "Y": 1, "Z": 1})
     assert c == SparsePolynomial(("x",), {(0,): 1})
 
 
@@ -107,19 +105,19 @@ def test_coefficient_of_all_variables_gives_scalar():
 
 
 def test_reduce_mod_examples():
-    assert poly_reduce_mod(1 + 24 * X**3, 5) == 1 + 4 * X**3
-    assert poly_reduce_mod(-75000 * X**5, 2) == SparsePolynomial.zero(("x",))
-    assert poly_reduce_mod(1 + 24 * X**3, 1) == SparsePolynomial.zero(("x",))
+    assert (1 + 24 * X**3).reduce_mod(5) == 1 + 4 * X**3
+    assert (-75000 * X**5).reduce_mod(2) == SparsePolynomial.zero(("x",))
+    assert (1 + 24 * X**3).reduce_mod(1) == SparsePolynomial.zero(("x",))
 
 
 def test_reduce_mod_canonical_residues():
-    p = poly_reduce_mod(-1 * X, 5)
+    p = (-1 * X).reduce_mod(5)
     assert p == 4 * X
 
 
 def test_reduce_mod_rejects_denominators():
     with pytest.raises(NonIntegralError):
-        poly_reduce_mod(Fraction(1, 2) * X, 3)
+        (Fraction(1, 2) * X).reduce_mod(3)
 
 
 # -- evaluate ----------------------------------------------------------------

@@ -88,8 +88,11 @@ def test_script_rejects_family_with_usage(name, args):
         ("ordinary_sweep.py", "--pmax", "9" * 5_000),
         ("group_law_tables.py", "--deg", "x" * 100_000),
         ("quintic_congruences.py", "--kmax", "x" * 100_000),
+        # a negative budget is a bad value, not an exceeded budget
+        ("ordinary_sweep.py", "--budget", "-1"),
     ],
-    ids=["ordinary_sweep-family", "ordinary_sweep-pmax", "group_law_tables-deg", "quintic_congruences-kmax"],
+    ids=["ordinary_sweep-family", "ordinary_sweep-pmax", "group_law_tables-deg", "quintic_congruences-kmax",
+         "ordinary_sweep-budget"],
 )
 def test_script_usage_errors_quote_a_bounded_value(name, flag, value):
     result = run_script(name, f"{flag}={value}")
@@ -106,11 +109,13 @@ def test_script_usage_errors_quote_a_bounded_value(name, flag, value):
         ("ordinary_sweep.py", ("--pmax", "2"), 2, "the scan needs a prime bound >= 3"),
         ("ordinary_sweep.py", ("--pmax", "31", "--budget", "10"), 3,
          "budget exceeded: P^2(F_3) has 13 points, over the budget 10"),
+        ("ordinary_sweep.py", ("--pmax", "31", "--budget", "0"), 3,
+         "budget exceeded: P^2(F_3) has 13 points, over the budget 0"),
         ("quintic_congruences.py", ("--kmax", "0"), 2, "k_max must be >= 1"),
         ("quintic_congruences.py", ("--order", "-1"), 2,
          "cannot check a solution through a negative order -1"),
     ],
-    ids=["group_law_tables-deg", "ordinary_sweep-pmax", "ordinary_sweep-budget",
+    ids=["group_law_tables-deg", "ordinary_sweep-pmax", "ordinary_sweep-budget", "ordinary_sweep-budget-0",
          "quintic_congruences-kmax", "quintic_congruences-order"],
 )
 def test_script_errors_exit_with_the_cli_codes(name, args, code, message):
