@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import re
 import sys
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .families import FAMILY_IDS, UnknownFamilyError, builtin_family, family_logarithm, resolve_family_id
@@ -77,8 +76,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(_bounded(message))
 
 
-@dataclass
-class ResultDoc:
+class ResultDoc(NamedTuple):
     """One result: its value table, and its JSON payload as a zero-argument
     callable that builds a keyed view of that table on demand."""
 
@@ -475,6 +473,7 @@ def main(argv=None) -> int:
             return USAGE_ERROR
 
     if args.manifest:
+        import hashlib  # only a manifest needs it: a plain request does not load OpenSSL
         request = {
             key: value
             for key, value in sorted(vars(args).items())

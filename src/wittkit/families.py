@@ -13,15 +13,14 @@ Extraction keys orbit sums by Z vector; a_m's terms ascend in x (see ``am_logari
 
 The regular-sequence and smoothness hypotheses behind the construction are
 not verified (they are not decidable at this level); outputs are meaningful
-on the parameter locus where those hypotheses hold.
+on the parameter locus where those hypotheses hold.  Records are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, prod
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial
@@ -33,7 +32,6 @@ class UnknownFamilyError(ValueError):
     """The requested identifier is not in the catalog."""
 
 
-@dataclass(frozen=True)
 class CompleteIntersectionFamily:
     """Homogeneous polynomials cutting out a pencil of Calabi-Yau varieties.
 
@@ -41,12 +39,11 @@ class CompleteIntersectionFamily:
     degrees in the Z-variables, which must sum to N+1.
     """
 
-    name: str
-    ambient_dim: int
-    polynomials: tuple[SparsePolynomial, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ("name", "ambient_dim", "polynomials", "degrees")
 
-    def __post_init__(self):
+    def __init__(self, name: str, ambient_dim: int,
+                 polynomials: tuple[SparsePolynomial, ...], degrees: tuple[int, ...]):
+        self.name, self.ambient_dim, self.polynomials, self.degrees = name, ambient_dim, polynomials, degrees
         if not self.polynomials or len(self.polynomials) != len(self.degrees):
             raise ValueError("need at least one polynomial and one degree per polynomial")
         if sum(self.degrees) != self.ambient_dim + 1:
@@ -69,6 +66,21 @@ class CompleteIntersectionFamily:
                     f"{poly} is not homogeneous of degree {degree} in {zvars}"
                 )
 
+    def _key(self) -> tuple:
+        return self.name, self.ambient_dim, self.polynomials, self.degrees
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompleteIntersectionFamily):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"CompleteIntersectionFamily({fields})"
+
     def coordinate_variables(self) -> tuple[str, ...]:
         return tuple(v for v in self.polynomials[0].variables if v != PARAMETER)
 
@@ -81,17 +93,16 @@ class CompleteIntersectionFamily:
         return self.ambient_dim - self.codimension
 
 
-@dataclass(frozen=True)
-class FamilyCatalogEntry:
+class FamilyCatalogEntry(NamedTuple):
     identifier: str
     family: CompleteIntersectionFamily
-    closed_form: Callable[[int], SparsePolynomial] = field(compare=False)
+    closed_form: Callable[[int], SparsePolynomial]
     # (m, p, s) -> a_m mod p^s from the same formula, over small ints
-    closed_form_mod: Callable[[int, int, int], SparsePolynomial] = field(compare=False)
+    closed_form_mod: Callable[[int, int, int], SparsePolynomial]
     # declared singular parameter values: x = 0 plus every (c, e) condition
     # c * x^e = 1.  For the cubic pencil both 27x^3 = 1 and 27x^3 = -1 are
     # declared; the latter fibers factor into three lines (check x = -1/3).
-    singular_rules: tuple[tuple[int, int], ...] = field(compare=False, default=())
+    singular_rules: tuple[tuple[int, int], ...] = ()
 
     @property
     def dimension(self) -> int:

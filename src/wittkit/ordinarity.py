@@ -7,7 +7,7 @@ checked against an independent oracle: count the points of the fiber over
 F_p by brute force, take the Frobenius trace t = p + 1 - count, and call the
 fiber supersingular exactly when t = 0 mod p.  The two verdicts must agree;
 the scan records every comparison.  One enumeration of P^N(F_p) counts the
-points of all p fibers at once.
+points of all p fibers at once.  Records are named tuples.
 
 a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
 from tables of factorial unit parts mod p, in O(p) small-int operations, and
@@ -34,7 +34,6 @@ the same flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple
@@ -66,8 +65,7 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class FiberClassification:
+class FiberClassification(NamedTuple):
     prime: int
     parameter: int
     verdict: str  # "ordinary" | "supersingular" | "singular"
@@ -86,16 +84,14 @@ class FiberRow(NamedTuple):
     agree: bool | None
 
 
-@dataclass(frozen=True)
-class PrimeScan:
+class PrimeScan(NamedTuple):
     prime: int
     nonordinary: tuple[int, ...]
     rows: tuple[FiberRow, ...]
     agree: bool | None
 
 
-@dataclass(frozen=True)
-class OrdinarityReport:
+class OrdinarityReport(NamedTuple):
     family: str
     prime_bound: int
     with_oracle: bool

@@ -4,7 +4,7 @@ Operators are stored in the normal form ``L = sum_k q_k(x) theta^k`` with
 ``theta = x d/dx``, so applying L to a monomial is the eigenvalue rule
 ``theta^k (x^n) = n^k x^n``.  Products of ``(theta + c)`` factors are
 expanded at construction; moving an x-monomial across theta uses
-``theta x^n = x^n (theta + n)``.
+``theta x^n = x^n (theta + n)``.  Records are named tuples.
 
 The two checks: L annihilating the distinguished solution series exactly
 through a stated order, and the coefficient congruence ``L a_k = 0 mod k``
@@ -15,7 +15,6 @@ the residual is the one L a_k gives, without L a_k's big integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,17 +25,28 @@ from .series import TruncatedSeries
 X = "x"
 
 
-@dataclass(frozen=True)
 class ThetaOperator:
     """``sum_k q_k(x) theta^k`` with exact Z[x] coefficients, q_r != 0."""
 
-    coefficients: tuple[SparsePolynomial, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[SparsePolynomial, ...]):
+        if not coefficients:
             raise ValueError("an operator needs at least one coefficient")
-        if not self.coefficients[-1].terms:
+        if not coefficients[-1].terms:
             raise ValueError("the leading theta-coefficient must be nonzero")
+        self.coefficients = coefficients
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ThetaOperator):
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __repr__(self):
+        return f"ThetaOperator(coefficients={self.coefficients!r})"
 
     @property
     def order(self) -> int:
@@ -179,8 +189,7 @@ def pf_congruence_check(
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class SolutionCheck:
+class SolutionCheck(NamedTuple):
     passed: bool
     checked_through: int
     first_failure: int | None

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import re
@@ -177,8 +176,8 @@ def test_congruence_prints_failing_residual(capsys, monkeypatch):
     def with_a_wrong_coefficient(identifier):
         entry = real(identifier)
         rule = entry.closed_form_mod
-        return dataclasses.replace(
-            entry, closed_form_mod=lambda m, p, s: rule(m, p, s) + 1 if m == 25 else rule(m, p, s)
+        return entry._replace(
+            closed_form_mod=lambda m, p, s: rule(m, p, s) + 1 if m == 25 else rule(m, p, s)
         )
 
     monkeypatch.setattr(cli, "builtin_family", with_a_wrong_coefficient)

@@ -32,6 +32,16 @@ def test_catalog_polynomials_exact():
         (1, 0, 3, 0): 1,
         (1, 0, 0, 3): 1,
     }
+    assert repr(hesse.family) == (
+        "CompleteIntersectionFamily(name='hesse-cubic', ambient_dim=2, polynomials=(SparsePolynomial("
+        "('x', 'X', 'Y', 'Z'), {(0, 1, 1, 1): 1, (1, 0, 0, 3): 1, (1, 0, 3, 0): 1, (1, 3, 0, 0): 1}),), "
+        "degrees=(3,))"
+    )
+    copy = SparsePolynomial(p.variables, dict(p.terms))
+    rebuilt = CompleteIntersectionFamily("hesse-cubic", 2, (copy,), (3,))
+    assert rebuilt == hesse.family and hash(rebuilt) == hash(hesse.family)
+    changed = SparsePolynomial(p.variables, {**p.terms, (0, 1, 1, 1): 2})
+    assert CompleteIntersectionFamily("hesse-cubic", 2, (changed,), (3,)) != hesse.family
 
     quartic = builtin_family("quartic-k3")
     assert quartic.dimension == 2

@@ -1,15 +1,25 @@
 """Every name a module of the package, or a script, imports is used in that
 file; every function the package exports is named outside ``__init__.py``;
-and the README's library sketch runs."""
+the README's library sketch runs; starting the CLI loads no module that no
+request needs; and the records keep their fields."""
 
 import ast
+import hashlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import wittkit
+from wittkit.cli import ResultDoc
+from wittkit.families import FamilyCatalogEntry
+from wittkit.ordinarity import FiberClassification, OrdinarityReport, PrimeScan
+from wittkit.picard_fuchs import SolutionCheck
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = ROOT / "src" / "wittkit" / "__init__.py"
@@ -65,3 +75,57 @@ def test_readme_library_sketch_runs():
     sketch = re.search(r"^## Library sketch\n+```python\n(.*?)^```", readme, re.M | re.S)
     assert sketch, "README.md has no python block under '## Library sketch'"
     exec(compile(sketch[1], "README.md", "exec"), {})
+
+
+def _fresh_python(*args, cwd=ROOT):
+    """stdout of a new interpreter run with ``src`` first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_start_up_loads_no_unneeded_module():
+    """Every request pays for what importing the CLI and building its parser
+    load; ``dataclasses`` (with ``inspect``) and ``hashlib`` serve none."""
+    loaded = _fresh_python("-c", (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import wittkit.cli\n"
+        "wittkit.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))\n"
+    ))
+    assert loaded == "[]\n"
+
+
+def test_manifest_hash_in_a_fresh_process(tmp_path):
+    _fresh_python(
+        "-m", "wittkit.cli", "am-log", "--family", "hesse-cubic", "--mmax", "4",
+        "--out", "result.json", "--manifest", "manifest.json", cwd=tmp_path,
+    )
+    body = (tmp_path / "result.json").read_text(encoding="utf-8")
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["content_hash"] == "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+#: Each record's fields, in order, and its defaults.
+RECORDS = {
+    ResultDoc: (("tsv_header", "tsv_rows", "payload"), {}),
+    FiberClassification: (
+        ("prime", "parameter", "verdict", "point_count", "trace"), {"point_count": None, "trace": None}
+    ),
+    PrimeScan: (("prime", "nonordinary", "rows", "agree"), {}),
+    OrdinarityReport: (("family", "prime_bound", "with_oracle", "scans"), {}),
+    SolutionCheck: (("passed", "checked_through", "first_failure", "residual"), {}),
+    FamilyCatalogEntry: (
+        ("identifier", "family", "closed_form", "closed_form_mod", "singular_rules"), {"singular_rules": ()}
+    ),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_records_keep_their_fields(record):
+    assert (record._fields, record._field_defaults) == RECORDS[record]

@@ -190,6 +190,8 @@ def test_classify_singular_parameters():
     for p in (3, 5, 7, 11):
         assert classify_elliptic_fiber("hesse-cubic", 0, p).verdict == "singular"
     assert classify_elliptic_fiber("hesse-cubic", 2, 5).verdict == "singular"
+    # a singular fiber is not counted: its point count and trace stay None
+    assert classify_elliptic_fiber("hesse-cubic", 2, 5) == (5, 2, "singular", None, None)
 
 
 def test_classify_supersingular_fiber():

@@ -47,6 +47,14 @@ def test_quintic_operator_normal_form():
     assert L.order == 4
     assert L.coefficients[0] == -75000 * X**5
     assert L.coefficients[4] == 1 - 3125 * X**5
+    assert repr(L) == (
+        "ThetaOperator(coefficients=(SparsePolynomial(('x',), {(5,): -75000}), "
+        "SparsePolynomial(('x',), {(5,): -156250}), SparsePolynomial(('x',), {(5,): -109375}), "
+        "SparsePolynomial(('x',), {(5,): -31250}), SparsePolynomial(('x',), {(0,): 1, (5,): -3125})))"
+    )
+    rebuilt = quintic_picard_fuchs()
+    assert rebuilt == L and hash(rebuilt) == hash(L)
+    assert ThetaOperator((L.coefficients[0] + 1, *L.coefficients[1:])) != L
 
 
 def test_leading_coefficient_must_be_nonzero():
