@@ -11,12 +11,7 @@ import argparse
 
 from wittkit.families import builtin_family, closed_form_logarithm
 from wittkit.ordinarity import frobenius_power_congruence
-from wittkit.picard_fuchs import (
-    pf_congruence_check,
-    quintic_fundamental_period,
-    quintic_picard_fuchs,
-    series_solution_check,
-)
+from wittkit.picard_fuchs import pf_congruence_check, series_solution_check
 
 from _script import Parser, run_main
 
@@ -26,7 +21,8 @@ PRIMES = (3, 5, 7)
 
 
 def run(args: argparse.Namespace) -> int:
-    operator = quintic_picard_fuchs()
+    quintic = builtin_family("quintic-cy3")
+    operator = quintic.picard_fuchs
     log = closed_form_logarithm("quintic-cy3", max(args.kmax, 1))
     failures = 0
 
@@ -36,13 +32,13 @@ def run(args: argparse.Namespace) -> int:
           f"{'PASS' if not bad else 'FAIL at ' + str([r.k for r in bad])}")
     failures += len(bad)
 
-    period = quintic_fundamental_period(args.order + 5)
+    period = quintic.period(args.order + 5)
     solution = series_solution_check(operator, period, args.order)
     print(f"L f = 0 through x^{args.order}: "
           f"{'PASS' if solution.passed else f'FAIL at order {solution.first_failure}'}")
     failures += 0 if solution.passed else 1
 
-    rule = builtin_family("quintic-cy3").closed_form_mod
+    rule = quintic.closed_form_mod
     for p in PRIMES:
         check = frobenius_power_congruence(lambda m: rule(m, p, 1), p, 2)
         print(f"a_(p^2) = a_p * a_p^p mod p at p={p}: "

@@ -51,8 +51,6 @@ from .picard_fuchs import (
     ThetaOperator,
     expand_operator,
     pf_congruence_check,
-    quintic_fundamental_period,
-    quintic_picard_fuchs,
     series_solution_check,
 )
 from .polynomials import (

@@ -35,10 +35,7 @@ from .ordinarity import (
     frobenius_power_congruence,
     ordinarity_scan,
 )
-from .picard_fuchs import (
-    pf_congruence_check,
-    quintic_picard_fuchs,
-)
+from .picard_fuchs import pf_congruence_check
 from .polynomials import as_x_polynomial
 from .serialize import (
     SchemaError,
@@ -248,13 +245,8 @@ def _residual_obj(residual):
 
 def _cmd_pf_check(args) -> ResultDoc:
     family = resolve_family_id(args.family)
-    if family != "quintic-cy3":
-        raise ValueError(
-            "only the quintic pencil ships a bundled differential operator; "
-            "use the library API to supply one for other families"
-        )
     log = family_logarithm(family, max(args.kmax, 1), "closed-form")
-    results = pf_congruence_check(quintic_picard_fuchs(), log, args.kmax)
+    results = pf_congruence_check(builtin_family(family).picard_fuchs, log, args.kmax)
     return ResultDoc(["k", "pass", "residual"], results, lambda: {
         "family": family,
         "kmax": args.kmax,
@@ -377,7 +369,7 @@ def build_parser() -> _Parser:
     common(s)
     s.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("pf-check", help="differential congruences for the quintic")
+    p = sub.add_parser("pf-check", help="differential congruences L a_k = 0 mod k")
     p.add_argument("--family", default=None)
     p.add_argument("--kmax", type=int, default=None)
     common(p)

@@ -8,7 +8,8 @@ of homogeneous coordinates) is
 
 an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
 are built in, each with a closed-form coefficient rule used as an independent
-oracle; the extraction path is the authority if the two ever disagree.
+oracle (the extraction path is the authority if the two ever disagree), its
+Picard-Fuchs operator and its holomorphic period, all read from (n, sign).
 Extraction keys orbit sums by Z vector; a_m's terms ascend in x (see ``am_logarithm``).
 
 The regular-sequence and smoothness hypotheses behind the construction are
@@ -23,7 +24,9 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .formal_groups import Logarithm
+from .picard_fuchs import ThetaOperator, expand_operator
 from .polynomials import SparsePolynomial
+from .series import TruncatedSeries
 
 PARAMETER = "x"
 
@@ -99,6 +102,9 @@ class FamilyCatalogEntry(NamedTuple):
     closed_form: Callable[[int], SparsePolynomial]
     # (m, p, s) -> a_m mod p^s from the same formula, over small ints
     closed_form_mod: Callable[[int, int, int], SparsePolynomial]
+    # the Picard-Fuchs operator, and its holomorphic period to a given order
+    picard_fuchs: ThetaOperator
+    period: Callable[[int], TruncatedSeries]
     # declared singular parameter values: x = 0 plus every (c, e) condition
     # c * x^e = 1.  For the cubic pencil both 27x^3 = 1 and 27x^3 = -1 are
     # declared; the latter fibers factor into three lines (check x = -1/3).
@@ -182,6 +188,26 @@ def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], S
     return rule
 
 
+def _symmetric_picard_fuchs(n: int, sign: int) -> ThetaOperator:
+    """theta^(n-1) - eps n^n x^n (theta+1)(theta+2)...(theta+n-1), eps = (-sign)^n."""
+    return expand_operator([(1, 0, (0,) * (n - 1)), (-((-sign) ** n) * n**n, n, range(1, n))])
+
+
+def _symmetric_period(n: int, sign: int) -> Callable[[int], TruncatedSeries]:
+    """sum_j eps^j (nj)!/(j!)^n x^(nj), eps = (-sign)^n, truncated at a given order;
+    term j+1 is term j times eps (nj+1) (nj+2) ... (nj+n) / (j+1)^n."""
+
+    def period(order: int) -> TruncatedSeries:
+        coeffs = [0] * (order + 1)
+        c = 1
+        for j in range(order // n + 1):
+            coeffs[n * j] = c
+            c = c * (-sign) ** n * prod(range(n * j + 1, n * j + n + 1)) // (j + 1) ** n
+        return TruncatedSeries(PARAMETER, coeffs, order)
+
+    return period
+
+
 def _build_catalog() -> dict[str, FamilyCatalogEntry]:
     pencils = (  # identifier, coordinates, sign, singular rules
         ("hesse-cubic", ("X", "Y", "Z"), 1, ((27, 3), (-27, 3))),
@@ -193,7 +219,8 @@ def _build_catalog() -> dict[str, FamilyCatalogEntry]:
         n = len(zvars)
         family = CompleteIntersectionFamily(name, n - 1, (_pencil_poly(zvars, sign),), (n,))
         catalog[name] = FamilyCatalogEntry(
-            name, family, _symmetric_closed_form(n, sign), _symmetric_closed_form_mod(n, sign), rules
+            name, family, _symmetric_closed_form(n, sign), _symmetric_closed_form_mod(n, sign),
+            _symmetric_picard_fuchs(n, sign), _symmetric_period(n, sign), rules,
         )
     return catalog
 

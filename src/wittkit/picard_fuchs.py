@@ -15,7 +15,7 @@ the residual is the one L a_k gives, without L a_k's big integers.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .formal_groups import Logarithm
@@ -136,26 +136,6 @@ def expand_operator(terms: Iterable[tuple[int, int, Sequence[int]]]) -> ThetaOpe
     while len(coeffs) > 1 and not coeffs[-1].terms:
         coeffs.pop()
     return ThetaOperator(tuple(coeffs))
-
-
-def quintic_picard_fuchs() -> ThetaOperator:
-    """theta^4 - 5^5 x^5 (theta+1)(theta+2)(theta+3)(theta+4)."""
-    return expand_operator(
-        [
-            (1, 0, (0, 0, 0, 0)),
-            (-(5**5), 5, (1, 2, 3, 4)),
-        ]
-    )
-
-
-def quintic_fundamental_period(order: int) -> TruncatedSeries:
-    """The holomorphic solution  sum_j (5j)!/(j!)^5 x^(5j),  truncated."""
-    coeffs: list[Value] = [0] * (order + 1)
-    j = 0
-    while 5 * j <= order:
-        coeffs[5 * j] = factorial(5 * j) // factorial(j) ** 5
-        j += 1
-    return TruncatedSeries(X, coeffs, order)
 
 
 class CoefficientCongruence(NamedTuple):

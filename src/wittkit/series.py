@@ -7,8 +7,8 @@ precision loss is always explicit.  Coefficients may be ints, Fractions, or
 :class:`~wittkit.polynomials.SparsePolynomial` values.
 
 :class:`MultiTruncatedSeries` is the several-variable analogue, truncated in
-total degree.  Group laws use two formal variables; a one-variable series is
-evaluated at a multivariate argument by :func:`substitute_univariate`.
+total degree (a group law is one).  :func:`substitute_univariate` evaluates a
+one-variable series at a several-variable one; group-law synthesis never does.
 """
 
 from __future__ import annotations

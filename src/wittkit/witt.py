@@ -298,12 +298,12 @@ def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVect
     """
     if m < 1:
         raise ValueError("Frobenius index must be >= 1")
+    if length is not None and length < 1:
+        raise ValueError("length must be >= 1")
     k_max = w.length // m
     k = k_max if length is None else length
     if k < 1 or k > k_max:
-        raise ValueError(
-            f"insufficient input length {w.length} for F_{m} at output length {k or 1}"
-        )
+        raise ValueError(f"insufficient input length {w.length} for F_{m} at output length {k or 1}")
     if m == 1:
         return witt_truncate(w, k)
     g = to_ghost(w)
@@ -320,9 +320,11 @@ def witt_verschiebung(m: int, w: WittVector, length: int | None = None) -> WittV
     """
     if m < 1:
         raise ValueError("Verschiebung index must be >= 1")
+    if length is not None and length < 1:
+        raise ValueError("length must be >= 1")
     full = m * w.length + m - 1
     out_len = full if length is None else length
-    if out_len < 1 or out_len > full:
+    if out_len > full:
         raise ValueError(f"V_{m} of length {w.length} determines at most {full} coordinates")
     coords: list[Value] = [0] * out_len
     for i, a in enumerate(w.coords, start=1):

@@ -23,6 +23,8 @@ def golden_cli_requests():
         ["scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--oracle"],
         ["scan-ordinary", "--family", "quintic-cy3", "--pmax", "5"],
         ["pf-check", "--family", "quintic-cy3", "--kmax", "8"],
+        ["pf-check", "--family", "hesse-cubic", "--kmax", "8"],
+        ["pf-check", "--family", "quartic-k3", "--kmax", "8"],
         ["congruence", "--family", "quintic-cy3", "--p", "3", "--nu", "2"],
         ["congruence", "--family", "hesse-cubic", "--p", "5", "--nu", "2"],
         ["congruence", "--family", "quintic-cy3", "--p", "11", "--nu", "3"],

@@ -37,12 +37,7 @@ from wittkit.ordinarity import (
     hasse_witt_value,
     is_prime,
 )
-from wittkit.picard_fuchs import (
-    pf_congruence_check,
-    quintic_fundamental_period,
-    quintic_picard_fuchs,
-    series_solution_check,
-)
+from wittkit.picard_fuchs import pf_congruence_check, series_solution_check
 from wittkit.polynomials import SparsePolynomial
 from wittkit.series import MultiTruncatedSeries, TruncatedSeries
 from wittkit.witt import (
@@ -301,13 +296,14 @@ def test_acceptance_6_prime_power_congruence():
 def test_acceptance_7_picard_fuchs_congruences():
     """L a_k = 0 mod k for k <= 50 and L f = 0 through x^200, exact, < 60 s."""
     started = time.monotonic()
-    operator = quintic_picard_fuchs()
+    quintic = builtin_family("quintic-cy3")
+    operator = quintic.picard_fuchs
     log = closed_form_logarithm("quintic-cy3", 50)
     results = pf_congruence_check(operator, log, 50)
     failures = [r.k for r in results if not r.passed]
     assert failures == []
 
-    period = quintic_fundamental_period(205)
+    period = quintic.period(205)
     solution = series_solution_check(operator, period, 200)
     assert solution.passed
     elapsed = time.monotonic() - started

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from wittkit import cli
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
+from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.formal_groups import Logarithm
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
-from wittkit.picard_fuchs import pf_congruence_check, quintic_picard_fuchs
+from wittkit.picard_fuchs import pf_congruence_check
 from wittkit.polynomials import SparsePolynomial, format_value
 from wittkit.serialize import tsv_dumps, value_to_obj, witt_to_obj
 from wittkit.witt import WittVector
@@ -136,6 +137,14 @@ def test_pf_check_rows(capsys):
     assert all(line.split("\t")[1] == "true" for line in lines[1:])
 
 
+@pytest.mark.parametrize("family", [*FAMILY_IDS, "hesse", "quartic", "quintic"])
+def test_pf_check_passes_for_every_family(capsys, family):
+    code, out, err = run(capsys, "pf-check", "--family", family, "--kmax", "8", "--format", "tsv")
+    assert (code, err) == (0, "")
+    rows = [line.split("\t") for line in out.split("\n")[1:-1]]
+    assert rows == [[str(k), "true", ""] for k in range(1, 9)]
+
+
 def test_congruence(capsys):
     code, out, _ = run(capsys, "congruence", "--family", "hesse-cubic", "--p", "3",
                        "--nu", "2")
@@ -154,7 +163,7 @@ def test_pf_check_prints_failing_residuals(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "family_logarithm", with_a_wrong_coefficient)
     expected = pf_congruence_check(
-        quintic_picard_fuchs(), with_a_wrong_coefficient("quintic-cy3", 8, "closed-form"), 8
+        builtin_family("quintic-cy3").picard_fuchs, with_a_wrong_coefficient("quintic-cy3", 8, "closed-form"), 8
     )
     assert [r.k for r in expected if not r.passed] == [7]
     argv = ("pf-check", "--family", "quintic-cy3", "--kmax", "8")
@@ -229,6 +238,15 @@ def test_witt_teichmueller_tsv(capsys):
                        "--length", "3", "--format", "tsv")
     assert code == 0
     assert out == "index\tcoordinate\tghost\n1\t2\t2\n2\t0\t4\n3\t0\t8\n"
+
+
+@pytest.mark.parametrize("op", ["frobenius", "verschiebung"])
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_witt_length_below_one_names_the_length(capsys, op, length):
+    # the input is long enough for any output: the fault is the length asked for
+    code, out, err = run(capsys, "witt", "--op", op, "--m", "2", "--length", length,
+                         "--u", '{"coords":["1","2","3"]}')
+    assert (code, out, err) == (2, "", "wittkit: length must be >= 1\n")
 
 
 def test_integers_past_the_digit_limit_print_exactly(capsys):

@@ -1,7 +1,8 @@
 """Every name a module of the package, or a script, imports is used in that
 file; every function the package exports is named outside ``__init__.py``;
 the README's library sketch runs; starting the CLI loads no module that no
-request needs; and the records keep their fields."""
+request needs; the records keep their fields; and no module but
+``families`` names a pencil."""
 
 import ast
 import hashlib
@@ -40,6 +41,32 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES + [INIT] if p.stem != "families"], ids=lambda p: p.stem
+)
+def test_no_pencil_is_named_outside_the_catalog(path):
+    """Every pencil's data lives in its ``families`` catalog entry: no other
+    module names one in a string (docstrings may, as prose or examples)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docs = set(map(id, _docstrings(tree)))
+    named = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs
+        and re.search("hesse|quartic|quintic", node.value, re.I)
+    ]
+    assert not named, f"pencils named outside the catalog: {named}"
 
 
 def _named(path):
@@ -121,7 +148,8 @@ RECORDS = {
     OrdinarityReport: (("family", "prime_bound", "with_oracle", "scans"), {}),
     SolutionCheck: (("passed", "checked_through", "first_failure", "residual"), {}),
     FamilyCatalogEntry: (
-        ("identifier", "family", "closed_form", "closed_form_mod", "singular_rules"), {"singular_rules": ()}
+        ("identifier", "family", "closed_form", "closed_form_mod", "picard_fuchs", "period", "singular_rules"),
+        {"singular_rules": ()},
     ),
 }
 

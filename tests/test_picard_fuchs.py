@@ -1,16 +1,15 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from wittkit.families import closed_form_logarithm
+from wittkit.families import FAMILY_IDS, builtin_family, closed_form_logarithm
 from wittkit.formal_groups import Logarithm
 from wittkit.picard_fuchs import (
     ThetaOperator,
     expand_operator,
     pf_congruence_check,
-    quintic_fundamental_period,
-    quintic_picard_fuchs,
     series_solution_check,
 )
 from wittkit.polynomials import SparsePolynomial
@@ -19,6 +18,20 @@ from wittkit.series import TruncatedSeries
 X = SparsePolynomial.variable("x")
 ZERO = SparsePolynomial.zero(("x",))
 ONE = SparsePolynomial.constant(1, ("x",))
+QUINTIC = builtin_family("quintic-cy3")
+
+
+def printed_quintic_operator():
+    """theta^4 - 5^5 x^5 (theta+1)(theta+2)(theta+3)(theta+4), as printed."""
+    return expand_operator([(1, 0, (0, 0, 0, 0)), (-(5**5), 5, (1, 2, 3, 4))])
+
+
+def printed_quintic_period(order):
+    """sum_j (5j)!/(j!)^5 x^(5j), as printed, truncated at ``order``."""
+    coeffs = [0] * (order + 1)
+    for j in range(order // 5 + 1):
+        coeffs[5 * j] = factorial(5 * j) // factorial(j) ** 5
+    return TruncatedSeries("x", coeffs, order)
 
 
 # -- normal form ----------------------------------------------------------------
@@ -43,7 +56,7 @@ def test_expand_shifted_quartic():
 
 
 def test_quintic_operator_normal_form():
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     assert L.order == 4
     assert L.coefficients[0] == -75000 * X**5
     assert L.coefficients[4] == 1 - 3125 * X**5
@@ -52,7 +65,7 @@ def test_quintic_operator_normal_form():
         "SparsePolynomial(('x',), {(5,): -156250}), SparsePolynomial(('x',), {(5,): -109375}), "
         "SparsePolynomial(('x',), {(5,): -31250}), SparsePolynomial(('x',), {(0,): 1, (5,): -3125})))"
     )
-    rebuilt = quintic_picard_fuchs()
+    rebuilt = printed_quintic_operator()
     assert rebuilt == L and hash(rebuilt) == hash(L)
     assert ThetaOperator((L.coefficients[0] + 1, *L.coefficients[1:])) != L
 
@@ -72,14 +85,14 @@ def test_monomials_are_eigenvectors():
 
 
 def test_quintic_on_constants():
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     assert L.apply(ONE) == -75000 * X**5
     # the same value reduced mod 2 vanishes
     assert L.apply(ONE).reduce_mod(2) == ZERO
 
 
 def test_apply_to_series_keeps_truncation():
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     f = TruncatedSeries("x", [1] + [0] * 9, 9)
     image = L.apply(f)
     assert image.order == 9
@@ -98,7 +111,7 @@ def test_apply_to_series_keeps_truncation():
 
 
 def test_apply_is_linear():
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     rng = random.Random(3)
     for _ in range(10):
         f = SparsePolynomial(("x",), {(rng.randrange(6),): rng.randrange(-9, 10)})
@@ -110,7 +123,7 @@ def test_apply_is_linear():
 
 def test_commutation_rule():
     # L(x^n g) = x^n * (L with theta -> theta+n)(g)
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randrange(1, 5)
@@ -127,7 +140,7 @@ def test_commutation_rule():
 
 
 def test_congruence_trivial_and_small():
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     log = closed_form_logarithm("quintic-cy3", 6)
     results = pf_congruence_check(L, log, 6)
     assert all(r.passed for r in results)
@@ -148,7 +161,7 @@ def test_congruence_residual_on_failure():
 def test_congruence_reports_a_changed_coefficient():
     """a_k + 1 adds L(1) = q_0 = -75000 x^5 to L a_k, so k fails unless k
     divides 75000; every residual is L a_k over Z reduced mod k."""
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     assert L.apply(ONE) == -75000 * X**5
     coeffs = list(closed_form_logarithm("quintic-cy3", 60).coeffs)
     for k in range(2, 61):
@@ -172,7 +185,7 @@ def test_congruence_needs_an_operator_over_z():
 
 
 def test_congruence_requires_enough_coefficients():
-    L = quintic_picard_fuchs()
+    L = QUINTIC.picard_fuchs
     log = closed_form_logarithm("quintic-cy3", 4)
     with pytest.raises(ValueError):
         pf_congruence_check(L, log, 10)
@@ -188,15 +201,15 @@ def test_theta_kills_constants():
 
 
 def test_quintic_period_is_annihilated():
-    L = quintic_picard_fuchs()
-    f = quintic_fundamental_period(40)
+    L = QUINTIC.picard_fuchs
+    f = QUINTIC.period(40)
     got = series_solution_check(L, f, 40)
     assert got.passed
 
 
 def test_perturbed_period_fails_at_perturbed_order():
-    L = quintic_picard_fuchs()
-    f = quintic_fundamental_period(40)
+    L = QUINTIC.picard_fuchs
+    f = QUINTIC.period(40)
     coeffs = list(f.coefficients)
     coeffs[10] += 1
     bad = TruncatedSeries("x", coeffs, 40)
@@ -207,16 +220,46 @@ def test_perturbed_period_fails_at_perturbed_order():
 
 
 def test_solution_check_needs_enough_series():
-    L = quintic_picard_fuchs()
-    f = quintic_fundamental_period(20)
+    L = QUINTIC.picard_fuchs
+    f = QUINTIC.period(20)
     with pytest.raises(ValueError):
         series_solution_check(L, f, 30)
 
 
 def test_solution_check_refuses_a_negative_order():
     # through x^-1 no coefficient is checked: that is no pass
-    L = quintic_picard_fuchs()
-    f = quintic_fundamental_period(5)
+    L = QUINTIC.picard_fuchs
+    f = QUINTIC.period(5)
     with pytest.raises(ValueError, match="negative order -1"):
         series_solution_check(L, f, -1)
     assert series_solution_check(L, f, 0).checked_through == 0
+
+
+# -- the catalog's operators ------------------------------------------------------------
+
+
+def test_quintic_period_is_the_printed_series():
+    for order in (0, 4, 5, 60):
+        assert QUINTIC.period(order) == printed_quintic_period(order)
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_catalog_operator_annihilates_coefficients_and_period(family):
+    """L a_k = 0 mod k for every k <= 200, and L kills the period through x^60."""
+    entry = builtin_family(family)
+    results = pf_congruence_check(entry.picard_fuchs, closed_form_logarithm(family, 200), 200)
+    assert [r.k for r in results if not r.passed] == []
+    assert series_solution_check(entry.picard_fuchs, entry.period(60), 60).passed
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_operator_singularity_is_a_declared_singular_rule(family):
+    """The leading theta-coefficient 1 - eps n^n x^n vanishes on the locus
+    declared by hand: (eps n^n, n) is one of the entry's singular rules."""
+    entry = builtin_family(family)
+    n = entry.family.ambient_dim + 1
+    L = entry.picard_fuchs
+    assert L.order == n - 1
+    c = -L.coefficients[-1].coefficient_of({"x": n})
+    assert L.coefficients[-1] == 1 - c * X**n
+    assert (c, n) in entry.singular_rules
