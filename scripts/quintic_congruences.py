@@ -9,7 +9,7 @@ Frobenius congruence.
 
 import argparse
 
-from wittkit.families import builtin_family, closed_form_logarithm
+from wittkit.families import builtin_family
 from wittkit.ordinarity import frobenius_power_congruence
 from wittkit.picard_fuchs import pf_congruence_check, series_solution_check
 
@@ -23,10 +23,9 @@ PRIMES = (3, 5, 7)
 def run(args: argparse.Namespace) -> int:
     quintic = builtin_family("quintic-cy3")
     operator = quintic.picard_fuchs
-    log = closed_form_logarithm("quintic-cy3", max(args.kmax, 1))
     failures = 0
 
-    results = pf_congruence_check(operator, log, args.kmax)
+    results = pf_congruence_check(operator, quintic.closed_form, args.kmax)
     bad = [r for r in results if not r.passed]
     print(f"L a_k = 0 mod k for k <= {args.kmax}: "
           f"{'PASS' if not bad else 'FAIL at ' + str([r.k for r in bad])}")

@@ -245,8 +245,8 @@ def _residual_obj(residual):
 
 def _cmd_pf_check(args) -> ResultDoc:
     family = resolve_family_id(args.family)
-    log = family_logarithm(family, max(args.kmax, 1), "closed-form")
-    results = pf_congruence_check(builtin_family(family).picard_fuchs, log, args.kmax)
+    entry = builtin_family(family)
+    results = pf_congruence_check(entry.picard_fuchs, entry.closed_form, args.kmax)
     return ResultDoc(["k", "pass", "residual"], results, lambda: {
         "family": family,
         "kmax": args.kmax,

@@ -107,7 +107,8 @@ class FamilyCatalogEntry(NamedTuple):
     period: Callable[[int], TruncatedSeries]
     # declared singular parameter values: x = 0 plus every (c, e) condition
     # c * x^e = 1.  For the cubic pencil both 27x^3 = 1 and 27x^3 = -1 are
-    # declared; the latter fibers factor into three lines (check x = -1/3).
+    # declared; the latter fibers factor into three lines (check x = -1/3), the
+    # former are smooth away from 2 and 3 and are skipped only as declared.
     singular_rules: tuple[tuple[int, int], ...] = ()
 
     @property

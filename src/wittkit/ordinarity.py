@@ -26,8 +26,8 @@ to be sufficient.
 Singular parameter values are declared per catalog family rather than
 detected by Jacobian rank at runtime.  For the elliptic pencil the declared
 set is x = 0 together with 27x^3 = 1 and 27x^3 = -1: the fibers on the
-latter branch factor into three lines (substitute x = -1/3), so both signs
-must be excluded before any point count is interpreted as an elliptic trace.
+latter branch factor into three lines (substitute x = -1/3); those on the
+former are smooth away from 2 and 3 and are skipped only because declared.
 One pass per prime flags all p parameter values; ``declared_singular`` reads
 the same flags.
 """
@@ -39,7 +39,6 @@ from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple
 
 from .families import FAMILY_IDS, builtin_family, is_prime, resolve_family_id
-from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
 #: Routine-use budget: an enumeration of P^N(F_p) is refused beyond this many
@@ -104,6 +103,7 @@ class OrdinarityReport(NamedTuple):
 
 def declared_singular(family_id: str, lam: int, p: int) -> bool:
     """Membership of the parameter value in the declared singular locus mod p."""
+    _require_odd_prime(p)
     return _singular_flags(builtin_family(family_id).singular_rules, p)[lam % p]
 
 
@@ -323,19 +323,18 @@ class CongruenceCheck(NamedTuple):
 
 
 def frobenius_power_congruence(
-    log: Logarithm | Callable[[int], Value], p: int, nu: int
+    coefficient: Callable[[int], Value], p: int, nu: int
 ) -> CongruenceCheck:
     """Check  a_{p^nu} = a_p * (a_{p^(nu-1)})^p  mod p  in F_p[x].
 
-    ``log`` is a Logarithm or a rule m -> a_m (or a_m mod p), such as a
-    catalog entry's ``closed_form`` or ``closed_form_mod`` at s = 1; only
-    a_p, a_(p^(nu-1)) and a_(p^nu) are read, and the p-th power is f(x^p),
-    which it equals in F_p[x].
+    ``coefficient`` is a rule m -> a_m (or a_m mod p), such as a catalog
+    entry's ``closed_form``, its ``closed_form_mod`` at s = 1 or a
+    ``Logarithm``'s ``coefficient``; only a_p, a_(p^(nu-1)) and a_(p^nu) are
+    read, and the p-th power is f(x^p), which it equals in F_p[x].
     """
     _require_odd_prime(p)
     if nu < 2:
         raise ValueError("the congruence concerns prime powers p^nu with nu >= 2")
-    coefficient = log.coefficient if isinstance(log, Logarithm) else log
 
     def coeff_mod(m: int) -> SparsePolynomial:
         return as_x_polynomial(coefficient(m)).reduce_mod(p)

@@ -8,17 +8,17 @@ expanded at construction; moving an x-monomial across theta uses
 
 The two checks: L annihilating the distinguished solution series exactly
 through a stated order, and the coefficient congruence ``L a_k = 0 mod k``
-in Z[x] for logarithm coefficients a_k.  The congruence applies L to
-``a_k mod k``, whose coefficients are below k: L has Z[x] coefficients, so
-the residual is the one L a_k gives, without L a_k's big integers.
+in Z[x] for logarithm coefficients a_k, read from a coefficient rule
+``k -> a_k`` one k at a time.  The congruence applies L to ``a_k mod k``,
+whose coefficients are below k: L has Z[x] coefficients, so the residual is
+the one L a_k gives, without L a_k's big integers.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .formal_groups import Logarithm
 from .polynomials import SparsePolynomial, Value, as_x_polynomial
 from .series import TruncatedSeries
 
@@ -147,20 +147,19 @@ class CoefficientCongruence(NamedTuple):
 
 
 def pf_congruence_check(
-    operator: ThetaOperator, log: Logarithm, k_max: int
+    operator: ThetaOperator, coefficient: Callable[[int], Value], k_max: int
 ) -> tuple[CoefficientCongruence, ...]:
-    """Verdicts of ``L a_k = 0 mod k Z[x]`` for k = 1..k_max, from L (a_k mod k)."""
+    """Verdicts of ``L a_k = 0 mod k Z[x]`` for k = 1..k_max, from L (a_k mod k).
+
+    ``coefficient`` is a rule k -> a_k, such as a catalog entry's ``closed_form``;
+    each a_k is reduced mod k and dropped before the next is read."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if k_max > log.truncation:
-        raise ValueError(
-            f"logarithm truncation {log.truncation} is below k_max = {k_max}"
-        )
     if not all(q.is_integral() for q in operator.coefficients):
         raise ValueError("the coefficient congruence needs an operator over Z[x]")
     results = []
     for k in range(1, k_max + 1):
-        image = operator.apply(as_x_polynomial(log.coefficient(k)).reduce_mod(k))
+        image = operator.apply(as_x_polynomial(coefficient(k)).reduce_mod(k))
         residual = image.reduce_mod(k)
         if residual.terms:
             results.append(CoefficientCongruence(k, False, residual))

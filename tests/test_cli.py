@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from wittkit import cli
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.families import FAMILY_IDS, builtin_family
-from wittkit.formal_groups import Logarithm
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
 from wittkit.picard_fuchs import pf_congruence_check
 from wittkit.polynomials import SparsePolynomial, format_value
@@ -154,17 +153,16 @@ def test_congruence(capsys):
 
 def test_pf_check_prints_failing_residuals(capsys, monkeypatch):
     """a_7 off by x fails L a_7 = 0 mod 7; both formats print the library's residual."""
-    real = cli.family_logarithm
+    real = cli.builtin_family
 
-    def with_a_wrong_coefficient(family, m_max, method):
-        coeffs = list(real(family, m_max, method).coeffs)
-        coeffs[6] = coeffs[6] + X
-        return Logarithm("Z[x]", coeffs)
+    def with_a_wrong_coefficient(identifier):
+        entry = real(identifier)
+        rule = entry.closed_form
+        return entry._replace(closed_form=lambda m: rule(m) + X if m == 7 else rule(m))
 
-    monkeypatch.setattr(cli, "family_logarithm", with_a_wrong_coefficient)
-    expected = pf_congruence_check(
-        builtin_family("quintic-cy3").picard_fuchs, with_a_wrong_coefficient("quintic-cy3", 8, "closed-form"), 8
-    )
+    monkeypatch.setattr(cli, "builtin_family", with_a_wrong_coefficient)
+    entry = with_a_wrong_coefficient("quintic-cy3")
+    expected = pf_congruence_check(entry.picard_fuchs, entry.closed_form, 8)
     assert [r.k for r in expected if not r.passed] == [7]
     argv = ("pf-check", "--family", "quintic-cy3", "--kmax", "8")
     code, out, _ = run(capsys, *argv, "--format", "tsv")
@@ -316,6 +314,21 @@ def test_json_emit_peak_stays_below_four_bodies(argv):
     assert peak < 4 * len(body)
 
 
+def test_pf_check_holds_one_coefficient_at_a_time(capsys):
+    """pf-check reads each a_k from the closed form, reduces it mod k and drops
+    it: a_1..a_300 over Z together take about 2 MiB."""
+    build_parser()  # built once per process, before any request
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "pf-check", "--family", "hesse-cubic", "--kmax", "300", "--format", "tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.count("\ttrue\t") == 300
+    assert peak < 512 * 1024
+
+
 # -- exit codes, manifest, config -----------------------------------------------------
 
 
@@ -335,7 +348,6 @@ def test_precondition_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "congruence", "--family", "hesse-cubic", "--p", "2")
     assert code == 2
-    # the message names the flag's own parameter, not the logarithm's truncation
     code, _, err = run(capsys, "pf-check", "--family", "quintic-cy3", "--kmax", "0")
     assert code == 2
     assert err == "wittkit: k_max must be >= 1\n"

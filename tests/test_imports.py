@@ -1,8 +1,8 @@
 """Every name a module of the package, or a script, imports is used in that
 file; every function the package exports is named outside ``__init__.py``;
 the README's library sketch runs; starting the CLI loads no module that no
-request needs; the records keep their fields; and no module but
-``families`` names a pencil."""
+request needs; the records keep their fields; no module but ``families``
+names a pencil; and the check modules do not import ``formal_groups``."""
 
 import ast
 import hashlib
@@ -67,6 +67,20 @@ def test_no_pencil_is_named_outside_the_catalog(path):
         and re.search("hesse|quartic|quintic", node.value, re.I)
     ]
     assert not named, f"pencils named outside the catalog: {named}"
+
+
+@pytest.mark.parametrize("module", ["ordinarity", "picard_fuchs"])
+def test_the_checks_do_not_import_formal_groups(module):
+    """The coefficient checks read a rule m -> a_m, so they need no
+    ``Logarithm``: neither check module imports ``formal_groups``."""
+    tree = ast.parse((INIT.parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {
+        name.rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+    }
+    assert "formal_groups" not in imported
 
 
 def _named(path):

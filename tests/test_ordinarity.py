@@ -85,6 +85,18 @@ def test_declared_singular_follows_the_rules():
                 assert declared_singular(family, lam, p) == literal
 
 
+@pytest.mark.parametrize("p, message", [
+    (0, "0 is not prime"),
+    (1, "1 is not prime"),
+    (2, "p = 2 is excluded"),
+    (9, "9 is not prime"),
+    (15, "15 is not prime"),
+])
+def test_declared_singular_needs_an_odd_prime(p, message):
+    with pytest.raises(ValueError, match=message):
+        declared_singular("hesse-cubic", 1, p)
+
+
 def test_nonordinary_locus_examples():
     at_3, at_5 = ordinarity_scan("hesse-cubic", 5).scans
     assert (at_3.prime, at_3.nonordinary) == (3, ())
@@ -266,13 +278,13 @@ def test_fiber_point_counts_match_per_fiber_reference():
 def test_congruence_multiplicative_log():
     log = multiplicative_logarithm(30)
     for p, nu in ((3, 2), (5, 2), (3, 3)):
-        assert frobenius_power_congruence(log, p, nu).passed
+        assert frobenius_power_congruence(log.coefficient, p, nu).passed
 
 
 def test_congruence_hesse_p3():
     log = closed_form_logarithm("hesse-cubic", 9)
     assert log.coefficient(9) == 1 + 336 * X**3 + 2520 * X**6
-    assert frobenius_power_congruence(log, 3, 2).passed
+    assert frobenius_power_congruence(log.coefficient, 3, 2).passed
 
 
 def test_congruence_hesse_p5_against_frozen_reduction():
@@ -282,7 +294,7 @@ def test_congruence_hesse_p5_against_frozen_reduction():
     assert log.coefficient(25).reduce_mod(5) == frozen
     rhs = (log.coefficient(5).reduce_mod(5) * log.coefficient(5).reduce_mod(5) ** 5)
     assert rhs.reduce_mod(5) == frozen
-    assert frobenius_power_congruence(log, 5, 2).passed
+    assert frobenius_power_congruence(log.coefficient, 5, 2).passed
 
 
 def test_congruence_failure_carries_witness():
@@ -292,7 +304,7 @@ def test_congruence_failure_carries_witness():
     coeffs = [1] * 9
     coeffs[8] = 1 + X  # a_9 = 1 + x while a_3 * a_3^3 = 1
     log = Logarithm("Z[x]", coeffs)
-    got = frobenius_power_congruence(log, 3, 2)
+    got = frobenius_power_congruence(log.coefficient, 3, 2)
     assert not got.passed
     assert got.residual == X
 
@@ -313,7 +325,7 @@ def test_congruence_residual_matches_pth_power_reference():
             a = [None] + [c.reduce_mod(p) for c in coeffs]
             rhs = (a[p] * a[p ** (nu - 1)] ** p).reduce_mod(p)
             residual = (a[p**nu] - rhs).reduce_mod(p)
-            got = frobenius_power_congruence(log, p, nu)
+            got = frobenius_power_congruence(log.coefficient, p, nu)
             assert got.passed == (not residual.terms)
             assert got.residual == (residual if residual.terms else None)
 
@@ -321,7 +333,7 @@ def test_congruence_residual_matches_pth_power_reference():
 def test_congruence_truncation_guard():
     log = multiplicative_logarithm(8)
     with pytest.raises(ValueError):
-        frobenius_power_congruence(log, 3, 2)
+        frobenius_power_congruence(log.coefficient, 3, 2)
 
 
 def test_is_prime():
