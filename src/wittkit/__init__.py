@@ -54,7 +54,6 @@ from .picard_fuchs import (
     series_solution_check,
 )
 from .polynomials import (
-    ExactRational,
     NonIntegralError,
     SparsePolynomial,
     VariableMismatchError,

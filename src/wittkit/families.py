@@ -155,35 +155,38 @@ def is_prime(n: int) -> bool:
 
 
 def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], SparsePolynomial]:
-    """a_m mod p^s for a prime p, in O(m) operations on ints below p^s.
+    """a_m mod p^s for a prime p, along the ratio ``_symmetric_closed_form`` walks.
 
-    Write k! = p^v(k) u(k) with u(k) prime to p (v by Legendre).  The
-    coefficient of x^(nj) is sign^j (m-1)! / ((j!)^n (m-1-nj)!), that is
-    sign^j u(m-1) u(j)^(-n) u(m-1-nj)^(-1) p^e with e = v(m-1) - n v(j) -
-    v(m-1-nj); it vanishes mod p^s when e >= s.  The inverses of u(k) come
-    from one inversion and a backward pass.
+    Term j is unit * p^e with unit (sign^j included) prime to p and kept mod
+    p^s: each numerator factor m-nj+i (never 0) adds its p-valuation to e and
+    multiplies its p-free part into unit, and j^n takes n v_p(j) from e and
+    divides unit by the n-th power of j's p-free part.  A term with e >= s
+    vanishes mod p^s.  For hesse, a_7 = 1 + 120 x^3 + 90 x^6 with 120 = 3 * 40
+    and 90 = 3^2 * 10, so mod 9:
+
+    >>> print(builtin_family("hesse-cubic").closed_form_mod(7, 3, 2))
+    1+3*x^3
     """
 
     def rule(m: int, p: int, s: int) -> SparsePolynomial:
         if m < 1 or s < 1 or not is_prime(p):
             raise ValueError(f"need m >= 1, a prime p and s >= 1; got m = {m}, p = {p}, s = {s}")
         q = p**s
-        parts, units, vals = [1] * m, [1] * m, [0] * m
-        for k in range(1, m):
-            part, v = k, vals[k - 1]
-            while not part % p:
-                part //= p
-                v += 1
-            parts[k], units[k], vals[k] = part, units[k - 1] * part % q, v
-        inverse = [pow(units[m - 1], -1, q)] * m
-        for k in range(m - 1, 0, -1):
-            inverse[k - 1] = inverse[k] * parts[k] % q
-        terms = {}
-        for j in range((m - 1) // n + 1):
-            r = m - 1 - n * j
-            e = vals[m - 1] - n * vals[j] - vals[r]
+        terms = {(0,): 1}
+        unit, e = 1, 0
+        for j in range(1, (m - 1) // n + 1):
+            for k in range(m - n * j, m - n * j + n):
+                while not k % p:
+                    k //= p
+                    e += 1
+                unit = unit * k % q
+            k = j
+            while not k % p:
+                k //= p
+                e -= n
+            unit = sign * unit * pow(k, -n, q) % q
             if e < s:
-                terms[(n * j,)] = sign**j * units[m - 1] * inverse[j] ** n * inverse[r] * p**e % q
+                terms[(n * j,)] = unit * p**e % q
         return SparsePolynomial._canonical((PARAMETER,), terms)
 
     return rule

@@ -10,8 +10,8 @@ the scan records every comparison.  One enumeration of P^N(F_p) counts the
 points of all p fibers at once.  Records are named tuples.
 
 a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
-from tables of factorial unit parts mod p, in O(p) small-int operations, and
-the ``congruence`` command reads a_(p^nu) mod p the same way.
+term by term along the closed form's term ratio, in O(p) small-int
+operations, and the ``congruence`` command reads a_(p^nu) mod p the same way.
 
 Point counts stay exhaustive, and so independent of a_p, but evaluate a
 form a row at a time: a row fixes every coordinate but the last, and the
@@ -45,12 +45,16 @@ from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 #: points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
 DEFAULT_POINT_BUDGET = 100_000
 
+#: A prime-power congruence is refused when p^nu, the index of the last
+#: coefficient it reads, exceeds this.  p = 211, nu = 3 (9,393,931) fits.
+CONGRUENCE_INDEX_BUDGET = 10_000_000
+
 #: The catalog pencils of relative dimension 1: the point-count oracle's scope.
 ELLIPTIC_FAMILIES = tuple(f for f in FAMILY_IDS if builtin_family(f).dimension == 1)
 
 
 class BudgetExceededError(RuntimeError):
-    """A point enumeration would exceed the allowed budget."""
+    """A point enumeration or a congruence would exceed its budget."""
 
 
 class OracleUnavailableError(ValueError):
@@ -330,11 +334,18 @@ def frobenius_power_congruence(
     ``coefficient`` is a rule m -> a_m (or a_m mod p), such as a catalog
     entry's ``closed_form``, its ``closed_form_mod`` at s = 1 or a
     ``Logarithm``'s ``coefficient``; only a_p, a_(p^(nu-1)) and a_(p^nu) are
-    read, and the p-th power is f(x^p), which it equals in F_p[x].
+    read, and the p-th power is f(x^p), which it equals in F_p[x].  p^nu
+    above ``CONGRUENCE_INDEX_BUDGET`` raises ``BudgetExceededError``.
     """
     _require_odd_prime(p)
     if nu < 2:
         raise ValueError("the congruence concerns prime powers p^nu with nu >= 2")
+    # p^nu >= 3^nu > 2^nu passes the budget once nu passes its bit length, so a
+    # huge nu is refused without forming p^nu
+    if nu > CONGRUENCE_INDEX_BUDGET.bit_length() or p**nu > CONGRUENCE_INDEX_BUDGET:
+        raise BudgetExceededError(
+            f"p^nu = {p}^{nu} is over the budget {CONGRUENCE_INDEX_BUDGET}"
+        )
 
     def coeff_mod(m: int) -> SparsePolynomial:
         return as_x_polynomial(coefficient(m)).reduce_mod(p)

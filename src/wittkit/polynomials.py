@@ -28,10 +28,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Union
 
-#: Exact rational scalars.  ``Fraction`` already maintains the canonical form
+#: Exact scalars.  ``Fraction`` already maintains the canonical form
 #: (gcd(|num|, den) = 1, den >= 1) required of every rational in this package.
-ExactRational = Fraction
-
 Scalar = Union[int, Fraction]
 Value = Union[int, Fraction, "SparsePolynomial"]
 

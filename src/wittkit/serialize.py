@@ -1,4 +1,4 @@
-"""Deterministic JSON / TSV serialization for every public value type.
+"""Deterministic JSON / TSV serialization of numbers, polynomials and Witt vectors.
 
 All numbers travel as decimal strings so arbitrary precision survives the
 trip; rationals use the form ``p/q``.  Keys are emitted sorted and rows
@@ -15,9 +15,7 @@ import json
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from .formal_groups import FormalGroupLaw, Logarithm
 from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
-from .series import TruncatedSeries
 from .witt import WittVector
 
 
@@ -86,22 +84,6 @@ def value_from_obj(obj) -> Value:
     return poly
 
 
-def series_to_obj(series: TruncatedSeries) -> dict:
-    return {
-        "variable": series.variable,
-        "order": series.order,
-        "coefficients": [value_to_obj(c) for c in series.coefficients],
-    }
-
-
-def series_from_obj(obj) -> TruncatedSeries:
-    return TruncatedSeries(
-        _field(obj, "variable", str),
-        [value_from_obj(c) for c in _field(obj, "coefficients", list)],
-        _field(obj, "order", int),
-    )
-
-
 def witt_to_obj(w: WittVector) -> dict:
     return {"length": w.length, "coords": [value_to_obj(a) for a in w.coords]}
 
@@ -111,26 +93,6 @@ def witt_from_obj(obj) -> WittVector:
     if "length" in obj and _field(obj, "length", int) != len(coords):
         raise SchemaError("declared length does not match coordinate count")
     return WittVector(coords)
-
-
-def logarithm_to_obj(log: Logarithm) -> dict:
-    return {"ring": log.ring, "coeffs": [value_to_obj(a) for a in log.coeffs]}
-
-
-def logarithm_from_obj(obj) -> Logarithm:
-    coeffs = [value_from_obj(a) for a in _field(obj, "coeffs", list)]
-    return Logarithm(_field(obj, "ring", str), coeffs)
-
-
-def law_to_obj(law: FormalGroupLaw) -> dict:
-    return {
-        "variables": list(law.variables),
-        "degree": law.degree,
-        "terms": [
-            {"i": exps[0], "j": exps[1], "coeff": value_to_obj(c)}
-            for exps, c in law.series.sorted_terms()
-        ],
-    }
 
 
 class _Encoder(json.JSONEncoder):

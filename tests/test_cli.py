@@ -212,7 +212,7 @@ def test_congruence_reads_only_three_coefficients(capsys):
 
 
 def test_congruence_quintic_p43_nu3_reads_residues(capsys):
-    # a_43, a_1849 and a_79507 are read mod 43 from factorial tables; over Z
+    # a_43, a_1849 and a_79507 are read mod 43 term by term; over Z
     # a_79507 alone has about 16,000 terms of up to 55,000 digits
     started = time.monotonic()
     code, out, _ = run(capsys, "congruence", "--family", "quintic-cy3", "--p", "43", "--nu", "3")
@@ -220,6 +220,37 @@ def test_congruence_quintic_p43_nu3_reads_residues(capsys):
     assert code == 0
     assert out == '{"family":"quintic-cy3","nu":3,"p":43,"passed":true,"residual":null}\n'
     assert elapsed < 1.0
+
+
+def test_congruence_holds_no_table_of_length_p_nu(capsys):
+    """closed_form_mod walks a_(p^nu)'s terms with one running unit and one
+    exponent of p: tables of length 43^3 = 79,507 would take about 5 MiB."""
+    build_parser()  # built once per process, before any request
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "congruence", "--family", "quintic-cy3", "--p", "43", "--nu", "3",
+                           "--format", "tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "p\tnu\tpass\tresidual\n43\t3\ttrue\t\n")
+    assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("p, nu, code, message", [
+    ("3", "40", 3, "budget exceeded: p^nu = 3^40 is over the budget 10000000"),
+    ("3", "1000000000", 3, "budget exceeded: p^nu = 3^1000000000 is over the budget 10000000"),
+    ("223", "3", 3, "budget exceeded: p^nu = 223^3 is over the budget 10000000"),
+    ("9", "40", 2, "9 is not prime"),
+    ("3", "1", 2, "the congruence concerns prime powers p^nu with nu >= 2"),
+], ids=["3^40", "3^1000000000", "223^3", "composite-p", "nu-1"])
+def test_congruence_refuses_p_nu_over_the_budget_at_once(capsys, p, nu, code, message):
+    """p^nu past the budget exits 3 before any coefficient is read; a composite
+    p or nu < 2 still exits 2 first."""
+    started = time.monotonic()
+    got = run(capsys, "congruence", "--family", "quintic-cy3", "--p", p, "--nu", nu)
+    assert time.monotonic() - started < 0.5
+    assert got == (code, "", f"wittkit: {message}\n")
 
 
 def test_witt_add(capsys):

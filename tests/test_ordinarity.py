@@ -336,6 +336,27 @@ def test_congruence_truncation_guard():
         frobenius_power_congruence(log.coefficient, 3, 2)
 
 
+@pytest.mark.parametrize("p, nu, refused", [
+    (3, 14, False), (3, 15, True), (211, 3, False), (223, 3, True), (3, 10**9, True),
+])
+def test_congruence_budget_bounds_p_nu(p, nu, refused):
+    """p^nu <= 10^7 is read (3^14 = 4,782,969 and 211^3 = 9,393,931); past
+    it nothing is read at all."""
+    read = []
+
+    def rule(m):
+        read.append(m)
+        return 1
+
+    if refused:
+        with pytest.raises(BudgetExceededError, match=rf"p\^nu = {p}\^{nu} is over the budget 10000000"):
+            frobenius_power_congruence(rule, p, nu)
+        assert read == []
+    else:
+        assert frobenius_power_congruence(rule, p, nu).passed
+        assert sorted(read) == [p, p ** (nu - 1), p**nu]
+
+
 def test_is_prime():
     assert [n for n in range(2, 32) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,

@@ -1,29 +1,19 @@
 import json
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wittkit.families import family_logarithm
-from wittkit.formal_groups import group_law_from_logarithm, multiplicative_logarithm
 from wittkit.polynomials import SparsePolynomial, format_value
 from wittkit.serialize import (
     json_dumps,
-    law_to_obj,
-    logarithm_from_obj,
-    logarithm_to_obj,
-    SchemaError,
-    series_from_obj,
-    series_to_obj,
     tsv_dumps,
     value_from_obj,
     value_to_obj,
     witt_from_obj,
     witt_to_obj,
 )
-from wittkit.series import TruncatedSeries
-from wittkit.witt import WittVector, teichmueller
+from wittkit.witt import teichmueller
 
 X = SparsePolynomial.variable("x")
 
@@ -48,54 +38,11 @@ def test_scalars_carry_no_variables():
     assert value_from_obj(obj) == 5
 
 
-def test_series_round_trip():
-    s = TruncatedSeries("t", [1, Fraction(1, 2), 2 * X], 4)
-    assert series_from_obj(series_to_obj(s)) == s
-
-
 def test_witt_round_trip():
     w = teichmueller(1 + X, 3)
     obj = witt_to_obj(w)
     assert obj["length"] == 3
     assert witt_from_obj(obj) == w
-
-
-def test_logarithm_round_trip():
-    log = family_logarithm("hesse-cubic", 5)
-    assert logarithm_from_obj(logarithm_to_obj(log)) == log
-
-
-@pytest.mark.parametrize(
-    "reader, obj",
-    [
-        pytest.param(series_from_obj, {"variable": "t", "coefficients": "12", "order": 1},
-                     id="series-coefficients-string"),
-        pytest.param(series_from_obj, {"variable": "t", "coefficients": [1, 2], "order": 1.0},
-                     id="series-order-float"),
-        pytest.param(series_from_obj, {"variable": "t", "coefficients": [1, 2], "order": True},
-                     id="series-order-true"),
-        pytest.param(series_from_obj, {"variable": ["t"], "coefficients": [1, 2], "order": 1},
-                     id="series-variable-list"),
-        pytest.param(series_from_obj, {"coefficients": [1, 2], "order": 1},
-                     id="series-variable-missing"),
-        pytest.param(series_from_obj, [1, 2], id="series-list"),
-        pytest.param(logarithm_from_obj, {"ring": "Z", "coeffs": "12"}, id="log-coeffs-string"),
-        pytest.param(logarithm_from_obj, {"ring": "Z", "coeffs": {"0": 1}}, id="log-coeffs-object"),
-        pytest.param(logarithm_from_obj, {"ring": 1, "coeffs": [1]}, id="log-ring-int"),
-        pytest.param(logarithm_from_obj, {"coeffs": [1]}, id="log-ring-missing"),
-        pytest.param(logarithm_from_obj, "12", id="log-string"),
-    ],
-)
-def test_readers_refuse_forbidden_shapes(reader, obj):
-    with pytest.raises(SchemaError):
-        reader(obj)
-
-
-def test_law_serialization_sorted():
-    law = group_law_from_logarithm(multiplicative_logarithm(4), 4)
-    obj = law_to_obj(law)
-    keys = [(t["i"], t["j"]) for t in obj["terms"]]
-    assert keys == sorted(keys, key=lambda ij: (ij[0] + ij[1], ij))
 
 
 def test_json_dumps_deterministic():
