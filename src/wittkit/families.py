@@ -19,7 +19,7 @@ on the parameter locus where those hypotheses hold.  Records are named tuples.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import prod
 from operator import add
 from typing import Callable, NamedTuple
 
@@ -150,8 +150,23 @@ def _symmetric_closed_form(n: int, sign: int) -> Callable[[int], SparsePolynomia
     return rule
 
 
+#: psi_12, the least strong pseudoprime to the prime bases 2..37 (Sorenson-Webster 2017).
+PRIMALITY_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Miller-Rabin over the bases 2..37: exact below ``PRIMALITY_BOUND``, ValueError from it."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is at or above the primality bound {PRIMALITY_BOUND}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(not n % b for b in bases):
+        return n in bases
+    d = n - 1
+    r = (d & -d).bit_length() - 1  # d = odd * 2^r
+    return n < 41 * 41 or all(  # below 41^2, no factor up to 37 means prime
+        pow(b, d >> r, n) == 1 or d in (pow(b, d >> i, n) for i in range(1, r + 1))
+        for b in bases
+    )
 
 
 def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], SparsePolynomial]:

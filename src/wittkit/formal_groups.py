@@ -9,8 +9,9 @@ reversion: ``G`` is the flow of the invariant derivation ``D = w(t) d/dt``,
 is integral up to one known denominator: with ``L = lcm(1..deg)``,
 ``L*l(t)`` is integral, so the sum is taken over integer numerators and
 the common denominator ``L^deg * deg!`` is divided out once per
-coefficient, at the end.  Whether the law has integral coefficients is a
-certificate checked after synthesis, never an assumption.
+coefficient, at the end: the quotient is an int where the division is
+exact, a Fraction otherwise.  Whether the law has integral coefficients is
+a certificate checked after synthesis, never an assumption.
 
 Curves in the formal group are kept in log-coordinates ``eta = l(gamma)``:
 formal-group addition becomes literal addition of series, scaling ``gamma(t)
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable
 
-from .polynomials import NonIntegralError, Value, as_integral, is_integral
+from .polynomials import NonIntegralError, SparsePolynomial, Value, as_integral, is_integral
 from .series import MultiTruncatedSeries, TruncatedSeries
 from .witt import GhostVector, WittVector, from_ghost
 
@@ -184,8 +185,15 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
             derivative = [i * c for i, c in enumerate(f.coefficients)][1:]
             f, power = TruncatedSeries("t", derivative) * w, power * lam
             scale //= common * (k + 1)
-    inverse = Fraction(1, denominator)
-    terms = {ij: n * inverse for ij, n in numerators.items()}
+
+    def divide(n: Value) -> Value:  # n / D, an int wherever D divides n
+        if isinstance(n, SparsePolynomial):
+            quotients = {e: divide(c) for e, c in n.terms.items()}
+            return SparsePolynomial._canonical(n.variables, quotients)
+        q, r = divmod(n, denominator)
+        return Fraction(n, denominator) if r else q
+
+    terms = {ij: divide(n) for ij, n in numerators.items()}
     return FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, terms), log)
 
 

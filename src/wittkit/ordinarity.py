@@ -38,7 +38,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple
 
-from .families import FAMILY_IDS, builtin_family, is_prime, resolve_family_id
+from .families import FAMILY_IDS, PRIMALITY_BOUND, builtin_family, is_prime, resolve_family_id
 from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
 #: Routine-use budget: an enumeration of P^N(F_p) is refused beyond this many
@@ -64,6 +64,8 @@ class OracleUnavailableError(ValueError):
 def _require_odd_prime(p: int) -> None:
     if p == 2:
         raise ValueError("p = 2 is excluded: the base ring inverts 2")
+    if p >= PRIMALITY_BOUND:
+        raise BudgetExceededError(f"p = {p} is at or above the primality bound {PRIMALITY_BOUND}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 

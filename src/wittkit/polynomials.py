@@ -11,7 +11,8 @@ Inputs are validated once, at the public boundary: ``SparsePolynomial(...)``,
 the classmethod constructors, ``map_coefficients``, ``coefficient_of``,
 ``evaluate`` and deserialization.  Results of ``+``, ``-``, ``*``, ``**`` and
 ``reduce_mod`` come from validated operands and are built by the private
-``_canonical``, which only drops zero terms.
+``_canonical``, which keeps the new dict it is given unless a zero term must go.
+One-variable products add int exponents, an int scales terms, ``p + 0`` is ``p``.
 
 Values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -74,10 +75,11 @@ class SparsePolynomial:
 
     @classmethod
     def _canonical(cls, variables: tuple, terms: dict) -> "SparsePolynomial":
-        """Trusted constructor for results of validated operands: only drops zero terms."""
+        """Trusted constructor for results of validated operands: it keeps ``terms``,
+        a new dict no caller touches again, and copies it only to drop zero terms."""
         p = object.__new__(cls)
         p.variables = variables
-        p.terms = {e: c for e, c in terms.items() if c}
+        p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
         return p
 
     # -- constructors ------------------------------------------------------
@@ -142,6 +144,8 @@ class SparsePolynomial:
         return self._canonical(other.variables, {(0,) * len(other.variables): sc}), other
 
     def __add__(self, other):
+        if type(other) is int and not other:  # a value is immutable, so 0 + p is p
+            return self
         pair = self._align(other)
         if pair is None:
             return NotImplemented
@@ -170,11 +174,22 @@ class SparsePolynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:  # not a bool, which is no scalar (TypeError)
+            return SparsePolynomial._canonical(
+                self.variables, {e: c * other for e, c in self.terms.items()}
+            )
         pair = self._align(other)
         if pair is None:
             return NotImplemented
         a, b = pair
         terms: dict[tuple, Scalar] = {}
+        if len(a.variables) == 1:  # Z[x]: the Witt, series and law values over Z[x]
+            right = [(e2, c2) for (e2,), c2 in b.terms.items()]
+            for (e1,), c1 in a.terms.items():
+                for e2, c2 in right:
+                    e = (e1 + e2,)
+                    terms[e] = terms.get(e, 0) + c1 * c2
+            return SparsePolynomial._canonical(a.variables, terms)
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(map(add, e1, e2))

@@ -241,12 +241,19 @@ def test_congruence_holds_no_table_of_length_p_nu(capsys):
     ("3", "40", 3, "budget exceeded: p^nu = 3^40 is over the budget 10000000"),
     ("3", "1000000000", 3, "budget exceeded: p^nu = 3^1000000000 is over the budget 10000000"),
     ("223", "3", 3, "budget exceeded: p^nu = 223^3 is over the budget 10000000"),
+    ("1000000000000000003", "2", 3,
+     "budget exceeded: p^nu = 1000000000000000003^2 is over the budget 10000000"),
+    ("318665857834031151167461", "2", 3, "budget exceeded: p = 318665857834031151167461 "
+     "is at or above the primality bound 318665857834031151167461"),
     ("9", "40", 2, "9 is not prime"),
+    ("1000000000000000001", "2", 2, "1000000000000000001 is not prime"),
     ("3", "1", 2, "the congruence concerns prime powers p^nu with nu >= 2"),
-], ids=["3^40", "3^1000000000", "223^3", "composite-p", "nu-1"])
+], ids=["3^40", "3^1000000000", "223^3", "huge-prime", "primality-bound", "composite-p",
+        "huge-composite-p", "nu-1"])
 def test_congruence_refuses_p_nu_over_the_budget_at_once(capsys, p, nu, code, message):
     """p^nu past the budget exits 3 before any coefficient is read; a composite
-    p or nu < 2 still exits 2 first."""
+    p or nu < 2 still exits 2 first, and a p past the exact primality test's
+    bound exits 3 before it is tested."""
     started = time.monotonic()
     got = run(capsys, "congruence", "--family", "quintic-cy3", "--p", p, "--nu", nu)
     assert time.monotonic() - started < 0.5

@@ -227,6 +227,37 @@ def test_integrality_report_consistent_with_independent_reversion():
     assert failures == {(2, 2)}
 
 
+@pytest.mark.parametrize("family", ["hesse-cubic", "quintic-cy3"])
+def test_integral_law_coefficients_are_ints(family):
+    """The final division by L^deg deg! gives an int wherever it is exact,
+    over Z[x] and at x = 2, as ``as_integral`` would."""
+    over_zx = family_logarithm(family, 12, "closed-form")
+    for log in (over_zx, Logarithm("Z", [a.evaluate({"x": 2}) for a in over_zx.coeffs])):
+        law = group_law_from_logarithm(log, 12)
+        assert integrality_report(law).passed
+        assert law.as_integral() == law
+        for c in law.series.terms.values():
+            inner = c.terms.values() if isinstance(c, SparsePolynomial) else [c]
+            assert inner and all(type(v) is int for v in inner), c
+
+
+def test_non_integral_law_coefficients_are_fractions():
+    # l = t + t^4/4 and l = t + x t^4/4: G_22 = -3/2 and -3x/2
+    for log in (Logarithm("Z", [1, 0, 0, 1]), Logarithm("Z[x]", [1, 0, 0, X])):
+        law = group_law_from_logarithm(log, 4)
+        reference = _law_by_reversion(log, 4)
+        assert law.series == reference
+        for e, c in law.series.terms.items():
+            for v in c.terms.values() if isinstance(c, SparsePolynomial) else [c]:
+                assert type(v) is (int if is_integral(v) else Fraction), (e, v)
+        failures = integrality_report(law).failures
+        assert failures == tuple(
+            (i, j, c) for (i, j), c in reference.sorted_terms() if not is_integral(c)
+        )
+        assert [(i, j) for i, j, _ in failures] == [(2, 2)]
+        assert failures[0][2] == Fraction(-3, 2) * log.coeffs[3]
+
+
 def test_synthesis_matches_reversion_on_a_seeded_grid():
     # random integer logarithms of every degree 1..12, random Z[x] ones of
     # degree 1..9 (the reference slows sharply in Z[x] past that), and the

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
-from wittkit.families import builtin_family
+from wittkit.families import PRIMALITY_BOUND, builtin_family
 from wittkit.formal_groups import multiplicative_logarithm
 from wittkit.ordinarity import (
     ELLIPTIC_FAMILIES,
@@ -361,3 +362,24 @@ def test_is_prime():
     assert [n for n in range(2, 32) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
     ]
+    assert all(is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1)))
+               for n in range(10**5))
+    # psi_1, ..., psi_11: the least strong pseudoprimes to the first 1, ..., 11 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not is_prime(n), n
+    for n in (2**61 - 1, 100000000000031, 10**18 + 3):
+        assert is_prime(n), n
+
+
+def test_primality_bound_is_refused_not_guessed():
+    """psi_12 = 399165290221 * 798330580441 fools every base up to 37."""
+    assert PRIMALITY_BOUND == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="at or above"):
+        is_prime(PRIMALITY_BOUND)
+    read = []
+    with pytest.raises(BudgetExceededError, match="at or above the primality bound"):
+        frobenius_power_congruence(read.append, PRIMALITY_BOUND, 2)
+    assert read == []
+    with pytest.raises(BudgetExceededError):
+        declared_singular("hesse-cubic", 1, PRIMALITY_BOUND + 2)

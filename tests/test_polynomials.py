@@ -292,6 +292,65 @@ def test_arithmetic_results_match_validating_constructor():
     assert cases > 20000
 
 
+def _embed(p):
+    """``p`` over ("x", "y") with y-exponent 0, where products take the
+    exponent-vector loop."""
+    return SparsePolynomial(("x", "y"), {(e, 0): c for (e,), c in p.terms.items()})
+
+
+def _assert_same_terms(one, two):
+    """``one`` over ("x",) equals ``two`` over ("x", "y") in values,
+    coefficient types and term order."""
+    assert one.variables == ("x",) and two.variables == ("x", "y")
+    assert [(e, c, type(c)) for (e,), c in one.terms.items()] == [
+        (e, c, type(c)) for (e, f), c in two.terms.items() if f == 0
+    ]
+    assert len(one.terms) == len(two.terms)
+
+
+def test_one_variable_kernel_matches_the_exponent_vector_path():
+    rng = random.Random(20261018)
+    zero = SparsePolynomial.zero(("x", "y"))
+    cancelled = 0
+    for _ in range(400):
+        kind = rng.choice(("Z", "Q", "mixed"))
+        p, q = (
+            SparsePolynomial(("x",), {
+                (rng.randint(0, 6),): _random_scalar(rng, kind) for _ in range(rng.randint(0, 6))
+            })
+            for _ in range(2)
+        )
+        k = rng.choice((0, 1, -1, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+        const = SparsePolynomial.constant(k, ("x", "y"))
+        pair = (_embed(p), _embed(q))
+        _assert_same_terms(p * q, pair[0] * pair[1])
+        _assert_same_terms(p * k, pair[0] * const)
+        _assert_same_terms(k * p, const * pair[0])
+        _assert_same_terms(p + 0, pair[0] + zero)
+        _assert_same_terms(0 + p, zero + pair[0])
+        sums = {e1 + e2 for (e1,) in p.terms for (e2,) in q.terms}
+        cancelled += len((p * q).terms) < len(sums)
+    assert cancelled > 20
+
+
+def test_results_own_their_terms():
+    p = SparsePolynomial(("x",), {(0,): 1, (2,): Fraction(3, 2), (5,): -4})
+    q = SparsePolynomial(("x",), {(1,): -2, (2,): 7})
+    pq = SparsePolynomial(("x", "y"), {(1, 0): 2, (0, 3): -1})
+    assert p + 0 is p and 0 + p is p and pq + 0 is pq
+    results = [
+        (p * q, (p, q)), (q * p, (p, q)), (p * 1, (p,)), (1 * p, (p,)), (p * 3, (p,)),
+        (p * 0, (p,)), (p * Fraction(1), (p,)), (p + q, (p, q)), (p - q, (p, q)),
+        (p - 0, (p,)), (0 - p, (p,)), (-p, (p,)), (p**1, (p,)), (q.reduce_mod(5), (q,)),
+        (divide_exact(q * 2, 2), (q,)), (pq * 1, (pq,)), (pq * pq, (pq,)), (pq + pq, (pq,)),
+    ]
+    for r, operands in results:
+        assert all(r.terms is not o.terms for o in operands), r
+    for a, b in ((p, True), (True, p), (pq, False)):
+        with pytest.raises(TypeError):
+            a * b
+
+
 @pytest.mark.parametrize(
     "variables, terms, error",
     [
