@@ -10,7 +10,7 @@ an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
 are built in, each with a closed-form coefficient rule used as an independent
 oracle (the extraction path is the authority if the two ever disagree), its
 Picard-Fuchs operator and its holomorphic period, all read from (n, sign).
-Extraction keys orbit sums by Z vector; a_m's terms ascend in x (see ``am_logarithm``).
+Extraction expands P_1*...*P_s less its Z_0*...*Z_N term; a_m's terms ascend in x (see ``am_logarithm``).
 
 The regular-sequence and smoothness hypotheses behind the construction are
 not verified (they are not decidable at this level); outputs are meaningful
@@ -19,7 +19,7 @@ on the parameter locus where those hypotheses hold.  Records are named tuples.
 
 from __future__ import annotations
 
-from math import prod
+from math import comb, prod
 from operator import add
 from typing import Callable, NamedTuple
 
@@ -33,6 +33,10 @@ PARAMETER = "x"
 
 class UnknownFamilyError(ValueError):
     """The requested identifier is not in the catalog."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A point enumeration, a congruence or a primality test would exceed its budget."""
 
 
 class CompleteIntersectionFamily:
@@ -155,12 +159,12 @@ PRIMALITY_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin over the bases 2..37: exact below ``PRIMALITY_BOUND``, ValueError from it."""
-    if n >= PRIMALITY_BOUND:
-        raise ValueError(f"{n} is at or above the primality bound {PRIMALITY_BOUND}")
+    """Miller-Rabin, bases 2..37: exact below PRIMALITY_BOUND; then ValueError unless a base divides n."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2 or any(not n % b for b in bases):
         return n in bases
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is at or above the primality bound {PRIMALITY_BOUND}")
     d = n - 1
     r = (d & -d).bit_length() - 1  # d = odd * 2^r
     return n < 41 * 41 or all(  # below 41^2, no factor up to 37 means prime
@@ -184,6 +188,8 @@ def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], S
     """
 
     def rule(m: int, p: int, s: int) -> SparsePolynomial:
+        if p >= PRIMALITY_BOUND:
+            raise BudgetExceededError(f"p = {p} is at or above the primality bound {PRIMALITY_BOUND}")
         if m < 1 or s < 1 or not is_prime(p):
             raise ValueError(f"need m >= 1, a prime p and s >= 1; got m = {m}, p = {p}, s = {s}")
         q = p**s
@@ -267,21 +273,21 @@ def builtin_family(identifier: str) -> FamilyCatalogEntry:
 def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     """Logarithm of the family with coefficients a_1..a_{m_max}, by extraction.
 
-    With Q = P_1 * ... * P_s, one expansion of Q^(m_max - 1) gives them all:
-    after the k-th multiplication by Q, a_{k+1} is the coefficient of
-    (Z_0 * ... * Z_N)^k.  Partial terms with a Z-exponent of m_max or more
-    are discarded; sound because exponents only grow.
+    Q = P_1 * ... * P_s is c * D + R, with D = Z_0 * ... * Z_N and c in Z[x] (maybe 0).
+    As c * D and R commute, a_{k+1} = [D^k] Q^k = sum_j C(k, j) c^(k-j) b_j, and step j
+    of one expansion of R^(m_max - 1) gives b_j = [D^j] R^j.  Partial terms with a
+    Z-exponent of m_max or more are discarded: exponents only grow, and no b_j, j < m_max, has one.
 
     The expansion maps each Z vector to {x exponent: coefficient} and groups
-    Q's terms by Z part, so each (Z vector, Z part of Q) pair costs one
-    canonicalization and one prune test.  One Z vector is kept per orbit
-    of the Z permutations fixing Q, valued at the orbit's coefficient sums.
-    If the generators (Z_0 Z_1) and (Z_0 ... Z_N) fix Q, x exponents and
+    R's terms by Z part, so each (Z vector, Z part of R) pair costs one
+    canonicalization and one prune test.  One Z vector is kept per orbit of
+    the Z permutations fixing Q (and R: all fix D), valued at the orbit's
+    coefficient sums.  If (Z_0 Z_1) and (Z_0 ... Z_N) fix Q, x exponents and
     coefficients included, the key is the sorted Z vector, else the vector
-    as is.  A step adds D[v] * Q_q to D'[canon(v + q)]: exact, since
-    sigma(v) + sigma(q) lies in the orbit of v + q and Q_sigma(q) = Q_q, and
+    as is.  With S the kept sums, a step adds S[v] * R_r to S'[canon(v + r)]: exact, since
+    sigma(v) + sigma(r) lies in the orbit of v + r and R_sigma(r) = R_r, and
     the prune's largest Z-exponent is the same across an orbit.  The diagonal
-    (k, ..., k) is an orbit of one, so its orbit sum is a_{k+1} itself, with
+    (j, ..., j) is an orbit of one, so its orbit sum is b_j itself, with
     no division.  The terms of a_m ascend in x.
 
     >>> am_logarithm(builtin_family("hesse-cubic").family, 7).coefficient(7).terms
@@ -300,8 +306,9 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     qrows: dict[tuple, list] = {}
     for (qz, qx), qc in qterms.items():
         qrows.setdefault(qz, []).append((qx, qc))
+    c_of_d = qrows.pop((1,) * len(zidx), [])  # c; the rows left are R's
     partial = {(0,) * len(zidx): {0: 1}}
-    coeffs = []
+    b, c_powers, coeffs = [], [{0: 1}], []  # (j, b_j) for b_j != 0, and c^j, over x
     for k in range(m_max):
         if k:
             nxt: dict[tuple, dict[int, int]] = {}
@@ -314,8 +321,18 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
                             for qx, qc in qrow:
                                 out[x + qx] = out.get(x + qx, 0) + c * qc
             partial = {z: r for z, row in nxt.items() if (r := {x: c for x, c in row.items() if c})}
-        a_k = partial.get((k,) * len(zidx), {})
-        coeffs.append(SparsePolynomial((PARAMETER,), {(x,): a_k[x] for x in sorted(a_k)}))
+            c_powers.append(c_k := {})
+            for x, c in c_powers[-2].items():
+                for qx, qc in c_of_d:
+                    c_k[x + qx] = c_k.get(x + qx, 0) + c * qc
+        if (k,) * len(zidx) in partial:
+            b.append((k, partial[(k,) * len(zidx)]))
+        a_k: dict[int, int] = {}
+        for j, b_j in b:
+            for cx, cc in c_powers[k - j].items():
+                for x, c in b_j.items():
+                    a_k[x + cx] = a_k.get(x + cx, 0) + comb(k, j) * cc * c
+        coeffs.append(SparsePolynomial._canonical((PARAMETER,), {(x,): a_k[x] for x in sorted(a_k)}))
     return Logarithm("Z[x]", coeffs)
 
 

@@ -38,7 +38,9 @@ from itertools import product
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple
 
-from .families import FAMILY_IDS, PRIMALITY_BOUND, builtin_family, is_prime, resolve_family_id
+from .families import (
+    FAMILY_IDS, PRIMALITY_BOUND, BudgetExceededError, builtin_family, is_prime, resolve_family_id,
+)
 from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
 #: Routine-use budget: an enumeration of P^N(F_p) is refused beyond this many
@@ -51,10 +53,6 @@ CONGRUENCE_INDEX_BUDGET = 10_000_000
 
 #: The catalog pencils of relative dimension 1: the point-count oracle's scope.
 ELLIPTIC_FAMILIES = tuple(f for f in FAMILY_IDS if builtin_family(f).dimension == 1)
-
-
-class BudgetExceededError(RuntimeError):
-    """A point enumeration or a congruence would exceed its budget."""
 
 
 class OracleUnavailableError(ValueError):
@@ -202,16 +200,16 @@ def _form_rows(h: SparsePolynomial, p: int):
 def point_count_projective(
     h: SparsePolynomial, p: int, budget: int | None = None
 ) -> int:
-    """Number of zeros of a homogeneous form in P^N(F_p), by enumeration."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Number of zeros of a homogeneous form in P^N(F_p), by enumeration; budget before primality."""
     nvars = len(h.variables)
     if nvars < 2:
         raise ValueError("need at least two homogeneous coordinates")
-    degrees = {sum(e) for e in h.terms}
-    if len(degrees) > 1:
+    if len({sum(e) for e in h.terms}) > 1:
         raise ValueError("the form must be homogeneous")
-    _check_budget(nvars, p, budget)
+    if p > 1:  # P^N(F_p) has (p^(N+1) - 1) / (p - 1) points
+        _check_budget(nvars, p, budget)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return sum(row.count(0) for row in _form_rows(h, p))
 
 

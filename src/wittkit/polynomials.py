@@ -309,16 +309,18 @@ class SparsePolynomial:
 
 
 def is_integral(value: Value) -> bool:
+    if isinstance(value, int):  # first: isinstance(value, Fraction) goes through ABCMeta
+        return True
     if isinstance(value, SparsePolynomial):
         return value.is_integral()
-    if isinstance(value, Fraction):
-        return value.denominator == 1
-    return isinstance(value, int)
+    return isinstance(value, Fraction) and value.denominator == 1
 
 
 def as_integral(value: Value) -> Value:
     """Convert an integral value to int coefficients; raise otherwise.
     A polynomial whose coefficients are all ints is returned unchanged."""
+    if isinstance(value, int):  # first: isinstance(value, Fraction) goes through ABCMeta
+        return value
     if isinstance(value, SparsePolynomial):
         if all(isinstance(c, int) for c in value.terms.values()):
             return value
@@ -327,8 +329,6 @@ def as_integral(value: Value) -> Value:
         if value.denominator != 1:
             raise NonIntegralError(f"{value} is not an integer")
         return int(value)
-    if isinstance(value, int):
-        return value
     raise TypeError(f"not an exact value: {value!r}")
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 from math import comb, factorial, prod
 from operator import add
@@ -378,3 +379,46 @@ def test_orbit_extraction_matches_tuple_reference_under_partial_symmetry(family)
         assert [_exact_shape(got.coefficient(m)) for m in range(1, m_max + 1)] == [
             _exact_shape(_ascending_in_x(a)) for a in reference
         ], m_max
+
+
+def _random_pencil(rng, n, d_coefficient, symmetric):
+    """A form of degree n in n coordinates over Z[x]: (Z_0...Z_{n-1}) times
+    ``d_coefficient`` ({x exponent: coefficient}, empty for no such term)
+    plus a few other monomials with random coefficients in Z[x], summed over
+    all coordinate permutations when ``symmetric``."""
+    zvars = ("W", "X", "Y", "Z")[-n:]
+    terms = {(e,) + (1,) * n: c for e, c in d_coefficient.items()}
+    for _ in range(rng.randrange(3, 7)):
+        z = [0] * n
+        for _ in range(n):
+            z[rng.randrange(n)] += 1
+        if z == [1] * n:
+            continue
+        coefficient = {rng.randrange(3): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(1, 3))}
+        for perm in (set(permutations(z)) if symmetric else (tuple(z),)):
+            for e, c in coefficient.items():
+                terms[(e,) + perm] = c
+    return CompleteIntersectionFamily(f"random-{n}", n - 1, (SparsePolynomial(("x",) + zvars, terms),), (n,))
+
+
+@pytest.mark.parametrize("case", ["no-D-term", "constant-c", "negative-c"])
+def test_split_extraction_matches_tuple_reference_on_random_pencils(case):
+    """Seeded cubic and quartic pencils whose coefficient c of Z_0...Z_N is
+    0, a constant other than 1, or has negative x-coefficients: a_m from the
+    binomial sum over the powers of Q - c*D equals the plain expansion of Q^k."""
+    rng = random.Random(f"split/{case}")
+    for n, symmetric in ((3, False), (3, True), (4, False)):
+        d_coefficient = {
+            "no-D-term": {},
+            "constant-c": {0: rng.choice((-3, -2, -1, 2, 3))},
+            "negative-c": {0: rng.choice((-2, 1, 2)), 1: -rng.randrange(1, 4), 2: rng.choice((-1, 2))},
+        }[case]
+        family = _random_pencil(rng, n, d_coefficient, symmetric)
+        c = family.polynomials[0].coefficient_of(dict.fromkeys(family.coordinate_variables(), 1))
+        assert c.terms == {(e,): v for e, v in d_coefficient.items()}
+        for m_max in range(1, 13):
+            got = am_logarithm(family, m_max)
+            reference = _tuple_am_logarithm(family, m_max)
+            assert [_exact_shape(got.coefficient(m)) for m in range(1, m_max + 1)] == [
+                _exact_shape(_ascending_in_x(a)) for a in reference
+            ], (n, symmetric, m_max)

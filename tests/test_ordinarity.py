@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from wittkit import families
 from wittkit.families import PRIMALITY_BOUND, builtin_family
 from wittkit.formal_groups import multiplicative_logarithm
 from wittkit.ordinarity import (
@@ -373,7 +374,10 @@ def test_is_prime():
 
 
 def test_primality_bound_is_refused_not_guessed():
-    """psi_12 = 399165290221 * 798330580441 fools every base up to 37."""
+    """psi_12 = 399165290221 * 798330580441 fools every base up to 37.  From
+    it, a multiple of a base is still composite, and a p reaching
+    closed_form_mod or a point count is refused with the budget error, the
+    one class families and ordinarity share."""
     assert PRIMALITY_BOUND == 399165290221 * 798330580441
     with pytest.raises(ValueError, match="at or above"):
         is_prime(PRIMALITY_BOUND)
@@ -383,3 +387,23 @@ def test_primality_bound_is_refused_not_guessed():
     assert read == []
     with pytest.raises(BudgetExceededError):
         declared_singular("hesse-cubic", 1, PRIMALITY_BOUND + 2)
+    assert families.BudgetExceededError is BudgetExceededError
+    assert is_prime(10**30) is False
+    assert is_prime(37 * PRIMALITY_BOUND) is False
+    with pytest.raises(ValueError, match="at or above"):
+        is_prime(10**30 + 1)  # no factor up to 37
+    quintic = builtin_family("quintic-cy3")
+    for p in (10**30, PRIMALITY_BOUND):
+        with pytest.raises(BudgetExceededError, match="at or above the primality bound"):
+            quintic.closed_form_mod(5, p, 1)
+    h = builtin_family("hesse-cubic").family.polynomials[0].evaluate({"x": 1})
+    with pytest.raises(BudgetExceededError, match="over the budget"):
+        point_count_projective(h, PRIMALITY_BOUND)
+    line = SparsePolynomial(("X", "Y"), {(1, 0): 1})
+    with pytest.raises(ValueError, match="at or above the primality bound"):  # is_prime's own
+        point_count_projective(line, PRIMALITY_BOUND, budget=PRIMALITY_BOUND + 1)
+    with pytest.raises(ValueError, match="the form must be homogeneous"):
+        point_count_projective(SparsePolynomial(("X", "Y"), {(1, 0): 1, (2, 0): 1}), 10**30)
+    for p in (-3, 0, 1, 4, 9):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            point_count_projective(line, p)

@@ -13,6 +13,7 @@ from wittkit.polynomials import (
     as_integral,
     divide_exact,
     format_value,
+    is_integral,
 )
 
 from wittkit.series import MultiTruncatedSeries, TruncatedSeries
@@ -148,6 +149,29 @@ def test_as_integral():
     assert as_integral(Fraction(4, 2) * X) == 2 * X
     with pytest.raises(NonIntegralError):
         as_integral(Fraction(1, 2))
+
+
+def test_integrality_helpers_on_every_value_kind():
+    """Ints take the fast path; bools, Fractions and polynomials keep their results."""
+    half, two = Fraction(1, 2), Fraction(4, 2)
+    with_fraction = SparsePolynomial(("x",), {(0,): 1, (1,): two})
+    for value in (0, -7, 10**40, True, False, two, with_fraction, 3 * X + 1):
+        assert is_integral(value)
+    for value in (half, half * X):
+        assert not is_integral(value)
+        with pytest.raises(NonIntegralError):
+            as_integral(value)
+    for value in (0, -7, 10**40, True):
+        assert as_integral(value) is value
+    assert type(as_integral(two)) is int and as_integral(two) == 2
+    ints = 3 * X + 1
+    assert as_integral(ints) is ints
+    assert as_integral(with_fraction).terms == {(0,): 1, (1,): 2}
+    assert all(type(c) is int for c in as_integral(with_fraction).terms.values())
+    for value in (1.0, "1", None):
+        assert not is_integral(value)
+        with pytest.raises(TypeError):
+            as_integral(value)
 
 
 def test_format_value():
