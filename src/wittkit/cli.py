@@ -199,7 +199,7 @@ def _cmd_fgl(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     log = family_logarithm(family, max(args.deg, 1), args.method)
     if args.at_x is not None:
-        log = Logarithm("Z", [a.evaluate({"x": args.at_x}) for a in log.coeffs])
+        log = Logarithm([a.evaluate({"x": args.at_x}) for a in log.coeffs])
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
     failed = {(i, j) for i, j, _ in report.failures}

@@ -42,39 +42,34 @@ class BudgetExceededError(RuntimeError):
 class CompleteIntersectionFamily:
     """Homogeneous polynomials cutting out a pencil of Calabi-Yau varieties.
 
-    Each polynomial lives in Z[x][Z_0..Z_N]; ``degrees`` are the homogeneous
-    degrees in the Z-variables, which must sum to N+1.
+    Each polynomial lives in Z[x][Z_0..Z_N].  Derived from them: ``ambient_dim`` = N and
+    ``degrees``, each polynomial's degree in the Z-variables; the degrees must sum to N+1.
     """
 
-    __slots__ = ("name", "ambient_dim", "polynomials", "degrees")
+    __slots__ = ("name", "polynomials", "ambient_dim", "degrees")
 
-    def __init__(self, name: str, ambient_dim: int,
-                 polynomials: tuple[SparsePolynomial, ...], degrees: tuple[int, ...]):
-        self.name, self.ambient_dim, self.polynomials, self.degrees = name, ambient_dim, polynomials, degrees
-        if not self.polynomials or len(self.polynomials) != len(self.degrees):
-            raise ValueError("need at least one polynomial and one degree per polynomial")
+    def __init__(self, name: str, polynomials: tuple[SparsePolynomial, ...]):
+        self.name, self.polynomials = name, polynomials
+        if not polynomials:
+            raise ValueError("need at least one polynomial")
+        variables = polynomials[0].variables
+        if any(poly.variables != variables for poly in polynomials):
+            raise ValueError(f"every polynomial must declare the variables {variables}")
+        if PARAMETER not in variables:
+            raise ValueError(f"variables {variables} do not contain the parameter {PARAMETER!r}")
+        self.ambient_dim, x = len(variables) - 2, variables.index(PARAMETER)
+        degrees = [{sum(e) - e[x] for e in poly.terms} for poly in polynomials]
+        for poly, found in zip(polynomials, degrees):
+            if len(found) != 1:
+                raise ValueError(f"{poly} is not a nonzero form in {self.coordinate_variables()}")
+        self.degrees = tuple(found.pop() for found in degrees)
         if sum(self.degrees) != self.ambient_dim + 1:
             raise ValueError(
                 f"degrees {self.degrees} must sum to N+1 = {self.ambient_dim + 1}"
             )
-        variables = self.polynomials[0].variables
-        if any(poly.variables != variables for poly in self.polynomials):
-            raise ValueError(f"every polynomial must declare the variables {variables}")
-        if PARAMETER not in variables:
-            raise ValueError(f"variables {variables} do not contain the parameter {PARAMETER!r}")
-        zvars = self.coordinate_variables()
-        if len(zvars) != self.ambient_dim + 1:
-            raise ValueError(
-                f"expected {self.ambient_dim + 1} coordinate variables, found {zvars}"
-            )
-        for poly, degree in zip(self.polynomials, self.degrees):
-            if not poly.is_homogeneous(degree, zvars):
-                raise ValueError(
-                    f"{poly} is not homogeneous of degree {degree} in {zvars}"
-                )
 
     def _key(self) -> tuple:
-        return self.name, self.ambient_dim, self.polynomials, self.degrees
+        return self.name, self.polynomials
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompleteIntersectionFamily):
@@ -159,12 +154,12 @@ PRIMALITY_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, bases 2..37: exact below PRIMALITY_BOUND; then ValueError unless a base divides n."""
+    """Miller-Rabin, bases 2..37: exact below PRIMALITY_BOUND; then BudgetExceededError unless a base divides n."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2 or any(not n % b for b in bases):
         return n in bases
     if n >= PRIMALITY_BOUND:
-        raise ValueError(f"{n} is at or above the primality bound {PRIMALITY_BOUND}")
+        raise BudgetExceededError(f"{n} is at or above the primality bound {PRIMALITY_BOUND}")
     d = n - 1
     r = (d & -d).bit_length() - 1  # d = odd * 2^r
     return n < 41 * 41 or all(  # below 41^2, no factor up to 37 means prime
@@ -242,7 +237,7 @@ def _build_catalog() -> dict[str, FamilyCatalogEntry]:
     catalog = {}
     for name, zvars, sign, rules in pencils:
         n = len(zvars)
-        family = CompleteIntersectionFamily(name, n - 1, (_pencil_poly(zvars, sign),), (n,))
+        family = CompleteIntersectionFamily(name, (_pencil_poly(zvars, sign),))
         catalog[name] = FamilyCatalogEntry(
             name, family, _symmetric_closed_form(n, sign), _symmetric_closed_form_mod(n, sign),
             _symmetric_picard_fuchs(n, sign), _symmetric_period(n, sign), rules,
@@ -333,7 +328,7 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
                 for x, c in b_j.items():
                     a_k[x + cx] = a_k.get(x + cx, 0) + comb(k, j) * cc * c
         coeffs.append(SparsePolynomial._canonical((PARAMETER,), {(x,): a_k[x] for x in sorted(a_k)}))
-    return Logarithm("Z[x]", coeffs)
+    return Logarithm(coeffs)
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:
@@ -341,7 +336,7 @@ def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     entry = builtin_family(identifier)
-    return Logarithm("Z[x]", [entry.closed_form(m) for m in range(1, m_max + 1)])
+    return Logarithm([entry.closed_form(m) for m in range(1, m_max + 1)])
 
 
 def family_logarithm(identifier: str, m_max: int, method: str = "extraction") -> Logarithm:

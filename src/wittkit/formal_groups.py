@@ -47,11 +47,9 @@ class AmbientMismatchError(ValueError):
 class Logarithm:
     """Integral coefficient sequence ``a_1..a_M`` of a formal group logarithm."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring: str, coeffs: Iterable[Value]):
-        if ring not in ("Z", "Z[x]"):
-            raise ValueError(f"unsupported parameter ring {ring!r}")
+    def __init__(self, coeffs: Iterable[Value]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a logarithm needs at least the coefficient a_1")
@@ -63,7 +61,6 @@ class Logarithm:
                 raise ValueError(f"coefficient a_{m} must be integral: {exc}") from exc
         if checked[0] != 1:
             raise ValueError("a logarithm requires a_1 = 1")
-        self.ring = ring
         self.coeffs = tuple(checked)
 
     @property
@@ -93,13 +90,13 @@ class Logarithm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Logarithm):
             return NotImplemented
-        return (self.ring, self.coeffs) == (other.ring, other.coeffs)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ring, len(self.coeffs)))
+        return hash(len(self.coeffs))
 
     def __repr__(self):
-        return f"Logarithm({self.ring!r}, {list(self.coeffs)!r})"
+        return f"Logarithm({list(self.coeffs)!r})"
 
     def is_multiplicative(self) -> bool:
         return all(a == 1 for a in self.coeffs)
@@ -107,19 +104,18 @@ class Logarithm:
 
 def multiplicative_logarithm(truncation: int) -> Logarithm:
     """All coefficients 1; the law t1 + t2 - t1*t2."""
-    return Logarithm("Z", [1] * truncation)
+    return Logarithm([1] * truncation)
 
 
 class FormalGroupLaw:
-    """A synthesized two-variable law together with its source logarithm."""
+    """A synthesized two-variable law; its degree and variables are read from its series."""
 
-    __slots__ = ("series", "logarithm")
+    __slots__ = ("series",)
 
-    def __init__(self, series: MultiTruncatedSeries, logarithm: Logarithm):
+    def __init__(self, series: MultiTruncatedSeries):
         if len(series.variables) != 2:
             raise ValueError("a one-dimensional law is a series in two variables")
         self.series = series
-        self.logarithm = logarithm
 
     @property
     def degree(self) -> int:
@@ -142,7 +138,7 @@ class FormalGroupLaw:
 
     def as_integral(self) -> "FormalGroupLaw":
         """The same law with coefficients certified integral (raises if not)."""
-        return FormalGroupLaw(self.series.map_coefficients(as_integral), self.logarithm)
+        return FormalGroupLaw(self.series.map_coefficients(as_integral))
 
 
 def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
@@ -194,7 +190,7 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
         return Fraction(n, denominator) if r else q
 
     terms = {ij: divide(n) for ij, n in numerators.items()}
-    return FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, terms), log)
+    return FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, terms))
 
 
 class IntegralityReport:

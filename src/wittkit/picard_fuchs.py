@@ -16,7 +16,6 @@ the one L a_k gives, without L a_k's big integers.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .polynomials import SparsePolynomial, Value, as_x_polynomial
@@ -51,19 +50,6 @@ class ThetaOperator:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-    def shifted(self, n: int) -> "ThetaOperator":
-        """The operator with theta replaced by theta + n.
-
-        Satisfies  L(x^n g) = x^n * L.shifted(n)(g),  the commutation rule.
-        """
-        shifted = [SparsePolynomial.zero((X,)) for _ in self.coefficients]
-        for k, q in enumerate(self.coefficients):
-            for j in range(k + 1):
-                shifted[j] = shifted[j] + q * (comb(k, j) * n ** (k - j))
-        while len(shifted) > 1 and not shifted[-1].terms:
-            shifted.pop()
-        return ThetaOperator(tuple(shifted))
 
     def apply(self, f):
         """Apply the operator to a polynomial or truncated series in x.

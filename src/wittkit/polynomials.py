@@ -121,11 +121,6 @@ class SparsePolynomial:
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self.terms.values())
 
-    def is_homogeneous(self, degree: int, in_variables: Iterable[str] | None = None) -> bool:
-        names = self.variables if in_variables is None else tuple(in_variables)
-        idx = [self.variables.index(n) for n in names]
-        return all(sum(e[i] for i in idx) == degree for e in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _align(self, other) -> "tuple[SparsePolynomial, SparsePolynomial] | None":

@@ -34,15 +34,14 @@ def test_catalog_polynomials_exact():
         (1, 0, 0, 3): 1,
     }
     assert repr(hesse.family) == (
-        "CompleteIntersectionFamily(name='hesse-cubic', ambient_dim=2, polynomials=(SparsePolynomial("
-        "('x', 'X', 'Y', 'Z'), {(0, 1, 1, 1): 1, (1, 0, 0, 3): 1, (1, 0, 3, 0): 1, (1, 3, 0, 0): 1}),), "
-        "degrees=(3,))"
+        "CompleteIntersectionFamily(name='hesse-cubic', polynomials=(SparsePolynomial("
+        "('x', 'X', 'Y', 'Z'), {(0, 1, 1, 1): 1, (1, 0, 0, 3): 1, (1, 0, 3, 0): 1, (1, 3, 0, 0): 1}),))"
     )
     copy = SparsePolynomial(p.variables, dict(p.terms))
-    rebuilt = CompleteIntersectionFamily("hesse-cubic", 2, (copy,), (3,))
+    rebuilt = CompleteIntersectionFamily("hesse-cubic", (copy,))
     assert rebuilt == hesse.family and hash(rebuilt) == hash(hesse.family)
     changed = SparsePolynomial(p.variables, {**p.terms, (0, 1, 1, 1): 2})
-    assert CompleteIntersectionFamily("hesse-cubic", 2, (changed,), (3,)) != hesse.family
+    assert CompleteIntersectionFamily("hesse-cubic", (changed,)) != hesse.family
 
     quartic = builtin_family("quartic-k3")
     assert quartic.dimension == 2
@@ -65,21 +64,24 @@ def test_unknown_identifier():
 
 
 def test_family_invariants_enforced():
-    bad = SparsePolynomial(("x", "X", "Y"), {(0, 1, 1): 1})
-    with pytest.raises(ValueError):
-        CompleteIntersectionFamily("bad", 1, (bad,), (3,))  # not homogeneous deg 3
-    with pytest.raises(ValueError):
-        CompleteIntersectionFamily("bad", 2, (bad,), (2,))  # degrees don't sum to N+1
+    inhomogeneous = SparsePolynomial(("x", "X", "Y"), {(0, 1, 1): 1, (1, 1, 0): 1})
+    with pytest.raises(ValueError, match="is not a nonzero form in"):
+        CompleteIntersectionFamily("bad", (inhomogeneous,))  # Z-degrees 2 and 1
+    cubic = SparsePolynomial(("x", "X", "Y"), {(0, 2, 1): 1})
+    with pytest.raises(ValueError, match=r"degrees \(3,\) must sum to N\+1 = 2"):
+        CompleteIntersectionFamily("bad", (cubic,))  # X^2*Y in P^1
+    with pytest.raises(ValueError, match="is not a nonzero form in"):
+        CompleteIntersectionFamily("zero", (SparsePolynomial(("x", "X", "Y", "Z"), {}),))
     variables = ("x", "Z0", "Z1", "Z2", "Z3")
     p1 = SparsePolynomial(variables, {(0, 1, 1, 0, 0): 1, (1, 0, 0, 1, 1): 1})
     p2 = SparsePolynomial(variables[1:], {(0, 0, 1, 1): 1, (1, 1, 0, 0): 1})
     with pytest.raises(ValueError, match="every polynomial must declare the variables"):
-        CompleteIntersectionFamily("bad", 3, (p1, p2), (2, 2))  # no shared variable tuple
+        CompleteIntersectionFamily("bad", (p1, p2))  # no shared variable tuple
     no_x = SparsePolynomial(("X", "Y", "Z"), {(1, 1, 1): 1, (3, 0, 0): 1})
     with pytest.raises(ValueError, match="do not contain the parameter 'x'"):
-        CompleteIntersectionFamily("bad", 2, (no_x,), (3,))  # no parameter x
+        CompleteIntersectionFamily("bad", (no_x,))  # no parameter x
     with pytest.raises(ValueError, match="at least one polynomial"):
-        CompleteIntersectionFamily("bad", -1, (), ())  # no polynomial
+        CompleteIntersectionFamily("bad", ())  # no polynomial
 
 
 def test_first_coefficient_is_one():
@@ -218,7 +220,17 @@ def _two_quadrics():
     variables = ("x", "Z0", "Z1", "Z2", "Z3")
     p1 = SparsePolynomial(variables, {(0, 1, 1, 0, 0): 1, (1, 0, 0, 1, 1): 1})
     p2 = SparsePolynomial(variables, {(0, 0, 0, 1, 1): 1, (1, 1, 1, 0, 0): 1})
-    return p1, p2, CompleteIntersectionFamily("two-quadrics", 3, (p1, p2), (2, 2))
+    return p1, p2, CompleteIntersectionFamily("two-quadrics", (p1, p2))
+
+
+def test_dimension_and_degrees_are_read_from_the_polynomials():
+    families = {name: builtin_family(name).family for name in ("hesse-cubic", "quartic-k3", "quintic-cy3")}
+    derived = {name: (family.ambient_dim, family.degrees) for name, family in families.items()}
+    assert derived == {"hesse-cubic": (2, (3,)), "quartic-k3": (3, (4,)), "quintic-cy3": (4, (5,))}
+    family = _two_quadrics()[2]
+    assert (family.ambient_dim, family.degrees, family.dimension) == (3, (2, 2), 1)
+    line_pair = CompleteIntersectionFamily("XY", (SparsePolynomial(("x", "X", "Y"), {(0, 1, 1): 1}),))
+    assert (line_pair.ambient_dim, line_pair.degrees, line_pair.dimension) == (1, (2,), 0)
 
 
 def test_user_supplied_codimension_two_family():
@@ -307,7 +319,7 @@ def _x_in_the_middle():
         variables,
         {(1, 0, 1, 1): 1, (3, 1, 0, 0): 1, (0, 2, 3, 0): -2, (0, 5, 0, 3): 3, (2, 1, 1, 0): 1},
     )
-    return CompleteIntersectionFamily("x-in-the-middle", 2, (p,), (3,))
+    return CompleteIntersectionFamily("x-in-the-middle", (p,))
 
 
 @pytest.mark.parametrize(
@@ -334,7 +346,7 @@ def test_packed_extraction_matches_tuple_reference(family, m_cap):
 
 def _cubic(name, terms):
     """A cubic in (X, Y, Z) from {(x-exponent, X, Y, Z exponents): coefficient}."""
-    return CompleteIntersectionFamily(name, 2, (SparsePolynomial(("x", "X", "Y", "Z"), terms),), (3,))
+    return CompleteIntersectionFamily(name, (SparsePolynomial(("x", "X", "Y", "Z"), terms),))
 
 
 def _cyclic_cubic():
@@ -398,7 +410,7 @@ def _random_pencil(rng, n, d_coefficient, symmetric):
         for perm in (set(permutations(z)) if symmetric else (tuple(z),)):
             for e, c in coefficient.items():
                 terms[(e,) + perm] = c
-    return CompleteIntersectionFamily(f"random-{n}", n - 1, (SparsePolynomial(("x",) + zvars, terms),), (n,))
+    return CompleteIntersectionFamily(f"random-{n}", (SparsePolynomial(("x",) + zvars, terms),))
 
 
 @pytest.mark.parametrize("case", ["no-D-term", "constant-c", "negative-c"])

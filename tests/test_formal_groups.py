@@ -96,9 +96,9 @@ def law_associativity(law, degree=None):
 
 def test_logarithm_requires_unit_first_coefficient():
     with pytest.raises(ValueError):
-        Logarithm("Z", [2, 1])
+        Logarithm([2, 1])
     with pytest.raises(ValueError):
-        Logarithm("Z", [1, Fraction(1, 2)])
+        Logarithm([1, Fraction(1, 2)])
 
 
 def test_logarithm_series_and_round_trip():
@@ -123,7 +123,7 @@ def test_logarithm_series_and_round_trip():
 
 
 def test_additive_law():
-    law = group_law_from_logarithm(Logarithm("Z", [1] + [0] * 5), 6)
+    law = group_law_from_logarithm(Logarithm([1] + [0] * 5), 6)
     assert law.series.sorted_terms() == [((0, 1), 1), ((1, 0), 1)]
     assert integrality_report(law).passed
     law_identity_checks(law)
@@ -144,7 +144,7 @@ def test_multiplicative_law_is_exactly_t1_plus_t2_minus_t1t2():
 def test_degree_two_closed_form():
     # with a_2 = a and higher coefficients zero the law starts t1+t2-a*t1*t2
     for a2 in (1, -3):
-        log = Logarithm("Z", [1, a2, 0, 0])
+        log = Logarithm([1, a2, 0, 0])
         law = group_law_from_logarithm(log, 2)
         assert law.coefficient(1, 1) == -a2
         assert integrality_report(law).passed
@@ -152,7 +152,7 @@ def test_degree_two_closed_form():
 
 def test_cubic_log_by_independent_reversion():
     # l = t + t^3/3: by hand G = t1 + t2 - t1^2 t2 - t1 t2^2 at degree 3
-    log = Logarithm("Z", [1, 0, 1])
+    log = Logarithm([1, 0, 1])
     law = group_law_from_logarithm(log, 3)
     assert law.coefficient(1, 1) == 0
     assert law.coefficient(2, 1) == -1
@@ -184,7 +184,7 @@ def test_integrality_report_failure_lists_coefficients():
     # l = t + t^4/4 gives, by hand,
     #   G = t1 + t2 - t1^3 t2 - (3/2) t1^2 t2^2 - t1 t2^3 + O(5),
     # so the certificate must fail exactly at (2, 2)
-    log = Logarithm("Z", [1, 0, 0, 1])
+    log = Logarithm([1, 0, 0, 1])
     law = group_law_from_logarithm(log, 4)
     report = integrality_report(law)
     assert not report.passed
@@ -212,8 +212,8 @@ def test_integrality_report_consistent_with_independent_reversion():
         (family_logarithm("hesse-cubic", 8), 8),
         (family_logarithm("quartic-k3", 8, "closed-form"), 8),
         (family_logarithm("quintic-cy3", 8, "closed-form"), 8),
-        (Logarithm("Z", [a.evaluate({"x": 2}) for a in quartic.coeffs]), 10),
-        (Logarithm("Z", [1, 0, 0, 1]), 4),  # fails at (2, 2)
+        (Logarithm([a.evaluate({"x": 2}) for a in quartic.coeffs]), 10),
+        (Logarithm([1, 0, 0, 1]), 4),  # fails at (2, 2)
     ]
     for log, degree in cases:
         law = group_law_from_logarithm(log, degree)
@@ -232,7 +232,7 @@ def test_integral_law_coefficients_are_ints(family):
     """The final division by L^deg deg! gives an int wherever it is exact,
     over Z[x] and at x = 2, as ``as_integral`` would."""
     over_zx = family_logarithm(family, 12, "closed-form")
-    for log in (over_zx, Logarithm("Z", [a.evaluate({"x": 2}) for a in over_zx.coeffs])):
+    for log in (over_zx, Logarithm([a.evaluate({"x": 2}) for a in over_zx.coeffs])):
         law = group_law_from_logarithm(log, 12)
         assert integrality_report(law).passed
         assert law.as_integral() == law
@@ -243,7 +243,7 @@ def test_integral_law_coefficients_are_ints(family):
 
 def test_non_integral_law_coefficients_are_fractions():
     # l = t + t^4/4 and l = t + x t^4/4: G_22 = -3/2 and -3x/2
-    for log in (Logarithm("Z", [1, 0, 0, 1]), Logarithm("Z[x]", [1, 0, 0, X])):
+    for log in (Logarithm([1, 0, 0, 1]), Logarithm([1, 0, 0, X])):
         law = group_law_from_logarithm(log, 4)
         reference = _law_by_reversion(log, 4)
         assert law.series == reference
@@ -267,11 +267,11 @@ def test_synthesis_matches_reversion_on_a_seeded_grid():
     cases = []
     for degree in range(1, 13):
         a = rng.randint(-3, 3) * (1 if degree % 2 else X)
-        cases.append(Logarithm("Z" if degree % 2 else "Z[x]", [a ** m for m in range(degree)]))
+        cases.append(Logarithm([a ** m for m in range(degree)]))
         for _ in range(2):
-            cases.append(Logarithm("Z", [1] + [rng.randint(-6, 6) for _ in range(degree - 1)]))
+            cases.append(Logarithm([1] + [rng.randint(-6, 6) for _ in range(degree - 1)]))
         if degree <= 9:
-            cases.append(Logarithm("Z[x]", [1] + [
+            cases.append(Logarithm([1] + [
                 rng.randint(-2, 2) + rng.choice((0, 0, 0, 0, 1, -1)) * X for _ in range(degree - 1)
             ]))
     seen = set()
@@ -284,8 +284,8 @@ def test_synthesis_matches_reversion_on_a_seeded_grid():
         }
         failures = {(i, j) for i, j, _ in integrality_report(law).failures}
         assert failures == expected_failures
-        seen.add((log.ring, bool(failures)))
-    assert seen == {("Z", False), ("Z", True), ("Z[x]", False), ("Z[x]", True)}
+        seen.add((any(isinstance(a, SparsePolynomial) for a in log.coeffs), bool(failures)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- curves -----------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_fg_add_doubling_multiplicative():
 
 
 def test_fg_add_ambient_mismatch():
-    log1, log2 = multiplicative_logarithm(6), Logarithm("Z", [1] + [0] * 5)
+    log1, log2 = multiplicative_logarithm(6), Logarithm([1] + [0] * 5)
     with pytest.raises(AmbientMismatchError):
         fg_add(canonical_curve(log1, 6), canonical_curve(log2, 6))
 
@@ -431,7 +431,7 @@ def test_bridge_examples():
 
 def test_bridge_requires_multiplicative_law():
     with pytest.raises(AmbientMismatchError):
-        witt_cartier_bridge(canonical_curve(Logarithm("Z", [1] + [0] * 3), 4))
+        witt_cartier_bridge(canonical_curve(Logarithm([1] + [0] * 3), 4))
 
 
 def test_bridge_intertwines_operators():

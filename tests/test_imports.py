@@ -1,7 +1,8 @@
 """Every name a module of the package, or a script, imports is used in that
 file; every function the package exports is named outside ``__init__.py``;
 the README's library sketch runs; starting the CLI loads no module that no
-request needs; the records keep their fields; no module but ``families``
+request needs; the records keep their fields; the value classes take only
+what their values cannot say; no module but ``families``
 names a pencil; and the check modules do not import ``formal_groups``."""
 
 import ast
@@ -18,7 +19,8 @@ import pytest
 
 import wittkit
 from wittkit.cli import ResultDoc
-from wittkit.families import FamilyCatalogEntry
+from wittkit.families import CompleteIntersectionFamily, FamilyCatalogEntry
+from wittkit.formal_groups import FormalGroupLaw, Logarithm
 from wittkit.ordinarity import FiberClassification, OrdinarityReport, PrimeScan
 from wittkit.picard_fuchs import SolutionCheck
 
@@ -171,3 +173,17 @@ RECORDS = {
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
 def test_records_keep_their_fields(record):
     assert (record._fields, record._field_defaults) == RECORDS[record]
+
+
+#: Each value class's constructor parameters.  A family's dimension and
+#: degrees are read from its polynomials, and a law keeps no logarithm.
+CONSTRUCTORS = {
+    Logarithm: ("coeffs",),
+    CompleteIntersectionFamily: ("name", "polynomials"),
+    FormalGroupLaw: ("series",),
+}
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS, ids=lambda cls: cls.__name__)
+def test_value_classes_take_only_their_values(cls):
+    assert tuple(inspect.signature(cls).parameters) == CONSTRUCTORS[cls]
