@@ -42,8 +42,8 @@ class BudgetExceededError(RuntimeError):
 class CompleteIntersectionFamily:
     """Homogeneous polynomials cutting out a pencil of Calabi-Yau varieties.
 
-    Each polynomial lives in Z[x][Z_0..Z_N].  Derived from them: ``ambient_dim`` = N and
-    ``degrees``, each polynomial's degree in the Z-variables; the degrees must sum to N+1.
+    Each polynomial lives in Z[x][Z_0..Z_N], N >= 0.  Derived from them: ``ambient_dim`` = N
+    and ``degrees``, each polynomial's degree (>= 1) in the Z-variables, summing to N+1.
     """
 
     __slots__ = ("name", "polynomials", "ambient_dim", "degrees")
@@ -57,11 +57,15 @@ class CompleteIntersectionFamily:
             raise ValueError(f"every polynomial must declare the variables {variables}")
         if PARAMETER not in variables:
             raise ValueError(f"variables {variables} do not contain the parameter {PARAMETER!r}")
+        if len(variables) < 2:
+            raise ValueError(f"variables {variables} hold no coordinate besides {PARAMETER!r}")
         self.ambient_dim, x = len(variables) - 2, variables.index(PARAMETER)
         degrees = [{sum(e) - e[x] for e in poly.terms} for poly in polynomials]
         for poly, found in zip(polynomials, degrees):
             if len(found) != 1:
                 raise ValueError(f"{poly} is not a nonzero form in {self.coordinate_variables()}")
+            if found == {0}:
+                raise ValueError(f"{poly} has degree 0 in {self.coordinate_variables()}")
         self.degrees = tuple(found.pop() for found in degrees)
         if sum(self.degrees) != self.ambient_dim + 1:
             raise ValueError(

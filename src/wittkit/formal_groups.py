@@ -10,8 +10,11 @@ is integral up to one known denominator: with ``L = lcm(1..deg)``,
 ``L*l(t)`` is integral, so the sum is taken over integer numerators and
 the common denominator ``L^deg * deg!`` is divided out once per
 coefficient, at the end: the quotient is an int where the division is
-exact, a Fraction otherwise.  Whether the law has integral coefficients is
-a certificate checked after synthesis, never an assumption.
+exact, a Fraction otherwise.  ``G`` is commutative, so only the
+coefficients ``G_ij`` with ``j <= i`` are summed: the flow runs
+``floor(deg/2)`` steps, and each ``G_ji`` is a copy of ``G_ij``.  Whether
+the law has integral coefficients is a certificate checked after
+synthesis, never an assumption.
 
 Curves in the formal group are kept in log-coordinates ``eta = l(gamma)``:
 formal-group addition becomes literal addition of series, scaling ``gamma(t)
@@ -148,7 +151,9 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
     With ``L = lcm(1..degree)`` and ``lam = L*l`` (integral), the term ``k``
     is ``f_k(t1) lam(t2)^k * D/(L^k k!)`` over ``D = L^degree * degree!``:
     the integer numerators are summed and each coefficient is divided by
-    ``D`` once.
+    ``D`` once.  As ``G_ij = G_ji``, only ``j <= i`` is summed, so ``k <= j
+    <= degree // 2``: the flow stops at ``f_(degree//2)``, ``lam^k`` is
+    needed only to that order, and each ``G_ji`` is copied from ``G_ij``.
 
     >>> law = group_law_from_logarithm(multiplicative_logarithm(4), 4)
     >>> [(exps, str(c)) for exps, c in law.series.sorted_terms()]
@@ -160,24 +165,24 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
         )
     if degree < 1:
         raise ValueError("total degree must be >= 1")
-    common = lcm(*range(1, degree + 1))  # L: clears every 1/m of l
+    common, half = lcm(*range(1, degree + 1)), degree // 2  # L clears every 1/m of l; j <= half
     lam = TruncatedSeries(
-        "t", [0] + [a * (common // m) for m, a in enumerate(log.coeffs[:degree], 1)], degree
+        "t", [0] + [a * (common // m) for m, a in enumerate(log.coeffs[:half], 1)], half
     )
     w = TruncatedSeries("t", log.coeffs[:degree]).inverse()  # 1/l'(t)
     f = TruncatedSeries("t", [0, log.coeffs[0]], degree)  # a_1 as stored keeps its type
-    power = TruncatedSeries.constant(1, "t", degree)  # lam^k
+    power = TruncatedSeries.constant(1, "t", half)  # lam^k
     denominator = scale = common**degree * factorial(degree)  # scale = D/(L^k k!)
     numerators: dict[tuple[int, int], Value] = {}
-    for k in range(degree + 1):
+    for k in range(half + 1):
         scaled = power.scale(scale).coefficients
         for i, fi in enumerate(f.coefficients):
             if not fi:
                 continue
-            for j in range(k, degree - i + 1):
+            for j in range(k, min(i, degree - i) + 1):
                 if scaled[j]:
                     numerators[i, j] = numerators.get((i, j), 0) + fi * scaled[j]
-        if k < degree:
+        if k < half:
             derivative = [i * c for i, c in enumerate(f.coefficients)][1:]
             f, power = TruncatedSeries("t", derivative) * w, power * lam
             scale //= common * (k + 1)
@@ -190,6 +195,7 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
         return Fraction(n, denominator) if r else q
 
     terms = {ij: divide(n) for ij, n in numerators.items()}
+    terms.update({(j, i): c for (i, j), c in terms.items()})  # G_ji = G_ij
     return FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, terms))
 
 

@@ -20,6 +20,8 @@ def golden_cli_requests():
         ["fgl", "--family", "hesse-cubic", "--deg", "4"],
         ["fgl", "--family", "hesse-cubic", "--deg", "3", "--at-x", "0"],
         ["fgl", "--family", "quartic-k3", "--deg", "8", "--method", "closed-form"],
+        ["fgl", "--family", "hesse-cubic", "--deg", "7"],
+        ["fgl", "--family", "quintic-cy3", "--deg", "9", "--at-x", "-2"],
         ["scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--oracle"],
         ["scan-ordinary", "--family", "quintic-cy3", "--pmax", "5"],
         ["pf-check", "--family", "quintic-cy3", "--kmax", "8"],

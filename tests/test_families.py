@@ -82,6 +82,13 @@ def test_family_invariants_enforced():
         CompleteIntersectionFamily("bad", (no_x,))  # no parameter x
     with pytest.raises(ValueError, match="at least one polynomial"):
         CompleteIntersectionFamily("bad", ())  # no polynomial
+    point = SparsePolynomial(("x",), {(0,): 1})
+    with pytest.raises(ValueError, match=r"variables \('x',\) hold no coordinate besides 'x'"):
+        CompleteIntersectionFamily("pt", (point,))  # no coordinate, so N = -1
+    hesse = builtin_family("hesse-cubic").family.polynomials[0]
+    x_minus_1 = SparsePolynomial(hesse.variables, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1})
+    with pytest.raises(ValueError, match=r"has degree 0 in \('X', 'Y', 'Z'\)"):
+        CompleteIntersectionFamily("bad", (hesse, x_minus_1))  # degrees (3, 0)
 
 
 def test_first_coefficient_is_one():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -35,7 +35,9 @@ X = SparsePolynomial.variable("x")
 
 
 def law_identity_checks(law):
-    # G(t1, 0) = t1, and G(t1, t2) = G(t2, t1)
+    # G(t1, 0) = t1, and G(t1, t2) = G(t2, t1); synthesis copies G_ji from
+    # G_ij, so the second holds by construction: the half sum is checked
+    # against the full flow in test_half_synthesis_matches_full_flow
     for i in range(law.degree + 1):
         assert law.coefficient(i, 0) == (1 if i == 1 else 0)
         for j in range(law.degree + 1 - i):
@@ -286,6 +288,77 @@ def test_synthesis_matches_reversion_on_a_seeded_grid():
         assert failures == expected_failures
         seen.add((any(isinstance(a, SparsePolynomial) for a in log.coeffs), bool(failures)))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _full_flow_terms(log, degree):
+    """Reference: the flow summed without G_ij = G_ji, over every step
+    k <= degree and every (i, j) with i + j <= degree."""
+    common = lcm(*range(1, degree + 1))
+    lam = TruncatedSeries(
+        "t", [0] + [a * (common // m) for m, a in enumerate(log.coeffs[:degree], 1)], degree
+    )
+    w = TruncatedSeries("t", log.coeffs[:degree]).inverse()
+    f = TruncatedSeries("t", [0, log.coeffs[0]], degree)
+    power = TruncatedSeries.constant(1, "t", degree)
+    denominator = scale = common**degree * factorial(degree)
+    numerators = {}
+    for k in range(degree + 1):
+        scaled = power.scale(scale).coefficients
+        for i, fi in enumerate(f.coefficients):
+            if not fi:
+                continue
+            for j in range(k, degree - i + 1):
+                if scaled[j]:
+                    numerators[i, j] = numerators.get((i, j), 0) + fi * scaled[j]
+        if k < degree:
+            derivative = [i * c for i, c in enumerate(f.coefficients)][1:]
+            f, power = TruncatedSeries("t", derivative) * w, power * lam
+            scale //= common * (k + 1)
+
+    def divide(n):
+        if isinstance(n, SparsePolynomial):
+            return SparsePolynomial(n.variables, {e: divide(c) for e, c in n.terms.items()})
+        q, r = divmod(n, denominator)
+        return Fraction(n, denominator) if r else q
+
+    terms = {ij: divide(n) for ij, n in numerators.items()}
+    return MultiTruncatedSeries(("t1", "t2"), degree, terms).terms
+
+
+def _typed(value):
+    """A coefficient with the type of each scalar in it, so 2 and Fraction(2) differ."""
+    if isinstance(value, SparsePolynomial):
+        return value.variables, {e: (type(c), c) for e, c in value.terms.items()}
+    return type(value), value
+
+
+def test_half_synthesis_matches_full_flow():
+    """Summing only j <= i and copying G_ji = G_ij gives the full flow's
+    coefficients, each of the same type: over Z[x], at fixed x, and on
+    seeded random logarithms of odd and even degree, integral or not."""
+    logs = []
+    for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
+        over_zx = family_logarithm(family, 16)
+        logs.append(over_zx)
+        for x in (1, -1, 2, -2, 3, -3):
+            logs.append(Logarithm([a.evaluate({"x": x}) for a in over_zx.coeffs]))
+    cases = [(log, degree) for log in logs for degree in range(1, 17)]
+    rng = random.Random(29)
+    for degree in range(1, 12):
+        cases.append((Logarithm([1] + [rng.randint(-6, 6) for _ in range(degree - 1)]), degree))
+        cases.append((Logarithm([1] + [
+            rng.randint(-2, 2) + rng.choice((0, 0, 1, -1)) * X for _ in range(degree - 1)
+        ]), degree))
+    cases += [(Logarithm([1, 0, 0, 1]), 4), (Logarithm([1, 0, 0, X, 0]), 5)]
+    integral = set()
+    for log, degree in cases:
+        law = group_law_from_logarithm(log, degree)
+        reference = _full_flow_terms(log, degree)
+        assert {e: _typed(c) for e, c in law.series.terms.items()} == {
+            e: _typed(c) for e, c in reference.items()
+        }, (log, degree)
+        integral.add((degree % 2, integrality_report(law).passed))
+    assert integral == {(0, True), (0, False), (1, True), (1, False)}
 
 
 # -- curves -----------------------------------------------------------------------
