@@ -42,7 +42,7 @@ class BudgetExceededError(RuntimeError):
 class CompleteIntersectionFamily:
     """Homogeneous polynomials cutting out a pencil of Calabi-Yau varieties.
 
-    Each polynomial lives in Z[x][Z_0..Z_N], N >= 0.  Derived from them: ``ambient_dim`` = N
+    At most N polynomials, each in Z[x][Z_0..Z_N].  Derived from them: ``ambient_dim`` = N
     and ``degrees``, each polynomial's degree (>= 1) in the Z-variables, summing to N+1.
     """
 
@@ -70,6 +70,10 @@ class CompleteIntersectionFamily:
         if sum(self.degrees) != self.ambient_dim + 1:
             raise ValueError(
                 f"degrees {self.degrees} must sum to N+1 = {self.ambient_dim + 1}"
+            )
+        if self.dimension < 0:
+            raise ValueError(
+                f"dimension N - codimension = {self.ambient_dim} - {self.codimension} is negative"
             )
 
     def _key(self) -> tuple:

@@ -15,8 +15,12 @@ operations, and the ``congruence`` command reads a_(p^nu) mod p the same way.
 
 Point counts stay exhaustive, and so independent of a_p, but evaluate a
 form a row at a time: a row fixes every coordinate but the last, and the
-form's value along it is sum_k q_k * z^k over the last coordinate z, each
-q_k computed once per row and z^k read from a per-prime table of powers.
+form's value along it is sum_k q_k * z^k over the last coordinate z, the
+q_k of all rows read from one table per prime and z^k from a table of
+powers.  Every catalog pencil is symmetric in its last two coordinates y
+and z, so the oracle visits only z >= y there, about half of P^N(F_p),
+and counts each z > y twice; the point budget is still compared with
+#P^N(F_p).
 
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
@@ -35,7 +39,7 @@ the same flags.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from .families import (
@@ -163,38 +167,54 @@ def _check_budget(nvars: int, p: int, budget: int | None) -> None:
         )
 
 
-def _form_rows(h: SparsePolynomial, p: int):
-    """h mod p over the canonical points of P^N(F_p), one row at a time.
+def _form_rows(h: SparsePolynomial, p: int, fold: bool = False):
+    """h mod p over the canonical points of P^N(F_p), as (weight, row) pairs.
 
     A row fixes a canonical prefix (first nonzero entry 1) of every
     coordinate but the last and runs the last coordinate z over F_p; the
     lone point (0, ..., 0, 1) is one extra row of length 1.  Grouping the
     monomials by their exponent k of z writes h = sum_k q_k * z^k, so a row
     is sum_k q_k * T_k[z] with T_e = [v^e mod p for v in F_p] (T_0 is all
-    ones, as pow(0, 0, p) == 1).
+    ones, as pow(0, 0, p) == 1); q_k is tabled once per block of prefixes
+    with the same leading 1.  Each weight is 1, except that ``fold``, for a
+    form invariant under swapping its last two coordinates, runs a row whose
+    prefix ends in a free y over z >= y only, at weight 2 for (.., y, z) and
+    (.., z, y), and ends its block with the points z = y at weight -1.
     """
     nvars = len(h.variables)
     exponents = {e for exps in h.terms for e in exps}
     tables = {e: [pow(v, e, p) for v in range(p)] for e in exponents}
-    by_last: dict[int, list] = {}  # exponent k of z -> [(c mod p, [(i, T_e_i)])]
+    by_last: dict[int, list] = {}  # exponent k of z -> [(c mod p, exponents of the prefix)]
     for exps, c in h.terms.items():
-        factors = [(i, tables[e]) for i, e in enumerate(exps[:-1]) if e]
-        by_last.setdefault(exps[-1], []).append((as_integral(c) % p, factors))
-    groups = [(tables[k], monomials) for k, monomials in by_last.items()]
-
-    def row(prefix: tuple[int, ...]) -> list[int]:
-        values = [0] * p
-        for table, monomials in groups:
-            q = sum(c * prod(t[prefix[i]] for i, t in factors) for c, factors in monomials) % p
-            if q:
-                values = [v + q * t for v, t in zip(values, table)]
-        return [v % p for v in values]
-
+        by_last.setdefault(exps[-1], []).append((as_integral(c) % p, exps[:-1]))
     for lead in range(nvars - 1):
-        head = (0,) * lead + (1,)
-        for tail in product(range(p), repeat=nvars - lead - 2):
-            yield row(head + tail)
-    yield row((0,) * (nvars - 1))[1:2]
+        folded = fold and lead < nvars - 2
+        prefixes = [(0,) * lead + (1,) + t for t in product(range(p), repeat=nvars - lead - 2)]
+        groups = []  # (T_k, [q_k mod p at each prefix])
+        for k, monomials in by_last.items():
+            columns = []
+            for c, exps in monomials:
+                values = [c] * len(prefixes)
+                for i, e in enumerate(exps):
+                    if e:
+                        t = tables[e]
+                        values = [v * t[prefix[i]] for v, prefix in zip(values, prefixes)]
+                columns.append(values)
+            groups.append((tables[k], [sum(q) % p for q in zip(*columns)]))
+        weight, diagonal = 2 if folded else 1, []
+        for j, prefix in enumerate(prefixes):
+            start = prefix[-1] if folded else 0
+            row = None
+            for table, q in groups:
+                if q[j]:
+                    c, ts = q[j], table[start:] if start else table
+                    row = [v + c * t for v, t in zip(row, ts)] if row else [c * t for t in ts]
+            row = [v % p for v in row] if row else [0] * (p - start)
+            diagonal.append(row[0])
+            yield weight, row
+        if folded:  # the rows counted each point z = y twice
+            yield -1, diagonal
+    yield 1, [sum(c for group in by_last.values() for c, exps in group if not any(exps)) % p]
 
 
 def point_count_projective(
@@ -210,31 +230,32 @@ def point_count_projective(
         _check_budget(nvars, p, budget)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return sum(row.count(0) for row in _form_rows(h, p))
+    return sum(row.count(0) for _, row in _form_rows(h, p))
 
 
 def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:
-    """#X_lambda(F_p) for lambda = 0..p-1, from one enumeration of P^N(F_p).
-
-    The pencil is x*A(Z) + B(Z).  A point with A != 0 lies on the single
-    fiber lambda = -B/A; a point with A = B = 0 lies on every fiber.
-    """
+    """#X_lambda(F_p) for lambda = 0..p-1; the budget bounds #P^N(F_p), however much is visited."""
     _require_odd_prime(p)
     family = builtin_family(family_id).family
     pencil = family.polynomials[0]
-    nvars = len(family.coordinate_variables())
-    _check_budget(nvars, p, budget)
-    a_rows = _form_rows(pencil.coefficient_of({"x": 1}), p)
-    b_rows = _form_rows(pencil.coefficient_of({"x": 0}), p)
-    neg_inverse = [0] + [-pow(a, -1, p) for a in range(1, p)]
+    _check_budget(len(family.coordinate_variables()), p, budget)
+    return _pencil_point_counts(pencil.coefficient_of({"x": 1}), pencil.coefficient_of({"x": 0}), p)
+
+
+def _pencil_point_counts(a: SparsePolynomial, b: SparsePolynomial, p: int) -> tuple[int, ...]:
+    """#{x*a + b = 0}(F_p) for x = 0..p-1, from one pass over P^N(F_p), folded (``_form_rows``)
+    when a and b are both invariant under swapping their last two coordinates.  A point with
+    a != 0 lies on the single fiber x = -b/a; a point with a = b = 0 lies on every fiber."""
+    fold = all(h.terms.get(e[:-2] + (e[-1], e[-2])) == c for h in (a, b) for e, c in h.terms.items())
+    neg_inverse = [0] + [-pow(v, -1, p) for v in range(1, p)]
     counts = [0] * p
     on_every_fiber = 0
-    for a_row, b_row in zip(a_rows, b_rows):
-        for a, b in zip(a_row, b_row):
-            if a:
-                counts[b * neg_inverse[a] % p] += 1
-            elif not b:
-                on_every_fiber += 1
+    for (weight, a_row), (_, b_row) in zip(_form_rows(a, p, fold), _form_rows(b, p, fold)):
+        for u, v in zip(a_row, b_row):
+            if u:
+                counts[v * neg_inverse[u] % p] += weight
+            elif not v:
+                on_every_fiber += weight
     return tuple(c + on_every_fiber for c in counts)
 
 

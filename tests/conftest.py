@@ -43,10 +43,11 @@ def golden_cli_requests():
 
 def golden_name(request):
     """File name under tests/golden/ for one request: its arguments joined
-    by '_', with each JSON argument shortened to 8 hex digits of its sha256."""
+    by '_', each flag without its leading '--' (a value such as -2 keeps its
+    sign) and each JSON argument shortened to 8 hex digits of its sha256."""
     parts = []
     for arg in request:
         if arg.startswith(("{", "[")):
             arg = hashlib.sha256(arg.encode("utf-8")).hexdigest()[:8]
-        parts.append(arg.lstrip("-"))
+        parts.append(arg.removeprefix("--"))
     return "_".join(parts) + ".out"

@@ -410,6 +410,18 @@ def test_budget_exit_code(capsys):
     assert err == "wittkit: budget exceeded: P^2(F_3) has 13 points, over the budget 0\n"
 
 
+
+def test_budget_is_compared_with_all_of_p_n(capsys):
+    # the oracle visits about half of P^2(F_31) on the symmetric hesse pencil,
+    # but the budget still bounds all 993 points
+    request = ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "31", "--oracle")
+    code, _, err = run(capsys, *request, "--budget", "992")
+    assert code == 3
+    assert err == "wittkit: budget exceeded: P^2(F_31) has 993 points, over the budget 992\n"
+    code, out, _ = run(capsys, *request, "--budget", "993")
+    assert code == 0
+    assert out == run(capsys, *request)[1]
+
 def test_budget_ignores_primes_without_smooth_fibers(capsys):
     # every hesse parameter is singular mod 7, so P^2(F_7) (57 points) is never counted
     request = ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--oracle")

@@ -240,6 +240,19 @@ def test_dimension_and_degrees_are_read_from_the_polynomials():
     assert (line_pair.ambient_dim, line_pair.degrees, line_pair.dimension) == (1, (2,), 0)
 
 
+
+def test_family_of_negative_dimension_refused():
+    # N+1 linear forms in P^N would leave dimension -1 (a_m = 1 for every m)
+    point = SparsePolynomial(("x", "Z0"), {(0, 1): 1})
+    with pytest.raises(ValueError, match="dimension N - codimension = 0 - 1 is negative"):
+        CompleteIntersectionFamily("p0", (point,))
+    first = SparsePolynomial(("x", "X", "Y"), {(0, 1, 0): 1})
+    second = SparsePolynomial(("x", "X", "Y"), {(0, 0, 1): 1, (1, 1, 0): 1})
+    with pytest.raises(ValueError, match="dimension N - codimension = 1 - 2 is negative"):
+        CompleteIntersectionFamily("two-points", (first, second))
+    line_pair = SparsePolynomial(("x", "X", "Y"), {(0, 1, 1): 1})
+    assert CompleteIntersectionFamily("XY", (line_pair,)).dimension == 0  # dimension 0 stays
+
 def test_user_supplied_codimension_two_family():
     p1, p2, family = _two_quadrics()
     assert family.dimension == 1

@@ -26,6 +26,13 @@ def test_golden_names_unique():
     assert len({golden_name(r) for r in REQUESTS}) == len(REQUESTS)
 
 
+def test_golden_names_keep_the_sign_of_flag_values():
+    request = ["fgl", "--family", "quintic-cy3", "--deg", "9", "--at-x", "2", "--format", "json"]
+    negative = request[:6] + ["-2"] + request[7:]
+    assert golden_name(request) == "fgl_family_quintic-cy3_deg_9_at-x_2_format_json.out"
+    assert golden_name(negative) == "fgl_family_quintic-cy3_deg_9_at-x_-2_format_json.out"
+
+
 @pytest.mark.parametrize("request_argv", REQUESTS, ids=golden_name)
 def test_golden_output(request_argv, capsys):
     expected = (GOLDEN_DIR / golden_name(request_argv)).read_bytes()
