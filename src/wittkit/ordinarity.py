@@ -1,17 +1,20 @@
 """Per-prime ordinariness diagnostics for the built-in pencils.
 
 For an odd prime p the fiber at a smooth parameter value is called ordinary
-when the p-th logarithm coefficient a_p, reduced mod p and evaluated there by
-Horner's rule over F_p, does not vanish.  For the elliptic pencil this is
-checked against an independent oracle: count the points of the fiber over
-F_p by brute force, take the Frobenius trace t = p + 1 - count, and call the
-fiber supersingular exactly when t = 0 mod p.  The two verdicts must agree;
-the scan records every comparison.  One enumeration of P^N(F_p) counts the
-points of all p fibers at once.  Records are named tuples.
+when the p-th logarithm coefficient a_p, reduced mod p and evaluated there,
+does not vanish.  For the elliptic pencil this is checked against an
+independent oracle: count the points of the fiber over F_p by brute force,
+take the Frobenius trace t = p + 1 - count, and call the fiber supersingular
+exactly when t = 0 mod p.  The two verdicts must agree; the scan records
+every comparison.  One enumeration of P^N(F_p) counts the points of all p
+fibers at once.  Records are named tuples.
 
 a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
 term by term along the closed form's term ratio, in O(p) small-int
 operations, and the ``congruence`` command reads a_(p^nu) mod p the same way.
+The scan reads a_p at all p parameter values from one chirp-transform product
+of two big integers per prime, and refuses a prime bound of ``SCAN_PRIME_BOUND``
+or more; ``hasse_witt_value`` reads one value by Horner's rule over F_p.
 
 Point counts stay exhaustive, and so independent of a_p, but evaluate a
 form a row at a time: a row fixes every coordinate but the last, and the
@@ -32,15 +35,17 @@ detected by Jacobian rank at runtime.  For the elliptic pencil the declared
 set is x = 0 together with 27x^3 = 1 and 27x^3 = -1: the fibers on the
 latter branch factor into three lines (substitute x = -1/3); those on the
 former are smooth away from 2 and 3 and are skipped only because declared.
-One pass per prime flags all p parameter values; ``declared_singular`` reads
-the same flags.
+The scan flags all p parameter values at once from a primitive root's
+powers; ``declared_singular`` tests the rules at one value.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd
-from typing import Callable, Iterable, NamedTuple
+from functools import cache
+from itertools import accumulate, cycle, product, repeat
+from math import gcd, isqrt
+from struct import Struct
+from typing import Callable, NamedTuple
 
 from .families import (
     FAMILY_IDS, PRIMALITY_BOUND, BudgetExceededError, builtin_family, is_prime, resolve_family_id,
@@ -54,6 +59,10 @@ DEFAULT_POINT_BUDGET = 100_000
 #: A prime-power congruence is refused when p^nu, the index of the last
 #: coefficient it reads, exceeds this.  p = 211, nu = 3 (9,393,931) fits.
 CONGRUENCE_INDEX_BUDGET = 10_000_000
+
+#: The least P with P^3 >= 2^64: a scan's residue table packs sums below p^3 into
+#: slots of at most 64 bits (``_hasse_witt_table``), so ``ordinarity_scan`` refuses pmax >= P.
+SCAN_PRIME_BOUND = 2_642_246
 
 #: The catalog pencils of relative dimension 1: the point-count oracle's scope.
 ELLIPTIC_FAMILIES = tuple(f for f in FAMILY_IDS if builtin_family(f).dimension == 1)
@@ -112,16 +121,35 @@ class OrdinarityReport(NamedTuple):
 def declared_singular(family_id: str, lam: int, p: int) -> bool:
     """Membership of the parameter value in the declared singular locus mod p."""
     _require_odd_prime(p)
-    return _singular_flags(builtin_family(family_id).singular_rules, p)[lam % p]
+    lam, rules = lam % p, builtin_family(family_id).singular_rules
+    return lam == 0 or any(c * pow(lam, e, p) % p == 1 for c, e in rules)
 
 
-def _singular_flags(rules: tuple[tuple[int, int], ...], p: int) -> list[bool]:
-    """For lam = 0..p-1: lam = 0, or c * lam^e = 1 mod p for some rule (c, e)."""
+def _primitive_root_powers(p: int) -> list[int]:
+    """r^i mod p for i = 0..p-2, r the least primitive root mod p (p - 1 factored by trial division)."""
+    n, factors = p - 1, set()
+    for q in range(2, isqrt(p - 1) + 1):
+        while not n % q:
+            n //= q
+            factors.add(q)
+    factors.add(n)  # the prime factor left over, or 1
+    r = next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in factors - {1}))
+    x = 1
+    return [1] + [x := x * r % p for _ in range(p - 2)]
+
+
+def _singular_flags(rules: tuple[tuple[int, int], ...], p: int, powers: list[int]) -> list[bool]:
+    """For lam = 0..p-1: lam = 0, or c * lam^e = 1 mod p for some rule (c, e).  With lam = r^i and
+    1/c = r^k (``powers`` lists r^i), that is e*i = k mod p - 1: never when c = 0 mod p, else for
+    the G = gcd(e, p - 1) roots i = i0 + s(p - 1)/G when G divides k."""
     flags = [True] + [False] * (p - 1)
     for c, e in rules:
-        for lam in range(1, p):
-            if c * pow(lam, e, p) % p == 1:
-                flags[lam] = True
+        if c % p:
+            k, roots = powers.index(pow(c, -1, p)), gcd(e, p - 1)
+            step = (p - 1) // roots
+            if not k % roots:
+                for i in range(k // roots * pow(e // roots, -1, step) % step, p - 1, step):
+                    flags[powers[i]] = True
     return flags
 
 
@@ -131,27 +159,39 @@ def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
     return builtin_family(family_id).closed_form_mod(p, p, 1)
 
 
-def _hasse_witt_residues(family_id: str, p: int, lams: Iterable[int]):
-    """Yield a_p(lambda) mod p for each lambda in lams: Horner over F_p in x^g (deg a_p < p).
+def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
+    """a_p(lambda) mod p for lambda = 0..p-1, from one big-integer product (Bluestein's chirp transform).
 
-    Only y = lambda^g mod p enters, so each distinct y is evaluated once.
+    a_p = sum_(j<=d) c_j y^j in y = x^g.  ``powers`` lists r^i for a primitive root r, so h = r^g has
+    order m = (p-1)/gcd(g, p-1) and lambda = r^i has y = h^(i mod m).  As w_t = h^(t(t-1)/2) gives
+    h^(jk) = w_(j+k) / (w_j w_k), a_p(h^k) * w_k is slot d + k of the product of the integers
+    sum_j (c_j/w_j) z^(d-j) and sum_t w_t z^t at z = 2^32 or 2^64: each slot sum is below
+    (d+1)(p-1)^2 < p^3, which 64 bits hold below ``SCAN_PRIME_BOUND``.
     """
     terms = hasse_witt_poly(family_id, p).terms
     g = gcd(*(e for (e,) in terms)) or 1  # a_p is a polynomial in x^g
-    dense = [terms.get((e,), 0) for e in reversed(range(0, p, g))]
-    by_y: dict[int, int] = {}
-    for lam in lams:
-        y = pow(lam, g, p)
-        if y not in by_y:
-            value = 0
-            for c in dense:
-                value = (value * y + c) % p
-            by_y[y] = value
-        yield by_y[y]
+    d, m = max(e for (e,) in terms) // g, (p - 1) // gcd(g, p - 1)
+    logs = [g * t % (p - 1) for t in accumulate(range(m + d - 1), initial=0)]  # w_t = r^logs[t]
+    scaled = [terms.get((g * j,), 0) * powers[-logs[j]] % p for j in reversed(range(d + 1))]
+    chirp = [powers[i] for i in logs]
+    size, code = (4, "I") if p**3 < 1 << 32 else (8, "Q")  # every slot sum is below p^3
+    # Struct objects, not struct.pack, whose cache would keep a format per length alive
+    a, b = (int.from_bytes(Struct(f"<{len(v)}{code}").pack(*v), "little") for v in (scaled, chirp))
+    slots = Struct(f"<{m}{code}").unpack_from((a * b).to_bytes(size * (m + 2 * d), "little"), size * d)
+    values = [v * powers[-i] % p for v, i in zip(slots, logs)]
+    table = [terms.get((0,), 0)] * p
+    for lam, value in zip(powers, cycle(values)):
+        table[lam] = value
+    return table
 
 
 def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
-    return next(_hasse_witt_residues(family_id, p, [lam % p]))
+    """a_p(lambda) mod p at one value, by Horner over F_p; the scan reads every value at once."""
+    terms, lam = hasse_witt_poly(family_id, p).terms, lam % p
+    value = 0
+    for e in reversed(range(max(e for (e,) in terms) + 1)):
+        value = (value * lam + terms.get((e,), 0)) % p
+    return value
 
 
 def projective_point_total(dimension: int, p: int) -> int:
@@ -236,10 +276,16 @@ def point_count_projective(
 def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:
     """#X_lambda(F_p) for lambda = 0..p-1; the budget bounds #P^N(F_p), however much is visited."""
     _require_odd_prime(p)
-    family = builtin_family(family_id).family
-    pencil = family.polynomials[0]
-    _check_budget(len(family.coordinate_variables()), p, budget)
-    return _pencil_point_counts(pencil.coefficient_of({"x": 1}), pencil.coefficient_of({"x": 0}), p)
+    a, b = _pencil_forms(family_id)
+    _check_budget(len(a.variables), p, budget)
+    return _pencil_point_counts(a, b, p)
+
+
+@cache
+def _pencil_forms(family_id: str) -> tuple[SparsePolynomial, SparsePolynomial]:
+    """The forms A and B of a catalog pencil x*A + B, derived once per family."""
+    pencil = builtin_family(family_id).family.polynomials[0]
+    return pencil.coefficient_of({"x": 1}), pencil.coefficient_of({"x": 0})
 
 
 def _pencil_point_counts(a: SparsePolynomial, b: SparsePolynomial, p: int) -> tuple[int, ...]:
@@ -287,29 +333,21 @@ def classify_elliptic_fiber(
 
 
 def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
-    elliptic = family_id in ELLIPTIC_FAMILIES
-    residues = tuple(_hasse_witt_residues(family_id, p, range(p)))
-    singular = _singular_flags(builtin_family(family_id).singular_rules, p)
-    # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
-    counts = None
-    if with_oracle and not all(singular):
-        counts = fiber_point_counts(family_id, p, budget)
-    rows = []
-    for lam, value in enumerate(residues):
-        if singular[lam]:
-            verdict = "singular"
-        elif elliptic:
-            verdict = "supersingular" if value == 0 else "ordinary"
-        else:
-            verdict = ""
-        if with_oracle:
-            oracle = "singular" if singular[lam] else _classify_count(p, lam, counts[lam]).verdict
-            rows.append(FiberRow(p, lam, value, verdict, oracle, oracle == verdict))
-        else:
-            rows.append(FiberRow(p, lam, value, verdict, "", None))
-    agree = all(r.agree for r in rows) if with_oracle else None
-    locus = tuple(lam for lam, value in enumerate(residues) if value == 0 and not singular[lam])
-    return PrimeScan(p, locus, tuple(rows), agree)
+    powers = _primitive_root_powers(p)
+    residues = _hasse_witt_table(family_id, p, powers)
+    singular = _singular_flags(builtin_family(family_id).singular_rules, p, powers)
+    names = ("supersingular", "ordinary") if family_id in ELLIPTIC_FAMILIES else ("", "")
+    verdicts = ["singular" if s else names[v > 0] for v, s in zip(residues, singular)]
+    locus = tuple(lam for lam, v, s in zip(range(p), residues, singular) if not (v or s))
+    oracle, agree = repeat(""), repeat(None)
+    if with_oracle:
+        # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
+        counts = repeat(0) if all(singular) else fiber_point_counts(family_id, p, budget)
+        oracle = ["singular" if s else _classify_count(p, lam, n).verdict
+                  for lam, s, n in zip(range(p), singular, counts)]
+        agree = [o == v for o, v in zip(oracle, verdicts)]
+    rows = tuple(map(FiberRow, repeat(p), range(p), residues, verdicts, oracle, agree))
+    return PrimeScan(p, locus, rows, all(agree) if with_oracle else None)
 
 
 def ordinarity_scan(
@@ -330,6 +368,8 @@ def ordinarity_scan(
         raise OracleUnavailableError(
             f"{family_id} has relative dimension != 1; scan without --oracle"
         )
+    if prime_bound >= SCAN_PRIME_BOUND:
+        raise BudgetExceededError(f"pmax = {prime_bound} is at or above the scan bound {SCAN_PRIME_BOUND}")
     scans = [
         _scan_prime(family_id, p, with_oracle, budget)
         for p in range(3, prime_bound + 1)

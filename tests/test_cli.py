@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit import cli
+from wittkit import cli, ordinarity
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
@@ -421,6 +421,14 @@ def test_budget_is_compared_with_all_of_p_n(capsys):
     code, out, _ = run(capsys, *request, "--budget", "993")
     assert code == 0
     assert out == run(capsys, *request)[1]
+
+def test_scan_at_the_slot_bound_exits_3_before_any_prime(capsys, monkeypatch):
+    # a_p's table packs sums below p^3 in 64-bit slots: 2642246^3 >= 2^64
+    monkeypatch.setattr(ordinarity, "_scan_prime", lambda *args: pytest.fail("scanned a prime"))
+    code, out, err = run(capsys, "scan-ordinary", "--family", "quintic-cy3", "--pmax", "2642246")
+    assert (code, out) == (3, "")
+    assert err == "wittkit: budget exceeded: pmax = 2642246 is at or above the scan bound 2642246\n"
+
 
 def test_budget_ignores_primes_without_smooth_fibers(capsys):
     # every hesse parameter is singular mod 7, so P^2(F_7) (57 points) is never counted

@@ -5,7 +5,7 @@ from math import isqrt, prod
 
 import pytest
 
-from wittkit import families
+from wittkit import families, ordinarity
 from wittkit.families import PRIMALITY_BOUND, builtin_family
 from wittkit.formal_groups import multiplicative_logarithm
 from wittkit.ordinarity import (
@@ -52,15 +52,15 @@ def test_constant_term_one_mod_every_prime():
     for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
         for p in (3, 5, 7, 11, 13):
             assert hasse_witt_value(family, 0, p) == 1
-        # every value against exact evaluation, and the scan's locus against
-        # the values
+        # every value against exact evaluation, and the scan's values and
+        # locus against the values
         for p in filter(is_prime, range(3, 62)):
             poly = hasse_witt_poly(family, p)
-            for lam in range(p):
-                expected = as_integral(poly.evaluate({"x": lam})) % p
-                assert hasse_witt_value(family, lam, p) == expected
+            expected = [as_integral(poly.evaluate({"x": lam})) % p for lam in range(p)]
+            assert [hasse_witt_value(family, lam, p) for lam in range(p)] == expected
             scan = ordinarity_scan(family, p).scans[-1]
             assert scan.prime == p
+            assert [row.hasse_witt_value for row in scan.rows] == expected
             assert scan.nonordinary == tuple(
                 lam for lam in range(p)
                 if hasse_witt_value(family, lam, p) == 0 and not declared_singular(family, lam, p)
@@ -261,6 +261,43 @@ def test_scan_oracle_refused_for_non_elliptic():
 def test_scan_bound_validated():
     with pytest.raises(ValueError):
         ordinarity_scan("hesse-cubic", 2)
+
+
+def test_scan_residue_table_matches_horner():
+    """The scan's chirp-transform table against one-point Horner, and its singular rows
+    against the rules at one point, at a prime of every class of gcd(g, p - 1)."""
+    primes = {
+        # 13 = 197 = 1 and 7 = 211 = 3 mod 4; 3 <= 4, where a_p = 1 and g falls back to 1
+        "quartic-k3": (3, 5, 7, 13, 197, 211),
+        # 11 = 211 = 1 mod 5, and 7, 13 and 199 not; 3 and 5 <= 5, where a_p = 1
+        "quintic-cy3": (3, 5, 7, 11, 13, 199, 211),
+        # 7 = 1 and 5 = 2 mod 3; 211 = 1 and 197 = 2 mod 3
+        "hesse-cubic": (3, 5, 7, 13, 197, 211),
+    }
+    for family, chosen in primes.items():
+        scans = {s.prime: s for s in ordinarity_scan(family, 211).scans}
+        for p in chosen:
+            rows = scans[p].rows
+            assert [r.parameter for r in rows] == list(range(p))
+            for lam, row in enumerate(rows):
+                assert row.hasse_witt_value == hasse_witt_value(family, lam, p), (family, p, lam)
+                assert (row.verdict == "singular") == declared_singular(family, lam, p), (family, p, lam)
+    # from p = 1626 on, p^3 >= 2^32 and the sums are packed in 64 bits, not 32
+    p = 1637  # = 2 mod 3, so a_p takes p - 1 distinct values of y = x^3
+    table = ordinarity._hasse_witt_table("hesse-cubic", p, ordinarity._primitive_root_powers(p))
+    for lam in (*range(0, p, 41), p - 1):
+        assert table[lam] == hasse_witt_value("hesse-cubic", lam, p), lam
+
+
+def test_scan_prime_bound_is_the_slot_bound(monkeypatch):
+    """The table packs sums below p^3 into 64-bit slots, so the scan refuses every
+    prime bound from the least P with P^3 >= 2^64 on, before scanning any prime."""
+    bound = ordinarity.SCAN_PRIME_BOUND
+    assert (bound - 1) ** 3 < 2**64 <= bound**3
+    monkeypatch.setattr(ordinarity, "_scan_prime", lambda *args: pytest.fail("scanned a prime"))
+    for prime_bound in (bound, bound + 1, 10**30):
+        with pytest.raises(BudgetExceededError, match=f"at or above the scan bound {bound}$"):
+            ordinarity_scan("quintic-cy3", prime_bound)
 
 
 def test_fiber_point_counts_match_per_fiber_reference():
