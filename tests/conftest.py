@@ -23,6 +23,7 @@ def golden_cli_requests():
         ["fgl", "--family", "hesse-cubic", "--deg", "7"],
         ["fgl", "--family", "quintic-cy3", "--deg", "9", "--at-x", "-2"],
         ["scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--oracle"],
+        ["scan-ordinary", "--family", "hesse-cubic", "--pmax", "31", "--oracle"],
         ["scan-ordinary", "--family", "quintic-cy3", "--pmax", "5"],
         ["pf-check", "--family", "quintic-cy3", "--kmax", "8"],
         ["pf-check", "--family", "hesse-cubic", "--kmax", "8"],
