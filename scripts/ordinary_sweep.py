@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the elliptic pencil over all odd primes up to a bound, comparing the
-Hasse-Witt verdict with brute-force point counts (one enumeration of the
-projective plane per prime counts every fiber).
+Hasse-Witt verdict with point counts (one pass per prime counts every
+fiber).
 
     python scripts/ordinary_sweep.py --pmax 31
 """

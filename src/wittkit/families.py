@@ -36,7 +36,7 @@ class UnknownFamilyError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A point enumeration, a congruence or a primality test would exceed its budget."""
+    """A point count, a congruence or a primality test would exceed its budget."""
 
 
 class CompleteIntersectionFamily:

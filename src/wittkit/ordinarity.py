@@ -3,11 +3,11 @@
 For an odd prime p the fiber at a smooth parameter value is called ordinary
 when the p-th logarithm coefficient a_p, reduced mod p and evaluated there,
 does not vanish.  For the elliptic pencil this is checked against an
-independent oracle: count the points of the fiber over F_p by brute force,
-take the Frobenius trace t = p + 1 - count, and call the fiber supersingular
-exactly when t = 0 mod p.  The two verdicts must agree; the scan records
-every comparison.  One enumeration of P^N(F_p) counts the points of all p
-fibers at once.  Records are named tuples.
+independent oracle: count the points of the fiber over F_p, take the
+Frobenius trace t = p + 1 - count, and call the fiber supersingular exactly
+when t = 0 mod p.  The two verdicts must agree; the scan records every
+comparison.  One pass per prime counts the points of all p fibers at once.
+Records are named tuples.
 
 a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
 term by term along the closed form's term ratio, in O(p) small-int
@@ -16,14 +16,17 @@ The scan reads a_p at all p parameter values from one chirp-transform product
 of two big integers per prime, and refuses a prime bound of ``SCAN_PRIME_BOUND``
 or more; ``hasse_witt_value`` reads one value by Horner's rule over F_p.
 
-Point counts stay exhaustive, and so independent of a_p, but evaluate a
-form a row at a time: a row fixes every coordinate but the last, and the
-form's value along it is sum_k q_k * z^k over the last coordinate z, the
-q_k of all rows read from one table per prime and z^k from a table of
-powers.  Every catalog pencil is symmetric in its last two coordinates y
-and z, so the oracle visits only z >= y there, about half of P^N(F_p),
-and counts each z > y twice; the point budget is still compared with
-#P^N(F_p).
+Point counts read only the pencil's shape prod Z_i + sign*x*sum Z_i^n in
+P^(n-1), never a_p: fiber 0 holds the points with a zero coordinate, such a
+point lies on every other fiber exactly when its sum Z_i^n vanishes (the
+Fermat points of each support), and a point of the torus lies on one fiber
+or none.  The torus is walked a coordinate at a time over at most p(p-1)
+cells (the character-free form of the diagonal-hypersurface counts of Weil,
+Bull. AMS 55, 1949, and Koblitz, Compositio Math. 48, 1983), in at most p - 1
+Python steps per cell and coordinate; the point budget is still compared
+with #P^N(F_p).  ``point_count_projective`` counts the zeros of any form by
+enumeration, a row at a time, and is the reference the counts are tested
+against.
 
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
@@ -41,9 +44,9 @@ powers; ``declared_singular`` tests the rules at one value.
 
 from __future__ import annotations
 
-from functools import cache
+from collections import Counter
 from itertools import accumulate, cycle, product, repeat
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from struct import Struct
 from typing import Callable, NamedTuple
 
@@ -52,8 +55,8 @@ from .families import (
 )
 from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
 
-#: Routine-use budget: an enumeration of P^N(F_p) is refused beyond this many
-#: points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
+#: Routine-use budget: a point count is refused when P^N(F_p) has more than this
+#: many points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
 DEFAULT_POINT_BUDGET = 100_000
 
 #: A prime-power congruence is refused when p^nu, the index of the last
@@ -207,8 +210,8 @@ def _check_budget(nvars: int, p: int, budget: int | None) -> None:
         )
 
 
-def _form_rows(h: SparsePolynomial, p: int, fold: bool = False):
-    """h mod p over the canonical points of P^N(F_p), as (weight, row) pairs.
+def _form_rows(h: SparsePolynomial, p: int):
+    """h mod p over the canonical points of P^N(F_p), a row at a time.
 
     A row fixes a canonical prefix (first nonzero entry 1) of every
     coordinate but the last and runs the last coordinate z over F_p; the
@@ -216,10 +219,7 @@ def _form_rows(h: SparsePolynomial, p: int, fold: bool = False):
     monomials by their exponent k of z writes h = sum_k q_k * z^k, so a row
     is sum_k q_k * T_k[z] with T_e = [v^e mod p for v in F_p] (T_0 is all
     ones, as pow(0, 0, p) == 1); q_k is tabled once per block of prefixes
-    with the same leading 1.  Each weight is 1, except that ``fold``, for a
-    form invariant under swapping its last two coordinates, runs a row whose
-    prefix ends in a free y over z >= y only, at weight 2 for (.., y, z) and
-    (.., z, y), and ends its block with the points z = y at weight -1.
+    with the same leading 1.
     """
     nvars = len(h.variables)
     exponents = {e for exps in h.terms for e in exps}
@@ -228,7 +228,6 @@ def _form_rows(h: SparsePolynomial, p: int, fold: bool = False):
     for exps, c in h.terms.items():
         by_last.setdefault(exps[-1], []).append((as_integral(c) % p, exps[:-1]))
     for lead in range(nvars - 1):
-        folded = fold and lead < nvars - 2
         prefixes = [(0,) * lead + (1,) + t for t in product(range(p), repeat=nvars - lead - 2)]
         groups = []  # (T_k, [q_k mod p at each prefix])
         for k, monomials in by_last.items():
@@ -241,20 +240,13 @@ def _form_rows(h: SparsePolynomial, p: int, fold: bool = False):
                         values = [v * t[prefix[i]] for v, prefix in zip(values, prefixes)]
                 columns.append(values)
             groups.append((tables[k], [sum(q) % p for q in zip(*columns)]))
-        weight, diagonal = 2 if folded else 1, []
-        for j, prefix in enumerate(prefixes):
-            start = prefix[-1] if folded else 0
-            row = None
+        for j in range(len(prefixes)):
+            row = [0] * p
             for table, q in groups:
-                if q[j]:
-                    c, ts = q[j], table[start:] if start else table
-                    row = [v + c * t for v, t in zip(row, ts)] if row else [c * t for t in ts]
-            row = [v % p for v in row] if row else [0] * (p - start)
-            diagonal.append(row[0])
-            yield weight, row
-        if folded:  # the rows counted each point z = y twice
-            yield -1, diagonal
-    yield 1, [sum(c for group in by_last.values() for c, exps in group if not any(exps)) % p]
+                if c := q[j]:
+                    row = [v + c * t for v, t in zip(row, table)]
+            yield [v % p for v in row]
+    yield [sum(c for group in by_last.values() for c, exps in group if not any(exps)) % p]
 
 
 def point_count_projective(
@@ -270,39 +262,41 @@ def point_count_projective(
         _check_budget(nvars, p, budget)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return sum(row.count(0) for _, row in _form_rows(h, p))
+    return sum(row.count(0) for row in _form_rows(h, p))
 
 
 def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:
-    """#X_lambda(F_p) for lambda = 0..p-1; the budget bounds #P^N(F_p), however much is visited."""
+    """#X_lambda(F_p) for lambda = 0..p-1 on the pencil prod Z_i + sign*x*sum Z_i^n in P^(n-1);
+    the budget bounds #P^N(F_p).
+
+    A point with a zero coordinate lies on fiber 0, and on every other fiber exactly when its
+    sum Z_i^n vanishes.  A torus point (1, z_1, ..., z_(n-1)) lies on the one fiber
+    -prod z / (sign * (1 + sum z^n)), and on none when that sum is 0.  The torus is walked a
+    coordinate at a time as a Counter of (prod z, 1 + sum z^n); the cells of step j whose sum
+    is 0 count the Fermat points on each support of j + 1 coordinates.
+    """
     _require_odd_prime(p)
-    a, b = _pencil_forms(family_id)
-    _check_budget(len(a.variables), p, budget)
-    return _pencil_point_counts(a, b, p)
-
-
-@cache
-def _pencil_forms(family_id: str) -> tuple[SparsePolynomial, SparsePolynomial]:
-    """The forms A and B of a catalog pencil x*A + B, derived once per family."""
     pencil = builtin_family(family_id).family.polynomials[0]
-    return pencil.coefficient_of({"x": 1}), pencil.coefficient_of({"x": 0})
-
-
-def _pencil_point_counts(a: SparsePolynomial, b: SparsePolynomial, p: int) -> tuple[int, ...]:
-    """#{x*a + b = 0}(F_p) for x = 0..p-1, from one pass over P^N(F_p), folded (``_form_rows``)
-    when a and b are both invariant under swapping their last two coordinates.  A point with
-    a != 0 lies on the single fiber x = -b/a; a point with a = b = 0 lies on every fiber."""
-    fold = all(h.terms.get(e[:-2] + (e[-1], e[-2])) == c for h in (a, b) for e, c in h.terms.items())
-    neg_inverse = [0] + [-pow(v, -1, p) for v in range(1, p)]
-    counts = [0] * p
+    n = len(pencil.variables) - 1
+    sign = pencil.terms[(1, n) + (0,) * (n - 1)]  # of x * Z_0^n
+    _check_budget(n, p, budget)
+    units = range(1, p)
+    nth = [pow(z, n, p) for z in units]
+    walk = Counter({(1, 1): 1})
     on_every_fiber = 0
-    for (weight, a_row), (_, b_row) in zip(_form_rows(a, p, fold), _form_rows(b, p, fold)):
-        for u, v in zip(a_row, b_row):
-            if u:
-                counts[v * neg_inverse[u] % p] += weight
-            elif not v:
-                on_every_fiber += weight
-    return tuple(c + on_every_fiber for c in counts)
+    for j in range(1, n - 1):
+        step = Counter()
+        for (q, s), c in walk.items():
+            for z, w in zip(units, nth):
+                step[q * z % p, (s + w) % p] += c
+        walk = step
+        on_every_fiber += comb(n, j + 1) * sum(c for (q, s), c in walk.items() if not s)
+    fiber = [0] + [-pow(sign * s, -1, p) for s in units]  # a sum of 0 lands on fiber 0, unread
+    torus = Counter()
+    for (q, s), c in walk.items():
+        torus.update([q * z * fiber[(s + w) % p] % p for z, w in zip(units, nth)] * c)
+    zero_fiber = projective_point_total(n - 1, p) - (p - 1) ** (n - 1)
+    return (zero_fiber,) + tuple(torus[lam] + on_every_fiber for lam in units)
 
 
 def _classify_count(p: int, lam: int, count: int) -> FiberClassification:

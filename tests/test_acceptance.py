@@ -36,6 +36,7 @@ from wittkit.ordinarity import (
     frobenius_power_congruence,
     hasse_witt_value,
     is_prime,
+    projective_point_total,
 )
 from wittkit.picard_fuchs import pf_congruence_check, series_solution_check
 from wittkit.polynomials import SparsePolynomial
@@ -383,14 +384,16 @@ def test_acceptance_10_cli_determinism(capsys):
 def test_acceptance_11_chevalley_warning_all_pencils():
     """#X_lambda(F_p) = 1 + (-1)^n a_p(lambda) mod p, n homogeneous
     coordinates, for every lambda (singular fibers included) of all three
-    pencils: hesse p <= 61, quartic p <= 31, quintic p <= 13."""
+    pencils: hesse p <= 61, quartic p <= 101, quintic p <= 31.  The budget is
+    #P^N(F_p), which the default refuses for the quartic from p = 47 on."""
     started = time.monotonic()
     checked = 0
     mismatches = []
-    for family, pmax in (("hesse-cubic", 61), ("quartic-k3", 31), ("quintic-cy3", 13)):
+    for family, pmax in (("hesse-cubic", 61), ("quartic-k3", 101), ("quintic-cy3", 31)):
         n = len(builtin_family(family).family.coordinate_variables())
         for p in (p for p in range(3, pmax + 1) if is_prime(p)):
-            for lam, count in enumerate(fiber_point_counts(family, p)):
+            budget = projective_point_total(n - 1, p)
+            for lam, count in enumerate(fiber_point_counts(family, p, budget)):
                 a_p = hasse_witt_value(family, lam, p)
                 if (count - 1 - (-1) ** n * a_p) % p:
                     mismatches.append((family, p, lam))

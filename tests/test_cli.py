@@ -412,7 +412,7 @@ def test_budget_exit_code(capsys):
 
 
 def test_budget_is_compared_with_all_of_p_n(capsys):
-    # the oracle visits about half of P^2(F_31) on the symmetric hesse pencil,
+    # the oracle walks only the points of P^2(F_31) with no zero coordinate,
     # but the budget still bounds all 993 points
     request = ("scan-ordinary", "--family", "hesse-cubic", "--pmax", "31", "--oracle")
     code, _, err = run(capsys, *request, "--budget", "992")
