@@ -126,6 +126,26 @@ def test_scan_matches_library(capsys):
             assert by_prime[5]["nonordinary"] == [1]
 
 
+#: sha256 of stdout for scans past the goldens' sizes, one per format.
+SCAN_DIGESTS = {
+    ("quartic-k3", "300", "json"): "bb2f9a0f98e89a6ef0a2ab54a95c87a740580de36409511fbc967ec3a6d46044",
+    ("quartic-k3", "300", "tsv"): "f84c97721ef979042197eb2dbc7b7ff7db5b66e00550354defeae48f5067e534",
+    ("quintic-cy3", "200", "json"): "77c7459022e46833d10a4235884500a2a4664c0727a095a2fb2057a03f1a8cb3",
+    ("quintic-cy3", "200", "tsv"): "05f4678528b2adf690bcf2634a4bf5269ce8e7f5325a181442554c648f4bb8a4",
+    ("hesse-cubic", "61", "json"): "18ff895a0eaf0f750ccfad64a343d77188aefc0cdff28833439e2c42db40c4dc",
+    ("hesse-cubic", "61", "tsv"): "7cee96b397ef27547110ff5e08e0b25bc8cd5ce3dd4b0f815d5ba6940c328211",
+}
+
+
+@pytest.mark.parametrize("family, pmax, fmt", sorted(SCAN_DIGESTS))
+def test_large_scan_bytes_pinned(capsys, family, pmax, fmt):
+    import hashlib
+    oracle = ["--oracle"] if family == "hesse-cubic" else []
+    code, out, _ = run(capsys, "scan-ordinary", "--family", family, "--pmax", pmax, *oracle, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_DIGESTS[family, pmax, fmt]
+
+
 def test_pf_check_rows(capsys):
     code, out, _ = run(capsys, "pf-check", "--family", "quintic", "--kmax", "10",
                        "--format", "tsv")
