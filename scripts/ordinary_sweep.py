@@ -21,9 +21,12 @@ from _script import Parser, run_main
 def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = ordinarity_scan(args.family, args.pmax, with_oracle=True, budget=args.budget)
-    rows = [row for scan in report.scans for row in scan.rows]
-    sys.stdout.write(tsv_dumps(["p", "lambda", "a_p", "verdict", "oracle", "agree"], rows))
-    disagreements = sum(row.agree is False for row in rows)
+    blocks = [
+        [[s.prime] * s.prime, range(s.prime), s.hasse_witt_values, s.verdicts, s.oracle_verdicts, s.agreements]
+        for s in report.scans
+    ]
+    sys.stdout.write(tsv_dumps(["p", "lambda", "a_p", "verdict", "oracle", "agree"], blocks))
+    disagreements = sum(s.agreements.count(False) for s in report.scans)
     elapsed = time.monotonic() - started
     loci = {s.prime: list(s.nonordinary) for s in report.scans}
     print(f"# non-ordinary loci: {loci}", file=sys.stderr)

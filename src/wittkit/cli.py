@@ -38,6 +38,7 @@ from .ordinarity import (
 from .picard_fuchs import pf_congruence_check
 from .polynomials import as_x_polynomial
 from .serialize import (
+    Records,
     SchemaError,
     json_dumps,
     tsv_dumps,
@@ -74,16 +75,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 class ResultDoc(NamedTuple):
-    """One result: its value table, and its JSON payload as a zero-argument
-    callable that builds a keyed view of that table on demand."""
+    """One result: its value table, as blocks of columns, and its JSON payload
+    as a zero-argument callable that builds a keyed view of it on demand."""
 
     tsv_header: list[str]
-    tsv_rows: Sequence[Sequence]
+    tsv_blocks: Sequence[Sequence[Sequence]]
     payload: Callable[[], dict]
 
     def emit(self, fmt: str) -> str:
         if fmt == "tsv":
-            return tsv_dumps(self.tsv_header, self.tsv_rows)
+            return tsv_dumps(self.tsv_header, self.tsv_blocks)
         return json_dumps(self.payload())
 
 
@@ -147,8 +148,8 @@ def _ghost_from_obj(obj) -> GhostVector:
 
 def _witt_result(op: str, w: WittVector) -> ResultDoc:
     ghost = to_ghost(w)
-    rows = [[i, a, g] for i, (a, g) in enumerate(zip(w.coords, ghost.entries), start=1)]
-    return ResultDoc(["index", "coordinate", "ghost"], rows, lambda: {
+    columns = [range(1, len(w.coords) + 1), w.coords, ghost.entries]
+    return ResultDoc(["index", "coordinate", "ghost"], [columns], lambda: {
         "op": op,
         "result": witt_to_obj(w),
         "ghost": [value_to_obj(g) for g in ghost.entries],
@@ -168,10 +169,10 @@ def _cmd_witt(args) -> ResultDoc:
     if op == "neg":
         return _witt_result(op, witt_neg(u))
     if op == "ghost":
-        rows = [[i, g] for i, g in enumerate(to_ghost(u).entries, 1)]
-        return ResultDoc(["index", "ghost"], rows, lambda: {
+        entries = to_ghost(u).entries
+        return ResultDoc(["index", "ghost"], [[range(1, len(entries) + 1), entries]], lambda: {
             "op": op,
-            "ghost": [value_to_obj(g) for _, g in rows],
+            "ghost": [value_to_obj(g) for g in entries],
         })
     if op == "frobenius":
         return _witt_result(op, witt_frobenius(args.m, u, args.length))
@@ -183,15 +184,16 @@ def _cmd_witt(args) -> ResultDoc:
 def _cmd_am_log(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     log = family_logarithm(family, args.mmax, args.method)
-    rows = [[m, log.coefficient(m)] for m in range(1, args.mmax + 1)]
+    ms = range(1, args.mmax + 1)
+    coeffs = [log.coefficient(m) for m in ms]
     if args.mod is not None:
-        rows = [[m, as_x_polynomial(a).reduce_mod(args.mod)] for m, a in rows]
-    return ResultDoc(["m", "a_m"], rows, lambda: {
+        coeffs = [as_x_polynomial(a).reduce_mod(args.mod) for a in coeffs]
+    return ResultDoc(["m", "a_m"], [[ms, coeffs]], lambda: {
         "family": family,
         "method": args.method,
         "mmax": args.mmax,
         "mod": args.mod,
-        "coefficients": ({"m": m, "a": value_to_obj(a)} for m, a in rows),
+        "coefficients": ({"m": m, "a": value_to_obj(a)} for m, a in zip(ms, coeffs)),
     })
 
 
@@ -203,8 +205,8 @@ def _cmd_fgl(args) -> ResultDoc:
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
     failed = {(i, j) for i, j, _ in report.failures}
-    rows = [[i, j, c, (i, j) not in failed] for (i, j), c in law.series.sorted_terms()]
-    return ResultDoc(["i", "j", "coeff", "integral"], rows, lambda: {
+    rows = [(i, j, c, (i, j) not in failed) for (i, j), c in law.series.sorted_terms()]
+    return ResultDoc(["i", "j", "coeff", "integral"], [list(zip(*rows))], lambda: {
         "family": family,
         "degree": args.deg,
         "at_x": args.at_x,
@@ -217,24 +219,25 @@ def _cmd_fgl(args) -> ResultDoc:
 def _cmd_scan(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     report = ordinarity_scan(family, args.pmax, args.oracle, args.budget)
-    rows = [row for scan in report.scans for row in scan.rows]
-    return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], rows, lambda: {
+    blocks = [  # one per prime; the oracle's columns are blank without it
+        [[s.prime] * s.prime, range(s.prime), s.hasse_witt_values, s.verdicts,
+         s.oracle_verdicts or [""] * s.prime, s.agreements or [None] * s.prime]
+        for s in report.scans
+    ]
+    return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], blocks, lambda: {
         "family": family,
         "pmax": args.pmax,
         "oracle": args.oracle,
         "all_agree": report.all_agree if args.oracle else None,
-        "primes": (
-            {
-                "p": scan.prime,
-                "nonordinary": list(scan.nonordinary),
-                "agree": scan.agree,
-                "rows": [
-                    {"lambda": lam, "a_p": str(a_p), "verdict": v, "oracle_verdict": o, "agree": ok}
-                    for _, lam, a_p, v, o, ok in scan.rows
-                ],
-            }
-            for scan in report.scans
-        ),
+        "primes": Records({
+            "p": [s.prime for s in report.scans],
+            "nonordinary": [s.nonordinary for s in report.scans],
+            "agree": [s.agree for s in report.scans],
+            "rows": [
+                Records({"lambda": lam, "a_p": list(map(str, a_p)), "verdict": v, "oracle_verdict": o, "agree": ok})
+                for _, lam, a_p, v, o, ok in blocks
+            ],
+        }),
     })
 
 
@@ -247,7 +250,7 @@ def _cmd_pf_check(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     entry = builtin_family(family)
     results = pf_congruence_check(entry.picard_fuchs, entry.closed_form, args.kmax)
-    return ResultDoc(["k", "pass", "residual"], results, lambda: {
+    return ResultDoc(["k", "pass", "residual"], [list(zip(*results))], lambda: {
         "family": family,
         "kmax": args.kmax,
         "all_passed": all(r.passed for r in results),
@@ -259,7 +262,7 @@ def _cmd_congruence(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     rule = builtin_family(family).closed_form_mod
     check = frobenius_power_congruence(lambda m: rule(m, args.p, 1), args.p, args.nu)
-    return ResultDoc(["p", "nu", "pass", "residual"], [check], lambda: {
+    return ResultDoc(["p", "nu", "pass", "residual"], [list(zip(check))], lambda: {
         "family": family,
         "p": args.p,
         "nu": args.nu,

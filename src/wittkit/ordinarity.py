@@ -7,7 +7,7 @@ independent oracle: count the points of the fiber over F_p, take the
 Frobenius trace t = p + 1 - count, and call the fiber supersingular exactly
 when t = 0 mod p.  The two verdicts must agree; the scan records every
 comparison.  One pass per prime counts the points of all p fibers at once.
-Records are named tuples.
+A scan keeps each prime's table as columns; every record is a named tuple.
 
 a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
 term by term along the closed form's term ratio, in O(p) small-int
@@ -92,21 +92,15 @@ class FiberClassification(NamedTuple):
     trace: int | None = None
 
 
-class FiberRow(NamedTuple):
-    """One fiber's row of the scan table, its fields in the table's column order."""
-
-    prime: int
-    parameter: int
-    hasse_witt_value: int
-    verdict: str  # from a_p; "" when the family supports no verdict
-    oracle_verdict: str  # "" when the oracle was not run
-    agree: bool | None
-
-
 class PrimeScan(NamedTuple):
+    """One prime's scan: its non-ordinary locus, and its table as columns indexed by lambda."""
+
     prime: int
     nonordinary: tuple[int, ...]
-    rows: tuple[FiberRow, ...]
+    hasse_witt_values: list[int]  # a_p(lambda) mod p
+    verdicts: list[str]  # from a_p; "" when the family supports no verdict
+    oracle_verdicts: list[str] | None  # None when the oracle was not run
+    agreements: list[bool] | None
     agree: bool | None
 
 
@@ -273,7 +267,8 @@ def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tup
     sum Z_i^n vanishes.  A torus point (1, z_1, ..., z_(n-1)) lies on the one fiber
     -prod z / (sign * (1 + sum z^n)), and on none when that sum is 0.  The torus is walked a
     coordinate at a time as a Counter of (prod z, 1 + sum z^n); the cells of step j whose sum
-    is 0 count the Fermat points on each support of j + 1 coordinates.
+    is 0 count the Fermat points on each support of j + 1 coordinates; each cell's last
+    coordinate adds the cell's count to the fibers its points lie on.
     """
     _require_odd_prime(p)
     pencil = builtin_family(family_id).family.polynomials[0]
@@ -292,11 +287,12 @@ def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tup
         walk = step
         on_every_fiber += comb(n, j + 1) * sum(c for (q, s), c in walk.items() if not s)
     fiber = [0] + [-pow(sign * s, -1, p) for s in units]  # a sum of 0 lands on fiber 0, unread
-    torus = Counter()
+    torus = [0] * p  # indexed by lambda; each cell's points add its weight c
     for (q, s), c in walk.items():
-        torus.update([q * z * fiber[(s + w) % p] % p for z, w in zip(units, nth)] * c)
+        for lam in [q * z * fiber[(s + w) % p] % p for z, w in zip(units, nth)]:
+            torus[lam] += c
     zero_fiber = projective_point_total(n - 1, p) - (p - 1) ** (n - 1)
-    return (zero_fiber,) + tuple(torus[lam] + on_every_fiber for lam in units)
+    return (zero_fiber, *(t + on_every_fiber for t in torus[1:]))
 
 
 def _classify_count(p: int, lam: int, count: int) -> FiberClassification:
@@ -333,15 +329,14 @@ def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -
     names = ("supersingular", "ordinary") if family_id in ELLIPTIC_FAMILIES else ("", "")
     verdicts = ["singular" if s else names[v > 0] for v, s in zip(residues, singular)]
     locus = tuple(lam for lam, v, s in zip(range(p), residues, singular) if not (v or s))
-    oracle, agree = repeat(""), repeat(None)
+    oracle = agreements = None
     if with_oracle:
         # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
         counts = repeat(0) if all(singular) else fiber_point_counts(family_id, p, budget)
         oracle = ["singular" if s else _classify_count(p, lam, n).verdict
                   for lam, s, n in zip(range(p), singular, counts)]
-        agree = [o == v for o, v in zip(oracle, verdicts)]
-    rows = tuple(map(FiberRow, repeat(p), range(p), residues, verdicts, oracle, agree))
-    return PrimeScan(p, locus, rows, all(agree) if with_oracle else None)
+        agreements = list(map(str.__eq__, oracle, verdicts))
+    return PrimeScan(p, locus, residues, verdicts, oracle, agreements, all(agreements) if with_oracle else None)
 
 
 def ordinarity_scan(

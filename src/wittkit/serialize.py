@@ -3,17 +3,18 @@
 All numbers travel as decimal strings so arbitrary precision survives the
 trip; rationals use the form ``p/q``.  Keys are emitted sorted and rows
 sorted, so identical values always produce identical bytes.  Callers hand
-over plain values: every number and polynomial is printed here, TSV cells
-by the one rule of ``tsv_dumps``.  ``json_dumps`` streams an iterator an
-element at a time and writes everything else through the C encoder.  The
-schemas and the polynomial text grammar are documented in docs/formats.md.
+over plain values and tables by column: every number and polynomial is
+printed here, each column's cells by one rule.  ``json_dumps`` streams an
+iterator or ``Records`` an element at a time and writes everything else
+through the C encoder.  docs/formats.md documents the schemas and grammar.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import repeat
 
 from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
 from .witt import WittVector
@@ -108,38 +109,77 @@ def json_dumps(obj) -> str:
     return "".join([*_chunks(obj), "\n"])
 
 
+class Records:
+    """A JSON array of objects with the same string keys, given as one equal-length column per key."""
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+
+
 def _chunks(obj):
     if isinstance(obj, dict):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + _ENCODER.encode(key) + ":"
             yield from _chunks(obj[key])
         yield "}" if obj else "{}"
-    elif isinstance(obj, Iterator):
+    elif isinstance(obj, (Iterator, Records)):
         yield "["
-        for i, item in enumerate(obj):
-            yield ("," if i else "") + _ENCODER.encode(item)
+        for i, text in enumerate(_records(obj) if isinstance(obj, Records) else map(_ENCODER.encode, obj)):
+            yield ("," if i else "") + text
         yield "]"
     else:
         yield _ENCODER.encode(obj)
 
 
-def tsv_dumps(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """The header line, then one line per row, tab-separated.  A cell of
-    ``None`` is empty, a bool is ``true``/``false``, a string is printed as
-    given, and any other value is its exact ``format_value`` text."""
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(map(_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def _records(records: Records) -> Iterator[str]:
+    keys = sorted(records.columns)
+    fields = [_ENCODER.encode(key).replace("%", "%%") + ":" for key in keys]
+    return _rows([records.columns[key] for key in keys], _ENCODER.encode,
+                 lambda slots: "{%s}" % ",".join(map(str.__add__, fields, slots)))
+
+
+def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> str:
+    """The header line, then the rows of blocks of equal-length columns, tab-separated.  A cell of
+    ``None`` is empty, a bool is ``true``/``false``, a string is printed as given, and any other
+    value is its exact ``format_value`` text."""
+    text = ["\t".join(header), "\n"]
+    for columns in blocks:
+        if columns and len(columns[0]):
+            text += "\n".join(_rows(columns, _cell, "\t".join)), "\n"
+    return "".join(text)
+
+
+def _rows(columns: Sequence[Sequence], cell, template) -> Iterator[str]:
+    """Each row's cells, printed by ``cell`` a column at a time, filled into the columns' template."""
+    slots, texts = zip(*map(_column, columns, repeat(cell)))
+    return map(template(slots).__mod__, zip(*texts))
+
+
+def _column(values: Sequence, cell) -> tuple[str, Iterable[str]]:
+    """A column's template slot and texts: ints print at C speed, texts that print as themselves
+    between the format's quotes print as given, and each distinct text, bool or None prints once."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        try:
+            return "%s", list(map(str, values))
+        except ValueError:  # an int past str()'s digit limit
+            return "%s", map(_scalar_text, values)
+    if kinds <= {str}:
+        quote = cell("")[:1]  # '"' in JSON, nothing in TSV
+        joined = "".join(values)  # an escape in any text shows in the join
+        if cell(joined) == quote + joined + quote:
+            return quote + "%s" + quote, values
+    if kinds <= {bool, type(None), str}:
+        texts = {v: cell(v) for v in set(values)}
+        return "%s", map(texts.__getitem__, values)
+    if kinds <= {Records}:
+        return "%s", ("[" + ",".join(_records(v)) + "]" for v in values)
+    return "%s", map(cell, values)
 
 
 def _cell(value) -> str:
-    kind = type(value)  # str and int first: they are most of the cells
-    if kind is str:
-        return value
-    if kind is int:
-        return _scalar_text(value)
     if value is None:
         return ""
-    if kind is bool:
+    if type(value) is bool:
         return "true" if value else "false"
-    return format_value(value)
+    return value if type(value) is str else format_value(value)

@@ -17,7 +17,7 @@ from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
 from wittkit.picard_fuchs import pf_congruence_check
 from wittkit.polynomials import SparsePolynomial, format_value
-from wittkit.serialize import tsv_dumps, value_to_obj, witt_to_obj
+from wittkit.serialize import value_to_obj, witt_to_obj
 from wittkit.witt import WittVector
 
 X = SparsePolynomial.variable("x")
@@ -99,14 +99,29 @@ def test_fgl_rows_and_failures_flag_the_same_terms(capsys, monkeypatch, at_x):
 
 
 def test_scan_matches_library(capsys):
-    """Every row of both formats is the library's row, prime by prime."""
+    """Every row of both formats is the library's columns read at one lambda, prime by prime."""
     header = ["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"]
+    flag = {True: "true", False: "false", None: ""}
     for family, oracle in (("hesse-cubic", True), ("quartic-k3", False)):
         argv = ("scan-ordinary", "--family", family, "--pmax", "31", *(["--oracle"] if oracle else []))
         report = ordinarity_scan(family, 31, with_oracle=oracle)
+        rows = {}  # prime -> [(lambda, a_p, verdict, oracle verdict, agree)]
+        for scan in report.scans:
+            assert len(scan.hasse_witt_values) == len(scan.verdicts) == scan.prime
+            if oracle:
+                assert len(scan.oracle_verdicts) == len(scan.agreements) == scan.prime
+            else:
+                assert scan.oracle_verdicts is scan.agreements is None
+            blank = [""] * scan.prime, [None] * scan.prime
+            rows[scan.prime] = list(zip(
+                range(scan.prime), scan.hasse_witt_values, scan.verdicts,
+                scan.oracle_verdicts or blank[0], scan.agreements or blank[1],
+            ))
         code, out, _ = run(capsys, *argv, "--format", "tsv")
         assert code == 0
-        assert out == tsv_dumps(header, [row for scan in report.scans for row in scan.rows])
+        assert out.split("\n") == ["\t".join(header), *(
+            f"{p}\t{lam}\t{a_p}\t{v}\t{o}\t{flag[ok]}" for p, table in rows.items() for lam, a_p, v, o, ok in table
+        ), ""]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         payload = json.loads(out)
@@ -119,7 +134,7 @@ def test_scan_matches_library(capsys):
             assert entry["agree"] is scan.agree
             assert entry["rows"] == [
                 {"lambda": lam, "a_p": str(a_p), "verdict": v, "oracle_verdict": o, "agree": ok}
-                for _, lam, a_p, v, o, ok in scan.rows
+                for lam, a_p, v, o, ok in rows[scan.prime]
             ]
         if family == "hesse-cubic":
             assert by_prime[3]["nonordinary"] == []

@@ -156,11 +156,13 @@ def test_manifest_hash_in_a_fresh_process(tmp_path):
 
 #: Each record's fields, in order, and its defaults.
 RECORDS = {
-    ResultDoc: (("tsv_header", "tsv_rows", "payload"), {}),
+    ResultDoc: (("tsv_header", "tsv_blocks", "payload"), {}),
     FiberClassification: (
         ("prime", "parameter", "verdict", "point_count", "trace"), {"point_count": None, "trace": None}
     ),
-    PrimeScan: (("prime", "nonordinary", "rows", "agree"), {}),
+    PrimeScan: (
+        ("prime", "nonordinary", "hasse_witt_values", "verdicts", "oracle_verdicts", "agreements", "agree"), {}
+    ),
     OrdinarityReport: (("family", "prime_bound", "with_oracle", "scans"), {}),
     SolutionCheck: (("passed", "checked_through", "first_failure", "residual"), {}),
     FamilyCatalogEntry: (

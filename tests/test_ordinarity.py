@@ -59,7 +59,7 @@ def test_constant_term_one_mod_every_prime():
             assert [hasse_witt_value(family, lam, p) for lam in range(p)] == expected
             scan = ordinarity_scan(family, p).scans[-1]
             assert scan.prime == p
-            assert [row.hasse_witt_value for row in scan.rows] == expected
+            assert scan.hasse_witt_values == expected
             assert scan.nonordinary == tuple(
                 lam for lam in range(p)
                 if hasse_witt_value(family, lam, p) == 0 and not declared_singular(family, lam, p)
@@ -248,8 +248,8 @@ def test_scan_single_prime():
     assert len(report.scans) == 1
     assert report.scans[0].agree is None
     # no verdict is issued for a threefold pencil, only the locus
-    smooth_rows = [r for r in report.scans[0].rows if r.verdict != "singular"]
-    assert smooth_rows and all(r.verdict == "" for r in smooth_rows)
+    smooth = [v for v in report.scans[0].verdicts if v != "singular"]
+    assert smooth and all(v == "" for v in smooth)
 
 
 def test_scan_oracle_refused_for_non_elliptic():
@@ -276,11 +276,11 @@ def test_scan_residue_table_matches_horner():
     for family, chosen in primes.items():
         scans = {s.prime: s for s in ordinarity_scan(family, 211).scans}
         for p in chosen:
-            rows = scans[p].rows
-            assert [r.parameter for r in rows] == list(range(p))
-            for lam, row in enumerate(rows):
-                assert row.hasse_witt_value == hasse_witt_value(family, lam, p), (family, p, lam)
-                assert (row.verdict == "singular") == declared_singular(family, lam, p), (family, p, lam)
+            scan = scans[p]
+            assert len(scan.hasse_witt_values) == len(scan.verdicts) == p
+            for lam, (value, verdict) in enumerate(zip(scan.hasse_witt_values, scan.verdicts)):
+                assert value == hasse_witt_value(family, lam, p), (family, p, lam)
+                assert (verdict == "singular") == declared_singular(family, lam, p), (family, p, lam)
     # from p = 1626 on, p^3 >= 2^32 and the sums are packed in 64 bits, not 32
     p = 1637  # = 2 mod 3, so a_p takes p - 1 distinct values of y = x^3
     table = ordinarity._hasse_witt_table("hesse-cubic", p, ordinarity._primitive_root_powers(p))

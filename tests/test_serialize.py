@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wittkit.polynomials import SparsePolynomial, format_value
 from wittkit.serialize import (
+    Records,
     json_dumps,
     tsv_dumps,
     value_from_obj,
@@ -86,16 +87,52 @@ def test_json_dumps_equals_json_dumps_with_iterators(tree, data):
 
 
 def test_tsv_shape():
-    text = tsv_dumps(["a", "b"], [["1", "2"], ["3", "4"]])
+    text = tsv_dumps(["a", "b"], [[["1", "3"], ["2", "4"]]])
     assert text == "a\tb\n1\t2\n3\t4\n"
     assert tsv_dumps(["only", "header"], []) == "only\theader\n"
-    # cells that are values all print by one rule, exact past str()'s digit limit
-    row = [None, True, False, "as is", 0, -7, Fraction(-1, 3), 1 - 120 * X**5,
-           -10**5000, Fraction(-10**5000 - 1, 3)]
-    assert tsv_dumps(["c"] * len(row), [row]).split("\n")[1].split("\t") == [
-        "", "true", "false", "as is", "0", "-7", "-1/3", "1-120*x^5",
-        "-1" + "0" * 5000, "-1" + "0" * 4999 + "1/3",
+    assert tsv_dumps(["only", "header"], [[], [[], []]]) == "only\theader\n"
+    assert tsv_dumps(["a", "b"], [[["1"], [2]], [range(3, 5), [None, True]]]) == "a\tb\n1\t2\n3\t\n4\ttrue\n"
+    # cells that are values all print by one rule, exact past str()'s digit limit,
+    # whatever else shares their column
+    big, big_text = -10**5000, "-1" + "0" * 5000
+    third, third_text = Fraction(-10**5000 - 1, 3), "-1" + "0" * 4999 + "1/3"
+    row = [None, True, False, "as is", 0, -7, Fraction(-1, 3), 1 - 120 * X**5, big, third]
+    assert tsv_dumps(["c"] * len(row), [[[v] for v in row]]).split("\n")[1].split("\t") == [
+        "", "true", "false", "as is", "0", "-7", "-1/3", "1-120*x^5", big_text, third_text,
     ]
+    columns = {  # each column and its cells' texts
+        "ints": ([3, big, 0, 12], ["3", big_text, "0", "12"]),
+        "flags": ([None, True, False, None], ["", "true", "false", ""]),
+        "ints and bools": ([1, True, 0, False], ["1", "true", "0", "false"]),
+        "values": ([Fraction(1, 2), 1 - 120 * X**5, 7, third], ["1/2", "1-120*x^5", "7", third_text]),
+        "strings": (["", "a b", "true", "-7"], ["", "a b", "true", "-7"]),
+        "strings and flags": (["x", None, True, ""], ["x", "", "true", ""]),
+    }
+    block = [values for values, _ in columns.values()]
+    lines = ["\t".join(cells) for cells in zip(*(texts for _, texts in columns.values()))]
+    assert tsv_dumps(list(columns), [block]) == "\n".join(["\t".join(columns), *lines]) + "\n"
+
+
+# texts that need escaping in JSON (and a "%", which the record template must not read)
+_JSON_TEXT = st.text(st.sampled_from('a1 %"\\/\x00\x1f\n\x7f\u00e9\u2028\U0001d11e') | st.characters(), max_size=5)
+_JSON_COLUMN = st.sampled_from([
+    st.integers(), st.text("ab %", max_size=3), _JSON_TEXT, st.none() | st.booleans(),
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_records_from_columns_equal_json_dumps_of_dicts(data):
+    keys = data.draw(st.lists(_JSON_TEXT, min_size=1, max_size=5, unique=True))
+    n = data.draw(st.integers(0, 6))
+    columns = {key: data.draw(st.lists(data.draw(_JSON_COLUMN), min_size=n, max_size=n)) for key in keys}
+    records = [{key: columns[key][i] for key in keys} for i in range(n)]
+    assert json_dumps(Records(columns)) == json.dumps(records, sort_keys=True, separators=(",", ":")) + "\n"
+    # a column of Records, inside a payload
+    nested = {"outer": Records({"n": [n, 0], "rows": [Records(columns), Records({"a": []})]})}
+    expected = {"outer": [{"n": n, "rows": records}, {"n": 0, "rows": []}]}
+    assert json_dumps(nested) == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_text_grammar():
