@@ -224,6 +224,7 @@ def _cmd_scan(args) -> ResultDoc:
          s.oracle_verdicts or [""] * s.prime, s.agreements or [None] * s.prime]
         for s in report.scans
     ]
+    digits = list(map(str, range(args.pmax)))  # a_p mod p < pmax: every prime shares one text per value
     return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], blocks, lambda: {
         "family": family,
         "pmax": args.pmax,
@@ -234,7 +235,8 @@ def _cmd_scan(args) -> ResultDoc:
             "nonordinary": [s.nonordinary for s in report.scans],
             "agree": [s.agree for s in report.scans],
             "rows": [
-                Records({"lambda": lam, "a_p": list(map(str, a_p)), "verdict": v, "oracle_verdict": o, "agree": ok})
+                Records({"lambda": lam, "a_p": list(map(digits.__getitem__, a_p)),
+                         "verdict": v, "oracle_verdict": o, "agree": ok})
                 for _, lam, a_p, v, o, ok in blocks
             ],
         }),
