@@ -114,14 +114,14 @@ def test_tsv_shape():
 
 
 # texts that need escaping in JSON (and a "%", which the record template must not read)
-_JSON_TEXT = st.text(st.sampled_from('a1 %"\\/\x00\x1f\n\x7f\u00e9\u2028\U0001d11e') | st.characters(), max_size=5)
+_JSON_TEXT = st.text(st.sampled_from('a1 %"\\/\x00\x1f\n\x7f\u00e9\u2028\ud800\U0001d11e'), max_size=5)
 _JSON_COLUMN = st.sampled_from([
     st.integers(), st.text("ab %", max_size=3), _JSON_TEXT, st.none() | st.booleans(),
     st.none() | st.booleans() | st.integers() | _JSON_TEXT,
 ])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_records_from_columns_equal_json_dumps_of_dicts(data):
     keys = data.draw(st.lists(_JSON_TEXT, min_size=1, max_size=5, unique=True))
