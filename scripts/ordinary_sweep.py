@@ -22,7 +22,8 @@ def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = ordinarity_scan(args.family, args.pmax, with_oracle=True, budget=args.budget)
     blocks = [
-        [[s.prime] * s.prime, range(s.prime), s.hasse_witt_values, s.verdicts, s.oracle_verdicts, s.agreements]
+        [[s.prime] * s.prime, range(s.prime), s.hasse_witt_values, s.verdicts,
+         s.oracle_verdicts, s.agreements]
         for s in report.scans
     ]
     sys.stdout.write(tsv_dumps(["p", "lambda", "a_p", "verdict", "oracle", "agree"], blocks))

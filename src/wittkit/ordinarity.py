@@ -329,14 +329,15 @@ def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -
     names = ("supersingular", "ordinary") if family_id in ELLIPTIC_FAMILIES else ("", "")
     verdicts = ["singular" if s else names[v > 0] for v, s in zip(residues, singular)]
     locus = tuple(lam for lam, v, s in zip(range(p), residues, singular) if not (v or s))
-    oracle = agreements = None
+    oracle = agreements = agree = None
     if with_oracle:
         # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
         counts = repeat(0) if all(singular) else fiber_point_counts(family_id, p, budget)
         oracle = ["singular" if s else _classify_count(p, lam, n).verdict
                   for lam, s, n in zip(range(p), singular, counts)]
         agreements = list(map(str.__eq__, oracle, verdicts))
-    return PrimeScan(p, locus, residues, verdicts, oracle, agreements, all(agreements) if with_oracle else None)
+        agree = all(agreements)
+    return PrimeScan(p, locus, residues, verdicts, oracle, agreements, agree)
 
 
 def ordinarity_scan(

@@ -132,10 +132,13 @@ def _chunks(obj):
 
 
 def _records(records: Records) -> Iterator[str]:
+    """Each object's text: its values' texts joined with the constant text between them."""
     keys = sorted(records.columns)
-    fields = [_ENCODER.encode(key).replace("%", "%%") + ":" for key in keys]
-    return _rows([records.columns[key] for key in keys], _ENCODER.encode,
-                 lambda slots: "{%s}" % ",".join(map(str.__add__, fields, slots)))
+    quotes, texts = zip(*(_column(records.columns[key], _ENCODER.encode) for key in keys))
+    opens = ["{", *(quote + "," for quote in quotes[:-1])]
+    parts = [part for key, quote, start, values in zip(keys, quotes, opens, texts)
+             for part in (repeat(start + _ENCODER.encode(key) + ":" + quote), values)]
+    return map("".join, zip(*parts, repeat(quotes[-1] + "}")))
 
 
 def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> str:
@@ -145,36 +148,32 @@ def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> st
     text = ["\t".join(header), "\n"]
     for columns in blocks:
         if columns and len(columns[0]):
-            text += "\n".join(_rows(columns, _cell, "\t".join)), "\n"
+            cells = [texts for _, texts in map(_column, columns, repeat(_cell))]
+            text += "\n".join(map("\t".join, zip(*cells))), "\n"
     return "".join(text)
 
 
-def _rows(columns: Sequence[Sequence], cell, template) -> Iterator[str]:
-    """Each row's cells, printed by ``cell`` a column at a time, filled into the columns' template."""
-    slots, texts = zip(*map(_column, columns, repeat(cell)))
-    return map(template(slots).__mod__, zip(*texts))
-
-
 def _column(values: Sequence, cell) -> tuple[str, Iterable[str]]:
-    """A column's template slot and texts: ints print at C speed, texts that print as themselves
-    between the format's quotes print as given, and each distinct text, bool or None prints once."""
+    """A column's texts by ``cell``, and the quote to put around each: ints print at C speed,
+    texts that print as themselves between the format's quotes print as given, and each distinct
+    text, bool or None prints once."""
     kinds = set(map(type, values))
     if kinds <= {int}:
         try:
-            return "%s", list(map(str, values))
+            return "", list(map(str, values))
         except ValueError:  # an int past str()'s digit limit
-            return "%s", map(_scalar_text, values)
+            return "", map(_scalar_text, values)
     if kinds <= {str}:
         quote = cell("")[:1]  # '"' in JSON, nothing in TSV
         joined = "".join(values)  # an escape in any text shows in the join
         if cell(joined) == quote + joined + quote:
-            return quote + "%s" + quote, values
+            return quote, values
     if kinds <= {bool, type(None), str}:
         texts = {v: cell(v) for v in set(values)}
-        return "%s", map(texts.__getitem__, values)
+        return "", map(texts.__getitem__, values)
     if kinds <= {Records}:
-        return "%s", ("[" + ",".join(_records(v)) + "]" for v in values)
-    return "%s", map(cell, values)
+        return "", ("[" + ",".join(_records(v)) + "]" for v in values)
+    return "", map(cell, values)
 
 
 def _cell(value) -> str:

@@ -119,9 +119,9 @@ def test_scan_matches_library(capsys):
             ))
         code, out, _ = run(capsys, *argv, "--format", "tsv")
         assert code == 0
-        assert out.split("\n") == ["\t".join(header), *(
-            f"{p}\t{lam}\t{a_p}\t{v}\t{o}\t{flag[ok]}" for p, table in rows.items() for lam, a_p, v, o, ok in table
-        ), ""]
+        lines = [f"{p}\t{lam}\t{a_p}\t{v}\t{o}\t{flag[ok]}"
+                 for p, table in rows.items() for lam, a_p, v, o, ok in table]
+        assert out.split("\n") == ["\t".join(header), *lines, ""]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         payload = json.loads(out)

@@ -161,7 +161,8 @@ RECORDS = {
         ("prime", "parameter", "verdict", "point_count", "trace"), {"point_count": None, "trace": None}
     ),
     PrimeScan: (
-        ("prime", "nonordinary", "hasse_witt_values", "verdicts", "oracle_verdicts", "agreements", "agree"), {}
+        ("prime", "nonordinary", "hasse_witt_values", "verdicts", "oracle_verdicts", "agreements", "agree"),
+        {},
     ),
     OrdinarityReport: (("family", "prime_bound", "with_oracle", "scans"), {}),
     SolutionCheck: (("passed", "checked_through", "first_failure", "residual"), {}),
