@@ -113,7 +113,7 @@ def test_tsv_shape():
     assert tsv_dumps(list(columns), [block]) == "\n".join(["\t".join(columns), *lines]) + "\n"
 
 
-# texts that need escaping in JSON (and a "%", which the record template must not read)
+# texts that need escaping in JSON, and a "%", which a formatting template would read
 _JSON_TEXT = st.text(st.sampled_from('a1 %"\\/\x00\x1f\n\x7f\u00e9\u2028\ud800\U0001d11e'), max_size=5)
 _JSON_COLUMN = st.sampled_from([
     st.integers(), st.text("ab %", max_size=3), _JSON_TEXT, st.none() | st.booleans(),
