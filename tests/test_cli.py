@@ -149,6 +149,8 @@ SCAN_DIGESTS = {
     ("quintic-cy3", "200", "tsv"): "05f4678528b2adf690bcf2634a4bf5269ce8e7f5325a181442554c648f4bb8a4",
     ("hesse-cubic", "61", "json"): "18ff895a0eaf0f750ccfad64a343d77188aefc0cdff28833439e2c42db40c4dc",
     ("hesse-cubic", "61", "tsv"): "7cee96b397ef27547110ff5e08e0b25bc8cd5ce3dd4b0f815d5ba6940c328211",
+    ("hesse-cubic", "211", "json"): "ecf9b84cd1fc094b099abcb3018e1b1ff25ca0a0e298a3fc04c2c38f5c0ef346",
+    ("hesse-cubic", "211", "tsv"): "05b06c4ea2d9faa434fa26a1815e81f916e52d48c60ab700e1b61ac1d0b6b522",
 }
 
 
