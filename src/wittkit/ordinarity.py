@@ -17,16 +17,14 @@ of two big integers per prime, and refuses a prime bound of ``SCAN_PRIME_BOUND``
 or more; ``hasse_witt_value`` reads one value by Horner's rule over F_p.
 
 Point counts read only the pencil's shape prod Z_i + sign*x*sum Z_i^n in
-P^(n-1), never a_p: fiber 0 holds the points with a zero coordinate, such a
-point lies on every other fiber exactly when its sum Z_i^n vanishes (the
-Fermat points of each support), and a point of the torus lies on one fiber
-or none.  The torus is walked a coordinate at a time over at most p(p-1)
-cells (the character-free form of the diagonal-hypersurface counts of Weil,
-Bull. AMS 55, 1949, and Koblitz, Compositio Math. 48, 1983), in at most p - 1
-Python steps per cell and coordinate; the point budget is still compared
-with #P^N(F_p).  ``point_count_projective`` counts the zeros of any form by
-enumeration, a row at a time, and is the reference the counts are tested
-against.
+P^(n-1), never a_p; the budget is still compared with #P^N(F_p).  A smooth
+cubic fiber is 3-isogenous to a Weierstrass cubic with as many F_p-points, which
+one Legendre-symbol correlation counts at every fiber in O(p) steps; fibers of
+three F_p-rational lines are set apart.  The K3 and threefold pencils, and the
+tests' cubic reference, walk the torus a coordinate at a time (the
+character-free form of the diagonal-hypersurface counts of Weil, Bull. AMS 55,
+1949, and Koblitz, Compositio Math. 48, 1983).  ``point_count_projective``
+counts any form's zeros by enumeration, a row at a time: the counts' reference.
 
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
@@ -156,6 +154,14 @@ def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
     return builtin_family(family_id).closed_form_mod(p, p, 1)
 
 
+def _packed_product(u: list[int], v: list[int], start: int, count: int, top: int) -> tuple[int, ...]:
+    """Slots start.. of (sum u_i z^i)(sum v_j z^j) for u, v >= 0, slot sums <= top, z = 2^32 or 2^64."""
+    size, code = (4, "I") if top < 1 << 32 else (8, "Q")
+    # Struct objects, not struct.pack, whose cache would keep a format per length alive
+    a, b = (int.from_bytes(Struct(f"<{len(w)}{code}").pack(*w), "little") for w in (u, v))
+    return Struct(f"<{count}{code}").unpack_from((a * b).to_bytes(size * (len(u) + len(v)), "little"), size * start)
+
+
 def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
     """a_p(lambda) mod p for lambda = 0..p-1, from one big-integer product (Bluestein's chirp transform).
 
@@ -171,10 +177,7 @@ def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
     logs = [g * t % (p - 1) for t in accumulate(range(m + d - 1), initial=0)]  # w_t = r^logs[t]
     scaled = [terms.get((g * j,), 0) * powers[-logs[j]] % p for j in reversed(range(d + 1))]
     chirp = [powers[i] for i in logs]
-    size, code = (4, "I") if p**3 < 1 << 32 else (8, "Q")  # every slot sum is below p^3
-    # Struct objects, not struct.pack, whose cache would keep a format per length alive
-    a, b = (int.from_bytes(Struct(f"<{len(v)}{code}").pack(*v), "little") for v in (scaled, chirp))
-    slots = Struct(f"<{m}{code}").unpack_from((a * b).to_bytes(size * (m + 2 * d), "little"), size * d)
+    slots = _packed_product(scaled, chirp, d, m, p**3)  # every slot sum is below p^3
     values = [v * powers[-i] % p for v, i in zip(slots, logs)]
     table = [terms.get((0,), 0)] * p
     for lam, value in zip(powers, cycle(values)):
@@ -263,18 +266,30 @@ def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tup
     """#X_lambda(F_p) for lambda = 0..p-1 on the pencil prod Z_i + sign*x*sum Z_i^n in P^(n-1);
     the budget bounds #P^N(F_p).
 
-    A point with a zero coordinate lies on fiber 0, and on every other fiber exactly when its
-    sum Z_i^n vanishes.  A torus point (1, z_1, ..., z_(n-1)) lies on the one fiber
-    -prod z / (sign * (1 + sum z^n)), and on none when that sum is 0.  The torus is walked a
-    coordinate at a time as a Counter of (prod z, 1 + sum z^n); the cells of step j whose sum
-    is 0 count the Fermat points on each support of j + 1 coordinates; each cell's last
-    coordinate adds the cell's count to the fibers its points lie on.
+    n = 3 (``_cubic_counts``): at c = sign*lambda != 0, (u, A) = (z_1 z_2, z_1^3) with z_i = Z_i/Z_0
+    maps the fiber onto A^2 + (1 + u/c) A + u^3 = 0, 3-isogenous to it, so with as many F_p-points
+    (Silverman, ch. V).  Completing the square and setting u = -c/v give #X = p + 2 + G(4c^3) with
+    G(mu) = sum_v (v|p) (mu + v(v - 1)^2|p), the correlation of (.|p) with F[d] = sum of (v|p) over
+    v(v - 1)^2 = d.  Fiber 0 has 3p points, and so has each fiber with 27c^3 = -1 when p = 1 mod 3:
+    three F_p-rational lines, outside the isogeny argument (when p = 2 mod 3, G counts its points).
+
+    n >= 4 (``_torus_counts``, also the n = 3 reference in tests): a point with a zero coordinate
+    lies on fiber 0, and on every other fiber exactly when its sum Z_i^n vanishes.  A torus point
+    (1, z_1, ..., z_(n-1)) lies on the one fiber -prod z / (sign * (1 + sum z^n)), and on none when
+    that sum is 0.  The torus is walked a coordinate at a time as a Counter of (prod z, 1 + sum z^n);
+    the cells of step j whose sum is 0 count the Fermat points on each support of j + 1 coordinates;
+    each cell's last coordinate adds the cell's count to the fibers its points lie on.
     """
     _require_odd_prime(p)
     pencil = builtin_family(family_id).family.polynomials[0]
     n = len(pencil.variables) - 1
     sign = pencil.terms[(1, n) + (0,) * (n - 1)]  # of x * Z_0^n
     _check_budget(n, p, budget)
+    return _cubic_counts(sign, p) if n == 3 else _torus_counts(n, sign, p)
+
+
+def _torus_counts(n: int, sign: int, p: int) -> tuple[int, ...]:
+    """``fiber_point_counts`` for any n, by the torus walk over at most p(p-1) cells."""
     units = range(1, p)
     nth = [pow(z, n, p) for z in units]
     walk = Counter({(1, 1): 1})
@@ -293,6 +308,21 @@ def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tup
             torus[lam] += c
     zero_fiber = projective_point_total(n - 1, p) - (p - 1) ** (n - 1)
     return (zero_fiber, *(t + on_every_fiber for t in torus[1:]))
+
+
+def _cubic_counts(sign: int, p: int) -> tuple[int, ...]:
+    """``fiber_point_counts`` for n = 3, in O(p) steps and one big-integer product."""
+    squares = {v * v % p for v in range(1, p)}
+    chi = [0] + [1 if v in squares else -1 for v in range(1, p)]  # (v|p)
+    weights = [3] * p  # 3 + F[d], in [0, 6]: v(v - 1)^2 = d has at most three roots
+    for v, c in enumerate(chi):
+        weights[v * (v - 1) ** 2 % p] += c
+    # slot p - 1 + mu is sum_d (3 + F[d]) (1 + (d + mu|p)) = G(mu) + 3p, as F and (.|p) sum to 0
+    # over F_p; each slot sum is at most 12p, below 2^64 for every p whose tables fit in memory
+    slots = _packed_product(weights[::-1], [1 + c for c in chi] * 2, p - 1, p, 12 * p)
+    lines = -pow(27, -1, p) % p if p % 3 == 1 else None  # c^3 on the fibers of three lines
+    cubes = (pow(sign * lam, 3, p) for lam in range(1, p))
+    return (3 * p, *(3 * p if c3 == lines else slots[4 * c3 % p] - 2 * p + 2 for c3 in cubes))
 
 
 def _classify_count(p: int, lam: int, count: int) -> FiberClassification:

@@ -384,12 +384,12 @@ def test_acceptance_10_cli_determinism(capsys):
 def test_acceptance_11_chevalley_warning_all_pencils():
     """#X_lambda(F_p) = 1 + (-1)^n a_p(lambda) mod p, n homogeneous
     coordinates, for every lambda (singular fibers included) of all three
-    pencils: hesse p <= 61, quartic p <= 101, quintic p <= 61.  The budget is
+    pencils: hesse p <= 211, quartic p <= 101, quintic p <= 61.  The budget is
     #P^N(F_p), which the default refuses for the quartic from p = 47 on."""
     started = time.monotonic()
     checked = 0
     mismatches = []
-    for family, pmax in (("hesse-cubic", 61), ("quartic-k3", 101), ("quintic-cy3", 61)):
+    for family, pmax in (("hesse-cubic", 211), ("quartic-k3", 101), ("quintic-cy3", 61)):
         n = len(builtin_family(family).family.coordinate_variables())
         for p in (p for p in range(3, pmax + 1) if is_prime(p)):
             budget = projective_point_total(n - 1, p)

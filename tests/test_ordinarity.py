@@ -355,6 +355,10 @@ def test_fiber_counts_match_unfolded_enumeration():
         a, b = pencil.coefficient_of({"x": 1}), pencil.coefficient_of({"x": 0})
         for p in filter(is_prime, range(3, bound + 1)):
             assert fiber_point_counts(family, p) == _unfolded_fiber_counts(a, b, p), (family, p)
+    # the cubic's correlation count against the torus walk, which every other pencil runs
+    sign = builtin_family("hesse-cubic").family.polynomials[0].terms[1, 3, 0, 0]
+    for p in filter(is_prime, range(3, 212)):
+        assert fiber_point_counts("hesse-cubic", p, 10**5) == ordinarity._torus_counts(3, sign, p), p
 
 # -- prime power congruence ------------------------------------------------------------
 
