@@ -155,7 +155,7 @@ def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
 
 
 def _packed_product(u: list[int], v: list[int], start: int, count: int, top: int) -> tuple[int, ...]:
-    """Slots start.. of (sum u_i z^i)(sum v_j z^j) for u, v >= 0, slot sums <= top, z = 2^32 or 2^64."""
+    """``count`` slots from ``start`` of (sum u_i z^i)(sum v_j z^j), u, v >= 0, slot sums <= top."""
     size, code = (4, "I") if top < 1 << 32 else (8, "Q")
     # Struct objects, not struct.pack, whose cache would keep a format per length alive
     a, b = (int.from_bytes(Struct(f"<{len(w)}{code}").pack(*w), "little") for w in (u, v))

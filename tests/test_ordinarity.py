@@ -358,7 +358,7 @@ def test_fiber_counts_match_unfolded_enumeration():
     # the cubic's correlation count against the torus walk, which every other pencil runs
     sign = builtin_family("hesse-cubic").family.polynomials[0].terms[1, 3, 0, 0]
     for p in filter(is_prime, range(3, 212)):
-        assert fiber_point_counts("hesse-cubic", p, 10**5) == ordinarity._torus_counts(3, sign, p), p
+        assert fiber_point_counts("hesse-cubic", p) == ordinarity._torus_counts(3, sign, p), p
 
 # -- prime power congruence ------------------------------------------------------------
 
