@@ -6,8 +6,9 @@ does not vanish.  For the elliptic pencil this is checked against an
 independent oracle: count the points of the fiber over F_p, take the
 Frobenius trace t = p + 1 - count, and call the fiber supersingular exactly
 when t = 0 mod p.  The two verdicts must agree; the scan records every
-comparison.  One pass per prime counts the points of all p fibers at once.
-A scan keeps each prime's table as columns; every record is a named tuple.
+comparison.  The scan sieves its primes and checks each once; oracle verdicts
+come from the counts mod p, from one pass per prime over all p fibers.  A scan
+keeps each prime's table as columns; every record is a named tuple.
 
 a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
 term by term along the closed form's term ratio, in O(p) small-int
@@ -43,7 +44,7 @@ powers; ``declared_singular`` tests the rules at one value.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, cycle, product, repeat
+from itertools import accumulate, compress, cycle, product, repeat
 from math import comb, gcd, isqrt
 from struct import Struct
 from typing import Callable, NamedTuple
@@ -171,7 +172,7 @@ def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
     sum_j (c_j/w_j) z^(d-j) and sum_t w_t z^t at z = 2^32 or 2^64: each slot sum is below
     (d+1)(p-1)^2 < p^3, which 64 bits hold below ``SCAN_PRIME_BOUND``.
     """
-    terms = hasse_witt_poly(family_id, p).terms
+    terms = builtin_family(family_id).closed_form_mod(p, p, 1).terms  # p was checked by the scan
     g = gcd(*(e for (e,) in terms)) or 1  # a_p is a polynomial in x^g
     d, m = max(e for (e,) in terms) // g, (p - 1) // gcd(g, p - 1)
     logs = [g * t % (p - 1) for t in accumulate(range(m + d - 1), initial=0)]  # w_t = r^logs[t]
@@ -263,8 +264,8 @@ def point_count_projective(
 
 
 def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:
-    """#X_lambda(F_p) for lambda = 0..p-1 on the pencil prod Z_i + sign*x*sum Z_i^n in P^(n-1);
-    the budget bounds #P^N(F_p).
+    """#X_lambda(F_p) for lambda = 0..p-1 on the pencil prod Z_i + sign*x*sum Z_i^n in P^(n-1); p is
+    checked, then the budget against #P^N(F_p) (the scan's ``_fiber_counts`` skips the first check).
 
     n = 3 (``_cubic_counts``): at c = sign*lambda != 0, (u, A) = (z_1 z_2, z_1^3) with z_i = Z_i/Z_0
     maps the fiber onto A^2 + (1 + u/c) A + u^3 = 0, 3-isogenous to it, so with as many F_p-points
@@ -281,11 +282,16 @@ def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tup
     each cell's last coordinate adds the cell's count to the fibers its points lie on.
     """
     _require_odd_prime(p)
+    return _fiber_counts(family_id, p, budget)
+
+
+def _fiber_counts(family_id: str, p: int, budget: int | None, powers: list[int] | None = None) -> tuple[int, ...]:
+    """``fiber_point_counts`` at a checked p; r^i is listed past the budget unless ``powers`` lists it."""
     pencil = builtin_family(family_id).family.polynomials[0]
     n = len(pencil.variables) - 1
     sign = pencil.terms[(1, n) + (0,) * (n - 1)]  # of x * Z_0^n
     _check_budget(n, p, budget)
-    return _cubic_counts(sign, p) if n == 3 else _torus_counts(n, sign, p)
+    return _cubic_counts(sign, p, powers or _primitive_root_powers(p)) if n == 3 else _torus_counts(n, sign, p)
 
 
 def _torus_counts(n: int, sign: int, p: int) -> tuple[int, ...]:
@@ -310,26 +316,23 @@ def _torus_counts(n: int, sign: int, p: int) -> tuple[int, ...]:
     return (zero_fiber, *(t + on_every_fiber for t in torus[1:]))
 
 
-def _cubic_counts(sign: int, p: int) -> tuple[int, ...]:
-    """``fiber_point_counts`` for n = 3, in O(p) steps and one big-integer product."""
-    squares = {v * v % p for v in range(1, p)}
-    chi = [0] + [1 if v in squares else -1 for v in range(1, p)]  # (v|p)
+def _cubic_counts(sign: int, p: int, powers: list[int]) -> tuple[int, ...]:
+    """``fiber_point_counts`` for n = 3, in O(p) steps and one big-integer product; (v|p) is +1 at
+    the even and -1 at the odd powers r^i in ``powers`` (flipping the sign of (.|p) changes no slot)."""
+    chi = [0] + [1] * (p - 1)  # (v|p)
+    for v in powers[1::2]:
+        chi[v] = -1
     weights = [3] * p  # 3 + F[d], in [0, 6]: v(v - 1)^2 = d has at most three roots
     for v, c in enumerate(chi):
-        weights[v * (v - 1) ** 2 % p] += c
+        weights[v * (v - 1) * (v - 1) % p] += c
     # slot p - 1 + mu is sum_d (3 + F[d]) (1 + (d + mu|p)) = G(mu) + 3p, as F and (.|p) sum to 0
     # over F_p; each slot sum is at most 12p, below 2^64 for every p whose tables fit in memory
     slots = _packed_product(weights[::-1], [1 + c for c in chi] * 2, p - 1, p, 12 * p)
-    lines = -pow(27, -1, p) % p if p % 3 == 1 else None  # c^3 on the fibers of three lines
-    cubes = (pow(sign * lam, 3, p) for lam in range(1, p))
-    return (3 * p, *(3 * p if c3 == lines else slots[4 * c3 % p] - 2 * p + 2 for c3 in cubes))
-
-
-def _classify_count(p: int, lam: int, count: int) -> FiberClassification:
-    """The Frobenius-trace verdict for a smooth elliptic fiber with this count."""
-    trace = p + 1 - count
-    verdict = "supersingular" if trace % p == 0 else "ordinary"
-    return FiberClassification(p, lam, verdict, count, trace)
+    by_mu = [s - 2 * p + 2 for s in slots]  # #X at mu = 4c^3
+    if p % 3 == 1:  # the fibers with 27c^3 = -1 are three lines
+        by_mu[-4 * pow(27, -1, p) % p] = 3 * p
+    k = 4 * sign**3 % p
+    return (3 * p, *[by_mu[k * lam * lam * lam % p] for lam in range(1, p)])
 
 
 def classify_elliptic_fiber(
@@ -349,7 +352,9 @@ def classify_elliptic_fiber(
     lam = lam % p
     if declared_singular(family_id, lam, p):
         return FiberClassification(p, lam, "singular")
-    return _classify_count(p, lam, fiber_point_counts(family_id, p, budget)[lam])
+    count = fiber_point_counts(family_id, p, budget)[lam]
+    trace = p + 1 - count
+    return FiberClassification(p, lam, "ordinary" if trace % p else "supersingular", count, trace)
 
 
 def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
@@ -362,9 +367,9 @@ def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -
     oracle = agreements = agree = None
     if with_oracle:
         # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
-        counts = repeat(0) if all(singular) else fiber_point_counts(family_id, p, budget)
-        oracle = ["singular" if s else _classify_count(p, lam, n).verdict
-                  for lam, s, n in zip(range(p), singular, counts)]
+        counts = repeat(0) if all(singular) else _fiber_counts(family_id, p, budget, powers)
+        oracle = ["singular" if s else "ordinary" if (n - 1) % p else "supersingular"
+                  for s, n in zip(singular, counts)]  # the trace p + 1 - n is 0 mod p when n - 1 is
         agreements = list(map(str.__eq__, oracle, verdicts))
         agree = all(agreements)
     return PrimeScan(p, locus, residues, verdicts, oracle, agreements, agree)
@@ -390,11 +395,11 @@ def ordinarity_scan(
         )
     if prime_bound >= SCAN_PRIME_BOUND:
         raise BudgetExceededError(f"pmax = {prime_bound} is at or above the scan bound {SCAN_PRIME_BOUND}")
-    scans = [
-        _scan_prime(family_id, p, with_oracle, budget)
-        for p in range(3, prime_bound + 1)
-        if is_prime(p)
-    ]
+    sieve = bytearray([0, 0]) + bytearray([1]) * (prime_bound - 1)  # Eratosthenes: sieve[n] = n is prime
+    for q in range(2, isqrt(prime_bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes((prime_bound - q * q) // q + 1)
+    scans = [_scan_prime(family_id, p, with_oracle, budget) for p in compress(range(3, prime_bound + 1), sieve[3:])]
     return OrdinarityReport(family_id, prime_bound, with_oracle, tuple(scans))
 
 

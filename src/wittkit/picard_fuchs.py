@@ -2,7 +2,8 @@
 
 Operators are stored in the normal form ``L = sum_k q_k(x) theta^k`` with
 ``theta = x d/dx``, so applying L to a monomial is the eigenvalue rule
-``theta^k (x^n) = n^k x^n``.  Products of ``(theta + c)`` factors are
+``theta^k (x^n) = n^k x^n``; over Z, L applies by x-shift, one pass per d in
+``L = sum_d x^d P_d(theta)``.  Products of ``(theta + c)`` factors are
 expanded at construction; moving an x-monomial across theta uses
 ``theta x^n = x^n (theta + n)``.  Records are named tuples.
 
@@ -27,7 +28,7 @@ X = "x"
 class ThetaOperator:
     """``sum_k q_k(x) theta^k`` with exact Z[x] coefficients, q_r != 0."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_shifts")
 
     def __init__(self, coefficients: tuple[SparsePolynomial, ...]):
         if not coefficients:
@@ -35,6 +36,12 @@ class ThetaOperator:
         if not coefficients[-1].terms:
             raise ValueError("the leading theta-coefficient must be nonzero")
         self.coefficients = coefficients
+        shifts: dict[int, list] = {}  # L = sum_d x^d P_d(theta): P_d's coefficients, theta^0 up
+        for k, q in enumerate(coefficients):
+            for (d,), c in q.terms.items():
+                shifts.setdefault(d, [0] * len(coefficients))[k] = c
+        integral = all(type(c) is int for q in coefficients for c in q.terms.values())
+        self._shifts = tuple((d, P[::-1]) for d, P in shifts.items()) if integral else None  # for Horner
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaOperator):
@@ -66,20 +73,17 @@ class ThetaOperator:
         return SparsePolynomial._canonical((X,), self._apply_terms(as_x_polynomial(f).terms))
 
     def _apply_terms(self, terms: dict[tuple, Value]) -> dict[tuple, Value]:
-        """The image of ``sum c x^n``, given and returned as ``{(n,): c}``."""
+        """The image of ``{(n,): c}``: over Z by x-shift, else by + and *, whose zero sums set the types."""
+        if self._shifts is None or not all(type(c) is int for c in terms.values()):
+            return sum(q * SparsePolynomial._canonical(q.variables, {(n,): c * n**k for (n,), c in terms.items()})
+                       for k, q in enumerate(self.coefficients)).terms
         out: dict[tuple, Value] = {}
-        for k, q in enumerate(self.coefficients):
-            # theta^k x^n = n^k x^n; zero sums drop out per step, as in + and *, to keep types
-            part: dict[tuple, Value] = {}
-            powered = [(n, c * n**k) for (n,), c in terms.items() if n or not k]
-            for (d,), qc in q.terms.items():
-                for n, c in powered:
-                    part[(n + d,)] = part.get((n + d,), 0) + qc * c
-            for e, v in part.items():
-                if v:
-                    out[e] = out.get(e, 0) + v
-                    if not out[e]:
-                        del out[e]
+        for d, horner in self._shifts:
+            for (n,), c in terms.items():
+                v = 0
+                for a in horner:
+                    v = v * n + a
+                out[(n + d,)] = out.get((n + d,), 0) + v * c  # ints: a zero sum is a plain 0
         return out
 
     def __str__(self) -> str:

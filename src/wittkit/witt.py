@@ -207,7 +207,8 @@ def _ghost_terms(d: int, a: Value, n: int):
     """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple."""
     if not a:
         return ()
-    return ((m - 1, d * power) for m, power in zip(range(d, n + 1, d), accumulate(repeat(a), mul)))
+    powers = accumulate(repeat(a), mul)  # at d = 1 the powers themselves, not copies scaled by 1
+    return ((m - 1, d * power if d > 1 else power) for m, power in zip(range(d, n + 1, d), powers))
 
 
 def to_ghost(w: WittVector) -> GhostVector:

@@ -262,6 +262,37 @@ def test_scan_bound_validated():
         ordinarity_scan("hesse-cubic", 2)
 
 
+@pytest.mark.parametrize("pmax", [3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 168, 169, 1000])
+def test_scan_primes_come_from_the_sieve(monkeypatch, pmax):
+    """The sieve's primes are is_prime's, through prime squares (9, 25, 49, 121, 169) and pmax 1000."""
+    monkeypatch.setattr(ordinarity, "_scan_prime", lambda family_id, p, *rest: p)
+    assert list(ordinarity_scan("hesse-cubic", pmax).scans) == [p for p in range(3, pmax + 1) if is_prime(p)]
+
+
+def test_scan_oracle_verdicts_match_classify():
+    """The scan reads each verdict from its count mod p; classify_elliptic_fiber from the trace."""
+    for scan in ordinarity_scan("hesse-cubic", 61, with_oracle=True).scans:
+        p = scan.prime
+        assert scan.oracle_verdicts == [classify_elliptic_fiber("hesse-cubic", lam, p).verdict for lam in range(p)]
+
+
+def test_scan_tests_each_prime_once(monkeypatch):
+    """One primality test per scanned prime, the ``closed_form_mod`` rule's; the sieve lists them."""
+    calls = []
+
+    def counted(test):
+        def is_prime(n):
+            calls.append(n)
+            return test(n)
+        return is_prime
+
+    monkeypatch.setattr(families, "is_prime", counted(families.is_prime))
+    monkeypatch.setattr(ordinarity, "is_prime", counted(ordinarity.is_prime))
+    report = ordinarity_scan("hesse-cubic", 61, with_oracle=True)
+    assert len(report.scans) == 17 and report.all_agree
+    assert len(calls) <= len(report.scans), sorted(calls)
+
+
 def test_scan_residue_table_matches_horner():
     """The scan's chirp-transform table against one-point Horner, and its singular rows
     against the rules at one point, at a prime of every class of gcd(g, p - 1)."""

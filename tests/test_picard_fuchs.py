@@ -121,6 +121,60 @@ def test_apply_is_linear():
         assert L.apply(c * f) == c * L.apply(f)
 
 
+def _theta_power_image(L, f):
+    """sum_k q_k * theta^k f by the kernel's + and *: the reference for ``apply``."""
+    image = ZERO
+    for k, q in enumerate(L.coefficients):
+        image = image + q * SparsePolynomial(("x",), {(n,): c * n**k for (n,), c in f.terms.items()})
+    return image
+
+
+def _random_scalar(rng, fractions):
+    c = rng.randint(-2, 2)  # small, so that sums cancel often
+    return Fraction(c, rng.choice((1, 2, 3))) if fractions and rng.random() < 0.5 else c
+
+
+def _typed(values):
+    return [(c, type(c)) for c in values]
+
+
+def _typed_terms(poly):
+    return [(e, c, type(c)) for e, c in poly.sorted_terms()]
+
+
+def test_apply_matches_theta_power_reference():
+    """apply against sum_k q_k theta^k f: values and coefficient types, int and Fraction operators
+    and inputs, polynomials and truncated series, zero sums included."""
+    rng = random.Random(35)
+
+    def poly(fractions, degree):
+        return SparsePolynomial(("x",), {(e,): _random_scalar(rng, fractions) for e in range(degree + 1)
+                                         if rng.random() < 0.6})
+
+    for fractional_operator, fractional_input in [(False, False), (False, True), (True, False), (True, True)]:
+        for _ in range(150):
+            lead = ZERO
+            while not lead.terms:
+                lead = poly(fractional_operator, 3)
+            L = ThetaOperator((*(poly(fractional_operator, 3) for _ in range(rng.randint(0, 4))), lead))
+            f = poly(fractional_input, 6)
+            want = _theta_power_image(L, f)
+            got = L.apply(f)
+            assert _typed_terms(got) == _typed_terms(want), (L, f)
+            order = rng.randint(0, 9)
+            image = L.apply(TruncatedSeries("x", [f.coefficient_of({"x": n}) for n in range(order + 1)], order))
+            truncated = SparsePolynomial(("x",), {e: c for e, c in f.terms.items() if e[0] <= order})
+            want = _theta_power_image(L, truncated)
+            assert image.order == order
+            assert _typed(image.coefficients) == _typed(want.coefficient_of({"x": n}) for n in range(order + 1))
+    # (theta - 2) x^2 = 0, so only x/2 is left
+    assert expand_operator([(1, 0, (-2,))]).apply(X**2 + Fraction(1, 2) * X).terms == {(1,): Fraction(-1, 2)}
+    # at x^2 the theta^0 and theta^1 parts cancel to Fraction(0), so the theta^2 part alone sets the type
+    L = ThetaOperator((1 + 2 * X + X**3, X**2 - 1, 2 * ONE))
+    f = SparsePolynomial(("x",), {(1,): Fraction(-1), (2,): -2, (4,): Fraction(-1, 3), (5,): 1})
+    assert _typed([L.apply(f).terms[(2,)]]) == [(-16, int)]
+
+
 def _shifted(L, n):
     """L with theta replaced by theta + n, so L(x^n g) = x^n * _shifted(L, n)(g)."""
     shifted = [ZERO] * len(L.coefficients)
