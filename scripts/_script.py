@@ -9,8 +9,7 @@ import argparse
 import os
 import sys
 
-from wittkit.cli import BUDGET_ERROR, PRECONDITION_ERROR, _bounded
-from wittkit.ordinarity import BudgetExceededError
+from wittkit.cli import FAILURES, _bounded, exit_code
 
 
 class Parser(argparse.ArgumentParser):
@@ -23,20 +22,11 @@ class Parser(argparse.ArgumentParser):
 
 def run_main(main) -> None:
     """Exit with ``main()``'s code.  A closed stdout exits 1, a precondition
-    violation 2 and a budget overrun 3, as in the CLI, each with no traceback;
-    the last two print one line naming the script."""
-    name = os.path.basename(sys.argv[0])
+    violation 2 and a budget overrun 3, by the CLI's own ``exit_code``, each
+    with no traceback; the last two print one line naming the script."""
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    except BudgetExceededError as exc:
-        print(f"{name}: budget exceeded: {exc}", file=sys.stderr)
-        code = BUDGET_ERROR
-    except (ValueError, ArithmeticError) as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
-        code = PRECONDITION_ERROR
+    except (BrokenPipeError, *FAILURES) as exc:
+        code = exit_code(os.path.basename(sys.argv[0]), exc)
     sys.exit(code)

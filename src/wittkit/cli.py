@@ -370,7 +370,7 @@ def build_parser() -> _Parser:
     s.add_argument("--family", default=None)
     s.add_argument("--pmax", type=int, default=None)
     s.add_argument("--oracle", action="store_true")
-    s.add_argument("--budget", type=budget_count, default=None, help="point enumeration cap")
+    s.add_argument("--budget", type=budget_count, default=None, help="cap on #P^N(F_p) of each prime counted")
     common(s)
     s.set_defaults(handler=_cmd_scan)
 
@@ -431,6 +431,25 @@ def _write_file(path: str, text: str) -> bool:
     return True
 
 
+#: The errors a run reports by ``exit_code``, besides a closed stdout's ``BrokenPipeError``.
+FAILURES = (BudgetExceededError, ValueError, ArithmeticError)
+
+
+def exit_code(prog: str, exc: Exception) -> int:
+    """The exit code of a run that raised ``exc``, with no traceback: 1 for a closed stdout
+    (``BrokenPipeError``), 3 for a ``BudgetExceededError`` and 2 for the rest of ``FAILURES``;
+    the last two print one line on stderr that starts with ``prog``."""
+    if isinstance(exc, BrokenPipeError):
+        # the reader is gone: point stdout at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
+    if isinstance(exc, BudgetExceededError):
+        print(f"{prog}: budget exceeded: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
+    print(f"{prog}: {exc}", file=sys.stderr)
+    return PRECONDITION_ERROR
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -450,12 +469,8 @@ def main(argv=None) -> int:
         message = _bounded(str(exc)) if isinstance(exc, UnknownFamilyError) else exc
         print(f"wittkit: {kind}{message}", file=sys.stderr)
         return USAGE_ERROR
-    except BudgetExceededError as exc:
-        print(f"wittkit: budget exceeded: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
-    except (ValueError, ArithmeticError) as exc:
-        print(f"wittkit: {exc}", file=sys.stderr)
-        return PRECONDITION_ERROR
+    except FAILURES as exc:
+        return exit_code("wittkit", exc)
 
     if args.out:
         if not _write_file(args.out, body):
@@ -464,10 +479,8 @@ def main(argv=None) -> int:
         try:
             sys.stdout.write(body)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader is gone: point stdout at devnull so the flush at exit is quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return USAGE_ERROR
+        except BrokenPipeError as exc:
+            return exit_code("wittkit", exc)
 
     if args.manifest:
         import hashlib  # only a manifest needs it: a plain request does not load OpenSSL

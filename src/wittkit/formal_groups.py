@@ -111,7 +111,7 @@ def multiplicative_logarithm(truncation: int) -> Logarithm:
 
 
 class FormalGroupLaw:
-    """A synthesized two-variable law; its degree and variables are read from its series."""
+    """A synthesized two-variable law; its degree is read from its series."""
 
     __slots__ = ("series",)
 
@@ -123,10 +123,6 @@ class FormalGroupLaw:
     @property
     def degree(self) -> int:
         return self.series.degree
-
-    @property
-    def variables(self) -> tuple[str, str]:
-        return self.series.variables
 
     def coefficient(self, i: int, j: int) -> Value:
         return self.series.coefficient((i, j))

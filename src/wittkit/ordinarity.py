@@ -25,7 +25,8 @@ three F_p-rational lines are set apart.  The K3 and threefold pencils, and the
 tests' cubic reference, walk the torus a coordinate at a time (the
 character-free form of the diagonal-hypersurface counts of Weil, Bull. AMS 55,
 1949, and Koblitz, Compositio Math. 48, 1983).  ``point_count_projective``
-counts any form's zeros by enumeration, a row at a time: the counts' reference.
+counts any form's zeros by evaluating it at every point of P^N(F_p): the counts'
+reference.
 
 p = 2 is rejected throughout (the base ring inverts 2).  For the K3 and
 threefold pencils no ordinariness verdict is issued, only the vanishing
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, compress, cycle, product, repeat
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from struct import Struct
 from typing import Callable, NamedTuple
 
@@ -208,49 +209,11 @@ def _check_budget(nvars: int, p: int, budget: int | None) -> None:
         )
 
 
-def _form_rows(h: SparsePolynomial, p: int):
-    """h mod p over the canonical points of P^N(F_p), a row at a time.
-
-    A row fixes a canonical prefix (first nonzero entry 1) of every
-    coordinate but the last and runs the last coordinate z over F_p; the
-    lone point (0, ..., 0, 1) is one extra row of length 1.  Grouping the
-    monomials by their exponent k of z writes h = sum_k q_k * z^k, so a row
-    is sum_k q_k * T_k[z] with T_e = [v^e mod p for v in F_p] (T_0 is all
-    ones, as pow(0, 0, p) == 1); q_k is tabled once per block of prefixes
-    with the same leading 1.
-    """
-    nvars = len(h.variables)
-    exponents = {e for exps in h.terms for e in exps}
-    tables = {e: [pow(v, e, p) for v in range(p)] for e in exponents}
-    by_last: dict[int, list] = {}  # exponent k of z -> [(c mod p, exponents of the prefix)]
-    for exps, c in h.terms.items():
-        by_last.setdefault(exps[-1], []).append((as_integral(c) % p, exps[:-1]))
-    for lead in range(nvars - 1):
-        prefixes = [(0,) * lead + (1,) + t for t in product(range(p), repeat=nvars - lead - 2)]
-        groups = []  # (T_k, [q_k mod p at each prefix])
-        for k, monomials in by_last.items():
-            columns = []
-            for c, exps in monomials:
-                values = [c] * len(prefixes)
-                for i, e in enumerate(exps):
-                    if e:
-                        t = tables[e]
-                        values = [v * t[prefix[i]] for v, prefix in zip(values, prefixes)]
-                columns.append(values)
-            groups.append((tables[k], [sum(q) % p for q in zip(*columns)]))
-        for j in range(len(prefixes)):
-            row = [0] * p
-            for table, q in groups:
-                if c := q[j]:
-                    row = [v + c * t for v, t in zip(row, table)]
-            yield [v % p for v in row]
-    yield [sum(c for group in by_last.values() for c, exps in group if not any(exps)) % p]
-
-
 def point_count_projective(
     h: SparsePolynomial, p: int, budget: int | None = None
 ) -> int:
-    """Number of zeros of a homogeneous form in P^N(F_p), by enumeration; budget before primality."""
+    """Number of zeros of a homogeneous form in P^N(F_p): h mod p at each canonical point (first
+    nonzero coordinate 1); the budget is checked before primality."""
     nvars = len(h.variables)
     if nvars < 2:
         raise ValueError("need at least two homogeneous coordinates")
@@ -260,7 +223,13 @@ def point_count_projective(
         _check_budget(nvars, p, budget)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return sum(row.count(0) for row in _form_rows(h, p))
+    terms = [(as_integral(c) % p, exps) for exps, c in h.terms.items()]
+    count = 0
+    for lead in range(nvars):
+        for tail in product(range(p), repeat=nvars - lead - 1):
+            point = (0,) * lead + (1,) + tail
+            count += not sum(c * prod(map(pow, point, exps)) for c, exps in terms) % p
+    return count
 
 
 def fiber_point_counts(family_id: str, p: int, budget: int | None = None) -> tuple[int, ...]:

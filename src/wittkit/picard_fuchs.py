@@ -86,15 +86,6 @@ class ThetaOperator:
                 out[(n + d,)] = out.get((n + d,), 0) + v * c  # ints: a zero sum is a plain 0
         return out
 
-    def __str__(self) -> str:
-        parts = []
-        for k, q in enumerate(self.coefficients):
-            if not q.terms:
-                continue
-            head = f"({q})"
-            parts.append(head if k == 0 else f"{head}*theta^{k}")
-        return " + ".join(parts) if parts else "0"
-
 
 def expand_operator(terms: Iterable[tuple[int, int, Sequence[int]]]) -> ThetaOperator:
     """Normal form of a sum of (coefficient, x-power, theta-shift factors).

@@ -137,15 +137,10 @@ class TruncatedSeries:
             return self + (-other)
         return NotImplemented
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, value: Value) -> "TruncatedSeries":
         return TruncatedSeries(self.variable, [c * value for c in self.coefficients], self.order)
 
     def __mul__(self, other):
-        if _is_scalar(other) or isinstance(other, SparsePolynomial):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_same_variable(other)
@@ -163,14 +158,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.variable, coeffs, order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers take nonnegative integer exponents")
-        result = TruncatedSeries.constant(1, self.variable, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
 
     # -- the three nontrivial operations --------------------------------------
 
@@ -313,22 +300,7 @@ class MultiTruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return MultiTruncatedSeries(
-            self.variables, self.degree, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value: Value) -> "MultiTruncatedSeries":
-        return MultiTruncatedSeries(
-            self.variables, self.degree, {e: c * value for e, c in self.terms.items()}
-        )
-
     def __mul__(self, other):
-        if _is_scalar(other) or isinstance(other, SparsePolynomial):
-            return self.scale(other)
         if not isinstance(other, MultiTruncatedSeries):
             return NotImplemented
         self._check_compatible(other)

@@ -141,24 +141,6 @@ class WittVector:
     def __repr__(self):
         return f"WittVector({list(self.coords)!r})"
 
-    def __add__(self, other):
-        if isinstance(other, WittVector):
-            return witt_add(self, other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, WittVector):
-            return witt_mul(self, other)
-        return NotImplemented
-
-    def __neg__(self):
-        return witt_neg(self)
-
-    def __sub__(self, other):
-        if isinstance(other, WittVector):
-            return witt_add(self, witt_neg(other))
-        return NotImplemented
-
     def to_series(self, order: int | None = None, variable: str = "t") -> TruncatedSeries:
         """The series ``prod (1 - a_i t^i)^(-1)`` modulo ``t^(order+1)``."""
         order = self.length if order is None else order
