@@ -5,14 +5,34 @@ from wittkit.serialize import witt_to_obj
 from wittkit.witt import WittVector
 
 
+def _poly(variables, terms):
+    """A polynomial object of the documented schema, from (exponents, coefficient text) pairs."""
+    return {"variables": variables, "terms": [{"exponents": e, "coefficient": c} for e, c in terms]}
+
+
+#: A variable name that JSON prints with escapes: a quote, a backslash and a non-ASCII letter.
+ODD_NAME = 'q"\\\u00e9'
+
+
 def golden_cli_requests():
     """One request per documented subcommand shape, in both output formats."""
     w = json.dumps(witt_to_obj(WittVector([2, -1, 3])))
+    # a vector over Z[x, y]; a vector, and ghost entries, over a ring whose variable needs escapes
+    xy = json.dumps({"coords": [_poly(["x", "y"], [([1, 0], "1"), ([0, 2], "-2")]),
+                                _poly(["x", "y"], [([1, 1], "3")]), 5]})
+    odd = json.dumps({"coords": [_poly([ODD_NAME, "t"], [([0, 0], "7"), ([2, 1], "-3")]), -4]})
+    ghost = json.dumps([_poly([ODD_NAME], [([1], "1")]), _poly([ODD_NAME], [([2], "1")]),
+                        _poly([ODD_NAME], [([0], "3"), ([3], "1")])])
     base = [
         ["witt", "--op", "teichmueller", "--a", "7", "--length", "4"],
         ["witt", "--op", "mul", "--u", w, "--v", w],
         ["witt", "--op", "frobenius", "--m", "2", "--u", w],
         ["witt", "--op", "verschiebung", "--m", "3", "--u", w],
+        ["witt", "--op", "add", "--u", w, "--v", xy],
+        ["witt", "--op", "neg", "--u", odd],
+        ["witt", "--op", "ghost", "--u", xy],
+        ["witt", "--op", "from-ghost", "--g", ghost],
+        ["witt", "--op", "truncate", "--u", w, "--k", "2"],
         ["am-log", "--family", "hesse-cubic", "--mmax", "6"],
         ["am-log", "--family", "quartic-k3", "--mmax", "5", "--mod", "7"],
         ["am-log", "--family", "quintic-cy3", "--mmax", "4", "--method", "closed-form"],

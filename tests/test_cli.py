@@ -163,6 +163,22 @@ def test_large_scan_bytes_pinned(capsys, family, pmax, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_DIGESTS[family, pmax, fmt]
 
 
+#: sha256 of stdout for ``witt --op verschiebung --m 10000`` on the length-1 vector (1), one per format.
+WITT_DIGESTS = {
+    "json": "e3e65afbae287c0103c13f69a16a1de2c7a56f421c763fb1c1a21a228df809ff",
+    "tsv": "46733b789acf0413d1f017c8bf47c1d312fd32b86c9d48f5ff6f41492e03bf66",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(WITT_DIGESTS))
+def test_large_witt_bytes_pinned(capsys, fmt):
+    import hashlib
+    code, out, _ = run(capsys, "witt", "--op", "verschiebung", "--m", "10000", "--u", '{"coords":[1]}',
+                       "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITT_DIGESTS[fmt]
+
+
 def test_pf_check_rows(capsys):
     code, out, _ = run(capsys, "pf-check", "--family", "quintic", "--kmax", "10",
                        "--format", "tsv")
