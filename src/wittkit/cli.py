@@ -3,11 +3,11 @@
 Subcommands: witt, am-log, fgl, scan-ordinary, pf-check, congruence.  Each
 run emits exactly one result document (JSON or TSV per --format) on stdout
 or at --out, deterministically: identical requests on identical builds give
-byte-identical output.  Each handler builds one value table per result; the
-TSV document prints it, and the JSON payload, a keyed view of it whose long
-lists are generators written a record at a time, is built only when --format
-json asks for it.  --manifest PATH records the request, a wall time, and a
-content hash of the result bytes.  --config PATH presets flags from key=value
+byte-identical output.  Each handler builds one value table per result, by
+column; the TSV document prints it, and the JSON payload, a keyed view of the
+same columns (``Records``, with ring elements marked as ``Values``), is built
+only when --format json asks for it.  --manifest PATH records the request, a
+wall time, and a content hash of the result bytes.  --config PATH presets flags from key=value
 lines; each subcommand's parser is the one declaration of its flags' types,
 choices and defaults, and checks the presets too.
 
@@ -40,12 +40,11 @@ from .polynomials import as_x_polynomial
 from .serialize import (
     Records,
     SchemaError,
+    Values,
     json_dumps,
     tsv_dumps,
     value_from_obj,
-    value_to_obj,
     witt_from_obj,
-    witt_to_obj,
 )
 from .witt import (
     GhostVector,
@@ -151,8 +150,8 @@ def _witt_result(op: str, w: WittVector) -> ResultDoc:
     columns = [range(1, len(w.coords) + 1), w.coords, ghost.entries]
     return ResultDoc(["index", "coordinate", "ghost"], [columns], lambda: {
         "op": op,
-        "result": witt_to_obj(w),
-        "ghost": [value_to_obj(g) for g in ghost.entries],
+        "result": {"length": w.length, "coords": Values(w.coords)},
+        "ghost": Values(ghost.entries),
     })
 
 
@@ -172,7 +171,7 @@ def _cmd_witt(args) -> ResultDoc:
         entries = to_ghost(u).entries
         return ResultDoc(["index", "ghost"], [[range(1, len(entries) + 1), entries]], lambda: {
             "op": op,
-            "ghost": [value_to_obj(g) for g in entries],
+            "ghost": Values(entries),
         })
     if op == "frobenius":
         return _witt_result(op, witt_frobenius(args.m, u, args.length))
@@ -193,7 +192,7 @@ def _cmd_am_log(args) -> ResultDoc:
         "method": args.method,
         "mmax": args.mmax,
         "mod": args.mod,
-        "coefficients": ({"m": m, "a": value_to_obj(a)} for m, a in zip(ms, coeffs)),
+        "coefficients": Records({"m": ms, "a": Values(coeffs)}),
     })
 
 
@@ -205,14 +204,16 @@ def _cmd_fgl(args) -> ResultDoc:
     law = group_law_from_logarithm(log, args.deg)
     report = integrality_report(law)
     failed = {(i, j) for i, j, _ in report.failures}
-    rows = [(i, j, c, (i, j) not in failed) for (i, j), c in law.series.sorted_terms()]
-    return ResultDoc(["i", "j", "coeff", "integral"], [list(zip(*rows))], lambda: {
+    exps, coeffs = zip(*law.series.sorted_terms())  # never empty: a law has the terms t1 and t2
+    integral = [ij not in failed for ij in exps]
+    column_i, column_j = zip(*exps)
+    return ResultDoc(["i", "j", "coeff", "integral"], [[column_i, column_j, coeffs, integral]], lambda: {
         "family": family,
         "degree": args.deg,
         "at_x": args.at_x,
         "integral": report.passed,
         "failures": [{"i": i, "j": j} for i, j, _ in report.failures],
-        "terms": ({"i": i, "j": j, "coeff": value_to_obj(c), "integral": ok} for i, j, c, ok in rows),
+        "terms": Records({"i": column_i, "j": column_j, "coeff": Values(coeffs), "integral": integral}),
     })
 
 
@@ -243,20 +244,15 @@ def _cmd_scan(args) -> ResultDoc:
     })
 
 
-def _residual_obj(residual):
-    """A check's residual in a JSON payload: ``None`` when it passed."""
-    return None if residual is None else value_to_obj(residual)
-
-
 def _cmd_pf_check(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     entry = builtin_family(family)
-    results = pf_congruence_check(entry.picard_fuchs, entry.closed_form, args.kmax)
-    return ResultDoc(["k", "pass", "residual"], [list(zip(*results))], lambda: {
+    ks, passed, residuals = zip(*pf_congruence_check(entry.picard_fuchs, entry.closed_form, args.kmax))
+    return ResultDoc(["k", "pass", "residual"], [[ks, passed, residuals]], lambda: {
         "family": family,
         "kmax": args.kmax,
-        "all_passed": all(r.passed for r in results),
-        "checks": [{"k": k, "passed": ok, "residual": _residual_obj(res)} for k, ok, res in results],
+        "all_passed": all(passed),
+        "checks": Records({"k": ks, "passed": passed, "residual": Values(residuals)}),
     })
 
 
@@ -269,7 +265,7 @@ def _cmd_congruence(args) -> ResultDoc:
         "p": args.p,
         "nu": args.nu,
         "passed": check.passed,
-        "residual": _residual_obj(check.residual),
+        "residual": check.residual,
     })
 
 
@@ -421,10 +417,10 @@ def _check_required(args) -> None:
             raise UsageError(f"{name} is missing required flags: " + ", ".join(missing))
 
 
-def _write_file(path: str, text: str) -> bool:
+def _write_file(path: str, data: bytes) -> bool:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         print(f"wittkit: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return False
@@ -472,8 +468,10 @@ def main(argv=None) -> int:
     except FAILURES as exc:
         return exit_code("wittkit", exc)
 
+    # the bytes stdout prints in the C and C.UTF-8 locales, where a lone surrogate is a raw byte
+    data = body.encode("utf-8", "surrogateescape") if args.out or args.manifest else None
     if args.out:
-        if not _write_file(args.out, body):
+        if not _write_file(args.out, data):
             return USAGE_ERROR
     else:
         try:
@@ -494,9 +492,9 @@ def main(argv=None) -> int:
             "version": __version__,
             "request": request,
             "wall_time_s": round(time.monotonic() - started, 6),
-            "content_hash": "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "content_hash": "sha256:" + hashlib.sha256(data).hexdigest(),
         }
-        if not _write_file(args.manifest, json_dumps(manifest)):
+        if not _write_file(args.manifest, json_dumps(manifest).encode()):
             return USAGE_ERROR
     return 0
 

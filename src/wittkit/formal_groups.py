@@ -192,7 +192,7 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
 
     terms = {ij: divide(n) for ij, n in numerators.items()}
     terms.update({(j, i): c for (i, j), c in terms.items()})  # G_ji = G_ij
-    return FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, terms))
+    return FormalGroupLaw(MultiTruncatedSeries._canonical(("t1", "t2"), degree, terms))  # i + j <= degree
 
 
 class IntegralityReport:
@@ -214,12 +214,9 @@ class IntegralityReport:
 
 
 def integrality_report(law: FormalGroupLaw) -> IntegralityReport:
-    """List every coefficient of the law that carries a denominator."""
-    failures = []
-    for (i, j), c in law.series.sorted_terms():
-        if not is_integral(c):
-            failures.append((i, j, c))
-    return IntegralityReport(failures)
+    """List every coefficient of the law that carries a denominator, in ``sorted_terms`` order."""
+    failures = [(i, j, c) for (i, j), c in law.series.terms.items() if not is_integral(c)]
+    return IntegralityReport(sorted(failures, key=lambda f: (f[0] + f[1], f[0], f[1])))
 
 
 class Curve:

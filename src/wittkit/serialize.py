@@ -3,10 +3,9 @@
 All numbers travel as decimal strings so arbitrary precision survives the
 trip; rationals use the form ``p/q``.  Keys are emitted sorted and rows
 sorted, so identical values always produce identical bytes.  Callers hand
-over plain values and tables by column: every number and polynomial is
-printed here, each column's cells by one rule.  ``json_dumps`` streams an
-iterator or ``Records`` an element at a time and writes everything else
-through the C encoder.  docs/formats.md documents the schemas and grammar.
+over plain values and tables by column (``Records``), ring elements marked as
+``Values``, and each value prints here by one rule: ``format_value`` in TSV,
+``value_text`` in JSON.  docs/formats.md documents the schemas and grammar.
 """
 
 from __future__ import annotations
@@ -29,19 +28,6 @@ def scalar_from_str(text: str):
         return Fraction(text) if "/" in text else int(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not an exact number: {text!r}") from exc
-
-
-def value_to_obj(value: Value) -> dict:
-    """Every value is carried as a polynomial; scalars get no variables."""
-    if not isinstance(value, SparsePolynomial):
-        value = SparsePolynomial.constant(value)
-    return {
-        "variables": list(value.variables),
-        "terms": [
-            {"exponents": list(exps), "coefficient": _scalar_text(c)}
-            for exps, c in value.sorted_terms()
-        ],
-    }
 
 
 def _field(obj, key: str, kind: type | None = None):
@@ -85,10 +71,6 @@ def value_from_obj(obj) -> Value:
     return poly
 
 
-def witt_to_obj(w: WittVector) -> dict:
-    return {"length": w.length, "coords": [value_to_obj(a) for a in w.coords]}
-
-
 def witt_from_obj(obj) -> WittVector:
     coords = [value_from_obj(a) for a in _field(obj, "coords", list)]
     if "length" in obj and _field(obj, "length", int) != len(coords):
@@ -102,6 +84,7 @@ class _Encoder(json.JSONEncoder):
 
 
 _ENCODER = _Encoder(sort_keys=True, separators=(",", ":"))
+_ROWS = 4096  # tsv_dumps formats its columns this many rows at a time, so only a slice's texts live at once
 
 
 def json_dumps(obj) -> str:
@@ -116,6 +99,28 @@ class Records:
         self.columns = columns
 
 
+class Values:
+    """A JSON array of ring elements, or a column of them in ``Records``, each printed by
+    ``value_text``.  It is no list, so the C encoder refuses it rather than print an int as a number."""
+
+    def __init__(self, values: Sequence[Value | None]):
+        self.values = values
+
+
+def value_text(value: Value | None) -> str:
+    """A value's polynomial object as JSON text (None is ``null``): keys sorted, terms in
+    ``sorted_terms`` order, coefficients as decimal strings, and a scalar in no variables."""
+    if value is None:
+        return "null"
+    if not isinstance(value, SparsePolynomial):
+        term = '{"coefficient":"' + _scalar_text(value) + '","exponents":[]}' if value else ""
+        return '{"terms":[' + term + '],"variables":[]}'
+    return '{"terms":[' + ",".join([
+        '{"coefficient":"' + _scalar_text(c) + '","exponents":[' + ",".join(map(str, e)) + "]}"
+        for e, c in value.sorted_terms()
+    ]) + '],"variables":' + _ENCODER.encode(value.variables) + "}"
+
+
 def _chunks(obj):
     if isinstance(obj, dict):
         for i, key in enumerate(sorted(obj)):
@@ -127,6 +132,10 @@ def _chunks(obj):
         for i, text in enumerate(_records(obj) if isinstance(obj, Records) else map(_ENCODER.encode, obj)):
             yield ("," if i else "") + text
         yield "]"
+    elif isinstance(obj, Values):
+        yield "[" + ",".join(map(value_text, obj.values)) + "]"
+    elif isinstance(obj, SparsePolynomial):  # one polynomial, such as a residual, which the C encoder refuses
+        yield value_text(obj)
     else:
         yield _ENCODER.encode(obj)
 
@@ -147,8 +156,8 @@ def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> st
     value is its exact ``format_value`` text."""
     text = ["\t".join(header), "\n"]
     for columns in blocks:
-        if columns and len(columns[0]):
-            cells = [texts for _, texts in map(_column, columns, repeat(_cell))]
+        for start in range(0, len(columns[0]) if columns else 0, _ROWS):
+            cells = [_column(c[start:start + _ROWS], _cell)[1] for c in columns]
             text += "\n".join(map("\t".join, zip(*cells))), "\n"
     return "".join(text)
 
@@ -157,6 +166,8 @@ def _column(values: Sequence, cell) -> tuple[str, Iterable[str]]:
     """A column's texts by ``cell``, and the quote to put around each: ints print at C speed,
     texts that print as themselves between the format's quotes print as given, and each distinct
     text, bool or None prints once."""
+    if isinstance(values, Values):
+        return "", map(value_text, values.values)
     kinds = set(map(type, values))
     if kinds <= {int}:
         try:

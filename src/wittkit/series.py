@@ -241,6 +241,14 @@ class MultiTruncatedSeries:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
+    def _canonical(cls, variables: tuple, degree: int, terms: dict) -> "MultiTruncatedSeries":
+        """Trusted constructor for a new dict of terms within ``degree``; it copies only to drop zeros."""
+        series = object.__new__(cls)
+        series.variables, series.degree = variables, degree
+        series.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+        return series
+
+    @classmethod
     def constant(cls, value: Value, variables: Iterable[str], degree: int) -> "MultiTruncatedSeries":
         variables = tuple(variables)
         return cls(variables, degree, {(0,) * len(variables): value})

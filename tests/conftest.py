@@ -1,8 +1,27 @@
 import hashlib
 import json
 
-from wittkit.serialize import witt_to_obj
+from wittkit.polynomials import SparsePolynomial, _scalar_text
 from wittkit.witt import WittVector
+
+
+def value_to_obj(value):
+    """Reference for ``serialize.value_text``: a value's polynomial object as a dict.
+    Every value is carried as a polynomial; scalars get no variables."""
+    if not isinstance(value, SparsePolynomial):
+        value = SparsePolynomial.constant(value)
+    return {
+        "variables": list(value.variables),
+        "terms": [
+            {"exponents": list(exps), "coefficient": _scalar_text(c)}
+            for exps, c in value.sorted_terms()
+        ],
+    }
+
+
+def witt_to_obj(w):
+    """A Witt vector as the documented object, from ``value_to_obj`` of each coordinate."""
+    return {"length": w.length, "coords": [value_to_obj(a) for a in w.coords]}
 
 
 def _poly(variables, terms):

@@ -17,8 +17,9 @@ from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
 from wittkit.picard_fuchs import pf_congruence_check
 from wittkit.polynomials import SparsePolynomial, format_value
-from wittkit.serialize import value_to_obj, witt_to_obj
 from wittkit.witt import WittVector
+
+from conftest import value_to_obj, witt_to_obj
 
 X = SparsePolynomial.variable("x")
 
@@ -519,6 +520,40 @@ def test_manifest_hash_stable_across_runs(tmp_path, capsys):
         assert code == 0
         hashes.append(json.loads(manifest_path.read_text())["content_hash"])
     assert hashes[0] == hashes[1]
+
+
+#: A ghost request on a Witt input whose variable name is the byte 0xff, which the command
+#: line decodes to a lone surrogate; stdout prints it back as that byte (surrogateescape).
+RAW_BYTE_REQUEST = ("witt", "--op", "ghost", "--format", "tsv", "--u",
+                    '{"coords":[{"variables":["\udcff"],"terms":[{"exponents":[1],"coefficient":"1"}]}]}')
+RAW_BYTE_BODY = b"index\tghost\n1\t\xff^1\n"
+
+
+def _raw_byte_run(*flags):
+    """(exit code, stdout's bytes, stderr) of ``RAW_BYTE_REQUEST`` with ``flags``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*RAW_BYTE_REQUEST, *flags])
+    return code, out.getvalue().encode("utf-8", "surrogateescape"), err.getvalue()
+
+
+def test_out_writes_a_lone_surrogate_as_its_byte(tmp_path):
+    assert _raw_byte_run() == (0, RAW_BYTE_BODY, "")
+    path = tmp_path / "result.tsv"
+    assert _raw_byte_run("--out", str(path)) == (0, b"", "")
+    assert path.read_bytes() == RAW_BYTE_BODY
+
+
+def test_manifest_hashes_a_lone_surrogate_as_its_byte(tmp_path):
+    import hashlib
+    manifest = tmp_path / "manifest.json"
+    assert _raw_byte_run("--manifest", str(manifest)) == (0, RAW_BYTE_BODY, "")
+    digest = "sha256:" + hashlib.sha256(RAW_BYTE_BODY).hexdigest()
+    assert json.loads(manifest.read_text())["content_hash"] == digest
+    path = tmp_path / "result.tsv"
+    assert _raw_byte_run("--out", str(path), "--manifest", str(manifest)) == (0, b"", "")
+    assert path.read_bytes() == RAW_BYTE_BODY
+    assert json.loads(manifest.read_text())["content_hash"] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_config_file_presets(tmp_path, capsys):

@@ -196,6 +196,23 @@ def test_integrality_report_failure_lists_coefficients():
     assert law.coefficient(1, 3) == -1
 
 
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 0, 1, 0, 0, 1, 0],  # t + t^4/4 + t^7/7: several failing coefficients
+    [1, 1, 1, 1, 1, 1, 1, 1],  # multiplicative: three terms
+    [1, 2, -3, 5, 0, 7, 1, -2],
+    [1, 1, 2, 1, 0, -1, 0, 0],  # two numerators sum to zero: the constructor drops them
+    [SparsePolynomial(("x",), {(0,): 1}), *(SparsePolynomial(("x",), {(0,): 1, (k,): k}) for k in range(1, 8))],
+])
+def test_synthesized_law_equals_its_validated_construction(coeffs):
+    """The law built by the trusted constructor equals the one the validating constructor
+    builds from its terms, and its report lists the failures in ``sorted_terms`` order."""
+    law = group_law_from_logarithm(Logarithm(coeffs), 8)
+    assert law.series == MultiTruncatedSeries(("t1", "t2"), 8, law.series.terms)
+    assert all(law.series.terms.values())
+    expected = [(i, j, c) for (i, j), c in law.series.sorted_terms() if not is_integral(c)]
+    assert list(integrality_report(law).failures) == expected
+
+
 def _law_by_reversion(log, degree):
     # an unrelated path to the same coefficients: raw reversion + substitution
     ell = log.series(degree)

@@ -47,7 +47,7 @@ def test_tsv_requests_build_no_json(request_argv, capsys, monkeypatch):
     def no_json(*args):
         raise AssertionError("a TSV request built JSON")
 
-    for name in ("value_to_obj", "witt_to_obj", "json_dumps"):
+    for name in ("Values", "Records", "json_dumps"):
         monkeypatch.setattr(cli, name, no_json)
     expected = (GOLDEN_DIR / golden_name(request_argv)).read_bytes()
     assert main(list(request_argv)) == 0

@@ -1,20 +1,24 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wittkit.polynomials import SparsePolynomial, format_value
 from wittkit.serialize import (
     Records,
+    Values,
     json_dumps,
     tsv_dumps,
     value_from_obj,
-    value_to_obj,
+    value_text,
     witt_from_obj,
-    witt_to_obj,
 )
 from wittkit.witt import teichmueller
+
+from conftest import value_to_obj, witt_to_obj
 
 X = SparsePolynomial.variable("x")
 
@@ -139,3 +143,76 @@ def test_text_grammar():
     assert format_value(1 + 4 * X**3) == "1+4*x^3"
     assert format_value(17) == "17"
     assert format_value(Fraction(-1, 3)) == "-1/3"
+
+
+# -- each ring element prints by one rule: value_text against the dict reference -----
+
+_BIG = 10**4400 + 7  # past str()'s 4,300-digit limit
+_NAME = st.text(st.sampled_from('xyz"\\\u00e9\ud800'), min_size=1, max_size=3)
+_SCALAR = st.integers() | st.fractions()
+
+
+@st.composite
+def _ring_elements(draw):
+    """A scalar, or a polynomial in up to three variables whose names may need JSON escapes."""
+    if draw(st.booleans()):
+        return draw(_SCALAR)
+    names = draw(st.lists(_NAME, max_size=3, unique=True))
+    exponents = st.tuples(*[st.integers(0, 4)] * len(names))
+    return SparsePolynomial(names, draw(st.dictionaries(exponents, _SCALAR, max_size=4)))
+
+
+def _reference(value) -> str:
+    return json.dumps(value_to_obj(value), sort_keys=True, separators=(",", ":"))
+
+
+#: Values past str()'s digit limit stay out of hypothesis, which would print them in its report.
+RING_ELEMENTS = [
+    0, 1, -1, _BIG, -_BIG, Fraction(-7, 3), Fraction(_BIG, 3),
+    SparsePolynomial(("x", "y"), {}),  # zero, with variables
+    SparsePolynomial(("x",), {(0,): 5}),  # constant, with variables
+    1 - 120 * X**5,
+    SparsePolynomial(("x", "y", "z"), {(1, 0, 2): -3, (0, 0, 0): Fraction(1, 2), (2, 1, 0): _BIG}),
+    SparsePolynomial(('a"b', "c\\d", "\u00e9\U0001d11e", "\udcff"), {(1, 0, 2, 3): 4}),
+]
+
+
+@pytest.mark.parametrize("value", RING_ELEMENTS, ids=lambda value: type(value).__name__)
+def test_value_text_equals_json_of_the_reference_object_on_examples(value):
+    assert value_text(value) == _reference(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_ring_elements())
+def test_value_text_equals_json_of_the_reference_object(value):
+    assert value_text(value) == _reference(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_ring_elements() | st.none(), max_size=5))
+def test_values_print_as_arrays_and_columns_of_reference_objects(values):
+    expected = [value_to_obj(v) if v is not None else None for v in values]
+    dumps = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert json_dumps({"a": Values(values)}) == dumps({"a": expected})
+    records = Records({"n": list(range(len(values))), "v": Values(values)})
+    assert json_dumps(records) == dumps([{"n": n, "v": v} for n, v in enumerate(expected)])
+    assert json_dumps({"p": X - 1}) == dumps({"p": value_to_obj(X - 1)})
+
+
+def test_values_never_reach_the_c_encoder_as_a_list():
+    # inside a plain list a Values would be printed by the C encoder, which refuses it rather
+    # than print its ints as JSON numbers
+    with pytest.raises(TypeError):
+        json_dumps([Values([1, 2])])
+
+
+def test_tsv_rows_past_one_slice_print_as_rows():
+    n = 9_000  # more rows than tsv_dumps formats at once, twice over
+    ints = [(-1) ** k * k**3 for k in range(n)]
+    ints[7_000] = -_BIG
+    flags = [k % 3 == 0 for k in range(n)]
+    polys = [X * k - 1 for k in range(n)]
+    cells = zip(range(n), map(format_value, ints), ("true" if c else "false" for c in flags), map(format_value, polys))
+    text = tsv_dumps(["a", "b", "c", "d"], [[range(n), ints, flags, polys], [[], [], [], []]])
+    assert text == "\n".join(["a\tb\tc\td", *(f"{a}\t{b}\t{c}\t{d}" for a, b, c, d in cells)]) + "\n"
+    assert text.split("\n")[7_001].split("\t")[1] == "-" + str(Decimal(_BIG))

@@ -6,7 +6,7 @@ import pytest
 
 from wittkit import witt
 from wittkit.polynomials import SparsePolynomial
-from wittkit.serialize import json_dumps, value_to_obj, witt_to_obj
+from wittkit.serialize import json_dumps
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
     GhostVector,
@@ -23,6 +23,8 @@ from wittkit.witt import (
     witt_truncate,
     witt_verschiebung,
 )
+
+from conftest import value_to_obj, witt_to_obj
 
 A = SparsePolynomial.variable("a")
 
