@@ -5,11 +5,11 @@ run emits exactly one result document (JSON or TSV per --format) on stdout
 or at --out, deterministically: identical requests on identical builds give
 byte-identical output.  Each handler builds one value table per result, by
 column; the TSV document prints it, and the JSON payload, a keyed view of the
-same columns (``Records``, with ring elements marked as ``Values``), is built
-only when --format json asks for it.  --manifest PATH records the request, a
-wall time, and a content hash of the result bytes.  --config PATH presets flags from key=value
-lines; each subcommand's parser is the one declaration of its flags' types,
-choices and defaults, and checks the presets too.
+same columns (``Records``, ring elements marked as ``Values``), is built only
+when --format json asks for it.  --manifest PATH records the request, a wall
+time, and a content hash of the result bytes.  --config PATH presets flags
+from key=value lines; each subcommand's parser is the one declaration of its
+flags' types, choices and defaults, and checks the presets too.
 
 Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
 unwritable output path), 2 precondition violation, 3 budget exceeded.

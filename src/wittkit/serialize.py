@@ -157,15 +157,16 @@ def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> st
     text = ["\t".join(header), "\n"]
     for columns in blocks:
         for start in range(0, len(columns[0]) if columns else 0, _ROWS):
-            cells = [_column(c[start:start + _ROWS], _cell)[1] for c in columns]
+            part = [c[start:start + _ROWS] for c in columns] if len(columns[0]) > _ROWS else columns
+            cells = [texts for _, texts in map(_column, part, repeat(_cell))]
             text += "\n".join(map("\t".join, zip(*cells))), "\n"
     return "".join(text)
 
 
 def _column(values: Sequence, cell) -> tuple[str, Iterable[str]]:
-    """A column's texts by ``cell``, and the quote to put around each: ints print at C speed,
-    texts that print as themselves between the format's quotes print as given, and each distinct
-    text, bool or None prints once."""
+    """A column's texts by ``cell``, and the quote to put around each: ``Values`` print by ``value_text``,
+    ints at C speed, texts that print as themselves between the format's quotes as given, and each
+    distinct text, bool or None once."""
     if isinstance(values, Values):
         return "", map(value_text, values.values)
     kinds = set(map(type, values))
