@@ -29,14 +29,14 @@ from typing import NamedTuple
 
 from . import __version__
 from .families import FAMILY_IDS, UnknownFamilyError, builtin_family, family_logarithm, resolve_family_id
-from .formal_groups import Logarithm, group_law_from_logarithm, integrality_report
+from .formal_groups import Logarithm, group_law_from_logarithm
 from .ordinarity import (
     BudgetExceededError,
     frobenius_power_congruence,
     ordinarity_scan,
 )
 from .picard_fuchs import pf_congruence_check
-from .polynomials import as_x_polynomial
+from .polynomials import as_x_polynomial, is_integral
 from .serialize import (
     Records,
     SchemaError,
@@ -202,17 +202,15 @@ def _cmd_fgl(args) -> ResultDoc:
     if args.at_x is not None:
         log = Logarithm([a.evaluate({"x": args.at_x}) for a in log.coeffs])
     law = group_law_from_logarithm(log, args.deg)
-    report = integrality_report(law)
-    failed = {(i, j) for i, j, _ in report.failures}
     exps, coeffs = zip(*law.series.sorted_terms())  # never empty: a law has the terms t1 and t2
-    integral = [ij not in failed for ij in exps]
+    integral = list(map(is_integral, coeffs))  # integrality_report's failures, read off the sorted rows
     column_i, column_j = zip(*exps)
     return ResultDoc(["i", "j", "coeff", "integral"], [[column_i, column_j, coeffs, integral]], lambda: {
         "family": family,
         "degree": args.deg,
         "at_x": args.at_x,
-        "integral": report.passed,
-        "failures": [{"i": i, "j": j} for i, j, _ in report.failures],
+        "integral": all(integral),
+        "failures": [{"i": i, "j": j} for (i, j), ok in zip(exps, integral) if not ok],
         "terms": Records({"i": column_i, "j": column_j, "coeff": Values(coeffs), "integral": integral}),
     })
 

@@ -214,9 +214,8 @@ class IntegralityReport:
 
 
 def integrality_report(law: FormalGroupLaw) -> IntegralityReport:
-    """List every coefficient of the law that carries a denominator, in ``sorted_terms`` order."""
-    failures = [(i, j, c) for (i, j), c in law.series.terms.items() if not is_integral(c)]
-    return IntegralityReport(sorted(failures, key=lambda f: (f[0] + f[1], f[0], f[1])))
+    """List every coefficient of the law that carries a denominator."""
+    return IntegralityReport([(i, j, c) for (i, j), c in law.series.sorted_terms() if not is_integral(c)])
 
 
 class Curve:

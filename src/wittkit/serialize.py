@@ -157,8 +157,7 @@ def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> st
     text = ["\t".join(header), "\n"]
     for columns in blocks:
         for start in range(0, len(columns[0]) if columns else 0, _ROWS):
-            part = [c[start:start + _ROWS] for c in columns] if len(columns[0]) > _ROWS else columns
-            cells = [texts for _, texts in map(_column, part, repeat(_cell))]
+            cells = [_column(c[start:start + _ROWS], _cell)[1] for c in columns]
             text += "\n".join(map("\t".join, zip(*cells))), "\n"
     return "".join(text)
 
