@@ -180,6 +180,33 @@ def test_large_witt_bytes_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITT_DIGESTS[fmt]
 
 
+#: sha256 of stdout for group laws past the goldens' degrees: over Z[x] by extraction and by
+#: closed form, and at a fixed x, one per format.
+FGL_DIGESTS = {
+    (("--family", "hesse-cubic", "--deg", "40"), "json"):
+        "46b03549994988adc7406b3a997e2019701289fce9d0940e233fd334e1370683",
+    (("--family", "hesse-cubic", "--deg", "40"), "tsv"):
+        "faed9dc21581e493a84884281a5f2fa273d99f144dc67b0f06801b9f4a861dba",
+    (("--family", "quintic-cy3", "--deg", "30", "--method", "closed-form"), "json"):
+        "b9916844a8a668dc1724ba7fae8d758b0dff4306dade666ebdbfa46389142f00",
+    (("--family", "quintic-cy3", "--deg", "30", "--method", "closed-form"), "tsv"):
+        "84f618c2c69e06cb11cc03dbec78e28a65384f0c3f5d7c951203fa833a9885e6",
+    (("--family", "quartic-k3", "--deg", "20", "--at-x", "-2"), "json"):
+        "c7f9ffaaf9cb3032ec53a9d7ac42bcd7835c3e1d9edcab2c70342bb4eacae6fe",
+    (("--family", "quartic-k3", "--deg", "20", "--at-x", "-2"), "tsv"):
+        "9f1e40625950437cb158409521f114cebb3e577a2f8116cbde0b2d9d3f77e43c",
+}
+
+
+@pytest.mark.parametrize("request_args, fmt", sorted(FGL_DIGESTS),
+                         ids=["_".join(a[1::2]) + "-" + fmt for a, fmt in sorted(FGL_DIGESTS)])
+def test_large_fgl_bytes_pinned(capsys, request_args, fmt):
+    import hashlib
+    code, out, _ = run(capsys, "fgl", *request_args, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FGL_DIGESTS[request_args, fmt]
+
+
 def test_pf_check_rows(capsys):
     code, out, _ = run(capsys, "pf-check", "--family", "quintic", "--kmax", "10",
                        "--format", "tsv")
