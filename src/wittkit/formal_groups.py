@@ -12,7 +12,10 @@ the common denominator ``L^deg * deg!`` is divided out once per
 coefficient, at the end: the quotient is an int where the division is
 exact, a Fraction otherwise.  ``G`` is commutative, so only the
 coefficients ``G_ij`` with ``j <= i`` are summed: the flow runs
-``floor(deg/2)`` steps, and each ``G_ji`` is a copy of ``G_ij``.  Whether
+``floor(deg/2)`` steps, and each ``G_ji`` is a copy of ``G_ij``.  Its
+series are lists of coefficients: ``{x exponent: int}`` dicts, summed in
+place and made polynomials once, after the division, when every ``a_m``
+used is a polynomial in one and the same variable, else the values.  Whether
 the law has integral coefficients is a certificate checked after
 synthesis, never an assumption.
 
@@ -36,9 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 from typing import Iterable
 
-from .polynomials import NonIntegralError, SparsePolynomial, Value, as_integral, is_integral
+from .polynomials import NonIntegralError, SparsePolynomial, Value, _value_repr, as_integral, is_integral
 from .series import MultiTruncatedSeries, TruncatedSeries
 from .witt import GhostVector, WittVector, from_ghost
 
@@ -99,7 +103,7 @@ class Logarithm:
         return hash(len(self.coeffs))
 
     def __repr__(self):
-        return f"Logarithm({list(self.coeffs)!r})"
+        return f"Logarithm([{', '.join(map(_value_repr, self.coeffs))}])"
 
     def is_multiplicative(self) -> bool:
         return all(a == 1 for a in self.coeffs)
@@ -162,37 +166,67 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
     if degree < 1:
         raise ValueError("total degree must be >= 1")
     common, half = lcm(*range(1, degree + 1)), degree // 2  # L clears every 1/m of l; j <= half
-    lam = TruncatedSeries(
-        "t", [0] + [a * (common // m) for m, a in enumerate(log.coeffs[:half], 1)], half
-    )
-    w = TruncatedSeries("t", log.coeffs[:degree]).inverse()  # 1/l'(t)
-    f = TruncatedSeries("t", [0, log.coeffs[0]], degree)  # a_1 as stored keeps its type
-    power = TruncatedSeries.constant(1, "t", half)  # lam^k
     denominator = scale = common**degree * factorial(degree)  # scale = D/(L^k k!)
-    numerators: dict[tuple[int, int], Value] = {}
+    a, variables = log.coeffs[:degree], getattr(log.coeffs[0], "variables", ())  # () for a scalar
+    zero, one, times, add_products = int, 1, mul, _add_products
+    if len(variables) == 1 and all(isinstance(c, SparsePolynomial) and c.variables == variables for c in a):
+        a = [{e: c for (e,), c in p.terms.items()} for p in a]
+        zero, one, times, add_products = dict, {0: 1}, _x_times, _add_x_products
+
+    def product(u, v):  # the series u * v, to the lesser order
+        out = [zero() for _ in range(min(len(u), len(v)))]
+        for i, c in enumerate(u[:len(out)]):
+            if c:
+                add_products(out, i, c, v[:len(out) - i])
+        return out
+
+    lam = [zero()] + [times(c, common // m) for m, c in enumerate(a[:half], 1)]
+    w, sums = [one], [zero() for _ in range(degree)]  # w = 1/l'(t), sums[n] = -w[n]
+    for n in range(1, degree):
+        add_products(sums, n, w[-1], a[1:degree - n + 1])
+        w.append(times(sums[n], -1))
+    f, power = [zero(), a[0]] + [zero()] * (degree - 1), [one] + [zero()] * half  # never summed into
+    columns = [[zero() for _ in range(degree - j + 1)] for j in range(half + 1)]  # columns[j][i]: G_ij
     for k in range(half + 1):
-        scaled = power.scale(scale).coefficients
-        for i, fi in enumerate(f.coefficients):
-            if not fi:
-                continue
-            for j in range(k, min(i, degree - i) + 1):
-                if scaled[j]:
-                    numerators[i, j] = numerators.get((i, j), 0) + fi * scaled[j]
+        for j, c in enumerate(power[k:], k):
+            if c:
+                add_products(columns[j], j, times(c, scale), f[j:degree - j + 1])
         if k < half:
-            derivative = [i * c for i, c in enumerate(f.coefficients)][1:]
-            f, power = TruncatedSeries("t", derivative) * w, power * lam
+            f, power = product([times(c, i) for i, c in enumerate(f[1:], 1)], w), product(power, lam)
             scale //= common * (k + 1)
 
-    def divide(n: Value) -> Value:  # n / D, an int wherever D divides n
+    def divide(n: Value | dict) -> Value:  # n / D, an int wherever D divides n
+        if isinstance(n, dict):  # a Z[x] coefficient becomes a polynomial here, once
+            return SparsePolynomial._canonical(variables, {(e,): divide(c) for e, c in n.items()})
         if isinstance(n, SparsePolynomial):
-            quotients = {e: divide(c) for e, c in n.terms.items()}
-            return SparsePolynomial._canonical(n.variables, quotients)
+            return SparsePolynomial._canonical(n.variables, {e: divide(c) for e, c in n.terms.items()})
         q, r = divmod(n, denominator)
         return Fraction(n, denominator) if r else q
 
-    terms = {ij: divide(n) for ij, n in numerators.items()}
+    terms = {(i, j): divide(n) for j, column in enumerate(columns) for i, n in enumerate(column) if n}
     terms.update({(j, i): c for (i, j), c in terms.items()})  # G_ji = G_ij
     return FormalGroupLaw(MultiTruncatedSeries._canonical(("t1", "t2"), degree, terms))  # i + j <= degree
+
+
+def _add_products(out: list, start: int, c: Value, row) -> None:
+    """``out[start + j] += c * row[j]`` for every nonzero ``row[j]``."""
+    for j, b in enumerate(row, start):
+        if b:
+            out[j] = out[j] + c * b
+
+
+def _add_x_products(out: list, start: int, c: dict, row) -> None:
+    """The same over ``{x exponent: int}`` dicts, each ``out[j]`` summed in place."""
+    for j, b in enumerate(row, start):
+        if b:
+            acc = out[j]
+            for e1, c1 in c.items():
+                for e2, c2 in b.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+
+
+def _x_times(c: dict, n: int) -> dict:
+    return {e: v * n for e, v in c.items()}
 
 
 class IntegralityReport:

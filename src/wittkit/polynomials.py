@@ -297,7 +297,8 @@ class SparsePolynomial:
         return format_value(self)
 
     def __repr__(self) -> str:
-        return f"SparsePolynomial({self.variables!r}, {dict(self.sorted_terms())!r})"
+        terms = ", ".join(f"{e!r}: {_value_repr(c)}" for e, c in self.sorted_terms())
+        return f"SparsePolynomial({self.variables!r}, {{{terms}}})"
 
 
 # -- value helpers (shared by series, Witt vectors, formal groups) ----------
@@ -388,6 +389,13 @@ def format_value(value: Value) -> str:
     for text in parts[1:]:
         out += text if text.startswith("-") else "+" + text
     return out
+
+
+def _value_repr(value: Value) -> str:
+    """``repr(value)`` whatever its size: ints go through ``_scalar_text``."""
+    if isinstance(value, Fraction):
+        return f"Fraction({_scalar_text(value.numerator)}, {_scalar_text(value.denominator)})"
+    return _scalar_text(value) if isinstance(value, int) else repr(value)
 
 
 def _scalar_text(c: Scalar) -> str:

@@ -78,13 +78,8 @@ def witt_from_obj(obj) -> WittVector:
     return WittVector(coords)
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):  # an iterator inside a finished value is listed
-        return list(o) if isinstance(o, Iterator) else super().default(o)
-
-
-_ENCODER = _Encoder(sort_keys=True, separators=(",", ":"))
-_ROWS = 4096  # tsv_dumps formats its columns this many rows at a time, so only a slice's texts live at once
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ROWS = 4096  # tsv_dumps and Values print this many rows at a time, so only a slice's texts live at once
 
 
 def json_dumps(obj) -> str:
@@ -127,13 +122,15 @@ def _chunks(obj):
             yield ("," if i else "{") + _ENCODER.encode(key) + ":"
             yield from _chunks(obj[key])
         yield "}" if obj else "{}"
-    elif isinstance(obj, (Iterator, Records)):
+    elif isinstance(obj, Records):
         yield "["
-        for i, text in enumerate(_records(obj) if isinstance(obj, Records) else map(_ENCODER.encode, obj)):
+        for i, text in enumerate(_records(obj)):
             yield ("," if i else "") + text
         yield "]"
     elif isinstance(obj, Values):
-        yield "[" + ",".join(map(value_text, obj.values)) + "]"
+        for start in range(0, len(obj.values), _ROWS):
+            yield ("," if start else "[") + ",".join(map(value_text, obj.values[start:start + _ROWS]))
+        yield "]" if obj.values else "[]"
     elif isinstance(obj, SparsePolynomial):  # one polynomial, such as a residual, which the C encoder refuses
         yield value_text(obj)
     else:

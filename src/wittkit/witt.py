@@ -32,7 +32,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable
 
-from .polynomials import NonIntegralError, Value, as_integral, divide_exact, is_integral
+from .polynomials import NonIntegralError, Value, _value_repr, as_integral, divide_exact, is_integral
 from .series import TruncatedSeries
 
 
@@ -80,7 +80,7 @@ class GhostVector:
         return hash(self.length)
 
     def __repr__(self):
-        return f"GhostVector({list(self.entries)!r})"
+        return f"GhostVector([{', '.join(map(_value_repr, self.entries))}])"
 
     def _zip(self, other: "GhostVector") -> zip:
         if not isinstance(other, GhostVector):
@@ -139,7 +139,7 @@ class WittVector:
         return hash(self.length)
 
     def __repr__(self):
-        return f"WittVector({list(self.coords)!r})"
+        return f"WittVector([{', '.join(map(_value_repr, self.coords))}])"
 
     def to_series(self, order: int | None = None, variable: str = "t") -> TruncatedSeries:
         """The series ``prod (1 - a_i t^i)^(-1)`` modulo ``t^(order+1)``."""

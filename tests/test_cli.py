@@ -433,6 +433,21 @@ def test_json_emit_peak_stays_below_four_bodies(argv):
     assert peak < 4 * len(body)
 
 
+def test_json_emit_of_a_long_values_array_stays_below_two_and_a_quarter_bodies():
+    """A ``Values`` array is printed a slice of elements at a time: emitting it
+    holds the slices' texts and the joined body, never a third copy."""
+    args = build_parser().parse_args(["witt", "--op", "verschiebung", "--m", "20000", "--u", '{"coords":[1]}'])
+    doc = args.handler(args)
+    tracemalloc.start()
+    try:
+        body = doc.emit("json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(body) > 2_000_000
+    assert peak < 2.25 * len(body)
+
+
 def test_pf_check_holds_one_coefficient_at_a_time(capsys):
     """pf-check reads each a_k from the closed form, reduces it mod k and drops
     it: a_1..a_300 over Z together take about 2 MiB."""

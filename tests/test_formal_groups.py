@@ -378,6 +378,40 @@ def test_half_synthesis_matches_full_flow():
     assert integral == {(0, True), (0, False), (1, True), (1, False)}
 
 
+def test_polynomial_logarithms_match_full_flow_and_reversion():
+    """Logarithms whose every a_m, a_1 included, is a polynomial in one variable,
+    named x or not, with zero polynomials among them: the law's coefficients
+    are the full flow's, each a polynomial in that variable with the same
+    scalar types, and equal the reversion's where that reference is cheap."""
+    rng = random.Random(39)
+    cases = []
+    for name in ("x", "s"):
+        one, var, zero = (SparsePolynomial.constant(1, (name,)), SparsePolynomial.variable(name),
+                          SparsePolynomial.zero((name,)))
+        cases += [(Logarithm([one, zero, zero, var, zero]), 5), (Logarithm([one] * 6 + [zero]), 7)]
+        for degree in range(1, 12):
+            c = rng.randint(-3, 3) * var  # the law t1 + t2 - c t1 t2, integral
+            cases.append((Logarithm([c**m for m in range(degree)]), degree))
+            cases.append((Logarithm([one] + [
+                rng.randint(-2, 2) * one + rng.choice((0, 0, 1, -1)) * var + rng.choice((0, 0, 1)) * var**3
+                for _ in range(degree - 1)
+            ]), degree))
+    seen = set()
+    for log, degree in cases:
+        name = log.coeffs[0].variables
+        assert all(isinstance(a, SparsePolynomial) and a.variables == name for a in log.coeffs)
+        law = group_law_from_logarithm(log, degree)
+        assert {e: _typed(c) for e, c in law.series.terms.items()} == {
+            e: _typed(c) for e, c in _full_flow_terms(log, degree).items()
+        }, (log, degree)
+        assert all(type(c) is SparsePolynomial and c.variables == name for c in law.series.terms.values())
+        if degree <= 8:
+            assert law.series == _law_by_reversion(log, degree)
+        seen.add((name, integrality_report(law).passed))
+    assert any(not a for log, _ in cases for a in log.coeffs)
+    assert seen == {(("x",), True), (("x",), False), (("s",), True), (("s",), False)}
+
+
 # -- curves -----------------------------------------------------------------------
 
 

@@ -432,3 +432,26 @@ def test_container_inequality():
     pairs += zip(_containers([1])[:2], _containers([1], name="u")[:2])  # series variables
     for left, right in pairs:
         assert left != right and not left == right, type(left).__name__
+
+
+_BIG = 10**4400 + 7  # past str()'s 4,300-digit limit
+_BIG_TEXT = "1" + "0" * 4399 + "7"
+
+
+@pytest.mark.parametrize("value, text", [
+    (SparsePolynomial(("x", "y"), {(0, 2): Fraction(-1, 2), (1, 0): 3}),
+     "SparsePolynomial(('x', 'y'), {(1, 0): 3, (0, 2): Fraction(-1, 2)})"),
+    (SparsePolynomial(("x",), {(1,): _BIG, (0,): Fraction(1, -_BIG)}),
+     f"SparsePolynomial(('x',), {{(0,): Fraction(-1, {_BIG_TEXT}), (1,): {_BIG_TEXT}}})"),
+    (WittVector([-2, 3 * X]), "WittVector([-2, SparsePolynomial(('x',), {(1,): 3})])"),
+    (WittVector([1, _BIG * X]), f"WittVector([1, SparsePolynomial(('x',), {{(1,): {_BIG_TEXT}}})])"),
+    (GhostVector([Fraction(1, 3), 4]), "GhostVector([Fraction(1, 3), 4])"),
+    (GhostVector([Fraction(_BIG, 2), -_BIG]), f"GhostVector([Fraction({_BIG_TEXT}, 2), -{_BIG_TEXT}])"),
+    (Logarithm([1, -5, X]), "Logarithm([1, -5, SparsePolynomial(('x',), {(1,): 1})])"),
+    (Logarithm([1, _BIG]), f"Logarithm([1, {_BIG_TEXT}])"),
+], ids=[f"{kind}-{size}" for kind in ("SparsePolynomial", "WittVector", "GhostVector", "Logarithm")
+        for size in ("small", "big")])
+def test_repr_prints_ints_of_any_size(value, text):
+    """``repr`` prints each int through ``_scalar_text``: a coefficient past the digit
+    limit prints in full rather than raising, and small values print as before."""
+    assert repr(value) == text
