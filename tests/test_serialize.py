@@ -193,6 +193,13 @@ def test_values_print_as_arrays_and_columns_of_reference_objects(values):
     assert json_dumps({"p": X - 1}) == dumps({"p": value_to_obj(X - 1)})
 
 
+@pytest.mark.parametrize("n", [4_095, 4_096, 4_097, 9_000])
+def test_values_past_one_slice_print_as_one_array(n):
+    values = [k if k % 3 else X * k - 1 for k in range(n)]  # json_dumps joins 4,096 at a time
+    expected = json.dumps({"a": [value_to_obj(v) for v in values]}, sort_keys=True, separators=(",", ":"))
+    assert json_dumps({"a": Values(values)}) == expected + "\n"
+
+
 def test_values_never_reach_the_c_encoder_as_a_list():
     # inside a plain list a Values would be printed by the C encoder, which refuses it rather
     # than print its ints as JSON numbers
