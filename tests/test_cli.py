@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
 from wittkit.picard_fuchs import pf_congruence_check
 from wittkit.polynomials import SparsePolynomial, format_value
+from wittkit.serialize import value_from_obj
 from wittkit.witt import WittVector
 
 from conftest import value_to_obj, witt_to_obj
@@ -178,6 +180,78 @@ def test_large_witt_bytes_pinned(capsys, fmt):
                        "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITT_DIGESTS[fmt]
+
+
+def _zx_vector(seed, length, zero_every):
+    """A Witt vector over Z[x] as JSON: a_1 is the int 0, and of the other coordinates every
+    ``zero_every``-th is the zero polynomial, every seventh a constant and the rest of degree 2,
+    with coefficients drawn from [-3, 3]."""
+    rng = random.Random(seed)
+    coords = [0]
+    for i in range(2, length + 1):
+        degrees = () if i % zero_every == 1 else (0,) if i % 7 == 3 else (0, 1, 2)
+        terms = [{"exponents": [e], "coefficient": str(c)} for e in degrees if (c := rng.randint(-3, 3))]
+        coords.append({"variables": ["x"], "terms": terms})
+    return json.dumps({"coords": coords})
+
+
+def _zx_ghost(length):
+    """The ghost of ``_zx_vector(7, length, 4)`` by the divisor sums; g_1 is the int 0."""
+    a = [value_from_obj(c) for c in json.loads(_zx_vector(7, length, 4))["coords"]]
+    divisor_sum = lambda k: sum((d * a[d - 1] ** (k // d) for d in range(1, k + 1) if k % d == 0 and a[d - 1]), 0)
+    return [divisor_sum(k) for k in range(1, length + 1)]
+
+
+def _zx_requests(length):
+    u, v = _zx_vector(length, length, 4), _zx_vector(length + 1, length, 5)
+    return {f"add-{length}": ("add", "--u", u, "--v", v), f"mul-{length}": ("mul", "--u", u, "--v", v),
+            f"frobenius-{length}": ("frobenius", "--m", "2", "--u", u), f"ghost-{length}": ("ghost", "--u", v)}
+
+
+#: sha256 of stdout for Witt arithmetic over Z[x] past the goldens' lengths, one per format.
+ZX_WITT_REQUESTS = {**_zx_requests(16), **_zx_requests(24),
+                    "from-ghost-12": ("from-ghost", "--g", json.dumps([value_to_obj(g) for g in _zx_ghost(12)]))}
+ZX_WITT_DIGESTS = {
+    ("add-16", "json"): "17f8e7b22f71540120dd5cbd29a6613c2f00b72d3a75b900f928b93deae22661",
+    ("add-16", "tsv"): "160a1215157a18fb8728898ad2b1ae720a8ae57f958ff85c54ac42b3d6772c61",
+    ("add-24", "json"): "c44a53834e0e2a8de3c8ad0e64c700558eadf85346d85ce4a63cff0d8f2d6f43",
+    ("add-24", "tsv"): "48ecb46adb0f08bd06f4ba788f47be8d9963f9ad5c23eada7795a891445e943c",
+    ("frobenius-16", "json"): "76ed1251bf6887b413997dc17e5b9823e919de727490aa6cc2b65695519a58ec",
+    ("frobenius-16", "tsv"): "90d99b24406599c1f332d84a638999de5ca653a6e180c3f18a817eab8d095f2a",
+    ("frobenius-24", "json"): "5d852e39de6dec455c21be1e8f728663b7e9f02e1a72885bdf0be7a3505a6b6f",
+    ("frobenius-24", "tsv"): "55c40d4d910d667a13f588a8612b5aa749a3debba2c41219d882c33f3f5c0d95",
+    ("from-ghost-12", "json"): "0765a68cef826c487f093a28e39b012dd5a406ab95ed9247ee2e755c7c5cb987",
+    ("from-ghost-12", "tsv"): "5e3a788c43a84804dd4250004aecfb3d5da9e3c06ab7c7a8f4481b04c8d38d3b",
+    ("ghost-16", "json"): "789b0d49f5d467f7f328ee0e214d349bfe0dabecbd01c2bb1869508962af3c05",
+    ("ghost-16", "tsv"): "5baf303e20971014c676fe91e999ce078d79d422144358950b2752c0f13d03fc",
+    ("ghost-24", "json"): "c195e457445a43bd86474ef6adacf2fa37c1d3a49d5bbc028974b0b46d87f6ed",
+    ("ghost-24", "tsv"): "53851a956c74543cfeebf8c13ee03e57cf29a8ab2287c03058e9e00e4450ae94",
+    ("mul-16", "json"): "710e66ee5eb7c1d615571e6799e68615a0f701f23226b3d5620fdcac05e04e68",
+    ("mul-16", "tsv"): "1f812fa39486039442df82638ed6bf4fcec9da87fb4d0bc07f4f789ac0571f7c",
+    ("mul-24", "json"): "94a602ae5d8dfde9038648f24e030f7979e99132582721aeea6ac932da4e8c7e",
+    ("mul-24", "tsv"): "162ee77d3a53514a6c398fda08177d8c14e8c13e0ff75a779f517f887469ce0d",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(ZX_WITT_DIGESTS))
+def test_zx_witt_bytes_pinned(capsys, name, fmt):
+    import hashlib
+    code, out, _ = run(capsys, "witt", "--op", *ZX_WITT_REQUESTS[name], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ZX_WITT_DIGESTS[name, fmt]
+
+
+def test_zx_from_ghost_names_the_first_indivisible_coefficient(capsys):
+    """g_4 + 1 + x + 2x^5 leaves a remainder with several coefficients not divisible by 4; the
+    message names the first in the order of g_4's terms and then of the terms subtracted."""
+    ghost = _zx_ghost(6)
+    entries = [value_to_obj(g) for g in ghost]
+    entries[3] = value_to_obj(ghost[3] + 1 + X + 2 * X**5)
+    for terms, coefficient in ((entries[3]["terms"], -11), (entries[3]["terms"][::-1], 2)):
+        g = json.dumps([*entries[:3], {"variables": ["x"], "terms": terms}, *entries[4:]])
+        code, out, err = run(capsys, "witt", "--op", "from-ghost", "--g", g)
+        assert (code, out) == (2, "")
+        assert err == f"wittkit: integrality failure at index 4: {coefficient} is not divisible by 4\n"
 
 
 #: sha256 of stdout for group laws past the goldens' degrees: over Z[x] by extraction and by
