@@ -43,6 +43,7 @@ from operator import mul
 from typing import Iterable
 
 from .polynomials import NonIntegralError, SparsePolynomial, Value, _value_repr, as_integral, is_integral
+from .polynomials import x_add_products, x_mul, x_terms
 from .series import MultiTruncatedSeries, TruncatedSeries
 from .witt import GhostVector, WittVector, from_ghost
 
@@ -170,8 +171,8 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
     a, variables = log.coeffs[:degree], getattr(log.coeffs[0], "variables", ())  # () for a scalar
     zero, one, times, add_products = int, 1, mul, _add_products
     if len(variables) == 1 and all(isinstance(c, SparsePolynomial) and c.variables == variables for c in a):
-        a = [{e: c for (e,), c in p.terms.items()} for p in a]
-        zero, one, times, add_products = dict, {0: 1}, _x_times, _add_x_products
+        a = [x_terms(p) for p in a]
+        zero, one, times, add_products = dict, {0: 1}, x_mul, x_add_products
 
     def product(u, v):  # the series u * v, to the lesser order
         out = [zero() for _ in range(min(len(u), len(v)))]
@@ -213,20 +214,6 @@ def _add_products(out: list, start: int, c: Value, row) -> None:
     for j, b in enumerate(row, start):
         if b:
             out[j] = out[j] + c * b
-
-
-def _add_x_products(out: list, start: int, c: dict, row) -> None:
-    """The same over ``{x exponent: int}`` dicts, each ``out[j]`` summed in place."""
-    for j, b in enumerate(row, start):
-        if b:
-            acc = out[j]
-            for e1, c1 in c.items():
-                for e2, c2 in b.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-
-
-def _x_times(c: dict, n: int) -> dict:
-    return {e: v * n for e, v in c.items()}
 
 
 class IntegralityReport:

@@ -45,6 +45,7 @@ powers; ``declared_singular`` tests the rules at one value.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache, reduce
 from itertools import accumulate, compress, cycle, product, repeat
 from math import comb, gcd, isqrt, prod
 from struct import Struct
@@ -189,11 +190,13 @@ def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
 
 def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
     """a_p(lambda) mod p at one value, by Horner over F_p; the scan reads every value at once."""
-    terms, lam = hasse_witt_poly(family_id, p).terms, lam % p
-    value = 0
-    for e in reversed(range(max(e for (e,) in terms) + 1)):
-        value = (value * lam + terms.get((e,), 0)) % p
-    return value
+    return reduce(lambda value, c: (value * lam + c) % p, _hasse_witt_coefficients(family_id, p), 0)
+
+
+@lru_cache(maxsize=128)  # a_p mod p, dense, the leading coefficient first: built once per (family, p)
+def _hasse_witt_coefficients(family_id: str, p: int) -> tuple[int, ...]:
+    terms = hasse_witt_poly(family_id, p).terms
+    return tuple(terms.get((e,), 0) for e in reversed(range(max(e for (e,) in terms) + 1)))
 
 
 def projective_point_total(dimension: int, p: int) -> int:

@@ -360,6 +360,34 @@ def divide_exact(value: Value, k: int) -> Value:
     raise TypeError(f"not an exact value: {value!r}")
 
 
+def x_terms(p: SparsePolynomial) -> dict:
+    """A polynomial in one variable as an ``{x exponent: coefficient}`` dict."""
+    return {e: c for (e,), c in p.terms.items()}
+
+
+def x_polynomial(variables: tuple, terms: dict) -> SparsePolynomial:
+    """The polynomial over the one variable of ``variables`` with these dict terms, less any zero."""
+    return SparsePolynomial._canonical(variables, {(e,): c for e, c in terms.items()})
+
+
+def x_add_products(out: list, start: int, c: dict, row) -> None:
+    """``out[start + j] += c * row[j]`` in place for each nonzero dict ``row[j]``, in SparsePolynomial order."""
+    for j, b in enumerate(row, start):
+        if b:
+            acc = out[j]
+            for e1, c1 in c.items():
+                for e2, c2 in b.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+
+
+def x_mul(a: dict, b: dict | int) -> dict:
+    """``a * b`` for a dict and a dict or an int; a product of dicts drops 0s, as SparsePolynomial's does."""
+    if type(b) is int:
+        return {e: c * b for e, c in a.items()}
+    x_add_products(((out := {}),), 0, a, (b,))
+    return out if all(out.values()) else {e: c for e, c in out.items() if c}
+
+
 def format_value(value: Value) -> str:
     """Canonical text form: terms ascending by degree, explicit * and ^, each
     coefficient printed exactly however many digits it has.

@@ -137,9 +137,6 @@ class TruncatedSeries:
             return self + (-other)
         return NotImplemented
 
-    def scale(self, value: Value) -> "TruncatedSeries":
-        return TruncatedSeries(self.variable, [c * value for c in self.coefficients], self.order)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

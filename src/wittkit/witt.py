@@ -8,12 +8,15 @@ through the ghost map
 
     g_k = sum over divisors d of k of  d * a_d^(k/d),
 
-which is an injective ring homomorphism onto entrywise arithmetic whenever
-the coefficient ring is torsion-free; it and its inverse are computed by a
-sieve over multiples.  Every operation here computes on ghost components and
-pulls back, asserting exact divisibility at each step; the coefficient rings
-in scope (Z and Z[x]) make that pullback exact by theory, so a divisibility
-failure inside a ring operation is a library defect, not a data error.
+which is an injective ring homomorphism onto entrywise arithmetic whenever the
+coefficient ring is torsion-free; it and its inverse are computed by a sieve
+over multiples, on ``{x exponent: int}`` dicts made polynomials at the end
+when every value read is the int 0 or a polynomial in one and the same
+variable with int coefficients.  Every operation here computes on ghost
+components and pulls back, asserting exact divisibility at each step; the
+coefficient rings in scope (Z and Z[x]) make that pullback exact by theory, so
+a divisibility failure inside a ring operation is a library defect, not a data
+error.
 
 A vector keeps its ghost: the pullback sums the powers ``k * a_k^(m/k)`` it
 subtracts into the ghost of its result, and ``to_ghost`` runs the sieve at
@@ -33,6 +36,7 @@ from operator import mul
 from typing import Iterable
 
 from .polynomials import NonIntegralError, Value, _value_repr, as_integral, divide_exact, is_integral
+from .polynomials import SparsePolynomial, x_mul, x_polynomial, x_terms
 from .series import TruncatedSeries
 
 
@@ -185,23 +189,37 @@ def teichmueller(a: Value, length: int) -> WittVector:
     return WittVector([a] + [0] * (length - 1))
 
 
-def _ghost_terms(d: int, a: Value, n: int):
-    """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple."""
+def _ghost_terms(d: int, a: Value | dict, n: int):
+    """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple, of a value or a dict."""
     if not a:
         return ()
-    powers = accumulate(repeat(a), mul)  # at d = 1 the powers themselves, not copies scaled by 1
-    return ((m - 1, d * power if d > 1 else power) for m, power in zip(range(d, n + 1, d), powers))
+    times = x_mul if type(a) is dict else mul  # d * a^j is (d * a^(j-1)) * a; at d = 1, a itself, no copy
+    return zip(range(d - 1, n, d), accumulate(repeat(a), times, initial=times(a, d) if d > 1 else a))
+
+
+def _x_variables(values) -> tuple | None:
+    """``(v,)`` if each value is the int 0 or a polynomial in v alone with int coefficients, one at least."""
+    kinds = {a.variables if type(a) is SparsePolynomial and all(type(c) is int for c in a.terms.values())
+             else (type(a), a) for a in values} - {(int, 0)}
+    return kinds.pop() if len(kinds) == 1 and len(next(iter(kinds))) == 1 else None  # other kinds are pairs
 
 
 def to_ghost(w: WittVector) -> GhostVector:
     """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over
     multiples; the vector keeps them, so the sieve runs once per vector."""
     if w._ghost is None:
-        entries: list[Value] = [0] * w.length
+        n, variables = w.length, _x_variables(w.coords)
+        entries: list = [0] * n  # over Z[x], an entry is a dict once a term reaches it
         for d, a in enumerate(w.coords, start=1):
-            for i, term in _ghost_terms(d, a, w.length):
-                entries[i] = entries[i] + term
-        w._ghost = GhostVector(entries)
+            for i, term in _ghost_terms(d, x_terms(a) if variables and a else a, n):
+                if variables:
+                    acc = entries[i] = entries[i] or {}
+                    for e, c in term.items():
+                        acc[e] = acc.get(e, 0) + c
+                else:
+                    entries[i] = entries[i] + term
+        w._ghost = GhostVector([x_polynomial(variables, s) if type(s) is dict else 0 for s in entries]
+                               if variables else entries)
     return w._ghost
 
 
@@ -212,19 +230,31 @@ def from_ghost(g: GhostVector) -> WittVector:
     The result keeps the ghost summed from the powers the recursion
     subtracts, in the order ``to_ghost`` sums them.
     """
-    rest, ghost = list(g.entries), [0] * g.length
-    coords: list[Value] = []
-    for k in range(1, g.length + 1):
+    n, variables = g.length, _x_variables(g.entries)
+    rest = [x_terms(a) if a else {} for a in g.entries] if variables else list(g.entries)
+    ghost, coords = [0] * n, []
+    for k in range(1, n + 1):
         try:
-            coords.append(divide_exact(rest[k - 1], k))
+            coords.append({e: divide_exact(c, k) for e, c in rest[k - 1].items()} if variables
+                          else divide_exact(rest[k - 1], k))
         except NonIntegralError as exc:
-            # the subtracted terms are integral, so a non-integral rest means g_k is not
-            if not is_integral(rest[k - 1]):
+            if not is_integral(g.entries[k - 1]):
                 raise IntegralityError(k, f"g_{k} = {g.entries[k - 1]} is not an integer") from exc
             raise IntegralityError(k, str(exc)) from exc
-        for i, term in _ghost_terms(k, coords[-1], g.length):
-            rest[i] = rest[i] - term
-            ghost[i] = ghost[i] + term
+        for i, term in _ghost_terms(k, coords[-1], n):
+            if variables:  # ghost[i]: a term reached entry i, so the kept ghost is the entry
+                acc, ghost[i] = rest[i], True
+                for e, c in term.items():
+                    if c := acc.get(e, 0) - c:
+                        acc[e] = c
+                    else:  # as a polynomial difference drops it, so the terms keep their order
+                        del acc[e]
+            else:
+                rest[i] = rest[i] - term
+                ghost[i] = ghost[i] + term
+    if variables:  # a coordinate is a polynomial where its entry is one or a term reached it
+        coords = [x_polynomial(variables, a) if r or type(e) is not int else 0 for e, r, a in zip(g, ghost, coords)]
+        ghost = [(e or x_polynomial(variables, {})) if r else 0 for e, r in zip(g, ghost)]
     w = WittVector(coords)
     w._ghost = GhostVector(ghost)
     return w

@@ -320,7 +320,7 @@ def _full_flow_terms(log, degree):
     denominator = scale = common**degree * factorial(degree)
     numerators = {}
     for k in range(degree + 1):
-        scaled = power.scale(scale).coefficients
+        scaled = [c * scale for c in power.coefficients]
         for i, fi in enumerate(f.coefficients):
             if not fi:
                 continue

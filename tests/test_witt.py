@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from wittkit import witt
-from wittkit.polynomials import SparsePolynomial
+from wittkit.polynomials import NonIntegralError, SparsePolynomial, divide_exact, is_integral
 from wittkit.serialize import json_dumps
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
@@ -408,3 +408,131 @@ def test_results_keep_their_ghost(monkeypatch):
             assert witt_add(r, r) == witt_scale_int(2, r)
             assert len(sieved) == 2 * r.length  # two pullbacks, no sieve at all
             assert [value_to_obj(x) for x in ghost] == _sieved(r)
+
+
+# -- the sieve over {x exponent: int} dicts ------------------------------------------------
+
+
+def _naive_to_ghost(coords):
+    """The divisor sums ``g_m = sum_{d|m} d * a_d^(m/d)`` over SparsePolynomial arithmetic, each
+    power one product past the last, summed into ``0`` in increasing d."""
+    entries = [0] * len(coords)
+    for d, a in enumerate(coords, start=1):
+        if a:
+            power = a
+            for m in range(d, len(coords) + 1, d):
+                entries[m - 1] = entries[m - 1] + d * power
+                power = power * a
+    return entries
+
+
+def _naive_from_ghost(entries):
+    """Coordinates and kept ghost of the ghost recursion over SparsePolynomial arithmetic, or the
+    IntegralityError it stops at."""
+    n = len(entries)
+    rest, ghost, coords = list(entries), [0] * n, []
+    for k in range(1, n + 1):
+        try:
+            coords.append(divide_exact(rest[k - 1], k))
+        except NonIntegralError as exc:
+            if not is_integral(rest[k - 1]):
+                raise IntegralityError(k, f"g_{k} = {entries[k - 1]} is not an integer") from exc
+            raise IntegralityError(k, str(exc)) from exc
+        a, power = coords[-1], coords[-1]
+        for m in range(k, n + 1, k) if a else ():
+            rest[m - 1] = rest[m - 1] - k * power
+            ghost[m - 1] = ghost[m - 1] + k * power
+            power = power * a
+    return coords, ghost
+
+
+def _typed(values):
+    return [(type(v), value_to_obj(v)) for v in values]
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (IntegralityError, ValueError) as exc:
+        return "error", type(exc), str(exc), getattr(exc, "index", None)
+
+
+def _random_value(rng, kinds):
+    kind = rng.choice(kinds)
+    coefficient = lambda: rng.choice([-3, -2, -1, 1, 2, 3])
+    if kind == "zero":
+        return 0
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "zero-x":
+        return SparsePolynomial(("x",), {})
+    if kind == "x":
+        return SparsePolynomial(("x",), {(e,): coefficient() for e in rng.sample(range(4), rng.randint(1, 3))})
+    if kind == "y":
+        return SparsePolynomial(("y",), {(e,): coefficient() for e in rng.sample(range(3), rng.randint(1, 2))})
+    if kind == "xy":
+        return SparsePolynomial(("x", "y"), {(1, 0): coefficient(), (0, rng.randint(0, 1)): coefficient()})
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))  # "fraction", a ghost entry only
+
+
+def test_sieve_over_dicts_matches_a_naive_sieve():
+    """to_ghost and from_ghost return what the divisor sums and the ghost recursion over
+    SparsePolynomial arithmetic return, value, type and variables of every coordinate and every
+    kept-ghost entry, or fail at the same index with the same text; most inputs are vectors over
+    Z[x] with int 0 and zero polynomials among their values, the rest mix in ints, polynomials in
+    y or in x and y, and rational ghost entries."""
+    # at index 4 the x^1 term of the remainder cancels and comes back, after the constant term,
+    # and both coefficients are not divisible by 4: the message names the constant's
+    terms = [{1: 3, 0: -1}, {2: -3, 0: 3}, {1: -3, 0: -1}, {0: 1, 1: -1}, {}, {1: 1, 2: -3}]
+    entries = [SparsePolynomial(("x",), {(e,): c for e, c in t.items()}) for t in terms]
+    assert _outcome(from_ghost, GhostVector(entries)) == _outcome(_naive_from_ghost, entries) == (
+        "error", IntegralityError, "integrality failure at index 4: -1 is not divisible by 4", 4)
+    rng = random.Random(40)
+    zx, mixed = ["zero", "zero-x", "x", "x", "x"], ["zero", "int", "zero-x", "x", "y", "xy"]
+    failures = 0
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        kinds = zx if trial % 3 else mixed
+        coords = [_random_value(rng, kinds) for _ in range(n)]
+        expected = _outcome(_naive_to_ghost, coords)
+        got = _outcome(lambda: list(to_ghost(WittVector(coords))))
+        if expected[0] == "value":
+            assert got[0] == "value" and _typed(got[1]) == _typed(expected[1])
+            entries = list(expected[1])
+        else:
+            assert got[:3] == expected[:3]
+            entries = [_random_value(rng, kinds) for _ in range(n)]
+        if rng.random() < 0.4:  # spoil one entry: a remainder that k may not divide
+            k, extra = rng.randrange(n), _random_value(rng, kinds + ["int", "fraction"])
+            entries[k] = extra if _outcome(lambda: entries[k] + extra)[0] == "error" else entries[k] + extra
+        expected = _outcome(_naive_from_ghost, entries)
+        got = _outcome(from_ghost, GhostVector(entries))
+        if expected[0] == "value":
+            assert got[0] == "value"
+            coords, ghost = expected[1]
+            assert _typed(got[1].coords) == _typed(coords)
+            assert _typed(got[1]._ghost) == _typed(ghost)
+        else:
+            assert got == expected
+            failures += expected[1] is IntegralityError
+    assert failures > 50
+
+
+def test_sieve_over_zx_multiplies_no_polynomials(monkeypatch):
+    """Over Z[x] both directions of the ghost map run on dicts: no SparsePolynomial product."""
+    products = []
+
+    def counted(self, other, real=SparsePolynomial.__mul__):
+        products.append(other)
+        return real(self, other)
+
+    x = SparsePolynomial.variable("x")
+    w = WittVector([0, x + 1, SparsePolynomial(("x",), {}), 3 * x**2 - x, 2 + 0 * x])
+    g = GhostVector(_naive_to_ghost(w.coords))
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
+    monkeypatch.setattr(SparsePolynomial, "__rmul__", counted)
+    assert _typed(to_ghost(w)) == _typed(g)
+    assert from_ghost(g) == w
+    assert products == []
+    to_ghost(WittVector([x + 1, SparsePolynomial(("y",), {(0,): 2})]))  # two variables: the generic sieve
+    assert products
