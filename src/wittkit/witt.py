@@ -198,9 +198,8 @@ def _ghost_terms(d: int, a: Value | dict, n: int):
 
 
 def _x_variables(values) -> tuple | None:
-    """``(v,)`` if each value is the int 0 or a polynomial in v alone with int coefficients, one at least."""
-    kinds = {a.variables if type(a) is SparsePolynomial and all(type(c) is int for c in a.terms.values())
-             else (type(a), a) for a in values} - {(int, 0)}
+    """``(v,)`` if each value is the int 0 or a polynomial in the variable v alone, one at least."""
+    kinds = {a.variables if type(a) is SparsePolynomial else (type(a), a) for a in values} - {(int, 0)}
     return kinds.pop() if len(kinds) == 1 and len(next(iter(kinds))) == 1 else None  # other kinds are pairs
 
 
@@ -254,7 +253,7 @@ def from_ghost(g: GhostVector) -> WittVector:
                 ghost[i] = ghost[i] + term
     if variables:  # a coordinate is a polynomial where its entry is one or a term reached it
         coords = [x_polynomial(variables, a) if r or type(e) is not int else 0 for e, r, a in zip(g, ghost, coords)]
-        ghost = [(e or x_polynomial(variables, {})) if r else 0 for e, r in zip(g, ghost)]
+        ghost = [(as_integral(e) or x_polynomial(variables, {})) if r else 0 for e, r in zip(g, ghost)]
     w = WittVector(coords)
     w._ghost = GhostVector(ghost)
     return w

@@ -447,7 +447,9 @@ def _naive_from_ghost(entries):
 
 
 def _typed(values):
-    return [(type(v), value_to_obj(v)) for v in values]
+    """Each value's type and object, and the type of each of its coefficients."""
+    return [(type(v), value_to_obj(v), sorted((e, type(c)) for e, c in getattr(v, "terms", {}).items()))
+            for v in values]
 
 
 def _outcome(f, *args):
