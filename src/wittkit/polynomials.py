@@ -381,10 +381,14 @@ def x_add_products(out: list, start: int, c: dict, row) -> None:
 
 
 def x_mul(a: dict, b: dict | int) -> dict:
-    """``a * b`` for a dict and a dict or an int; a product of dicts drops 0s, as SparsePolynomial's does."""
+    """``a * b`` for a dict and a dict or an int: a new dict, without the 0s a SparsePolynomial product drops.
+    The loop is ``x_add_products``' own, repeated here: one call less per product of the Witt sieve."""
     if type(b) is int:
         return {e: c * b for e, c in a.items()}
-    x_add_products(((out := {}),), 0, a, (b,))
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return out if all(out.values()) else {e: c for e, c in out.items() if c}
 
 

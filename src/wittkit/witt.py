@@ -12,11 +12,10 @@ which is an injective ring homomorphism onto entrywise arithmetic whenever the
 coefficient ring is torsion-free; it and its inverse are computed by a sieve
 over multiples, on ``{x exponent: int}`` dicts made polynomials at the end
 when every value read is the int 0 or a polynomial in one and the same
-variable with int coefficients.  Every operation here computes on ghost
-components and pulls back, asserting exact divisibility at each step; the
-coefficient rings in scope (Z and Z[x]) make that pullback exact by theory, so
-a divisibility failure inside a ring operation is a library defect, not a data
-error.
+variable.  Every operation here computes on ghost components and pulls back,
+asserting exact divisibility at each step; the coefficient rings in scope (Z
+and Z[x]) make that pullback exact by theory, so a divisibility failure inside
+a ring operation is a library defect, not a data error.
 
 A vector keeps its ghost: the pullback sums the powers ``k * a_k^(m/k)`` it
 subtracts into the ghost of its result, and ``to_ghost`` runs the sieve at
@@ -230,12 +229,10 @@ def from_ghost(g: GhostVector) -> WittVector:
     subtracts, in the order ``to_ghost`` sums them.
     """
     n, variables = g.length, _x_variables(g.entries)
-    rest = [x_terms(a) if a else {} for a in g.entries] if variables else list(g.entries)
-    ghost, coords = [0] * n, []
-    for k in range(1, n + 1):
+    rest, ghost, coords = [x_terms(a) if a else {} for a in g] if variables else list(g), [0] * n, []
+    for k, r in enumerate(rest, start=1):  # r is rest[k - 1] as the terms of every d < k left it
         try:
-            coords.append({e: divide_exact(c, k) for e, c in rest[k - 1].items()} if variables
-                          else divide_exact(rest[k - 1], k))
+            coords.append({e: divide_exact(c, k) for e, c in r.items()} if variables else divide_exact(r, k))
         except NonIntegralError as exc:
             if not is_integral(g.entries[k - 1]):
                 raise IntegralityError(k, f"g_{k} = {g.entries[k - 1]} is not an integer") from exc
