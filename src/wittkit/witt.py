@@ -230,9 +230,9 @@ def from_ghost(g: GhostVector) -> WittVector:
     """
     n, variables = g.length, _x_variables(g.entries)
     rest, ghost, coords = [x_terms(a) if a else {} for a in g] if variables else list(g), [0] * n, []
-    for k, r in enumerate(rest, start=1):  # r is rest[k - 1] as the terms of every d < k left it
+    for k, rk in enumerate(rest, start=1):  # rk: rest[k - 1] as the terms of every d < k left it
         try:
-            coords.append({e: divide_exact(c, k) for e, c in r.items()} if variables else divide_exact(r, k))
+            coords.append({e: divide_exact(c, k) for e, c in rk.items()} if variables else divide_exact(rk, k))
         except NonIntegralError as exc:
             if not is_integral(g.entries[k - 1]):
                 raise IntegralityError(k, f"g_{k} = {g.entries[k - 1]} is not an integer") from exc

@@ -482,7 +482,7 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
     SparsePolynomial arithmetic return, value, type and variables of every coordinate and every
     kept-ghost entry, or fail at the same index with the same text; most inputs are vectors over
     Z[x] with int 0 and zero polynomials among their values, the rest mix in ints, polynomials in
-    y or in x and y, and rational ghost entries."""
+    y or in x and y, and rational ghost entries and coefficients."""
     # at index 4 the x^1 term of the remainder cancels and comes back, after the constant term,
     # and both coefficients are not divisible by 4: the message names the constant's
     terms = [{1: 3, 0: -1}, {2: -3, 0: 3}, {1: -3, 0: -1}, {0: 1, 1: -1}, {}, {1: 1, 2: -3}]
