@@ -892,6 +892,51 @@ def test_malformed_values_are_usage_errors(capsys, argv, code):
         assert err.startswith("wittkit: usage error: cannot parse ")
 
 
+def _zx_terms(*terms):
+    """A Witt vector over Z[x] of one coordinate with these (exponents, coefficient) terms."""
+    return {"coords": [{"variables": ["x"], "terms": [{"exponents": e, "coefficient": c} for e, c in terms]}]}
+
+
+#: The whole stderr of Z[x] Witt inputs that the schema or the polynomial refuses (exit 1); the
+#: reason quotes the first error found, every term's schema checks coming before any other check.
+ZX_PARSE_ERRORS = {
+    "duplicate-exponent": (_zx_terms(([1], "3"), ([1], "4")), "duplicate exponent vector [1]"),
+    "negative-exponent": (_zx_terms(([2], "1"), ([-1], "3")), "negative exponent in (-1,)"),
+    "exponent-length": (_zx_terms(([1, 2], "3")), "exponent vector (1, 2) does not match variables ('x',)"),
+    "no-exponent": (_zx_terms(([], "3")), "exponent vector () does not match variables ('x',)"),
+    "duplicate-variables": ({"coords": [{"variables": ["x", "x"], "terms": [
+        {"exponents": [1, 0], "coefficient": "3"}]}]}, "duplicate variable names in ('x', 'x')"),
+    "negative-then-true": (_zx_terms(([-1], "3"), ([True], "1")), "an exponent must be int, not bool"),
+    "negative-then-abc": (_zx_terms(([-1], "3"), ([1], "abc")), "not an exact number: 'abc'"),
+    "second-coordinate": ({"coords": [_zx_terms(([1], "2"))["coords"][0], {"variables": ["x"], "terms": [
+        {"exponents": [0], "coefficient": "1"}, {"exponents": [-3], "coefficient": "1"}]}]},
+        "negative exponent in (-3,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZX_PARSE_ERRORS))
+def test_zx_witt_parse_errors_pinned(capsys, name):
+    """The same reason as a Witt vector and as ghost entries."""
+    obj, reason = ZX_PARSE_ERRORS[name]
+    for what, argv in (("Witt vector", ("neg", "--u", json.dumps(obj))),
+                       ("ghost entries", ("from-ghost", "--g", json.dumps(obj["coords"])))):
+        code, out, err = run(capsys, "witt", "--op", *argv)
+        quoted = repr(argv[-1]) if len(repr(argv[-1])) <= 80 else repr(argv[-1])[:80] + "…"
+        assert (code, out) == (1, "")
+        assert err == f"wittkit: usage error: cannot parse {what} {quoted}: {reason}\n"
+
+
+def test_zx_witt_fraction_coefficients_pinned(capsys):
+    """A Fraction-string coefficient: 1/2 is no integer (exit 2), 4/2 prints as 2."""
+    code, out, err = run(capsys, "witt", "--op", "neg", "--u", json.dumps(_zx_terms(([1], "1/2"), ([0], "1"))))
+    assert (code, out) == (2, "")
+    assert err == "wittkit: coordinate a_1 must lie in a torsion-free integral ring: 1/2 is not an integer\n"
+    code, out, err = run(capsys, "witt", "--op", "neg", "--u", json.dumps(_zx_terms(([1], "4/2"), ([0], "-1"))))
+    assert (code, err) == (0, "")
+    entry = '{"terms":[{"coefficient":"1","exponents":[0]},{"coefficient":"-2","exponents":[1]}],"variables":["x"]}'
+    assert out == '{"ghost":[' + entry + '],"op":"neg","result":{"coords":[' + entry + '],"length":1}}\n'
+
+
 @pytest.mark.parametrize(
     "flag, text",
     [
