@@ -43,7 +43,7 @@ from operator import mul
 from typing import Iterable
 
 from .polynomials import NonIntegralError, SparsePolynomial, Value, _value_repr, as_integral, is_integral
-from .polynomials import x_add_products, x_mul, x_terms
+from .polynomials import x_add_products, x_mul, x_terms, x_variables
 from .series import MultiTruncatedSeries, TruncatedSeries
 from .witt import GhostVector, WittVector, from_ghost
 
@@ -168,9 +168,9 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
         raise ValueError("total degree must be >= 1")
     common, half = lcm(*range(1, degree + 1)), degree // 2  # L clears every 1/m of l; j <= half
     denominator = scale = common**degree * factorial(degree)  # scale = D/(L^k k!)
-    a, variables = log.coeffs[:degree], getattr(log.coeffs[0], "variables", ())  # () for a scalar
-    zero, one, times, add_products = int, 1, mul, _add_products
-    if len(variables) == 1 and all(isinstance(c, SparsePolynomial) and c.variables == variables for c in a):
+    a = log.coeffs[:degree]
+    zero, one, times, add_products, variables = int, 1, mul, _add_products, x_variables(a)
+    if variables and not any(type(c) is int for c in a):  # an int 0 keeps the value path's types
         a = [x_terms(p) for p in a]
         zero, one, times, add_products = dict, {0: 1}, x_mul, x_add_products
 

@@ -45,7 +45,7 @@ powers; ``declared_singular`` tests the rules at one value.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, compress, cycle, product, repeat
 from math import comb, gcd, isqrt, prod
 from struct import Struct
@@ -190,7 +190,10 @@ def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
 
 def hasse_witt_value(family_id: str, lam: int, p: int) -> int:
     """a_p(lambda) mod p at one value, by Horner over F_p; the scan reads every value at once."""
-    return reduce(lambda value, c: (value * lam + c) % p, _hasse_witt_coefficients(family_id, p), 0)
+    value = 0
+    for c in _hasse_witt_coefficients(family_id, p):
+        value = (value * lam + c) % p
+    return value
 
 
 @lru_cache(maxsize=128)  # a_p mod p, dense, the leading coefficient first: built once per (family, p)

@@ -9,10 +9,12 @@ tuples and term maps are equal.
 
 Inputs are validated once, at the public boundary: ``SparsePolynomial(...)``,
 the classmethod constructors, ``map_coefficients``, ``coefficient_of``,
-``evaluate`` and deserialization.  Results of ``+``, ``-``, ``*``, ``**`` and
-``reduce_mod`` come from validated operands and are built by the private
-``_canonical``, which keeps the new dict it is given unless a zero term must go.
-One-variable products add int exponents, an int scales terms, ``p + 0`` is ``p``.
+``evaluate`` and ``serialize.value_from_obj``, whose schema checks a one-variable
+object's terms in full and builds it by ``_canonical``, like every result of
+``+``, ``-``, ``*``, ``**`` and ``reduce_mod``: it keeps the new dict it is given
+unless a zero term must go.  One-variable products add int exponents, an int
+scales terms, ``p + 0`` is ``p``.  Over ``Z[x]``, where ``x_variables`` says so,
+the Witt sieve and group-law synthesis run on ``{x exponent: coefficient}`` dicts.
 
 Values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -289,9 +291,9 @@ class SparsePolynomial:
     # -- formatting ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
-        """Terms in the canonical order: ascending total degree, then
-        ascending exponent vector under the declared variable order."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        """Terms in the canonical order: ascending total degree, then ascending exponent vector
+        under the declared variable order, which for unique 1-tuples is their plain order."""
+        return sorted(self.terms.items(), key=None if len(self.variables) == 1 else lambda t: (sum(t[0]), t[0]))
 
     def __str__(self) -> str:
         return format_value(self)
@@ -360,6 +362,12 @@ def divide_exact(value: Value, k: int) -> Value:
     raise TypeError(f"not an exact value: {value!r}")
 
 
+def x_variables(values) -> tuple | None:
+    """``(v,)`` if each value is the int 0 or a polynomial in v alone, one at least: the rule for the dict form."""
+    kinds = {a.variables if type(a) is SparsePolynomial else (type(a), a) for a in values} - {(int, 0)}
+    return kinds.pop() if len(kinds) == 1 and len(next(iter(kinds))) == 1 else None  # other kinds are pairs
+
+
 def x_terms(p: SparsePolynomial) -> dict:
     """A polynomial in one variable as an ``{x exponent: coefficient}`` dict."""
     return {e: c for (e,), c in p.terms.items()}
@@ -403,24 +411,14 @@ def format_value(value: Value) -> str:
         return _scalar_text(value)
     if not value.terms:
         return "0"
-    parts = []
+    parts, x = [], value.variables[0] if len(value.variables) == 1 else None
     for exps, c in value.sorted_terms():
-        mono = "*".join(
-            f"{v}^{e}" for v, e in zip(value.variables, exps) if e
-        )
-        if not mono:
-            text = _scalar_text(c)
-        elif c == 1:
-            text = mono
-        elif c == -1:
-            text = "-" + mono
-        else:
-            text = f"{_scalar_text(c)}*{mono}"
-        parts.append(text)
-    out = parts[0]
-    for text in parts[1:]:
-        out += text if text.startswith("-") else "+" + text
-    return out
+        mono = ("*".join(f"{v}^{e}" for v, e in zip(value.variables, exps) if e) if x is None
+                else f"{x}^{exps[0]}" if exps[0] else "")
+        text = (_scalar_text(c) if not mono else mono if c == 1 else "-" + mono if c == -1
+                else f"{_scalar_text(c)}*{mono}")
+        parts.append(text if not parts or text[0] == "-" else "+" + text)
+    return "".join(parts)
 
 
 def _value_repr(value: Value) -> str:

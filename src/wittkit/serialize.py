@@ -62,13 +62,13 @@ def value_from_obj(obj) -> Value:
         if exps in terms:
             raise SchemaError(f"duplicate exponent vector {list(exps)}")
         terms[exps] = _scalar_from_obj(_field(t, "coefficient"))
+    if len(variables) == 1 and all(len(e) == 1 and e[0] >= 0 for e in terms):  # checked here: built once
+        return SparsePolynomial._canonical(variables, terms)
     try:
         poly = SparsePolynomial(variables, terms)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    if not variables:
-        return poly.constant_value()
-    return poly
+    return poly if variables else poly.constant_value()
 
 
 def witt_from_obj(obj) -> WittVector:
@@ -110,9 +110,10 @@ def value_text(value: Value | None) -> str:
     if not isinstance(value, SparsePolynomial):
         term = '{"coefficient":"' + _scalar_text(value) + '","exponents":[]}' if value else ""
         return '{"terms":[' + term + '],"variables":[]}'
+    one = len(value.variables) == 1  # an exponent vector of one int prints as that int
     return '{"terms":[' + ",".join([
-        '{"coefficient":"' + _scalar_text(c) + '","exponents":[' + ",".join(map(str, e)) + "]}"
-        for e, c in value.sorted_terms()
+        '{"coefficient":"' + _scalar_text(c) + '","exponents":[' + (str(e[0]) if one else ",".join(map(str, e)))
+        + "]}" for e, c in value.sorted_terms()
     ]) + '],"variables":' + _ENCODER.encode(value.variables) + "}"
 
 

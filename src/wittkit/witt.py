@@ -10,22 +10,21 @@ through the ghost map
 
 which is an injective ring homomorphism onto entrywise arithmetic whenever the
 coefficient ring is torsion-free; it and its inverse are computed by a sieve
-over multiples, on ``{x exponent: int}`` dicts made polynomials at the end
-when every value read is the int 0 or a polynomial in one and the same
-variable.  Every operation here computes on ghost components and pulls back,
-asserting exact divisibility at each step; the coefficient rings in scope (Z
-and Z[x]) make that pullback exact by theory, so a divisibility failure inside
-a ring operation is a library defect, not a data error.
+over multiples.  Every operation here computes on ghost components and pulls
+back, asserting exact divisibility at each step; the rings in scope (Z and
+Z[x]) make that pullback exact by theory, so a divisibility failure inside a
+ring operation is a library defect, not a data error.
 
 A vector keeps its ghost: the pullback sums the powers ``k * a_k^(m/k)`` it
-subtracts into the ghost of its result, and ``to_ghost`` runs the sieve at
-most once per vector.  The kept ghost is what the sieve would return, entry
-for entry; equality, hashing and repr read only the coordinates.
-
-Coordinates must be integral (ints, or polynomials with integer
-coefficients); rings with torsion are rejected at construction.  All values
-are immutable and all operations pure; the kept ghost is written once, and
-two threads that race on it only compute equal values twice.
+subtracts into the ghost of its result, and the sieve runs at most once per
+vector.  Over Z[x] (``polynomials.x_variables``) the sieve, the ghost arithmetic
+of the ring operations and the pullback run on ``{x exponent: int}`` dicts; a
+vector keeps them until ``to_ghost`` makes them polynomials, once.  The kept
+ghost is what the sieve would return; equality, hashing and repr read only the
+coordinates, which must be integral (ints, or polynomials with integer
+coefficients): rings with torsion are rejected at construction.  All values
+are immutable and all operations pure; two threads that race on a kept ghost
+only compute equal values twice.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from operator import mul
 from typing import Iterable
 
 from .polynomials import NonIntegralError, Value, _value_repr, as_integral, divide_exact, is_integral
-from .polynomials import SparsePolynomial, x_mul, x_polynomial, x_terms
+from .polynomials import SparsePolynomial, x_mul, x_polynomial, x_terms, x_variables
 from .series import TruncatedSeries
 
 
@@ -123,7 +122,7 @@ class WittVector:
                     f"coordinate a_{i} must lie in a torsion-free integral ring: {exc}"
                 ) from exc
         self.coords = tuple(checked)
-        self._ghost: GhostVector | None = None
+        self._ghost: GhostVector | tuple | None = None  # a tuple: see _kept_ghost
 
     @property
     def length(self) -> int:
@@ -149,12 +148,8 @@ class WittVector:
         order = self.length if order is None else order
         denom = TruncatedSeries.constant(1, variable, order)
         for i, a in enumerate(self.coords, start=1):
-            if not a or i > order:
-                continue
-            factor_coeffs: list[Value] = [0] * (order + 1)
-            factor_coeffs[0] = 1
-            factor_coeffs[i] = -a
-            denom = denom * TruncatedSeries(variable, factor_coeffs, order)
+            if a and i <= order:
+                denom = denom * TruncatedSeries(variable, [1] + [0] * (i - 1) + [-a], order)
         return denom.inverse()
 
     @classmethod
@@ -174,10 +169,7 @@ class WittVector:
             a = h.coefficient(i)
             coords.append(a)
             if a:
-                factor_coeffs: list[Value] = [0] * (n + 1)
-                factor_coeffs[0] = 1
-                factor_coeffs[i] = -a
-                h = h * TruncatedSeries(series.variable, factor_coeffs, n)
+                h = h * TruncatedSeries(series.variable, [1] + [0] * (i - 1) + [-a], n)
         return cls(coords)
 
 
@@ -196,17 +188,11 @@ def _ghost_terms(d: int, a: Value | dict, n: int):
     return zip(range(d - 1, n, d), accumulate(repeat(a), times, initial=times(a, d) if d > 1 else a))
 
 
-def _x_variables(values) -> tuple | None:
-    """``(v,)`` if each value is the int 0 or a polynomial in the variable v alone, one at least."""
-    kinds = {a.variables if type(a) is SparsePolynomial else (type(a), a) for a in values} - {(int, 0)}
-    return kinds.pop() if len(kinds) == 1 and len(next(iter(kinds))) == 1 else None  # other kinds are pairs
-
-
-def to_ghost(w: WittVector) -> GhostVector:
-    """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over
-    multiples; the vector keeps them, so the sieve runs once per vector."""
+def _kept_ghost(w: WittVector) -> GhostVector | tuple:
+    """The ghost ``w`` keeps, the sieve run once: a GhostVector, or over Z[x] ``(variables, entries)``, an
+    entry an ``{x exponent: int}`` dict where to_ghost has a polynomial and the int 0 where it has 0."""
     if w._ghost is None:
-        n, variables = w.length, _x_variables(w.coords)
+        n, variables = w.length, x_variables(w.coords)
         entries: list = [0] * n  # over Z[x], an entry is a dict once a term reaches it
         for d, a in enumerate(w.coords, start=1):
             for i, term in _ghost_terms(d, x_terms(a) if variables and a else a, n):
@@ -216,9 +202,18 @@ def to_ghost(w: WittVector) -> GhostVector:
                         acc[e] = acc.get(e, 0) + c
                 else:
                     entries[i] = entries[i] + term
-        w._ghost = GhostVector([x_polynomial(variables, s) if type(s) is dict else 0 for s in entries]
-                               if variables else entries)
+        w._ghost = GhostVector(entries) if not variables else (variables, [
+            s if type(s) is int or all(s.values()) else {e: c for e, c in s.items() if c} for s in entries])
     return w._ghost
+
+
+def to_ghost(w: WittVector) -> GhostVector:
+    """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over
+    multiples; the vector keeps them, so the sieve runs once per vector."""
+    g = _kept_ghost(w)
+    if type(g) is tuple:  # kept as dicts: made polynomials once, here
+        g = w._ghost = GhostVector([x_polynomial(g[0], s) if type(s) is dict else 0 for s in g[1]])
+    return g
 
 
 def from_ghost(g: GhostVector) -> WittVector:
@@ -228,14 +223,24 @@ def from_ghost(g: GhostVector) -> WittVector:
     The result keeps the ghost summed from the powers the recursion
     subtracts, in the order ``to_ghost`` sums them.
     """
-    n, variables = g.length, _x_variables(g.entries)
-    rest, ghost, coords = [x_terms(a) if a else {} for a in g] if variables else list(g), [0] * n, []
+    variables = x_variables(g.entries)  # over Z[x], a coefficient Fraction(n, 1) is read as the int n
+    w = _solve(variables, [x_terms(as_integral(a) if is_integral(a) else a) if type(a) is SparsePolynomial else 0
+                           for a in g] if variables else g.entries, g.entries)
+    to_ghost(w)
+    return w
+
+
+def _solve(variables: tuple | None, entries, values=()) -> WittVector:
+    """The ghost recursion on to_ghost's entries, or on its dicts and int 0s, which it leaves as they are, and
+    the result keeps its ghost in the same form; ``values``, if given, are the entries as to_ghost has them."""
+    n = len(entries)
+    rest, ghost, coords = [dict(a) if a else {} for a in entries] if variables else list(entries), [0] * n, []
     for k, rk in enumerate(rest, start=1):  # rk: rest[k - 1] as the terms of every d < k left it
         try:
             coords.append({e: divide_exact(c, k) for e, c in rk.items()} if variables else divide_exact(rk, k))
         except NonIntegralError as exc:
-            if not is_integral(g.entries[k - 1]):
-                raise IntegralityError(k, f"g_{k} = {g.entries[k - 1]} is not an integer") from exc
+            if values and not is_integral(values[k - 1]):
+                raise IntegralityError(k, f"g_{k} = {values[k - 1]} is not an integer") from exc
             raise IntegralityError(k, str(exc)) from exc
         for i, term in _ghost_terms(k, coords[-1], n):
             if variables:  # ghost[i]: a term reached entry i, so the kept ghost is the entry
@@ -248,17 +253,24 @@ def from_ghost(g: GhostVector) -> WittVector:
             else:
                 rest[i] = rest[i] - term
                 ghost[i] = ghost[i] + term
+    w = object.__new__(WittVector)  # integral by construction: no second as_integral scan
     if variables:  # a coordinate is a polynomial where its entry is one or a term reached it
-        coords = [x_polynomial(variables, a) if r or type(e) is not int else 0 for e, r, a in zip(g, ghost, coords)]
-        ghost = [(as_integral(e) or x_polynomial(variables, {})) if r else 0 for e, r in zip(g, ghost)]
-    w = WittVector(coords)
-    w._ghost = GhostVector(ghost)
+        coords = [x_polynomial(variables, a) if r or e != 0 else 0 for e, r, a in zip(entries, ghost, coords)]
+        ghost = (variables, [(e or {}) if r else 0 for e, r in zip(entries, ghost)])
+    w.coords, w._ghost = tuple(coords), ghost if variables else GhostVector(ghost)
     return w
 
 
-def _pullback(g: GhostVector, operation: str) -> WittVector:
+def _pullback(operation: str, x_op, ghost_op, *vectors: WittVector) -> WittVector:
+    """``ghost_op`` of the vectors' ghosts, pulled back; if every vector keeps dicts over the same variable,
+    ``x_op`` of their lists of dicts and int 0s, and the result keeps dicts too."""
+    if vectors[0].length != vectors[-1].length:
+        raise ValueError(f"length mismatch: {vectors[0].length} vs {vectors[-1].length}")
+    kept = [_kept_ghost(w) for w in vectors]
     try:
-        return from_ghost(g)
+        if x_op and all(type(g) is tuple and g[0] == kept[0][0] for g in kept):
+            return _solve(kept[0][0], x_op(*(g[1] for g in kept)))
+        return from_ghost(ghost_op(*map(to_ghost, vectors)))
     except IntegralityError as exc:
         raise GhostInvariantViolation(
             f"{operation} produced a non-integral ghost vector at index {exc.index}; "
@@ -266,19 +278,20 @@ def _pullback(g: GhostVector, operation: str) -> WittVector:
         ) from exc
 
 
-def _check_lengths(u: WittVector, v: WittVector) -> None:
-    if u.length != v.length:
-        raise ValueError(f"length mismatch: {u.length} vs {v.length}")
+def _x_add(a: dict, b: dict) -> dict:
+    """``a + b`` for two dicts, with the SparsePolynomial sum's term order."""
+    out = {**a, **{e: a.get(e, 0) + c for e, c in b.items()}}
+    return out if all(out.values()) else {e: c for e, c in out.items() if c}
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
     """Group law of 1 + tA[[t]]: multiplication of the series forms."""
-    _check_lengths(u, v)
-    return _pullback(to_ghost(u) + to_ghost(v), "witt_add")
+    add = lambda a, b: [t if s == 0 else s if t == 0 else _x_add(s, t) for s, t in zip(a, b)]  # 0 + t is t
+    return _pullback("witt_add", add, GhostVector.__add__, u, v)
 
 
 def witt_neg(u: WittVector) -> WittVector:
-    return _pullback(-to_ghost(u), "witt_neg")
+    return _pullback("witt_neg", lambda a: [x_mul(s, -1) if s != 0 else 0 for s in a], GhostVector.__neg__, u)
 
 
 def witt_mul(u: WittVector, v: WittVector) -> WittVector:
@@ -290,13 +303,14 @@ def witt_mul(u: WittVector, v: WittVector) -> WittVector:
     >>> to_ghost(w) is to_ghost(w)
     True
     """
-    _check_lengths(u, v)
-    return _pullback(to_ghost(u) * to_ghost(v), "witt_mul")
+    times = lambda a, b: [x_mul(s, t) if s != 0 != t else 0 if s == t else {} for s, t in zip(a, b)]  # 0 * t is {}
+    return _pullback("witt_mul", times, GhostVector.__mul__, u, v)
 
 
 def witt_scale_int(n: int, u: WittVector) -> WittVector:
     """Multiplication by the integer n (n-fold addition)."""
-    return _pullback(to_ghost(u).scale(n), "witt_scale_int")
+    scale = lambda a: [(x_mul(s, n) if n else {}) if s != 0 else 0 for s in a]
+    return _pullback("witt_scale_int", type(n) is int and scale, lambda g: g.scale(n), u)
 
 
 def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVector:
@@ -315,9 +329,7 @@ def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVect
         raise ValueError(f"insufficient input length {w.length} for F_{m} at output length {k or 1}")
     if m == 1:
         return witt_truncate(w, k)
-    g = to_ghost(w)
-    g = GhostVector(g.entries[m * j - 1] for j in range(1, k + 1))
-    return _pullback(g, "witt_frobenius")
+    return _pullback("witt_frobenius", lambda a: a[m - 1:m * k:m], lambda g: GhostVector(g[m - 1:m * k:m]), w)
 
 
 def witt_verschiebung(m: int, w: WittVector, length: int | None = None) -> WittVector:
