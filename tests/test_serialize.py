@@ -1,4 +1,5 @@
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wittkit.polynomials import SparsePolynomial, format_value
+from wittkit.polynomials import SparsePolynomial, _scalar_text, format_value
 from wittkit.serialize import (
     Records,
+    SchemaError,
     Values,
     json_dumps,
     tsv_dumps,
@@ -18,7 +20,7 @@ from wittkit.serialize import (
 )
 from wittkit.witt import teichmueller
 
-from conftest import value_to_obj, witt_to_obj
+from conftest import ODD_NAME, value_to_obj, witt_to_obj
 
 X = SparsePolynomial.variable("x")
 
@@ -217,3 +219,94 @@ def test_tsv_rows_past_one_slice_print_as_rows():
     text = tsv_dumps(["a", "b", "c", "d"], [[range(n), ints, flags, polys], [[], [], [], []]])
     assert text == "\n".join(["a\tb\tc\td", *(f"{a}\t{b}\t{c}\t{d}" for a, b, c, d in cells)]) + "\n"
     assert text.split("\n")[7_001].split("\t")[1] == "-" + str(Decimal(_BIG))
+
+
+# -- one-variable values: read and printed on their own paths, as the generic ones do ---------
+
+
+def _generic_sorted_terms(p):
+    return sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def _generic_format_value(value) -> str:
+    """``format_value`` as it printed a polynomial in any number of variables."""
+    if not isinstance(value, SparsePolynomial):
+        return _scalar_text(value)
+    if not value.terms:
+        return "0"
+    parts = []
+    for exps, c in _generic_sorted_terms(value):
+        mono = "*".join(f"{v}^{e}" for v, e in zip(value.variables, exps) if e)
+        if not mono:
+            text = _scalar_text(c)
+        elif c == 1:
+            text = mono
+        elif c == -1:
+            text = "-" + mono
+        else:
+            text = f"{_scalar_text(c)}*{mono}"
+        parts.append(text)
+    out = parts[0]
+    for text in parts[1:]:
+        out += text if text.startswith("-") else "+" + text
+    return out
+
+
+def _generic_value_text(value) -> str:
+    """``value_text`` of a polynomial as it printed one in any number of variables."""
+    return '{"terms":[' + ",".join(
+        '{"coefficient":"' + _scalar_text(c) + '","exponents":[' + ",".join(map(str, e)) + "]}"
+        for e, c in _generic_sorted_terms(value)
+    ) + '],"variables":' + json.dumps(list(value.variables), separators=(",", ":")) + "}"
+
+
+_ONE_VARIABLE_NAMES = ["x", ODD_NAME, "-y", "t \udcff"]
+_COEFFICIENTS = [1, -1, 2, -3, _BIG, -_BIG, Fraction(1, 2), Fraction(-1, 3), Fraction(-_BIG, 7)]
+
+
+def _one_variable_polynomials(rng):
+    yield from (SparsePolynomial((name,), {}) for name in _ONE_VARIABLE_NAMES)  # zero polynomials
+    for _ in range(400):
+        exponents = rng.sample(range(7), rng.randint(1, 5))  # 0 among them in about half the draws
+        terms = {(e,): rng.choice(_COEFFICIENTS) for e in exponents}
+        yield SparsePolynomial((rng.choice(_ONE_VARIABLE_NAMES),), terms)
+
+
+def test_one_variable_values_print_as_the_generic_printers_print_them():
+    for p in _one_variable_polynomials(random.Random(41)):
+        assert p.sorted_terms() == _generic_sorted_terms(p)
+        assert format_value(p) == _generic_format_value(p)
+        assert value_text(p) == _generic_value_text(p)
+
+
+def _exact(obj):
+    """A JSON coefficient as the scalar it names, read here without the schema's helpers."""
+    return obj if type(obj) is int else Fraction(obj) if "/" in obj else int(obj)
+
+
+def test_one_variable_objects_read_as_the_polynomial_constructor_builds_them():
+    """value_from_obj of a one-variable object is SparsePolynomial(variables, terms): value, term
+    order and coefficient types, or the constructor's error text for an exponent vector it refuses."""
+    rng = random.Random(41)
+    coefficients = ["0", "1", "-1", "3", "4/2", "-1/3", "0/5", "-6/4", 5, -2, 0]
+    refused = 0
+    for trial in range(600):
+        name = rng.choice(_ONE_VARIABLE_NAMES)
+        exponents = [[e] for e in rng.sample(range(8), rng.randint(0, 5))]  # an empty term list now and then
+        if exponents and trial % 4 == 0:  # one exponent vector the constructor refuses
+            exponents[rng.randrange(len(exponents))] = rng.choice([[-1], [-7], [1, 0], [], [0, 0, 2]])
+        terms = [{"exponents": e, "coefficient": rng.choice(coefficients)} for e in exponents]
+        obj = json.loads(json.dumps({"variables": [name], "terms": terms}))  # as the CLI reads it
+        try:
+            expected = SparsePolynomial([name], {tuple(t["exponents"]): _exact(t["coefficient"]) for t in terms})
+        except ValueError as exc:
+            with pytest.raises(SchemaError) as info:
+                value_from_obj(obj)
+            assert str(info.value) == str(exc)
+            refused += 1
+            continue
+        got = value_from_obj(obj)
+        assert type(got) is SparsePolynomial and got.variables == expected.variables
+        assert list(got.terms.items()) == list(expected.terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
+    assert refused > 100

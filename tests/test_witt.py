@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -538,3 +539,36 @@ def test_sieve_over_zx_multiplies_no_polynomials(monkeypatch):
     assert products == []
     to_ghost(WittVector([x + 1, SparsePolynomial(("y",), {(0,): 2})]))  # two variables: the generic sieve
     assert products
+
+
+def test_zx_requests_build_no_polynomial_but_their_results(monkeypatch, capsys):
+    """A witt request over Z[x] reads its coordinates without the validating constructor, keeps its
+    ghost entries as dicts between the sieve and the pullback, and makes polynomials only of the
+    coordinates it reads and the values it prints, each once: no SparsePolynomial.__init__, no
+    polynomial sum or product, and one trusted construction per polynomial read or printed."""
+    from wittkit.cli import main
+
+    calls, built = [], []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("__init__", "__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__neg__"):
+        monkeypatch.setattr(SparsePolynomial, name, counted(name, getattr(SparsePolynomial, name)))
+    canonical = SparsePolynomial._canonical
+    monkeypatch.setattr(SparsePolynomial, "_canonical", lambda *args: built.append(1) or canonical(*args))
+    rng = random.Random(41)
+    for length in (6, 13):
+        u, v = (json.dumps({"coords": [0, {"variables": ["x"], "terms": []}, *(
+            {"variables": ["x"], "terms": [{"exponents": [e], "coefficient": str(rng.randint(-2, 2))} for e in (0, 1)]}
+            for _ in range(length - 2))]}) for _ in range(2))
+        for argv in (("add", "--u", u, "--v", v), ("mul", "--u", u, "--v", v),
+                     ("frobenius", "--m", "2", "--u", u), ("ghost", "--u", v)):
+            for fmt in ("json", "tsv"):
+                built.clear()
+                assert main(["witt", "--op", *argv, "--format", fmt]) == 0
+                out = capsys.readouterr().out
+                if fmt == "json":  # every polynomial read (length - 1 a vector) and printed, built once
+                    read = (length - 1) * sum(arg.startswith("{") for arg in argv)
+                    assert len(built) == read + out.count('"variables":["x"]')
+    assert calls == []
