@@ -62,7 +62,7 @@ def value_from_obj(obj) -> Value:
         if exps in terms:
             raise SchemaError(f"duplicate exponent vector {list(exps)}")
         terms[exps] = _scalar_from_obj(_field(t, "coefficient"))
-    if len(variables) == 1 and all(len(e) == 1 and e[0] >= 0 for e in terms):  # checked here: built once
+    if len(variables) == 1 and all(len(e) == 1 and e[0] >= 0 for e in terms):  # every term checked above: no second pass
         return SparsePolynomial._canonical(variables, terms)
     try:
         poly = SparsePolynomial(variables, terms)

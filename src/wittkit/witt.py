@@ -226,7 +226,7 @@ def from_ghost(g: GhostVector) -> WittVector:
     variables = x_variables(g.entries)  # over Z[x], a coefficient Fraction(n, 1) is read as the int n
     w = _solve(variables, [x_terms(as_integral(a) if is_integral(a) else a) if type(a) is SparsePolynomial else 0
                            for a in g] if variables else g.entries, g.entries)
-    to_ghost(w)
+    to_ghost(w)  # the kept ghost as polynomials, like the entries it was read from
     return w
 
 
