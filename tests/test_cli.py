@@ -281,6 +281,32 @@ def test_large_fgl_bytes_pinned(capsys, request_args, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FGL_DIGESTS[request_args, fmt]
 
 
+#: sha256 of stdout for logarithm tables by extraction at the sizes users run, one per format.
+AM_LOG_DIGESTS = {
+    (("--family", "quintic-cy3", "--mmax", "81"), "json"):
+        "57b9a2e7f1ff0d75f7dd0fa3e5814a6da95f6ad28cdc368e10ad8ce412b592a1",
+    (("--family", "quintic-cy3", "--mmax", "81"), "tsv"):
+        "fc599ba382cfcec3c166e0ae76384300b3ebc209cb5820e5e2025f24c4fd6437",
+    (("--family", "hesse-cubic", "--mmax", "125"), "json"):
+        "2a6a835b516a68aa36efbd89fc6363bc32a6c549630fd977b60e023b87c7fb38",
+    (("--family", "hesse-cubic", "--mmax", "125"), "tsv"):
+        "709ecb416f4adb9b1732667c5959d90a5ef2341061108e1f6a9dec01c6aca25f",
+    (("--family", "quartic-k3", "--mmax", "100", "--mod", "999983"), "json"):
+        "dea01993e05e2f01a5c8a5a287c002e3aa7d034c21c1f3e78dbead1bca137c84",
+    (("--family", "quartic-k3", "--mmax", "100", "--mod", "999983"), "tsv"):
+        "3aa9809c4311aec7612e230a7a337c3f5f0972c4b67495d3256cc7bfaa0177e6",
+}
+
+
+@pytest.mark.parametrize("request_args, fmt", sorted(AM_LOG_DIGESTS),
+                         ids=["_".join(a[1::2]) + "-" + fmt for a, fmt in sorted(AM_LOG_DIGESTS)])
+def test_large_am_log_bytes_pinned(capsys, request_args, fmt):
+    import hashlib
+    code, out, _ = run(capsys, "am-log", *request_args, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AM_LOG_DIGESTS[request_args, fmt]
+
+
 def test_pf_check_rows(capsys):
     code, out, _ = run(capsys, "pf-check", "--family", "quintic", "--kmax", "10",
                        "--format", "tsv")
