@@ -10,7 +10,8 @@ an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
 are built in, each with a closed-form coefficient rule used as an independent
 oracle (the extraction path is the authority if the two ever disagree), its
 Picard-Fuchs operator and its holomorphic period, all read from (n, sign).
-Extraction expands P_1*...*P_s less its Z_0*...*Z_N term; a_m's terms ascend in x (see ``am_logarithm``).
+Extraction makes one pass over the monomials of P_1*...*P_s less its Z_0*...*Z_N term;
+a_m's terms ascend in x (see ``am_logarithm``).
 
 The regular-sequence and smoothness hypotheses behind the construction are
 not verified (they are not decidable at this level); outputs are meaningful
@@ -20,12 +21,11 @@ on the parameter locus where those hypotheses hold.  Records are named tuples.
 from __future__ import annotations
 
 from math import comb, prod
-from operator import add
 from typing import Callable, NamedTuple
 
 from .formal_groups import Logarithm
 from .picard_fuchs import ThetaOperator, expand_operator
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, x_add_products, x_mul
 from .series import TruncatedSeries
 
 PARAMETER = "x"
@@ -277,21 +277,19 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     """Logarithm of the family with coefficients a_1..a_{m_max}, by extraction.
 
     Q = P_1 * ... * P_s is c * D + R, with D = Z_0 * ... * Z_N and c in Z[x] (maybe 0).
-    As c * D and R commute, a_{k+1} = [D^k] Q^k = sum_j C(k, j) c^(k-j) b_j, and step j
-    of one expansion of R^(m_max - 1) gives b_j = [D^j] R^j.  Partial terms with a
-    Z-exponent of m_max or more are discarded: exponents only grow, and no b_j, j < m_max, has one.
+    As c * D and R commute, a_{k+1} = [D^k] Q^k = sum_j C(k, j) c^(k-j) b_j, where, for
+    R = sum_r R_r Z^(z_r) with R_r in Z[x], b_j = [D^j] R^j = sum (j; alpha) prod_r R_r^alpha_r
+    over every alpha with sum_r alpha_r z_r = (j, ..., j).
 
-    The expansion maps each Z vector to {x exponent: coefficient} and groups
-    R's terms by Z part, so each (Z vector, Z part of R) pair costs one
-    canonicalization and one prune test.  One Z vector is kept per orbit of
-    the Z permutations fixing Q (and R: all fix D), valued at the orbit's
-    coefficient sums.  If (Z_0 Z_1) and (Z_0 ... Z_N) fix Q, x exponents and
-    coefficients included, the key is the sorted Z vector, else the vector
-    as is.  With S the kept sums, a step adds S[v] * R_r to S'[canon(v + r)]: exact, since
-    sigma(v) + sigma(r) lies in the orbit of v + r and R_sigma(r) = R_r, and
-    the prune's largest Z-exponent is the same across an orbit.  The diagonal
-    (j, ..., j) is an orbit of one, so its orbit sum is b_j itself, with
-    no division.  The terms of a_m ascend in x.
+    Every b_j comes from one pass over R's monomials.  A state is a partial Z vector v
+    holding {x exponent: coefficient}; monomial r moves it to v + a z_r times
+    C(t + a, a) R_r^a, with t = |v| / (N+1) the monomials used so far (Q is homogeneous
+    of degree N+1), and these binomials multiply to (j; alpha).  A coordinate that no
+    later monomial touches is final and must equal j; every other stays <= j and below
+    m_max, and once j is known the multiplicity that closes a coordinate is one
+    division.  The monomials touching the fewest-touched coordinates go first, so one
+    closes early.  After the last monomial, b_j is the state (j, ..., j).  The terms of
+    a_m ascend in x.
 
     >>> am_logarithm(builtin_family("hesse-cubic").family, 7).coefficient(7).terms
     {(0,): 1, (3,): 120, (6,): 90}
@@ -301,42 +299,44 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     q = prod(family.polynomials[1:], start=family.polynomials[0])
     zidx = [q.variables.index(v) for v in family.coordinate_variables()]
     xidx = q.variables.index(PARAMETER)
-    qterms = {(tuple(e[i] for i in zidx), e[xidx]): c for e, c in q.terms.items()}
-    ids = tuple(range(len(zidx)))
-    symmetric = all(qterms == {(tuple(z[i] for i in p), x): c for (z, x), c in qterms.items()}
-                    for p in (ids[1::-1] + ids[2:], ids[1:] + ids[:1]))
-    canon = sorted if symmetric else list
-    qrows: dict[tuple, list] = {}
-    for (qz, qx), qc in qterms.items():
-        qrows.setdefault(qz, []).append((qx, qc))
-    c_of_d = qrows.pop((1,) * len(zidx), [])  # c; the rows left are R's
-    partial = {(0,) * len(zidx): {0: 1}}
-    b, c_powers, coeffs = [], [{0: 1}], []  # (j, b_j) for b_j != 0, and c^j, over x
-    for k in range(m_max):
-        if k:
-            nxt: dict[tuple, dict[int, int]] = {}
-            for z, row in partial.items():
-                for qz, qrow in qrows.items():
-                    nz = canon(map(add, z, qz))
-                    if max(nz) < m_max:
-                        out = nxt.setdefault(tuple(nz), {})
-                        for x, c in row.items():
-                            for qx, qc in qrow:
-                                out[x + qx] = out.get(x + qx, 0) + c * qc
-            partial = {z: r for z, row in nxt.items() if (r := {x: c for x, c in row.items() if c})}
-            c_powers.append(c_k := {})
-            for x, c in c_powers[-2].items():
-                for qx, qc in c_of_d:
-                    c_k[x + qx] = c_k.get(x + qx, 0) + c * qc
-        if (k,) * len(zidx) in partial:
-            b.append((k, partial[(k,) * len(zidx)]))
-        a_k: dict[int, int] = {}
-        for j, b_j in b:
-            for cx, cc in c_powers[k - j].items():
-                for x, c in b_j.items():
-                    a_k[x + cx] = a_k.get(x + cx, 0) + comb(k, j) * cc * c
-        coeffs.append(SparsePolynomial._canonical((PARAMETER,), {(x,): a_k[x] for x in sorted(a_k)}))
-    return Logarithm(coeffs)
+    rows: dict[tuple, dict] = {}
+    for e, c in q.terms.items():
+        rows.setdefault(tuple(e[i] for i in zidx), {})[e[xidx]] = c
+    n = len(zidx)
+    c_of_d = rows.pop((1,) * n, {})  # c; the rows left are R's
+    rare = sorted(range(n), key=lambda i: sum(1 for z in rows if z[i]))
+    rows = dict(sorted(rows.items(), key=lambda zr: min(rare.index(i) for i, e in enumerate(zr[0]) if e)))
+    last = {i: r for r, z in enumerate(rows) for i, e in enumerate(z) if e}  # the step that closes i
+    states = {(0,) * n: {0: 1}}
+    for r, (z, row) in enumerate(rows.items()):
+        done, closing = [i for i in range(n) if last.get(i, -1) < r], [i for i in range(n) if last.get(i) == r]
+        powers, scaled, nxt = [{0: 1}], {}, {}  # row^a, and C(t + a, a) row^a by (t, a)
+        for v, value in states.items():
+            top = v[done[0]] if done else m_max - 1  # j, once a coordinate is final
+            fits = range(min([(top - v[i]) // e for i, e in enumerate(z) if e]) + 1)
+            if done and closing:
+                a, gap = divmod(top - v[closing[0]], z[closing[0]])
+                fits = fits[a:a + 1] if not gap else ()
+            t, outs, terms = sum(v) // n, [], []
+            for a in fits:
+                w = tuple([x + a * e for x, e in zip(v, z)])
+                if closing and any(w[i] != max(w) for i in closing):
+                    continue
+                if (t, a) not in scaled:
+                    while len(powers) <= a:
+                        powers.append(x_mul(powers[-1], row))
+                    scaled[t, a] = x_mul(powers[a], comb(t + a, a))
+                outs.append(nxt.setdefault(w, {}))
+                terms.append(scaled[t, a])
+            x_add_products(outs, 0, value, terms)
+        states = nxt
+    sums, c_powers = [{} for _ in range(m_max)], [{0: 1}]
+    for _ in range(1, m_max):
+        c_powers.append(x_mul(c_powers[-1], c_of_d))
+    for j in range(m_max):
+        if (j,) * n in states:
+            x_add_products(sums, j, states[(j,) * n], [x_mul(c_powers[i], comb(j + i, i)) for i in range(m_max - j)])
+    return Logarithm(SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)}) for s in sums)
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:

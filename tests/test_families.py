@@ -214,6 +214,15 @@ def test_extraction_equals_closed_form_at_dwork_sizes():
         assert by_extraction == family_logarithm(family, m_max, "closed-form")
 
 
+def test_extraction_equals_closed_form_at_user_sizes():
+    """Extraction against the closed forms at the sizes users run, values,
+    types and term order; each extraction takes milliseconds."""
+    for family, m_max in (("quintic-cy3", 81), ("hesse-cubic", 125), ("quartic-k3", 100)):
+        by_extraction = family_logarithm(family, m_max, "extraction")
+        by_formula = closed_form_logarithm(family, m_max)
+        assert [_exact_shape(a) for a in by_extraction.coeffs] == [_exact_shape(a) for a in by_formula.coeffs]
+
+
 def test_builtin_laws_integral_smaller_degrees():
     for family, degree in (("hesse-cubic", 6), ("quartic-k3", 6), ("quintic-cy3", 6)):
         log = closed_form_logarithm(family, degree)
@@ -287,8 +296,8 @@ def test_hesse_extraction_against_unpruned_power():
 
 def _tuple_am_logarithm(family, m_max):
     """Reference: the plain pruned expansion of Q^k, keyed by whole exponent
-    tuples (x and every Z), with no orbit sums and no grouping by Z vector.
-    Its terms come in the order the expansion meets them."""
+    tuples (x and every Z), with no split of Q into c*D + R and no pass over
+    R's monomials.  Its terms come in the order the expansion meets them."""
     q = prod(family.polynomials[1:], start=family.polynomials[0])
     zidx = [q.variables.index(v) for v in family.coordinate_variables()]
     xidx = q.variables.index("x")
@@ -402,9 +411,45 @@ def _symmetric_cubic():
     ids=["cyclic-only", "transposition-only", "fully-symmetric"],
 )
 def test_orbit_extraction_matches_tuple_reference_under_partial_symmetry(family):
-    """Sorting the Z vectors of a Q that only part of S_(N+1) fixes gives
-    wrong coefficients by m = 12, so the symmetry test must see both
-    generators."""
+    """Cubics that only part of S_3 fixes, and one that all of it fixes:
+    extraction uses no symmetry of Q, so each must match the plain
+    expansion, whatever coordinate permutations fix it."""
+    for m_max in range(1, 13):
+        got = am_logarithm(family, m_max)
+        reference = _tuple_am_logarithm(family, m_max)
+        assert [_exact_shape(got.coefficient(m)) for m in range(1, m_max + 1)] == [
+            _exact_shape(_ascending_in_x(a)) for a in reference
+        ], m_max
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # Z appears only in D = XYZ, so no monomial of R touches it: b_j = 0 for j > 0
+        _cubic("untouched-coordinate", {
+            (0, 1, 1, 1): 1, (1, 1, 1, 1): 2, (1, 3, 0, 0): 1, (0, 0, 3, 0): -1, (2, 2, 1, 0): 3,
+        }),
+        # Z^3 closes Z first; X^2 Y is then the last monomial to touch both X and Y
+        _cubic("two-closed-by-x2y", {
+            (0, 1, 1, 1): 1, (1, 0, 0, 3): 1, (0, 1, 2, 0): 2, (1, 2, 1, 0): -1,
+        }),
+        # X closes first; Y Z^2 then closes Z, and an odd gap to the target drops the state
+        _cubic("gap-not-a-multiple", {
+            (0, 1, 1, 1): 1, (1, 3, 0, 0): 1, (0, 0, 1, 2): 1, (1, 0, 3, 0): -2, (2, 1, 0, 2): 1,
+        }),
+        # every row of R and c have several x exponents, with both signs
+        _cubic("several-x-exponents", {
+            (0, 1, 1, 1): 1, (1, 1, 1, 1): -1, (2, 1, 1, 1): 2,
+            (1, 3, 0, 0): 1, (2, 3, 0, 0): 3, (0, 0, 3, 0): 2, (1, 0, 3, 0): -1,
+            (0, 0, 0, 3): -1, (3, 0, 0, 3): 1,
+        }),
+    ],
+    ids=lambda family: family.name,
+)
+def test_one_pass_prune_matches_tuple_reference(family):
+    """Each edge of the one-pass prune: a coordinate R never touches, one
+    monomial closing two coordinates with different exponents, a closing gap
+    that its exponent does not divide, and several x exponents per row and in c."""
     for m_max in range(1, 13):
         got = am_logarithm(family, m_max)
         reference = _tuple_am_logarithm(family, m_max)
