@@ -314,9 +314,9 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
         for v, value in states.items():
             top = v[done[0]] if done else m_max - 1  # j, once a coordinate is final
             fits = range(min([(top - v[i]) // e for i, e in enumerate(z) if e]) + 1)
-            if done and closing:
-                a, gap = divmod(top - v[closing[0]], z[closing[0]])
-                fits = fits[a:a + 1] if not gap else ()
+            if done and closing:  # one division: an a that misses j fails the test below
+                a = (top - v[closing[0]]) // z[closing[0]]
+                fits = fits[a:a + 1]
             t, outs, terms = sum(v) // n, [], []
             for a in fits:
                 w = tuple([x + a * e for x, e in zip(v, z)])
