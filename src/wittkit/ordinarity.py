@@ -6,16 +6,15 @@ does not vanish.  For the elliptic pencil this is checked against an
 independent oracle: count the points of the fiber over F_p, take the
 Frobenius trace t = p + 1 - count, and call the fiber supersingular exactly
 when t = 0 mod p.  The two verdicts must agree; the scan records every
-comparison.  The scan sieves its primes and checks each once; oracle verdicts
+comparison.  The scan sieves its primes and tests none again; oracle verdicts
 come from the counts mod p, from one pass per prime over all p fibers.  A scan
 keeps each prime's table as columns; every record is a named tuple.
 
-a_p mod p is never built over Z: the catalog's ``closed_form_mod`` reads it
-term by term along the closed form's term ratio, in O(p) small-int
-operations, and the ``congruence`` command reads a_(p^nu) mod p the same way.
-The scan reads a_p at all p parameter values from one chirp-transform product
-of two big integers per prime, and refuses a prime bound of ``SCAN_PRIME_BOUND``
-or more; ``hasse_witt_value`` reads one value by Horner's rule over F_p.
+a_p mod p is the catalog's period F0 = sum_j eps^j (nj)!/(j!)^n x^(nj), eps = (-sign)^n, below x^p
+(Dwork, 1969): C(p-1, nj) = (-1)^(nj) mod p makes the closed form's term j F0's when n is odd or
+sign = 1, as in every catalog pencil.  The scan reads F0 to x^pmax once, and each a_p at all p values
+from one chirp-transform product of two big integers, below ``SCAN_PRIME_BOUND``; the reference
+``hasse_witt_value`` (Horner over F_p) and ``congruence`` read ``closed_form_mod``'s term-ratio walk.
 
 Point counts read only the pencil's shape prod Z_i + sign*x*sum Z_i^n in
 P^(n-1), never a_p; the budget is still compared with #P^N(F_p).  A smooth
@@ -165,24 +164,20 @@ def _packed_product(u: list[int], v: list[int], start: int, count: int, top: int
     return Struct(f"<{count}{code}").unpack_from((a * b).to_bytes(size * (len(u) + len(v)), "little"), size * start)
 
 
-def _hasse_witt_table(family_id: str, p: int, powers: list[int]) -> list[int]:
-    """a_p(lambda) mod p for lambda = 0..p-1, from one big-integer product (Bluestein's chirp transform).
+def _hasse_witt_table(coefficients: list[int], g: int, p: int, powers: list[int]) -> list[int]:
+    """f(lambda) mod p for lambda = 0..p-1, from one big-integer product (Bluestein's chirp transform).
 
-    a_p = sum_(j<=d) c_j y^j in y = x^g.  ``powers`` lists r^i for a primitive root r, so h = r^g has
-    order m = (p-1)/gcd(g, p-1) and lambda = r^i has y = h^(i mod m).  As w_t = h^(t(t-1)/2) gives
-    h^(jk) = w_(j+k) / (w_j w_k), a_p(h^k) * w_k is slot d + k of the product of the integers
-    sum_j (c_j/w_j) z^(d-j) and sum_t w_t z^t at z = 2^32 or 2^64: each slot sum is below
-    (d+1)(p-1)^2 < p^3, which 64 bits hold below ``SCAN_PRIME_BOUND``.
-    """
-    terms = builtin_family(family_id).closed_form_mod(p, p, 1).terms  # p was checked by the scan
-    g = gcd(*(e for (e,) in terms)) or 1  # a_p is a polynomial in x^g
-    d, m = max(e for (e,) in terms) // g, (p - 1) // gcd(g, p - 1)
+    f = sum_(j<=d) c_j y^j in y = x^g, c_j = ``coefficients[j]`` any integers and d < p.  ``powers`` lists
+    r^i for a primitive root r, so h = r^g has order m = (p-1)/gcd(g, p-1) and lambda = r^i has
+    y = h^(i mod m).  As w_t = h^(t(t-1)/2) gives h^(jk) = w_(j+k) / (w_j w_k), f(h^k) * w_k is slot
+    d + k of the product of the integers sum_j (c_j/w_j) z^(d-j) and sum_t w_t z^t at z = 2^32 or 2^64:
+    each slot sum is below (d+1)(p-1)^2 < p^3, which 64 bits hold below ``SCAN_PRIME_BOUND``."""
+    d, m = len(coefficients) - 1, (p - 1) // gcd(g, p - 1)
     logs = [g * t % (p - 1) for t in accumulate(range(m + d - 1), initial=0)]  # w_t = r^logs[t]
-    scaled = [terms.get((g * j,), 0) * powers[-logs[j]] % p for j in reversed(range(d + 1))]
-    chirp = [powers[i] for i in logs]
-    slots = _packed_product(scaled, chirp, d, m, p**3)  # every slot sum is below p^3
+    scaled = [coefficients[j] % p * powers[-logs[j]] % p for j in reversed(range(d + 1))]
+    slots = _packed_product(scaled, [powers[i] for i in logs], d, m, p**3)  # w_t, t < m + d; sums < p^3
     values = [v * powers[-i] % p for v, i in zip(slots, logs)]
-    table = [terms.get((0,), 0)] * p
+    table = [coefficients[0] % p] * p
     for lam, value in zip(powers, cycle(values)):
         table[lam] = value
     return table
@@ -332,13 +327,15 @@ def classify_elliptic_fiber(
     return FiberClassification(p, lam, "ordinary" if trace % p else "supersingular", count, trace)
 
 
-def _scan_prime(family_id: str, p: int, with_oracle: bool, budget: int | None) -> PrimeScan:
+def _scan_prime(family_id: str, p: int, period: tuple, g: int, with_oracle: bool, budget: int | None) -> PrimeScan:
     powers = _primitive_root_powers(p)
-    residues = _hasse_witt_table(family_id, p, powers)
+    residues = _hasse_witt_table(period[:p:g], g, p, powers)  # a_p mod p: F0, a series in x^g, below x^p
     singular = _singular_flags(builtin_family(family_id).singular_rules, p, powers)
-    names = ("supersingular", "ordinary") if family_id in ELLIPTIC_FAMILIES else ("", "")
-    verdicts = ["singular" if s else names[v > 0] for v, s in zip(residues, singular)]
-    locus = tuple(lam for lam, v, s in zip(range(p), residues, singular) if not (v or s))
+    elliptic = family_id in ELLIPTIC_FAMILIES  # a pencil without verdicts marks only its singular rows
+    verdicts = ["ordinary" if v else "supersingular" for v in residues] if elliptic else [""] * p
+    for lam in compress(range(p), singular):
+        verdicts[lam] = "singular"
+    locus = tuple(compress(range(p), [not (v or s) for v, s in zip(residues, singular)]))
     oracle = agreements = agree = None
     if with_oracle:
         # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
@@ -374,7 +371,10 @@ def ordinarity_scan(
     for q in range(2, isqrt(prime_bound) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytes((prime_bound - q * q) // q + 1)
-    scans = [_scan_prime(family_id, p, with_oracle, budget) for p in compress(range(3, prime_bound + 1), sieve[3:])]
+    entry = builtin_family(family_id)
+    period, n = entry.period(prime_bound).coefficients, len(entry.family.coordinate_variables())
+    scans = [_scan_prime(family_id, p, period, n, with_oracle, budget)
+             for p in compress(range(3, prime_bound + 1), sieve[3:])]
     return OrdinarityReport(family_id, prime_bound, with_oracle, tuple(scans))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit import cli, ordinarity
+from wittkit import cli, families, ordinarity
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
@@ -166,6 +166,22 @@ def test_large_scan_bytes_pinned(capsys, family, pmax, fmt):
     code, out, _ = run(capsys, "scan-ordinary", "--family", family, "--pmax", pmax, *oracle, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_DIGESTS[family, pmax, fmt]
+
+
+def test_scan_walks_no_closed_form(capsys, monkeypatch):
+    """A scan, with or without the oracle, reads a_p mod p from the period: ``closed_form_mod`` is
+    never called.  ``congruence`` still walks it, so the counter is seen to count."""
+    calls = []
+    for family in FAMILY_IDS:
+        entry = builtin_family(family)
+        counted = lambda m, p, s, rule=entry.closed_form_mod: calls.append((m, p, s)) or rule(m, p, s)
+        monkeypatch.setitem(families._CATALOG, family, entry._replace(closed_form_mod=counted))
+    for scan in (("hesse-cubic", "--oracle"), ("hesse-cubic",), ("quartic-k3",), ("quintic-cy3",)):
+        code, out, _ = run(capsys, "scan-ordinary", "--pmax", "61", "--family", *scan)
+        assert code == 0 and out
+    assert calls == []
+    assert run(capsys, "congruence", "--family", "hesse-cubic", "--p", "3", "--nu", "2")[0] == 0
+    assert calls
 
 
 #: sha256 of stdout for ``witt --op verschiebung --m 10000`` on the length-1 vector (1), one per format.

@@ -277,7 +277,7 @@ def test_scan_oracle_verdicts_match_classify():
 
 
 def test_scan_tests_each_prime_once(monkeypatch):
-    """One primality test per scanned prime, the ``closed_form_mod`` rule's; the sieve lists them."""
+    """At most one primality test per scanned prime; the sieve lists them, and the scan tests none."""
     calls = []
 
     def counted(test):
@@ -314,9 +314,31 @@ def test_scan_residue_table_matches_horner():
                 assert (verdict == "singular") == declared_singular(family, lam, p), (family, p, lam)
     # from p = 1626 on, p^3 >= 2^32 and the sums are packed in 64 bits, not 32
     p = 1637  # = 2 mod 3, so a_p takes p - 1 distinct values of y = x^3
-    table = ordinarity._hasse_witt_table("hesse-cubic", p, ordinarity._primitive_root_powers(p))
+    period = builtin_family("hesse-cubic").period(p).coefficients
+    table = ordinarity._hasse_witt_table(period[:p:3], 3, p, ordinarity._primitive_root_powers(p))
     for lam in (*range(0, p, 41), p - 1):
         assert table[lam] == hasse_witt_value("hesse-cubic", lam, p), lam
+
+
+@pytest.mark.parametrize("family", families.FAMILY_IDS)
+def test_scan_reads_a_p_mod_p_from_the_truncated_period(monkeypatch, family):
+    """The list the scan evaluates at every p < 1000 is F0 = sum_j eps^j (nj)!/(j!)^n x^(nj) truncated
+    below x^p, as a list in y = x^n; reduced mod p it is a_p mod p from ``closed_form_mod``'s walk,
+    coefficient by coefficient: C(p-1, nj) = (-1)^(nj) mod p turns sign^j into eps^j = (-sign)^(nj)."""
+    read, table = {}, ordinarity._hasse_witt_table
+
+    def recorded(coefficients, g, p, powers):
+        read[p] = coefficients, g
+        return table(coefficients, g, p, powers)
+
+    monkeypatch.setattr(ordinarity, "_hasse_witt_table", recorded)
+    ordinarity_scan(family, 999)
+    n = len(builtin_family(family).family.coordinate_variables())
+    assert sorted(read) == [p for p in range(3, 1000) if is_prime(p)]
+    for p, (coefficients, g) in read.items():
+        terms = builtin_family(family).closed_form_mod(p, p, 1).terms
+        assert g == n and all(not e % n for (e,) in terms), p
+        assert [c % p for c in coefficients] == [terms.get((n * j,), 0) for j in range((p - 1) // n + 1)], p
 
 
 def test_scan_prime_bound_is_the_slot_bound(monkeypatch):
