@@ -334,12 +334,12 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     for _ in range(1, m_max):
         c_powers.append(x_mul(c_powers[-1], c_of_d))
     for j in range(m_max):  # a loop: a C(j+i, i) c^i dict per (j, i) for x_add_products cost log-extraction 12%
-        b_j = states.get((j,) * n)
-        for i in range(m_max - j) if b_j else ():
-            b, out = comb(j + i, i), sums[j + i]
+        b_j, b = states.get((j,) * n), 1  # b = C(j + i, i), carried along the row
+        for i, out in enumerate(sums[j:] if b_j else ()):  # out = a_(j+i+1)'s sum
             for x1, c1 in b_j.items():
                 for x2, c2 in c_powers[i].items():
                     out[x1 + x2] = out.get(x1 + x2, 0) + b * c1 * c2
+            b = b * (j + i + 1) // (i + 1)
     return Logarithm(SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)}) for s in sums)
 
 
