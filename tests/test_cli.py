@@ -168,6 +168,29 @@ def test_large_scan_bytes_pinned(capsys, family, pmax, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_DIGESTS[family, pmax, fmt]
 
 
+#: sha256 of stdout for tables whose trailing columns hold one value in every row, one per format:
+#: pf-check, where every row passes, and a hesse scan without the oracle, whose oracle columns are blank.
+CONSTANT_COLUMN_DIGESTS = {
+    (("pf-check", "--family", "quintic-cy3", "--kmax", "150"), "json"):
+        "41a4305f54214dac947656cabbac99e39133818ef730e1ec92c0f65d30491db5",
+    (("pf-check", "--family", "quintic-cy3", "--kmax", "150"), "tsv"):
+        "44adb24fd95373b80217d47b9deedc8d1a3d3b60042d1d1a97290111bb2d3439",
+    (("scan-ordinary", "--family", "hesse-cubic", "--pmax", "61"), "json"):
+        "54b0616426521dc59123da04c4c2677ca5a8a1a49b3a5de8049fc6e518e0ffa5",
+    (("scan-ordinary", "--family", "hesse-cubic", "--pmax", "61"), "tsv"):
+        "032d8866e04998521ec22ede1f642b0d8e3c12636a4d05cf8fe1711f82861d01",
+}
+
+
+@pytest.mark.parametrize("request_args, fmt", sorted(CONSTANT_COLUMN_DIGESTS),
+                         ids=["_".join(a[::2]) + "-" + fmt for a, fmt in sorted(CONSTANT_COLUMN_DIGESTS)])
+def test_constant_column_bytes_pinned(capsys, request_args, fmt):
+    import hashlib
+    code, out, _ = run(capsys, *request_args, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTANT_COLUMN_DIGESTS[request_args, fmt]
+
+
 def test_scan_walks_no_closed_form(capsys, monkeypatch):
     """A scan, with or without the oracle, reads a_p mod p from the period: ``closed_form_mod`` is
     never called.  ``congruence`` still walks it, so the counter is seen to count."""
