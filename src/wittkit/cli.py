@@ -6,10 +6,11 @@ or at --out, deterministically: identical requests on identical builds give
 byte-identical output.  Each handler builds one value table per result, by
 column; the TSV document prints it, and the JSON payload, a keyed view of the
 same columns (``Records``, ring elements marked as ``Values``), is built only
-when --format json asks for it.  --manifest PATH records the request, a wall
-time, and a content hash of the result bytes.  --config PATH presets flags
-from key=value lines; each subcommand's parser is the one declaration of its
-flags' types, choices and defaults, and checks the presets too.
+when --format json asks for it; a scan's numerals print from one table of
+texts (``Indexed``).  --manifest PATH records the request, a wall time, and a
+content hash of the result bytes.  --config PATH presets flags from key=value
+lines; each subcommand's parser is the one declaration of its flags' types,
+choices and defaults, and checks the presets too.
 
 Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
 unwritable output path), 2 precondition violation, 3 budget exceeded.
@@ -38,6 +39,7 @@ from .ordinarity import (
 from .picard_fuchs import pf_congruence_check
 from .polynomials import as_x_polynomial, is_integral
 from .serialize import (
+    Indexed,
     Records,
     SchemaError,
     Values,
@@ -218,12 +220,13 @@ def _cmd_fgl(args) -> ResultDoc:
 def _cmd_scan(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     report = ordinarity_scan(family, args.pmax, args.oracle, args.budget)
+    numeral = list(map(str, range(args.pmax))).__getitem__  # lambda < p and a_p mod p < p, each a table read
     blocks = [  # one per prime; the oracle's columns are blank without it
-        [[s.prime] * s.prime, range(s.prime), s.hasse_witt_values, s.verdicts,
+        [[s.prime] * s.prime, Indexed(range(s.prime), numeral), Indexed(s.hasse_witt_values, numeral), s.verdicts,
          s.oracle_verdicts or [""] * s.prime, s.agreements or [None] * s.prime]
         for s in report.scans
     ]
-    digits = list(map(str, range(args.pmax)))  # a_p mod p < pmax: every prime shares one text per value
+    string = [f'"{d}"' for d in map(str, range(args.pmax))].__getitem__  # a_p prints as a JSON string
     return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], blocks, lambda: {
         "family": family,
         "pmax": args.pmax,
@@ -234,7 +237,7 @@ def _cmd_scan(args) -> ResultDoc:
             "nonordinary": [s.nonordinary for s in report.scans],
             "agree": [s.agree for s in report.scans],
             "rows": [
-                Records({"lambda": lam, "a_p": list(map(digits.__getitem__, a_p)),
+                Records({"lambda": lam, "a_p": Indexed(a_p.values, string),
                          "verdict": v, "oracle_verdict": o, "agree": ok})
                 for _, lam, a_p, v, o, ok in blocks
             ],

@@ -3,17 +3,17 @@
 All numbers travel as decimal strings so arbitrary precision survives the
 trip; rationals use the form ``p/q``.  Keys are emitted sorted and rows
 sorted, so identical values always produce identical bytes.  Callers hand
-over plain values and tables by column (``Records``), ring elements marked as
-``Values``, and each value prints here by one rule: ``format_value`` in TSV,
-``value_text`` in JSON.  docs/formats.md documents the schemas and grammar.
+over tables by column (``Records``).  A cell prints by its ``Values`` printer
+or by one rule per format; a row, as constant texts (a one-value column among
+them) around the varying ones.  docs/formats.md has the schemas and grammar.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
 
 from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
 from .witt import WittVector
@@ -94,14 +94,6 @@ class Records:
         self.columns = columns
 
 
-class Values:
-    """A JSON array of ring elements, or a column of them in ``Records``, each printed by
-    ``value_text``.  It is no list, so the C encoder refuses it rather than print an int as a number."""
-
-    def __init__(self, values: Sequence[Value | None]):
-        self.values = values
-
-
 def value_text(value: Value | None) -> str:
     """A value's polynomial object as JSON text (None is ``null``): keys sorted, terms in
     ``sorted_terms`` order, coefficients as decimal strings, and a scalar in no variables."""
@@ -117,6 +109,29 @@ def value_text(value: Value | None) -> str:
     ]) + '],"variables":' + _ENCODER.encode(value.variables) + "}"
 
 
+class Values:
+    """A JSON array of ring elements, or a column of them in ``Records``, each printed by
+    ``value_text``.  It is no list, so the C encoder refuses it rather than print an int as a number."""
+
+    text = staticmethod(value_text)
+
+    def __init__(self, values: Sequence[Value | None]):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+class Indexed(Values):
+    """``Values`` printed by ``text`` as they stand, in a TSV block too: say, indices into one table."""
+
+    def __init__(self, values: Sequence, text: Callable[..., str]):
+        self.values, self.text = values, text
+
+    def __getitem__(self, rows: slice) -> Indexed:
+        return Indexed(self.values[rows], self.text)
+
+
 def _chunks(obj):
     if isinstance(obj, dict):
         for i, key in enumerate(sorted(obj)):
@@ -125,12 +140,11 @@ def _chunks(obj):
         yield "}" if obj else "{}"
     elif isinstance(obj, Records):
         yield "["
-        for i, text in enumerate(_records(obj)):
-            yield ("," if i else "") + text
+        yield ",".join(_records(obj))
         yield "]"
     elif isinstance(obj, Values):
         for start in range(0, len(obj.values), _ROWS):
-            yield ("," if start else "[") + ",".join(map(value_text, obj.values[start:start + _ROWS]))
+            yield ("," if start else "[") + ",".join(map(obj.text, obj.values[start:start + _ROWS]))
         yield "]" if obj.values else "[]"
     elif isinstance(obj, SparsePolynomial):  # one polynomial, such as a residual, which the C encoder refuses
         yield value_text(obj)
@@ -138,48 +152,51 @@ def _chunks(obj):
         yield _ENCODER.encode(obj)
 
 
-def _records(records: Records) -> Iterator[str]:
-    """Each object's text: its values' texts joined with the constant text between them."""
-    keys = sorted(records.columns)
-    quotes, texts = zip(*(_column(records.columns[key], _ENCODER.encode) for key in keys))
-    opens = ["{", *(quote + "," for quote in quotes[:-1])]
-    parts = [part for key, quote, start, values in zip(keys, quotes, opens, texts)
-             for part in (repeat(start + _ENCODER.encode(key) + ":" + quote), values)]
-    return map("".join, zip(*parts, repeat(quotes[-1] + "}")))
+def _records(records: Records) -> Iterable[str]:
+    """Each object's text, a row whose constant texts are its keys, separators and quotes."""
+    items = []
+    for i, key in enumerate(sorted(records.columns)):
+        quote, texts = _column(records.columns[key], _ENCODER.encode)
+        items += ("," if i else "{") + _ENCODER.encode(key) + ":" + quote, texts, quote
+    return _rows([*items, "}"], "", len(records.columns[key]))
 
 
 def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> str:
-    """The header line, then the rows of blocks of equal-length columns, tab-separated.  A cell of
-    ``None`` is empty, a bool is ``true``/``false``, a string is printed as given, and any other
-    value is its exact ``format_value`` text."""
+    """The header line, then the rows of blocks of equal-length columns, tab-separated, ``_ROWS`` rows
+    at a time.  A cell of ``None`` is empty, a bool is ``true``/``false``, a string is printed as given,
+    ``Values`` by their printer, and any other value is its exact ``format_value`` text."""
     text = ["\t".join(header), "\n"]
     for columns in blocks:
         for start in range(0, len(columns[0]) if columns else 0, _ROWS):
-            cells = [_column(c[start:start + _ROWS], _cell)[1] for c in columns]
-            text += "\n".join(map("\t".join, zip(*cells))), "\n"
+            rows = [c[start:start + _ROWS] for c in columns]
+            text += "\n".join(_rows([_column(c, _cell)[1] for c in rows], "\t", len(rows[0]))), "\n"
     return "".join(text)
 
 
-def _column(values: Sequence, cell) -> tuple[str, Iterable[str]]:
-    """A column's texts by ``cell``, and the quote to put around each: ``Values`` print by ``value_text``,
-    ints at C speed, texts that print as themselves between the format's quotes as given, and each
-    distinct text, bool or None once."""
+def _rows(items: Sequence, sep: str, n: int) -> Iterable[str]:
+    """``n`` rows, each ``sep`` joined over ``items``, constant texts and columns' texts."""
+    parts = []
+    for constant, run in groupby(items, lambda item: type(item) is str):
+        parts += [repeat(sep.join(run), n)] if constant else run
+    return map(sep.join, zip(*parts))
+
+
+def _column(values: Sequence, cell) -> tuple[str, Iterable[str] | str]:
+    """A column's texts by ``cell``, and the quote to put around each; or ``""`` and one text (a ``str``)
+    when its cells are one value of one kind (1 == True, yet they print apart).  ``Values`` print by
+    their printer, ints exactly, and texts that print as themselves between the format's quotes as given."""
     if isinstance(values, Values):
-        return "", map(value_text, values.values)
+        return "", map(values.text, values.values)
     kinds = set(map(type, values))
+    if values and kinds in ({int}, {str}, {bool}, {type(None)}) and values.count(values[0]) == len(values):
+        return "", (_scalar_text if kinds == {int} else cell)(values[0])
     if kinds <= {int}:
-        try:
-            return "", list(map(str, values))
-        except ValueError:  # an int past str()'s digit limit
-            return "", map(_scalar_text, values)
+        return "", map(_scalar_text, values)
     if kinds <= {str}:
         quote = cell("")[:1]  # '"' in JSON, nothing in TSV
         joined = "".join(values)  # an escape in any text shows in the join
         if cell(joined) == quote + joined + quote:
             return quote, values
-    if kinds <= {bool, type(None), str}:
-        texts = {v: cell(v) for v in set(values)}
-        return "", map(texts.__getitem__, values)
     if kinds <= {Records}:
         return "", ("[" + ",".join(_records(v)) + "]" for v in values)
     return "", map(cell, values)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wittkit.polynomials import SparsePolynomial, _scalar_text, format_value
 from wittkit.serialize import (
+    Indexed,
     Records,
     SchemaError,
     Values,
@@ -121,18 +122,121 @@ _JSON_COLUMN = st.sampled_from([
 ])
 
 
-@settings(max_examples=60, deadline=None)
+#: Pairs of cells Python calls equal, which print apart.
+_EQUAL_APART = [(1, True), (0, False)]
+
+
+@st.composite
+def _json_columns(draw, n):
+    """A column of ``n`` cells: drawn cell by cell, one drawn cell repeated, or cells drawn from
+    a pair that Python calls equal yet print apart."""
+    cells = draw(_JSON_COLUMN)
+    shape = draw(st.sampled_from(["drawn", "constant", "equal apart"]))
+    if shape == "constant":
+        return [draw(cells)] * n
+    if shape == "equal apart":
+        cells = st.sampled_from(draw(st.sampled_from(_EQUAL_APART)))
+    return draw(st.lists(cells, min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_records_from_columns_equal_json_dumps_of_dicts(data):
     keys = data.draw(st.lists(_JSON_TEXT, min_size=1, max_size=5, unique=True))
     n = data.draw(st.integers(0, 6))
-    columns = {key: data.draw(st.lists(data.draw(_JSON_COLUMN), min_size=n, max_size=n)) for key in keys}
+    columns = {key: data.draw(_json_columns(n)) for key in keys}
     records = [{key: columns[key][i] for key in keys} for i in range(n)]
     assert json_dumps(Records(columns)) == json.dumps(records, sort_keys=True, separators=(",", ":")) + "\n"
     # a column of Records, inside a payload
     nested = {"outer": Records({"n": [n, 0], "rows": [Records(columns), Records({"a": []})]})}
     expected = {"outer": [{"n": n, "rows": records}, {"n": 0, "rows": []}]}
     assert json_dumps(nested) == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _tsv_text(cell) -> str:
+    """A TSV cell's text, one cell at a time."""
+    if cell is None:
+        return ""
+    if type(cell) is bool:
+        return "true" if cell else "false"
+    return cell if type(cell) is str else format_value(cell)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+#: Columns whose cells Python calls equal: one value of one kind prints one text, once; 1 and True,
+#: or 0 and False, print apart.  The text is one JSON escapes; the int is past str()'s digit limit.
+_EQUAL_COLUMNS = {
+    "int": [-7] * 3,
+    "bool": [False] * 3,
+    "none": [None] * 3,
+    "text": ['"\\\n\u2028\ud800%'] * 3,
+    "1 and True": [1, True, 1],
+    "True and 1": [True, 1, 1],
+    "0 and False": [0, False, False],
+}
+_BIG_INT = 10**4400 + 7
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("keys", [["int", "bool", "none", "text"], list(_EQUAL_COLUMNS)],
+                         ids=["all constant", "with equal cells apart"])
+def test_columns_of_equal_cells_print_each_cell_by_its_kind(keys, rows):
+    columns = {key: _EQUAL_COLUMNS[key][:rows] for key in keys}
+    records = [{key: cells[i] for key, cells in columns.items()} for i in range(rows)]
+    assert json_dumps(Records(columns)) == _dumps(records)
+    assert json_dumps({"nested": Records({"rows": [Records(columns)] * 2})}) == _dumps(
+        {"nested": [{"rows": records}] * 2})
+    block = [*columns.values(), [_BIG_INT] * rows]
+    lines = ["\t".join(map(_tsv_text, cells)) for cells in zip(*block)]
+    assert tsv_dumps([*keys, "big"], [block]) == "\n".join(["\t".join([*keys, "big"]), *lines]) + "\n"
+    big = str(Decimal(_BIG_INT))
+    assert json_dumps(Records({"big": [_BIG_INT] * rows})) == "[" + ",".join(['{"big":' + big + "}"] * rows) + "]\n"
+
+
+@pytest.mark.parametrize("values", [
+    [None] * 3, [5] * 3, [0, SparsePolynomial(("x",), {})],
+    [SparsePolynomial(("x",), {}), SparsePolynomial(("y",), {})],  # equal, yet in other variables
+    [SparsePolynomial(("x",), {(0,): 5}), SparsePolynomial(("y",), {(0,): 5}), 5],
+], ids=["none", "ints", "0 and zero", "zeros in x and y", "fives in x, y and none"])
+def test_values_of_equal_cells_print_each_by_value_text(values):
+    expected = [value_to_obj(v) if v is not None else None for v in values]
+    records = Records({"v": Values(values)})
+    assert json_dumps(records) == _dumps([{"v": v} for v in expected])
+    assert json_dumps({"a": Values(values)}) == _dumps({"a": expected})
+
+
+def test_indexed_cells_print_as_their_table_says():
+    texts = ["0", "1", '"2"', "x\ty"]  # printed as they stand, in either format
+    for indices in ([3, 0, 0, 2, 1], [2, 2, 2], range(4), [1]):
+        column = Indexed(indices, texts.__getitem__)
+        json_rows = ['{"a":' + texts[i] + ',"k":' + str(k) + "}" for k, i in enumerate(indices)]
+        assert json_dumps(Records({"a": column, "k": range(len(indices))})) == "[" + ",".join(json_rows) + "]\n"
+        assert json_dumps({"a": column}) == '{"a":[' + ",".join(texts[i] for i in indices) + "]}\n"
+        tsv_rows = [f"{k}\t{texts[i]}" for k, i in enumerate(indices)]
+        assert tsv_dumps(["k", "a"], [[range(len(indices)), column]]) == "\n".join(["k\ta", *tsv_rows]) + "\n"
+
+
+def test_tsv_columns_constant_in_one_slice_and_not_the_next():
+    """A column prints once per 4,096-row slice in which it is constant, and cell by cell in the
+    slices in which it is not."""
+    n = 2 * 4_096 + 5
+    digits = [str(k) for k in range(10)]
+    columns = [
+        [7] * 4_096 + list(range(n - 4_096)),  # constant, then not
+        [k % 5 for k in range(4_096)] + [None] * (n - 4_096),  # not, then constant
+        [1] * 4_096 + [True] * (n - 4_096),  # constant in every slice, by two kinds that print apart
+        [1] * 4_095 + [True] + [1] * (n - 4_096),  # 1 throughout, but for one True in the first slice
+        ["a\tb"] * n,  # constant throughout
+        Indexed([3] * 4_096 + [k % 10 for k in range(n - 4_096)], digits.__getitem__),
+        Indexed([k % 10 for k in range(4_096)] + [9] * (n - 4_096), digits.__getitem__),
+    ]
+    cells = [[digits[i] for i in c.values] if isinstance(c, Indexed) else c for c in columns]
+    lines = ["\t".join(map(_tsv_text, row)) for row in zip(*cells)]
+    header = [str(i) for i in range(len(columns))]
+    assert tsv_dumps(header, [columns]) == "\n".join(["\t".join(header), *lines]) + "\n"
 
 
 def test_text_grammar():
