@@ -222,8 +222,8 @@ def _cmd_scan(args) -> ResultDoc:
     report = ordinarity_scan(family, args.pmax, args.oracle, args.budget)
     numeral = list(map(str, range(args.pmax))).__getitem__  # lambda < p and a_p mod p < p, each a table read
     blocks = [  # one per prime; the oracle's columns are blank without it
-        [[s.prime] * s.prime, Indexed(range(s.prime), numeral), Indexed(s.hasse_witt_values, numeral), s.verdicts,
-         s.oracle_verdicts or [""] * s.prime, s.agreements or [None] * s.prime]
+        [[str(s.prime)] * s.prime, Indexed(range(s.prime), numeral), Indexed(s.hasse_witt_values, numeral),
+         s.verdicts, s.oracle_verdicts or [""] * s.prime, s.agreements or [None] * s.prime]
         for s in report.scans
     ]
     string = [f'"{d}"' for d in map(str, range(args.pmax))].__getitem__  # a_p prints as a JSON string

@@ -110,23 +110,19 @@ def value_text(value: Value | None) -> str:
 
 
 class Values:
-    """A JSON array of ring elements, or a column of them in ``Records``, each printed by
-    ``value_text``.  It is no list, so the C encoder refuses it rather than print an int as a number."""
+    """A JSON array, or a column in ``Records``, of cells each printed by ``text`` as it stands: ring
+    elements by ``value_text``, unless told otherwise.  It is no list, so the C encoder refuses it rather
+    than print an int as a number."""
 
-    text = staticmethod(value_text)
-
-    def __init__(self, values: Sequence[Value | None]):
-        self.values = values
+    def __init__(self, values: Sequence, text: Callable[..., str] = value_text):
+        self.values, self.text = values, text
 
     def __len__(self) -> int:
         return len(self.values)
 
 
 class Indexed(Values):
-    """``Values`` printed by ``text`` as they stand, in a TSV block too: say, indices into one table."""
-
-    def __init__(self, values: Sequence, text: Callable[..., str]):
-        self.values, self.text = values, text
+    """``Values`` that a TSV block may hold too, such as indices printed from one table of texts."""
 
     def __getitem__(self, rows: slice) -> Indexed:
         return Indexed(self.values[rows], self.text)
@@ -168,7 +164,7 @@ def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> st
     text = ["\t".join(header), "\n"]
     for columns in blocks:
         for start in range(0, len(columns[0]) if columns else 0, _ROWS):
-            rows = [c[start:start + _ROWS] for c in columns]
+            rows = columns if len(columns[0]) <= _ROWS else [c[start:start + _ROWS] for c in columns]
             text += "\n".join(_rows([_column(c, _cell)[1] for c in rows], "\t", len(rows[0]))), "\n"
     return "".join(text)
 
@@ -182,16 +178,20 @@ def _rows(items: Sequence, sep: str, n: int) -> Iterable[str]:
 
 
 def _column(values: Sequence, cell) -> tuple[str, Iterable[str] | str]:
-    """A column's texts by ``cell``, and the quote to put around each; or ``""`` and one text (a ``str``)
-    when its cells are one value of one kind (1 == True, yet they print apart).  ``Values`` print by
-    their printer, ints exactly, and texts that print as themselves between the format's quotes as given."""
+    """A column's texts by ``cell`` and the quote around each, or ``""`` and one text (a ``str``) when its
+    cells are one value of one kind: 1 == True, yet they print apart, and only texts equal a text and
+    only None is None.  ``Values`` print by their printer, ints at C speed, texts needing no escape as given."""
     if isinstance(values, Values):
         return "", map(values.text, values.values)
+    one = values and values.count(values[0]) == len(values) and type(values[0])  # a one-value column's kind
+    if one in (str, type(None)) or one in (int, bool) and set(map(type, values)) == {one}:
+        return "", (_scalar_text if one is int else cell)(values[0])
     kinds = set(map(type, values))
-    if values and kinds in ({int}, {str}, {bool}, {type(None)}) and values.count(values[0]) == len(values):
-        return "", (_scalar_text if kinds == {int} else cell)(values[0])
     if kinds <= {int}:
-        return "", map(_scalar_text, values)
+        try:
+            return "", list(map(str, values))
+        except ValueError:  # an int past str()'s digit limit
+            return "", map(_scalar_text, values)
     if kinds <= {str}:
         quote = cell("")[:1]  # '"' in JSON, nothing in TSV
         joined = "".join(values)  # an escape in any text shows in the join
