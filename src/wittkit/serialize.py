@@ -110,9 +110,8 @@ def value_text(value: Value | None) -> str:
 
 
 class Values:
-    """A JSON array, or a column in ``Records``, of cells each printed by ``text`` as it stands: ring
-    elements by ``value_text``, unless told otherwise.  It is no list, so the C encoder refuses it rather
-    than print an int as a number."""
+    """A JSON array, or a ``Records`` column, of cells printed by ``text`` as they stand (ring elements by
+    ``value_text``).  It is no list, so the C encoder refuses it rather than print an int as a number."""
 
     def __init__(self, values: Sequence, text: Callable[..., str] = value_text):
         self.values, self.text = values, text
@@ -179,14 +178,15 @@ def _rows(items: Sequence, sep: str, n: int) -> Iterable[str]:
 
 def _column(values: Sequence, cell) -> tuple[str, Iterable[str] | str]:
     """A column's texts by ``cell`` and the quote around each, or ``""`` and one text (a ``str``) when its
-    cells are one value of one kind: 1 == True, yet they print apart, and only texts equal a text and
-    only None is None.  ``Values`` print by their printer, ints at C speed, texts needing no escape as given."""
+    cells are one value of one kind.  ``Values`` print by their printer, ints at C speed, plain texts as given."""
     if isinstance(values, Values):
         return "", map(values.text, values.values)
-    one = values and values.count(values[0]) == len(values) and type(values[0])  # a one-value column's kind
-    if one in (str, type(None)) or one in (int, bool) and set(map(type, values)) == {one}:
-        return "", (_scalar_text if one is int else cell)(values[0])
+    one = type(values[0]) if values else None
+    if one in (str, type(None)) and values.count(values[0]) == len(values):  # only a text equals a text
+        return "", cell(values[0])
     kinds = set(map(type, values))
+    if kinds in ({int}, {bool}) and values.count(values[0]) == len(values):  # 1 == True, yet they print apart
+        return "", (_scalar_text if one is int else cell)(values[0])
     if kinds <= {int}:
         try:
             return "", list(map(str, values))
