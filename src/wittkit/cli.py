@@ -226,7 +226,7 @@ def _cmd_scan(args) -> ResultDoc:
          s.verdicts, s.oracle_verdicts or [""] * s.prime, s.agreements or [None] * s.prime]
         for s in report.scans
     ]
-    string = [f'"{d}"' for d in map(str, range(args.pmax))].__getitem__  # a_p prints as a JSON string
+    quoted = [f'"{k}"' for k in range(args.pmax)].__getitem__  # a_p prints as a JSON string
     return ResultDoc(["p", "lambda", "a_p_value", "verdict", "oracle_verdict", "agree"], blocks, lambda: {
         "family": family,
         "pmax": args.pmax,
@@ -237,7 +237,7 @@ def _cmd_scan(args) -> ResultDoc:
             "nonordinary": [s.nonordinary for s in report.scans],
             "agree": [s.agree for s in report.scans],
             "rows": [
-                Records({"lambda": lam, "a_p": Indexed(a_p.values, string),
+                Records({"lambda": lam, "a_p": Indexed(a_p.values, quoted),
                          "verdict": v, "oracle_verdict": o, "agree": ok})
                 for _, lam, a_p, v, o, ok in blocks
             ],
