@@ -135,7 +135,8 @@ def _chunks(obj):
         yield "}" if obj else "{}"
     elif isinstance(obj, Records):
         yield "["
-        yield ",".join(_records(obj))
+        for i, text in enumerate(_records(obj)):
+            yield ("," if i else "") + text
         yield "]"
     elif isinstance(obj, Values):
         for start in range(0, len(obj.values), _ROWS):
@@ -157,9 +158,8 @@ def _records(records: Records) -> Iterable[str]:
 
 
 def tsv_dumps(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> str:
-    """The header line, then the rows of blocks of equal-length columns, tab-separated, ``_ROWS`` rows
-    at a time.  A cell of ``None`` is empty, a bool is ``true``/``false``, a string is printed as given,
-    ``Values`` by their printer, and any other value is its exact ``format_value`` text."""
+    """The header line, then the rows of blocks of equal-length columns, tab-separated.  A cell of ``None`` is
+    empty, a bool ``true``/``false``, a string as given, ``Values`` by their printer, the rest by ``format_value``."""
     text = ["\t".join(header), "\n"]
     for columns in blocks:
         for start in range(0, len(columns[0]) if columns else 0, _ROWS):
