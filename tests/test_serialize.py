@@ -108,6 +108,12 @@ def test_tsv_shape():
         "values": ([Fraction(1, 2), 1 - 120 * X**5, 7, third], ["1/2", "1-120*x^5", "7", third_text]),
         "strings": (["", "a b", "true", "-7"], ["", "a b", "true", "-7"]),
         "strings and flags": (["x", None, True, ""], ["x", "", "true", ""]),
+        "one int": ([big] * 4, [big_text] * 4),
+        "one flag": ([False] * 4, ["false"] * 4),
+        "one None": ([None] * 4, [""] * 4),
+        "one string": (["a b"] * 4, ["a b"] * 4),
+        "one value": ([third] * 4, [third_text] * 4),
+        "1 and True": ([1, True, 1, True], ["1", "true", "1", "true"]),
     }
     block = [values for values, _ in columns.values()]
     lines = ["\t".join(cells) for cells in zip(*(texts for _, texts in columns.values()))]
@@ -167,7 +173,7 @@ def _dumps(obj) -> str:
 
 
 #: Columns whose cells Python calls equal: one value of one kind prints one text, once; 1 and True,
-#: or 0 and False, print apart.  The text is one JSON escapes; the int is past str()'s digit limit.
+#: or 0 and False, print apart.  The text is one that JSON escapes.
 _EQUAL_COLUMNS = {
     "int": [-7] * 3,
     "bool": [False] * 3,
@@ -177,7 +183,6 @@ _EQUAL_COLUMNS = {
     "True and 1": [True, 1, 1],
     "0 and False": [0, False, False],
 }
-_BIG_INT = 10**4400 + 7
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -189,11 +194,11 @@ def test_columns_of_equal_cells_print_each_cell_by_its_kind(keys, rows):
     assert json_dumps(Records(columns)) == _dumps(records)
     assert json_dumps({"nested": Records({"rows": [Records(columns)] * 2})}) == _dumps(
         {"nested": [{"rows": records}] * 2})
-    block = [*columns.values(), [_BIG_INT] * rows]
+    block = [*columns.values(), [_BIG] * rows]  # an int past str()'s digit limit
     lines = ["\t".join(map(_tsv_text, cells)) for cells in zip(*block)]
     assert tsv_dumps([*keys, "big"], [block]) == "\n".join(["\t".join([*keys, "big"]), *lines]) + "\n"
-    big = str(Decimal(_BIG_INT))
-    assert json_dumps(Records({"big": [_BIG_INT] * rows})) == "[" + ",".join(['{"big":' + big + "}"] * rows) + "]\n"
+    big = str(Decimal(_BIG))
+    assert json_dumps(Records({"big": [_BIG] * rows})) == "[" + ",".join(['{"big":' + big + "}"] * rows) + "]\n"
 
 
 @pytest.mark.parametrize("values", [
