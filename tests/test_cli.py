@@ -618,6 +618,61 @@ def test_usage_errors(capsys):
     assert err == "wittkit: usage error: argument --budget: invalid negative budget: '-1'\n"
 
 
+_WITT_HELP = """\
+usage: wittkit witt [-h]
+                    [--op {teichmueller,add,mul,neg,ghost,from-ghost,frobenius,verschiebung,truncate}]
+                    [--a A] [--u U] [--v V] [--g G] [--m M] [--k K]
+                    [--length LENGTH] [--format {json,tsv}] [--out OUT]
+                    [--manifest MANIFEST] [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --op {teichmueller,add,mul,neg,ghost,from-ghost,frobenius,verschiebung,truncate}
+  --a A                 ring element (int or polynomial JSON)
+  --u U                 Witt vector JSON
+  --v V                 Witt vector JSON
+  --g G                 ghost entries as a JSON list
+  --m M
+  --k K
+  --length LENGTH
+  --format {json,tsv}
+  --out OUT             write the result document here
+  --manifest MANIFEST   write a run manifest here
+  --config CONFIG       key=value preset file
+"""
+_CHOICES = "(choose from 'witt', 'am-log', 'fgl', 'scan-ordinary', 'pf-check', 'congruence')"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        pytest.param([], 1, "", "wittkit: usage error: the following arguments are required: command\n",
+                     id="no-command"),
+        pytest.param(["--version"], 0, "wittkit 0.1.0\n", "", id="version"),
+        pytest.param(["nosuch"], 1, "", f"wittkit: usage error: argument command: invalid choice: 'nosuch' {_CHOICES}\n",
+                     id="unknown-command"),
+        pytest.param(["--format", "json", "witt"], 1, "",
+                     f"wittkit: usage error: argument command: invalid choice: 'json' {_CHOICES}\n",
+                     id="flag-before-command"),
+        pytest.param(["witt", "-h"], 0, _WITT_HELP, "", id="witt-help"),
+        pytest.param(["witt", "--op", "ghost", "--u", '{"coords":["1"]}', "extra"], 1, "",
+                     "wittkit: usage error: unrecognized arguments: extra\n", id="witt-trailing-argument"),
+        # the top level reads "--=x" as an ambiguous prefix of its own flags before any subcommand sees it
+        pytest.param(["witt", "--op", "neg", "--u", "--=x"], 1, "",
+                     "wittkit: usage error: ambiguous option: --=x could match --help, --version\n",
+                     id="witt-ambiguous-prefix"),
+    ],
+)
+def test_top_level_answers_pinned(capsys, monkeypatch, argv, code, out, err):
+    """The whole stdout, stderr and exit code (argparse's SystemExit code for help and version)."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal's width
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
 def test_precondition_exit_code(capsys):
     code, _, err = run(capsys, "scan-ordinary", "--family", "hesse-cubic", "--pmax", "2")
     assert code == 2
@@ -964,6 +1019,11 @@ def _zx_terms(*terms):
     return {"coords": [{"variables": ["x"], "terms": [{"exponents": e, "coefficient": c} for e, c in terms]}]}
 
 
+def _zx_raw(*terms, variables=("x",)):
+    """A Witt vector of one coordinate with these term objects, as given."""
+    return {"coords": [{"variables": list(variables), "terms": list(terms)}]}
+
+
 #: The whole stderr of Z[x] Witt inputs that the schema or the polynomial refuses (exit 1); the
 #: reason quotes the first error found, every term's schema checks coming before any other check.
 ZX_PARSE_ERRORS = {
@@ -978,6 +1038,20 @@ ZX_PARSE_ERRORS = {
     "second-coordinate": ({"coords": [_zx_terms(([1], "2"))["coords"][0], {"variables": ["x"], "terms": [
         {"exponents": [0], "coefficient": "1"}, {"exponents": [-3], "coefficient": "1"}]}]},
         "negative exponent in (-3,)"),
+    # each term's checks in their order: an object with exponents, a list of ints, no duplicate, then a coefficient
+    "term-not-object": (_zx_raw({"exponents": [0], "coefficient": "1"}, [1]), "expected an object with key 'exponents'"),
+    "no-coefficient": (_zx_raw({"exponents": [0], "coefficient": "1"}, {"exponents": [1]}),
+                       "expected an object with key 'coefficient'"),
+    "exponents-not-list": (_zx_raw({"exponents": 1, "coefficient": "1"}), "'exponents' must be list, not int"),
+    "float-exponent": (_zx_raw({"exponents": [1.0], "coefficient": "1"}), "an exponent must be int, not float"),
+    "bool-coefficient": (_zx_raw({"exponents": [1], "coefficient": True}),
+                         "a number must be an int or a decimal string, not bool"),
+    "float-coefficient": (_zx_raw({"exponents": [1], "coefficient": 1.5}),
+                          "a number must be an int or a decimal string, not float"),
+    "duplicate-then-float-coefficient": (_zx_raw({"exponents": [1], "coefficient": "1"},
+                                                 {"exponents": [1], "coefficient": 1.5}), "duplicate exponent vector [1]"),
+    "variable-not-string": (_zx_raw({"exponents": [1], "coefficient": "1"}, variables=[1]),
+                            "a variable name must be str, not int"),
 }
 
 
