@@ -10,7 +10,8 @@ when --format json asks for it; a scan's numerals print from one table of
 texts (``Indexed``).  --manifest PATH records the request, a wall time, and a
 content hash of the result bytes.  --config PATH presets flags from key=value
 lines; each subcommand's parser is the one declaration of its flags' types,
-choices and defaults, and checks the presets too.
+choices and defaults, and checks the presets too.  A subcommand's parser alone
+reads a request that starts with its name; the top level reads any other argv.
 
 Exit codes: 0 success, 1 usage error (malformed input, unreadable config or
 unwritable output path), 2 precondition violation, 3 budget exceeded.
@@ -287,8 +288,7 @@ def load_config(path: str, command: str) -> list[str]:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    parser = build_parser()
-    takes = vars(parser.parse_args([command]))
+    takes = vars(_parse_request([command]))
     flags = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -305,7 +305,7 @@ def load_config(path: str, command: str) -> list[str]:
         # --oracle is a switch: argparse rejects any value left on it
         flag = "--oracle" if key == "oracle" and value.lower() in _TRUE else f"--{key}={value}"
         try:
-            parser.parse_args([command, flag])
+            _parse_request([command, flag])
         except UsageError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         flags.append(flag)
@@ -328,6 +328,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wittkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wittkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's parser by its name, for _parse_request
 
     def common(p):
         p.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -385,6 +386,15 @@ def build_parser() -> _Parser:
     c.set_defaults(handler=_cmd_congruence)
 
     return parser
+
+
+def _parse_request(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass: a subcommand's parser alone reads an argv led by its name."""
+    command = build_parser().commands.get(argv[0]) if argv else None
+    # the top level reads an argument that starts with "--=" as an ambiguous prefix of its own flags, and stops
+    if command is None or any(a.startswith("--=") for a in argv):
+        return build_parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 #: The flags each Witt --op needs; its keys are the --op choices.
@@ -448,15 +458,14 @@ def exit_code(prog: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     started = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_request(argv)
         if args.config:
             # presets come first, so the command line's own flags win
             presets = load_config(args.config, args.command)
-            args = parser.parse_args([args.command, *presets, *argv[1:]])
+            args = _parse_request([args.command, *presets, *argv[1:]])
         _check_required(args)
         doc = args.handler(args)
         body = doc.emit(args.format)

@@ -390,7 +390,7 @@ def x_add_products(out: list, start: int, c: dict, row) -> None:
 
 def x_mul(a: dict, b: dict | int) -> dict:
     """``a * b`` for a dict and a dict or an int: a new dict, without the 0s a SparsePolynomial product drops.
-    The loop is ``x_add_products``' own, repeated here: one call less per product of the Witt sieve."""
+    The loop is ``x_add_products``' own, repeated here; ``witt._ghost_terms`` writes it out once more."""
     if type(b) is int:
         return {e: c * b for e, c in a.items()}
     out: dict = {}

@@ -14,6 +14,7 @@ import json
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 
 from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
 from .witt import WittVector
@@ -58,10 +59,14 @@ def value_from_obj(obj) -> Value:
     variables = tuple(_typed(v, str, "a variable name") for v in _field(obj, "variables", list))
     terms = {}
     for t in _field(obj, "terms", list):
-        exps = tuple(_typed(e, int, "an exponent") for e in _field(t, "exponents", list))
+        if type(t) is dict and type(exps := t.get("exponents")) is list and all(type(e) is int for e in exps):
+            exps = tuple(exps)
+        else:  # a term that fails: the checks that name the first fault
+            exps = tuple(_typed(e, int, "an exponent") for e in _field(t, "exponents", list))
         if exps in terms:
             raise SchemaError(f"duplicate exponent vector {list(exps)}")
-        terms[exps] = _scalar_from_obj(_field(t, "coefficient"))
+        c = t["coefficient"] if "coefficient" in t else _field(t, "coefficient")
+        terms[exps] = scalar_from_str(c) if type(c) is str else c if type(c) is int else _scalar_from_obj(c)
     if len(variables) == 1 and all(len(e) == 1 and e[0] >= 0 for e in terms):  # every term checked above: no second pass
         return SparsePolynomial._canonical(variables, terms)
     try:
@@ -106,7 +111,7 @@ def value_text(value: Value | None) -> str:
     return '{"terms":[' + ",".join([
         '{"coefficient":"' + _scalar_text(c) + '","exponents":[' + (str(e[0]) if one else ",".join(map(str, e)))
         + "]}" for e, c in value.sorted_terms()
-    ]) + '],"variables":' + _ENCODER.encode(value.variables) + "}"
+    ]) + '],"variables":[' + ",".join(map(encode_basestring_ascii, value.variables)) + "]}"  # as _ENCODER prints them
 
 
 class Values:

@@ -181,11 +181,22 @@ def teichmueller(a: Value, length: int) -> WittVector:
 
 
 def _ghost_terms(d: int, a: Value | dict, n: int):
-    """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple, of a value or a dict."""
+    """``(m - 1, d * a^(m/d))`` for each multiple m <= n of d, one product per multiple, of a value or a dict: d * a^j
+    is (d * a^(j-1)) * a, at d = 1 a itself, no copy; for a dict, ``x_mul``'s loop written out, no call per power."""
     if not a:
-        return ()
-    times = x_mul if type(a) is dict else mul  # d * a^j is (d * a^(j-1)) * a; at d = 1, a itself, no copy
-    return zip(range(d - 1, n, d), accumulate(repeat(a), times, initial=times(a, d) if d > 1 else a))
+        return
+    if type(a) is not dict:
+        yield from zip(range(d - 1, n, d), accumulate(repeat(a), mul, initial=a * d if d > 1 else a))
+        return
+    term = x_mul(a, d) if d > 1 else a
+    yield d - 1, term
+    for i in range(2 * d - 1, n, d):
+        out: dict = {}
+        for e1, c1 in term.items():
+            for e2, c2 in a.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        term = out if all(out.values()) else {e: c for e, c in out.items() if c}
+        yield i, term
 
 
 def _kept_ghost(w: WittVector) -> GhostVector | tuple:

@@ -1188,3 +1188,37 @@ def test_random_flags_exit_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(argv) in (0, 1, 2, 3)
     assert len(err.getvalue().encode("utf-8")) < 1000
+
+
+@st.composite
+def _presets(draw, command):
+    """Flags as load_config hands them on (``--key=value``, ``--oracle``) for some of the config keys that
+    ``command`` takes, now and then with junk in place of a valid value."""
+    flags = []
+    for key, strategy in {**_FLAG_STRATEGIES[command], "format": st.sampled_from(["json", "tsv"])}.items():
+        if key not in _CONFIG_KEYS or draw(st.integers(0, 9)) >= 3:
+            continue
+        value = None if strategy is None else draw(_JUNK if draw(st.integers(0, 9)) == 0 else strategy)
+        flags.append("--oracle" if value is None else f"--{key}={value}")
+    return flags
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse`` reads from ``argv`` as a dict, or the error or exit it ends with."""
+    try:
+        return vars(parse(argv))
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_flag_sets(), data=st.data())
+def test_one_pass_parse_reads_what_the_top_level_parse_reads(argv, data):
+    """The subcommand's parser alone reads a request as the top level and then the subcommand read it: the
+    same flags, or the same usage error, with and without config presets ahead of the command line's flags."""
+    presets = data.draw(_presets(argv[0]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for request in (argv, [argv[0], *presets, *argv[1:]]):
+            assert _parsed(cli._parse_request, request) == _parsed(build_parser().parse_args, request)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wittkit.polynomials import SparsePolynomial, _scalar_text, format_value
 from wittkit.serialize import (
+    _ENCODER,
     Indexed,
     Records,
     SchemaError,
@@ -285,6 +286,17 @@ RING_ELEMENTS = [
 @pytest.mark.parametrize("value", RING_ELEMENTS, ids=lambda value: type(value).__name__)
 def test_value_text_equals_json_of_the_reference_object_on_examples(value):
     assert value_text(value) == _reference(value)
+
+
+@pytest.mark.parametrize("name", ['"', "\\", "\x1f", "\u03bb", "\u2028", json.loads('"\\ud800"')],
+                         ids=["quote", "backslash", "control", "lambda", "u2028", "lone-surrogate"])
+def test_value_text_prints_variable_names_as_the_encoder_does(name):
+    """Names that need an escape print as the C encoder prints the tuple of names: alone and beside a
+    plain name, on a zero polynomial and on one term."""
+    for variables in ((name,), (name, "x")):
+        for terms in ({}, {(1,) * len(variables): 3}):
+            text = value_text(SparsePolynomial(variables, terms))
+            assert text.endswith(',"variables":' + _ENCODER.encode(variables) + "}")
 
 
 @settings(max_examples=300, deadline=None)

@@ -483,7 +483,8 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
     SparsePolynomial arithmetic return, value, type and variables of every coordinate and every
     kept-ghost entry, or fail at the same index with the same text; most inputs are vectors over
     Z[x] with int 0 and zero polynomials among their values, the rest mix in ints, polynomials in
-    y or in x and y, and rational ghost entries and coefficients."""
+    y or in x and y, and rational ghost entries and coefficients.  The last trials run at lengths
+    10-16, as the benchmark's Witt requests do, so the powers reach a^16."""
     # at index 4 the x^1 term of the remainder cancels and comes back, after the constant term,
     # and both coefficients are not divisible by 4: the message names the constant's
     terms = [{1: 3, 0: -1}, {2: -3, 0: 3}, {1: -3, 0: -1}, {0: 1, 1: -1}, {}, {1: 1, 2: -3}]
@@ -492,9 +493,10 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
         "error", IntegralityError, "integrality failure at index 4: -1 is not divisible by 4", 4)
     rng = random.Random(40)
     zx, mixed = ["zero", "zero-x", "x", "x", "x"], ["zero", "int", "zero-x", "x", "y", "xy"]
-    failures = 0
-    for trial in range(400):
-        n = rng.randint(1, 9)
+    failures, lengths = 0, set()
+    for trial in range(440):
+        n = rng.randint(1, 9) if trial < 400 else rng.randint(10, 16)
+        lengths.add(n)
         kinds = zx if trial % 3 else mixed
         coords = [_random_value(rng, kinds) for _ in range(n)]
         expected = _outcome(_naive_to_ghost, coords)
@@ -518,7 +520,7 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
         else:
             assert got == expected
             failures += expected[1] is IntegralityError
-    assert failures > 50
+    assert failures > 50 and 16 in lengths
 
 
 def test_sieve_over_zx_multiplies_no_polynomials(monkeypatch):
