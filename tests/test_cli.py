@@ -649,7 +649,8 @@ _CHOICES = "(choose from 'witt', 'am-log', 'fgl', 'scan-ordinary', 'pf-check', '
         pytest.param([], 1, "", "wittkit: usage error: the following arguments are required: command\n",
                      id="no-command"),
         pytest.param(["--version"], 0, "wittkit 0.1.0\n", "", id="version"),
-        pytest.param(["nosuch"], 1, "", f"wittkit: usage error: argument command: invalid choice: 'nosuch' {_CHOICES}\n",
+        pytest.param(["nosuch"], 1, "",
+                     f"wittkit: usage error: argument command: invalid choice: 'nosuch' {_CHOICES}\n",
                      id="unknown-command"),
         pytest.param(["--format", "json", "witt"], 1, "",
                      f"wittkit: usage error: argument command: invalid choice: 'json' {_CHOICES}\n",
@@ -1039,7 +1040,8 @@ ZX_PARSE_ERRORS = {
         {"exponents": [0], "coefficient": "1"}, {"exponents": [-3], "coefficient": "1"}]}]},
         "negative exponent in (-3,)"),
     # each term's checks in their order: an object with exponents, a list of ints, no duplicate, then a coefficient
-    "term-not-object": (_zx_raw({"exponents": [0], "coefficient": "1"}, [1]), "expected an object with key 'exponents'"),
+    "term-not-object": (_zx_raw({"exponents": [0], "coefficient": "1"}, [1]),
+                        "expected an object with key 'exponents'"),
     "no-coefficient": (_zx_raw({"exponents": [0], "coefficient": "1"}, {"exponents": [1]}),
                        "expected an object with key 'coefficient'"),
     "exponents-not-list": (_zx_raw({"exponents": 1, "coefficient": "1"}), "'exponents' must be list, not int"),
@@ -1048,8 +1050,9 @@ ZX_PARSE_ERRORS = {
                          "a number must be an int or a decimal string, not bool"),
     "float-coefficient": (_zx_raw({"exponents": [1], "coefficient": 1.5}),
                           "a number must be an int or a decimal string, not float"),
-    "duplicate-then-float-coefficient": (_zx_raw({"exponents": [1], "coefficient": "1"},
-                                                 {"exponents": [1], "coefficient": 1.5}), "duplicate exponent vector [1]"),
+    "duplicate-then-float-coefficient": (
+        _zx_raw({"exponents": [1], "coefficient": "1"}, {"exponents": [1], "coefficient": 1.5}),
+        "duplicate exponent vector [1]"),
     "variable-not-string": (_zx_raw({"exponents": [1], "coefficient": "1"}, variables=[1]),
                             "a variable name must be str, not int"),
 }
