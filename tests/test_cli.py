@@ -191,6 +191,26 @@ def test_constant_column_bytes_pinned(capsys, request_args, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTANT_COLUMN_DIGESTS[request_args, fmt]
 
 
+#: sha256 of stdout for ``pf-check --kmax 300`` on every pencil, one per format.  Every row passes and the TSV
+#: table names no family, so the three TSV digests are one.
+PF_CHECK_DIGESTS = {
+    ("hesse-cubic", "json"): "355c2b1a263cc3c7d6c231a03a50d6eec0819bdca9e086fdb4f4fe1085e06746",
+    ("hesse-cubic", "tsv"): "e5706f0509aa6c0fd52c398455129c9c6427219c163038bd1f2d92ac86371b9f",
+    ("quartic-k3", "json"): "acbdf07859467bdf9d81a5f386558a8db08fbe7188ae8b122c2da5aace7c8868",
+    ("quartic-k3", "tsv"): "e5706f0509aa6c0fd52c398455129c9c6427219c163038bd1f2d92ac86371b9f",
+    ("quintic-cy3", "json"): "7d15d7c7276dc800f97cf5f3bf148b8cb29638f1992218c3b7257ebf59ac2844",
+    ("quintic-cy3", "tsv"): "e5706f0509aa6c0fd52c398455129c9c6427219c163038bd1f2d92ac86371b9f",
+}
+
+
+@pytest.mark.parametrize("family, fmt", sorted(PF_CHECK_DIGESTS))
+def test_pf_check_bytes_pinned(capsys, family, fmt):
+    import hashlib
+    code, out, _ = run(capsys, "pf-check", "--family", family, "--kmax", "300", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PF_CHECK_DIGESTS[family, fmt]
+
+
 def test_scan_walks_no_closed_form(capsys, monkeypatch):
     """A scan, with or without the oracle, reads a_p mod p from the period: ``closed_form_mod`` is
     never called.  ``congruence`` still walks it, so the counter is seen to count."""

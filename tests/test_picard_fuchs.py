@@ -12,7 +12,7 @@ from wittkit.picard_fuchs import (
     pf_congruence_check,
     series_solution_check,
 )
-from wittkit.polynomials import SparsePolynomial
+from wittkit.polynomials import SparsePolynomial, format_value
 from wittkit.series import TruncatedSeries
 
 X = SparsePolynomial.variable("x")
@@ -236,6 +236,38 @@ def test_congruence_reports_a_changed_coefficient():
         for r, a in zip(results, changed):
             reference = L.apply(a).reduce_mod(r.k)
             assert r.residual == (reference if reference.terms else None)
+
+
+#: The failing k and each residual's text for the quintic operator with x^5 theta's coefficient raised by 1, k <= 60.
+CHANGED_OPERATOR_RESIDUALS = {
+    7: '5*x^10', 9: '6*x^10', 11: '6*x^10+10*x^15', 13: '2*x^10+10*x^15', 14: '12*x^10', 16: '8*x^10',
+    17: '5*x^10+15*x^15+7*x^20', 18: '6*x^10', 19: '11*x^10+4*x^15+10*x^20', 21: '12*x^10',
+    22: '6*x^10+10*x^15', 23: '2*x^10+8*x^15+14*x^20+13*x^25', 26: '2*x^10+10*x^15', 27: '6*x^10+18*x^20',
+    28: '12*x^10', 29: '20*x^10+13*x^15+8*x^20+8*x^25+x^30',
+    31: '11*x^10+20*x^15+28*x^20+2*x^25+14*x^30+25*x^35', 32: '24*x^10+16*x^15', 33: '6*x^10+21*x^15',
+    34: '22*x^10+32*x^15+24*x^20', 35: '5*x^10', 36: '24*x^10',
+    37: '8*x^10+24*x^15+8*x^20+29*x^25+28*x^30+3*x^35+16*x^40', 38: '30*x^10+4*x^15+10*x^20',
+    39: '15*x^10+36*x^15', 41: '26*x^10+22*x^15+2*x^20+7*x^25+38*x^30+37*x^35+28*x^40+38*x^45',
+    42: '12*x^10+30*x^45', 43: '41*x^10+4*x^15+35*x^20+13*x^25+7*x^30+26*x^35+41*x^40+42*x^45',
+    44: '28*x^10+32*x^15', 45: '15*x^10', 46: '2*x^10+8*x^15+14*x^20+36*x^25',
+    47: '36*x^10+31*x^15+14*x^20+28*x^25+25*x^30+34*x^35+40*x^40+24*x^45+37*x^50', 48: '24*x^10',
+    49: '12*x^10+42*x^15+35*x^40+19*x^45+7*x^50', 51: '39*x^10+15*x^15+24*x^20', 52: '28*x^10+36*x^15',
+    53: '17*x^10+12*x^15+52*x^20+42*x^25+31*x^30+30*x^35+24*x^40+31*x^45+37*x^50+42*x^55',
+    54: '6*x^10+18*x^20+36*x^55', 55: '50*x^10+10*x^15', 56: '40*x^10', 57: '30*x^10+42*x^15+48*x^20',
+    58: '20*x^10+42*x^15+8*x^20+8*x^25+30*x^30',
+    59: '10*x^10+20*x^15+16*x^20+56*x^25+24*x^30+29*x^35+34*x^40+56*x^45+34*x^50+37*x^55+30*x^60',
+}
+
+
+def test_changed_operator_residuals_pinned():
+    """L with one coefficient raised by 1 fails where L a_k + x^5 theta a_k is nonzero mod k, and each
+    residual prints as pinned."""
+    q = list(QUINTIC.picard_fuchs.coefficients)
+    q[1] = q[1] + X**5
+    results = pf_congruence_check(ThetaOperator(tuple(q)), closed_form_logarithm("quintic-cy3", 60).coefficient, 60)
+    assert [r.k for r in results] == list(range(1, 61))
+    assert {r.k: format_value(r.residual) for r in results if not r.passed} == CHANGED_OPERATOR_RESIDUALS
+    assert all(r.residual is None for r in results if r.passed)
 
 
 def test_congruence_needs_an_operator_over_z():
