@@ -25,7 +25,7 @@ def run(args: argparse.Namespace) -> int:
     operator = quintic.picard_fuchs
     failures = 0
 
-    results = pf_congruence_check(operator, quintic.closed_form, args.kmax)
+    results = pf_congruence_check(operator, quintic.closed_forms(args.kmax), args.kmax)
     bad = [r for r in results if not r.passed]
     print(f"L a_k = 0 mod k for k <= {args.kmax}: "
           f"{'PASS' if not bad else 'FAIL at ' + str([r.k for r in bad])}")

@@ -249,7 +249,7 @@ def _cmd_scan(args) -> ResultDoc:
 def _cmd_pf_check(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     entry = builtin_family(family)
-    ks, passed, residuals = zip(*pf_congruence_check(entry.picard_fuchs, entry.closed_form, args.kmax))
+    ks, passed, residuals = zip(*pf_congruence_check(entry.picard_fuchs, entry.closed_forms(args.kmax), args.kmax))
     return ResultDoc(["k", "pass", "residual"], [[ks, passed, residuals]], lambda: {
         "family": family,
         "kmax": args.kmax,

@@ -7,8 +7,8 @@ of homogeneous coordinates) is
     a_m = coefficient of (Z_0 * ... * Z_N)^(m-1)  in  (P_1 * ... * P_s)^(m-1),
 
 an element of Z[x] for the one-parameter pencils shipped here.  Three pencils
-are built in, each with a closed-form coefficient rule used as an independent
-oracle (the extraction path is the authority if the two ever disagree), its
+are built in, each with its closed form, walked in m, as an independent oracle
+(the extraction path is the authority if the two ever disagree), its
 Picard-Fuchs operator and its holomorphic period, all read from (n, sign).
 Extraction makes one pass over the monomials of P_1*...*P_s less its Z_0*...*Z_N term;
 a_m's terms ascend in x (see ``am_logarithm``).
@@ -21,11 +21,11 @@ on the parameter locus where those hypotheses hold.  Records are named tuples.
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .formal_groups import Logarithm
 from .picard_fuchs import ThetaOperator, expand_operator
-from .polynomials import SparsePolynomial, x_add_products, x_mul
+from .polynomials import SparsePolynomial, x_add_products, x_mul, x_polynomial
 from .series import TruncatedSeries
 
 PARAMETER = "x"
@@ -106,7 +106,7 @@ class CompleteIntersectionFamily:
 class FamilyCatalogEntry(NamedTuple):
     identifier: str
     family: CompleteIntersectionFamily
-    closed_form: Callable[[int], SparsePolynomial]
+    closed_forms: Callable[[int], Iterator[dict]]  # m_max -> a_1..a_(m_max) over Z as int dicts
     # (m, p, s) -> a_m mod p^s from the same formula, over small ints
     closed_form_mod: Callable[[int, int, int], SparsePolynomial]
     # the Picard-Fuchs operator, and its holomorphic period to a given order
@@ -125,36 +125,27 @@ class FamilyCatalogEntry(NamedTuple):
 
 def _pencil_poly(zvars: tuple[str, ...], sign: int) -> SparsePolynomial:
     """prod Z_i + sign * x * (sum Z_i^n)  with n the number of coordinates."""
-    variables = (PARAMETER,) + zvars
     n = len(zvars)
-    terms = {}
-    prod_exps = (0,) + (1,) * n
-    terms[prod_exps] = 1
-    for i in range(n):
-        exps = [1] + [0] * n
-        exps[1 + i] = n
-        terms[tuple(exps)] = sign
-    return SparsePolynomial(variables, terms)
+    terms = {(0,) + (1,) * n: 1, **{(1,) + (0,) * i + (n,) + (0,) * (n - 1 - i): sign for i in range(n)}}
+    return SparsePolynomial((PARAMETER,) + zvars, terms)
 
 
-def _symmetric_closed_form(n: int, sign: int) -> Callable[[int], SparsePolynomial]:
-    """a_m = sum_j sign^j (nj)!/(j!)^n C(m-1, nj) x^(nj).
+def _symmetric_closed_forms(n: int, sign: int) -> Callable[[int], Iterator[dict]]:
+    """a_1..a_(m_max) as ``{x exponent: int}`` dicts, a_m = sum_j sign^j (nj)!/(j!)^n C(m-1, nj) x^(nj).
 
-    Each term comes from the previous one: the ratio of the j-th to the
-    (j-1)-th is sign * (m-nj) (m-nj+1) ... (m-nj+n-1) / j^n.
+    Term j of a_m is a_(m-1)'s times (m-1)/(m-1-nj), exact over Z; when m-1 = nj, a_m gains the top
+    term, the last top term times sign * (nj-n+1) ... (nj) / j^n.  Only the last a_m is held.
     """
 
-    def rule(m: int) -> SparsePolynomial:
-        if m < 1:
-            raise ValueError("coefficients are indexed from 1")
-        terms = {(0,): 1}
-        c = 1
-        for j in range(1, (m - 1) // n + 1):
-            c = c * sign * prod(range(m - n * j, m - n * j + n)) // j**n
-            terms[(n * j,)] = c
-        return SparsePolynomial._canonical((PARAMETER,), terms)
+    def walk(m_max: int) -> Iterator[dict]:
+        terms, top = {}, 1
+        for m in range(1, m_max + 1):
+            terms = {e: c * (m - 1) // (m - 1 - e) for e, c in terms.items()}
+            if not (m - 1) % n:
+                top = terms[m - 1] = top * sign * prod(range(m - n, m)) // ((m - 1) // n) ** n if m > 1 else 1
+            yield terms
 
-    return rule
+    return walk
 
 
 #: psi_12, the least strong pseudoprime to the prime bases 2..37 (Sorenson-Webster 2017).
@@ -177,7 +168,7 @@ def is_prime(n: int) -> bool:
 
 
 def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], SparsePolynomial]:
-    """a_m mod p^s for a prime p, along the ratio ``_symmetric_closed_form`` walks.
+    """a_m mod p^s for a prime p, term j from term j-1 by sign * (m-nj) ... (m-nj+n-1) / j^n.
 
     Term j is unit * p^e with unit (sign^j included) prime to p and kept mod
     p^s: each numerator factor m-nj+i (never 0) adds its p-valuation to e and
@@ -247,7 +238,7 @@ def _build_catalog() -> dict[str, FamilyCatalogEntry]:
         n = len(zvars)
         family = CompleteIntersectionFamily(name, (_pencil_poly(zvars, sign),))
         catalog[name] = FamilyCatalogEntry(
-            name, family, _symmetric_closed_form(n, sign), _symmetric_closed_form_mod(n, sign),
+            name, family, _symmetric_closed_forms(n, sign), _symmetric_closed_form_mod(n, sign),
             _symmetric_picard_fuchs(n, sign), _symmetric_period(n, sign), rules,
         )
     return catalog
@@ -347,8 +338,7 @@ def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:
     """Logarithm from the printed binomial/factorial rule of a built-in family."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    entry = builtin_family(identifier)
-    return Logarithm([entry.closed_form(m) for m in range(1, m_max + 1)])
+    return Logarithm(x_polynomial((PARAMETER,), a) for a in builtin_family(identifier).closed_forms(m_max))
 
 
 def family_logarithm(identifier: str, m_max: int, method: str = "extraction") -> Logarithm:

@@ -393,8 +393,8 @@ def frobenius_power_congruence(
     """Check  a_{p^nu} = a_p * (a_{p^(nu-1)})^p  mod p  in F_p[x].
 
     ``coefficient`` is a rule m -> a_m (or a_m mod p), such as a catalog
-    entry's ``closed_form``, its ``closed_form_mod`` at s = 1 or a
-    ``Logarithm``'s ``coefficient``; only a_p, a_(p^(nu-1)) and a_(p^nu) are
+    entry's ``closed_form_mod`` at s = 1 or a ``Logarithm``'s
+    ``coefficient``; only a_p, a_(p^(nu-1)) and a_(p^nu) are
     read, and the p-th power is f(x^p), which it equals in F_p[x].  p^nu
     above ``CONGRUENCE_INDEX_BUDGET`` raises ``BudgetExceededError``.
     """

@@ -9,17 +9,19 @@ expanded at construction; moving an x-monomial across theta uses
 
 The two checks: L annihilating the distinguished solution series exactly
 through a stated order, and the coefficient congruence ``L a_k = 0 mod k``
-in Z[x] for logarithm coefficients a_k, read from a coefficient rule
-``k -> a_k`` one k at a time.  The congruence applies L to ``a_k mod k``,
-whose coefficients are below k: L has Z[x] coefficients, so the residual is
-the one L a_k gives, without L a_k's big integers.
+in Z[x] for logarithm coefficients a_k, read one k at a time from a rule
+``k -> a_k`` or a walk a_1, a_2, ....  It applies L to ``a_k mod k`` as an int
+dict: L has Z[x] coefficients, so the residual is the one L a_k gives, without
+L a_k's big integers.  Each check applies an operator built for the call, whose
+table of eigenvalues ``P_d(n)`` lives one check.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .polynomials import SparsePolynomial, Value, as_x_polynomial
+from .polynomials import SparsePolynomial, Value, as_x_polynomial, x_polynomial, x_terms
 from .series import TruncatedSeries
 
 X = "x"
@@ -41,7 +43,7 @@ class ThetaOperator:
             for (d,), c in q.terms.items():
                 shifts.setdefault(d, [0] * len(coefficients))[k] = c
         integral = all(type(c) is int for q in coefficients for c in q.terms.values())
-        self._shifts = tuple((d, P[::-1]) for d, P in shifts.items()) if integral else None  # for Horner
+        self._shifts = tuple((d, P[::-1], {}) for d, P in shifts.items()) if integral else None  # Horner's, {n: P_d(n)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaOperator):
@@ -59,31 +61,34 @@ class ThetaOperator:
         return len(self.coefficients) - 1
 
     def apply(self, f):
-        """Apply the operator to a polynomial or truncated series in x.
+        """Apply the operator to a polynomial, a truncated series or an ``{x exponent: coefficient}`` dict in x.
 
         The eigenvalue rule is exact; x-multiplication inside the operator
         only moves known low-degree coefficients upward, so a series input
-        keeps its truncation order.
+        keeps its truncation order.  A dict's image is a dict, zeros and all.
         """
+        if type(f) is dict:
+            return self._apply_terms(f)
         if isinstance(f, TruncatedSeries):
             if f.variable != X:
                 raise ValueError(f"expected a series in {X!r}")
-            out = self._apply_terms({(n,): c for n, c in enumerate(f.coefficients) if c})
-            return TruncatedSeries(X, [out.get((n,), 0) for n in range(f.order + 1)], f.order)
-        return SparsePolynomial._canonical((X,), self._apply_terms(as_x_polynomial(f).terms))
+            out = self._apply_terms({n: c for n, c in enumerate(f.coefficients) if c})
+            return TruncatedSeries(X, [out.get(n, 0) for n in range(f.order + 1)], f.order)
+        return x_polynomial((X,), self._apply_terms(x_terms(as_x_polynomial(f))))
 
-    def _apply_terms(self, terms: dict[tuple, Value]) -> dict[tuple, Value]:
-        """The image of ``{(n,): c}``: over Z by x-shift, else by + and *, whose zero sums set the types."""
+    def _apply_terms(self, terms: dict[int, Value]) -> dict[int, Value]:
+        """The image of ``{n: c}``: over Z by x-shift, each P_d(n) read from the shift's table, which
+        Horner's rule fills on first use; else by + and *, whose zero sums set the types."""
         if self._shifts is None or not all(type(c) is int for c in terms.values()):
-            return sum(q * SparsePolynomial._canonical(q.variables, {(n,): c * n**k for (n,), c in terms.items()})
-                       for k, q in enumerate(self.coefficients)).terms
-        out: dict[tuple, Value] = {}
-        for d, horner in self._shifts:
-            for (n,), c in terms.items():
-                v = 0
-                for a in horner:
-                    v = v * n + a
-                out[(n + d,)] = out.get((n + d,), 0) + v * c  # ints: a zero sum is a plain 0
+            return x_terms(sum(q * x_polynomial(q.variables, {n: c * n**k for n, c in terms.items()})
+                               for k, q in enumerate(self.coefficients)))
+        out: dict[int, Value] = {}
+        for d, horner, table in self._shifts:
+            for n, c in terms.items():
+                v = table.get(n)
+                if v is None:
+                    v = table[n] = reduce(lambda v, a: v * n + a, horner, 0)
+                out[n + d] = out.get(n + d, 0) + v * c  # ints: a zero sum is a plain 0
         return out
 
 
@@ -128,24 +133,26 @@ class CoefficientCongruence(NamedTuple):
 
 
 def pf_congruence_check(
-    operator: ThetaOperator, coefficient: Callable[[int], Value], k_max: int
+    operator: ThetaOperator, coefficient: Callable[[int], Value] | Iterable[Value | dict], k_max: int
 ) -> tuple[CoefficientCongruence, ...]:
     """Verdicts of ``L a_k = 0 mod k Z[x]`` for k = 1..k_max, from L (a_k mod k).
 
-    ``coefficient`` is a rule k -> a_k, such as a catalog entry's ``closed_form``;
-    each a_k is reduced mod k and dropped before the next is read."""
+    ``coefficient`` is a rule k -> a_k, such as a ``Logarithm``'s ``coefficient``, or values or int
+    dicts a_1, a_2, ... reaching a_(k_max), such as a catalog entry's ``closed_forms(k_max)``; each
+    a_k is reduced mod k, applied once and dropped before the next is read."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if not all(q.is_integral() for q in operator.coefficients):
         raise ValueError("the coefficient congruence needs an operator over Z[x]")
-    results = []
-    for k in range(1, k_max + 1):
-        image = operator.apply(as_x_polynomial(coefficient(k)).reduce_mod(k))
-        residual = image.reduce_mod(k)
-        if residual.terms:
-            results.append(CoefficientCongruence(k, False, residual))
-        else:
-            results.append(CoefficientCongruence(k, True, None))
+    checker, results = ThetaOperator(operator.coefficients), []  # the copy's eigenvalue table lives one check
+    coefficients = map(coefficient, range(1, k_max + 1)) if callable(coefficient) else coefficient
+    for k, a in zip(range(1, k_max + 1), coefficients):
+        a = a if type(a) is dict else x_terms(as_x_polynomial(a).reduce_mod(k))
+        image = checker.apply({n: r for n, c in a.items() if (r := c % k)})
+        residual = {n: r for n, c in image.items() if (r := c % k)}
+        results.append(CoefficientCongruence(k, not residual, x_polynomial((X,), residual) if residual else None))
+    if len(results) < k_max:
+        raise ValueError(f"the coefficients end at a_{len(results)}, before k_max = {k_max}")
     return tuple(results)
 
 
@@ -159,12 +166,12 @@ class SolutionCheck(NamedTuple):
 def series_solution_check(
     operator: ThetaOperator, f: TruncatedSeries, through: int
 ) -> SolutionCheck:
-    """Does L annihilate the series exactly through the stated order?"""
+    """Does L annihilate the series exactly through the stated order?  L applies as a copy, as above."""
     if through < 0:
         raise ValueError(f"cannot check a solution through a negative order {through}")
     if f.order < through:
         raise ValueError(f"series supplied to order {f.order}, cannot check through {through}")
-    image = operator.apply(f)
+    image = ThetaOperator(operator.coefficients).apply(f)
     for d in range(through + 1):
         c = image.coefficient(d)
         if c:

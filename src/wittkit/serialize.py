@@ -140,7 +140,7 @@ def _chunks(obj):
         yield "}" if obj else "{}"
     elif isinstance(obj, Records):
         yield "["
-        for i, text in enumerate(_records(obj)):
+        for i, text in enumerate(_records(obj, {})):
             yield ("," if i else "") + text
         yield "]"
     elif isinstance(obj, Values):
@@ -153,12 +153,14 @@ def _chunks(obj):
         yield _ENCODER.encode(obj)
 
 
-def _records(records: Records) -> Iterable[str]:
-    """Each object's text, a row whose constant texts are its keys, separators and quotes."""
+def _records(records: Records, keys: dict[str, str]) -> Iterable[str]:
+    """Each object's text, a row whose constant texts are its keys, separators and quotes; ``keys`` holds
+    the key texts, shared by a column of ``Records``."""
     items = []
     for i, key in enumerate(sorted(records.columns)):
+        text = keys[key] if key in keys else keys.setdefault(key, _ENCODER.encode(key))
         quote, texts = _column(records.columns[key], _ENCODER.encode)
-        items += ("," if i else "{") + _ENCODER.encode(key) + ":" + quote, texts, quote
+        items += ("," if i else "{") + text + ":" + quote, texts, quote
     return _rows([*items, "}"], "", len(records.columns[key]))
 
 
@@ -203,7 +205,8 @@ def _column(values: Sequence, cell) -> tuple[str, Iterable[str] | str]:
         if cell(joined) == quote + joined + quote:
             return quote, values
     if kinds <= {Records}:
-        return "", ("[" + ",".join(_records(v)) + "]" for v in values)
+        keys: dict[str, str] = {}  # one text per key for the whole column
+        return "", ("[" + ",".join(_records(v, keys)) + "]" for v in values)
     return "", map(cell, values)
 
 

@@ -17,7 +17,7 @@ from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
 from wittkit.families import FAMILY_IDS, builtin_family
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
 from wittkit.picard_fuchs import pf_congruence_check
-from wittkit.polynomials import SparsePolynomial, format_value
+from wittkit.polynomials import SparsePolynomial, format_value, x_polynomial, x_terms
 from wittkit.serialize import value_from_obj
 from wittkit.witt import WittVector
 
@@ -399,12 +399,13 @@ def test_pf_check_prints_failing_residuals(capsys, monkeypatch):
 
     def with_a_wrong_coefficient(identifier):
         entry = real(identifier)
-        rule = entry.closed_form
-        return entry._replace(closed_form=lambda m: rule(m) + X if m == 7 else rule(m))
+        walk = entry.closed_forms
+        return entry._replace(closed_forms=lambda m_max: (
+            x_terms(x_polynomial(("x",), a) + X) if m == 7 else a for m, a in enumerate(walk(m_max), 1)))
 
     monkeypatch.setattr(cli, "builtin_family", with_a_wrong_coefficient)
     entry = with_a_wrong_coefficient("quintic-cy3")
-    expected = pf_congruence_check(entry.picard_fuchs, entry.closed_form, 8)
+    expected = pf_congruence_check(entry.picard_fuchs, entry.closed_forms(8), 8)
     assert [r.k for r in expected if not r.passed] == [7]
     argv = ("pf-check", "--family", "quintic-cy3", "--kmax", "8")
     code, out, _ = run(capsys, *argv, "--format", "tsv")
@@ -607,6 +608,13 @@ def test_json_emit_of_a_long_values_array_stays_below_two_and_a_quarter_bodies()
         tracemalloc.stop()
     assert len(body) > 2_000_000
     assert peak < 2.25 * len(body)
+
+
+def test_pf_check_leaves_the_catalog_operator_as_it_was(capsys):
+    """A request's eigenvalue table is its own: the catalog operator keeps no state across requests."""
+    tables = [dict(table) for _, _, table in builtin_family("quintic-cy3").picard_fuchs._shifts]
+    assert run(capsys, "pf-check", "--family", "quintic-cy3", "--kmax", "50")[0] == 0
+    assert [dict(table) for _, _, table in builtin_family("quintic-cy3").picard_fuchs._shifts] == tables
 
 
 def test_pf_check_holds_one_coefficient_at_a_time(capsys):

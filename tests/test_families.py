@@ -95,7 +95,7 @@ def test_first_coefficient_is_one():
     for family in ("hesse-cubic", "quartic-k3", "quintic-cy3"):
         entry = builtin_family(family)
         assert am_logarithm(entry.family, 1).coefficient(1) == 1
-        assert entry.closed_form(1) == 1
+        assert list(entry.closed_forms(1)) == [{0: 1}]
 
 
 def test_extraction_examples():
@@ -157,19 +157,20 @@ MOD_GRID = sorted({
 
 @pytest.mark.parametrize("family", ["hesse-cubic", "quartic-k3", "quintic-cy3"])
 def test_closed_form_mod_equals_closed_form_reduced(family):
-    """The term-ratio rule gives closed_form(m) mod p^s: values, int types and
-    term order, on every pencil."""
+    """The term-ratio rule gives a_m mod p^s, with a_m read from one walk of ``closed_forms``:
+    values, int types and term order, on every pencil."""
     entry = builtin_family(family)
     assert len(MOD_GRID) == 1892
-    exact = {}
+    grid = {}
     for p, s, m in MOD_GRID:
-        got = entry.closed_form_mod(m, p, s)
-        if m not in exact:
-            exact[m] = entry.closed_form(m)
-        reference = exact[m].reduce_mod(p**s)
-        assert got.variables == ("x",)
-        assert list(got.terms.items()) == list(reference.terms.items()), (p, s, m)
-        assert all(type(c) is int for c in got.terms.values())
+        grid.setdefault(m, []).append((p, s))
+    for m, exact in enumerate(entry.closed_forms(max(grid)), 1):  # m <= 1400
+        for p, s in grid.get(m, ()):
+            got = entry.closed_form_mod(m, p, s)
+            reference = [((e,), r) for e, c in exact.items() if (r := c % p**s)]
+            assert got.variables == ("x",)
+            assert list(got.terms.items()) == reference, (p, s, m)
+            assert all(type(c) is int for c in got.terms.values())
 
 
 @pytest.mark.parametrize("m, p, s", [(0, 5, 1), (5, 1, 1), (5, 0, 2), (5, 4, 1), (5, 9, 2), (5, 5, 0)])

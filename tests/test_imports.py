@@ -167,7 +167,7 @@ RECORDS = {
     OrdinarityReport: (("family", "prime_bound", "with_oracle", "scans"), {}),
     SolutionCheck: (("passed", "checked_through", "first_failure", "residual"), {}),
     FamilyCatalogEntry: (
-        ("identifier", "family", "closed_form", "closed_form_mod", "picard_fuchs", "period", "singular_rules"),
+        ("identifier", "family", "closed_forms", "closed_form_mod", "picard_fuchs", "period", "singular_rules"),
         {"singular_rules": ()},
     ),
 }

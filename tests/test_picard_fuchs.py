@@ -12,7 +12,7 @@ from wittkit.picard_fuchs import (
     pf_congruence_check,
     series_solution_check,
 )
-from wittkit.polynomials import SparsePolynomial, format_value
+from wittkit.polynomials import SparsePolynomial, format_value, x_polynomial, x_terms
 from wittkit.series import TruncatedSeries
 
 X = SparsePolynomial.variable("x")
@@ -119,6 +119,34 @@ def test_apply_is_linear():
         c = rng.randrange(-5, 6)
         assert L.apply(f + g) == L.apply(f) + L.apply(g)
         assert L.apply(c * f) == c * L.apply(f)
+
+
+def test_apply_to_a_dict_equals_apply_to_the_polynomial():
+    """An ``{x exponent: coefficient}`` dict maps to the dict of the polynomial's image, zeros aside,
+    for int and Fraction operators and inputs."""
+    rng = random.Random(5)
+    operators = [builtin_family(family).picard_fuchs for family in FAMILY_IDS]
+    operators.append(ThetaOperator((SparsePolynomial(("x",), {(2,): Fraction(1, 3)}), X, ONE)))
+    for L in operators:
+        for trial in range(20):
+            c = (lambda: Fraction(rng.randrange(-9, 10), 2)) if trial % 4 == 3 else (lambda: rng.randrange(-50, 51))
+            f = SparsePolynomial(("x",), {(rng.randrange(30),): c() for _ in range(5)})
+            image = L.apply(x_terms(f))
+            assert type(image) is dict
+            assert x_polynomial(("x",), image) == L.apply(f)
+            assert {n: c for n, c in image.items() if c} == x_terms(L.apply(f))
+
+
+def test_eigenvalue_table_lives_one_check():
+    """A check applies an operator built for the call, so the operator it is given gains no table;
+    applying the operator itself fills its table with each exponent it meets."""
+    L = ThetaOperator(QUINTIC.picard_fuchs.coefficients)
+    assert pf_congruence_check(L, QUINTIC.closed_forms(60), 60) == pf_congruence_check(
+        QUINTIC.picard_fuchs, QUINTIC.closed_forms(60), 60)
+    series_solution_check(L, QUINTIC.period(40), 40)
+    assert [table for _, _, table in L._shifts] == [{}, {}]
+    L.apply({5: 1, 10: 2})
+    assert [sorted(table) for _, _, table in L._shifts] == [[5, 10], [5, 10]]
 
 
 def _theta_power_image(L, f):
@@ -268,6 +296,27 @@ def test_changed_operator_residuals_pinned():
     assert [r.k for r in results] == list(range(1, 61))
     assert {r.k: format_value(r.residual) for r in results if not r.passed} == CHANGED_OPERATOR_RESIDUALS
     assert all(r.residual is None for r in results if r.passed)
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_rule_and_walk_give_equal_checks(family):
+    """pf-check reads a_k from a rule k -> a_k or from the walk a_1, a_2, ...: equal verdicts and
+    residuals for k <= 300, for the family's operator and for theta alone, which fails."""
+    entry = builtin_family(family)
+    rule = closed_form_logarithm(family, 300).coefficient
+    for L in (entry.picard_fuchs, expand_operator([(1, 0, (0,))])):
+        walked = pf_congruence_check(L, entry.closed_forms(300), 300)
+        assert walked == pf_congruence_check(L, rule, 300)
+        assert [r.k for r in walked] == list(range(1, 301))
+    assert not all(r.passed for r in walked)
+
+
+def test_a_short_walk_is_refused():
+    with pytest.raises(ValueError, match=r"the coefficients end at a_4, before k_max = 10"):
+        pf_congruence_check(QUINTIC.picard_fuchs, QUINTIC.closed_forms(4), 10)
+    with pytest.raises(ValueError, match=r"the coefficients end at a_0, before k_max = 1"):
+        pf_congruence_check(QUINTIC.picard_fuchs, [], 1)
+    assert len(pf_congruence_check(QUINTIC.picard_fuchs, [1, ONE, {0: 1}], 3)) == 3
 
 
 def test_congruence_needs_an_operator_over_z():

@@ -186,6 +186,29 @@ _EQUAL_COLUMNS = {
 }
 
 
+def test_nested_records_encode_each_key_once_per_column(monkeypatch):
+    """A column of nested ``Records`` encodes each key once, not once per object; the bytes stay."""
+    from wittkit import serialize
+    encoded = []
+
+    class Counting(json.JSONEncoder):
+        def encode(self, o):
+            encoded.append(o)
+            return super().encode(o)
+
+    inner = [Records({"b": [i, i + 1], "a": ["x", None], "c": [Records({"d": [i]})] * 2}) for i in range(50)]
+    outer = Records({"rows": inner, "n": list(range(50))})
+    expected = json_dumps(outer)
+    monkeypatch.setattr(serialize, "_ENCODER", Counting(sort_keys=True, separators=(",", ":")))
+    assert json_dumps(outer) == expected
+    assert json.loads(expected) == [
+        {"n": i, "rows": [{"a": "x", "b": i, "c": [{"d": i}]}, {"a": None, "b": i + 1, "c": [{"d": i}]}]}
+        for i in range(50)
+    ]
+    assert [encoded.count(key) for key in "abcd"] == [1, 1, 1, 50]  # one "d" per column of c
+    assert encoded.count("rows") == encoded.count("n") == 1
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("keys", [["int", "bool", "none", "text"], list(_EQUAL_COLUMNS)],
                          ids=["all constant", "with equal cells apart"])
