@@ -125,9 +125,16 @@ class FamilyCatalogEntry(NamedTuple):
 
 def _pencil_poly(zvars: tuple[str, ...], sign: int) -> SparsePolynomial:
     """prod Z_i + sign * x * (sum Z_i^n)  with n the number of coordinates."""
+    variables = (PARAMETER,) + zvars
     n = len(zvars)
-    terms = {(0,) + (1,) * n: 1, **{(1,) + (0,) * i + (n,) + (0,) * (n - 1 - i): sign for i in range(n)}}
-    return SparsePolynomial((PARAMETER,) + zvars, terms)
+    terms = {}
+    prod_exps = (0,) + (1,) * n
+    terms[prod_exps] = 1
+    for i in range(n):
+        exps = [1] + [0] * n
+        exps[1 + i] = n
+        terms[tuple(exps)] = sign
+    return SparsePolynomial(variables, terms)
 
 
 def _symmetric_closed_forms(n: int, sign: int) -> Callable[[int], Iterator[dict]]:
@@ -139,10 +146,10 @@ def _symmetric_closed_forms(n: int, sign: int) -> Callable[[int], Iterator[dict]
 
     def walk(m_max: int) -> Iterator[dict]:
         terms, top = {}, 1
-        for m in range(1, m_max + 1):
-            terms = {e: c * (m - 1) // (m - 1 - e) for e, c in terms.items()}
-            if not (m - 1) % n:
-                top = terms[m - 1] = top * sign * prod(range(m - n, m)) // ((m - 1) // n) ** n if m > 1 else 1
+        for m1 in range(m_max):  # m - 1
+            terms = {e: c * m1 // (m1 - e) for e, c in terms.items()}
+            if not m1 % n:
+                top = terms[m1] = top * sign * prod(range(m1 - n + 1, m1 + 1)) // (m1 // n) ** n if m1 else 1
             yield terms
 
     return walk

@@ -9,16 +9,14 @@ expanded at construction; moving an x-monomial across theta uses
 
 The two checks: L annihilating the distinguished solution series exactly
 through a stated order, and the coefficient congruence ``L a_k = 0 mod k``
-in Z[x] for logarithm coefficients a_k, read one k at a time from a rule
-``k -> a_k`` or a walk a_1, a_2, ....  It applies L to ``a_k mod k`` as an int
-dict: L has Z[x] coefficients, so the residual is the one L a_k gives, without
-L a_k's big integers.  Each check applies an operator built for the call, whose
-table of eigenvalues ``P_d(n)`` lives one check.
+in Z[x] for logarithm coefficients a_k, read one k at a time from a rule or a
+walk.  It applies L to ``a_k mod k`` as an int dict: L is over Z[x], so the
+residual is L a_k's, without L a_k's big integers.  Each check applies an
+operator built for the call, whose table of eigenvalues ``P_d(n)`` lives one check.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .polynomials import SparsePolynomial, Value, as_x_polynomial, x_polynomial, x_terms
@@ -43,7 +41,7 @@ class ThetaOperator:
             for (d,), c in q.terms.items():
                 shifts.setdefault(d, [0] * len(coefficients))[k] = c
         integral = all(type(c) is int for q in coefficients for c in q.terms.values())
-        self._shifts = tuple((d, P[::-1], {}) for d, P in shifts.items()) if integral else None  # Horner's, {n: P_d(n)}
+        self._shifts = tuple((d, P, {}) for d, P in shifts.items()) if integral else None  # and a table {n: P_d(n)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaOperator):
@@ -77,17 +75,14 @@ class ThetaOperator:
         return x_polynomial((X,), self._apply_terms(x_terms(as_x_polynomial(f))))
 
     def _apply_terms(self, terms: dict[int, Value]) -> dict[int, Value]:
-        """The image of ``{n: c}``: over Z by x-shift, each P_d(n) read from the shift's table, which
-        Horner's rule fills on first use; else by + and *, whose zero sums set the types."""
+        """The image of ``{n: c}``: over Z by x-shift, P_d(n) from its table; else by + and * (zero sums set types)."""
         if self._shifts is None or not all(type(c) is int for c in terms.values()):
             return x_terms(sum(q * x_polynomial(q.variables, {n: c * n**k for n, c in terms.items()})
                                for k, q in enumerate(self.coefficients)))
         out: dict[int, Value] = {}
-        for d, horner, table in self._shifts:
-            for n, c in terms.items():
-                v = table.get(n)
-                if v is None:
-                    v = table[n] = reduce(lambda v, a: v * n + a, horner, 0)
+        for d, P, table in self._shifts:
+            for n, c in terms.items():  # the table is filled on first use
+                v = table[n] if n in table else table.setdefault(n, sum(a * n**k for k, a in enumerate(P)))
                 out[n + d] = out.get(n + d, 0) + v * c  # ints: a zero sum is a plain 0
         return out
 
@@ -137,9 +132,8 @@ def pf_congruence_check(
 ) -> tuple[CoefficientCongruence, ...]:
     """Verdicts of ``L a_k = 0 mod k Z[x]`` for k = 1..k_max, from L (a_k mod k).
 
-    ``coefficient`` is a rule k -> a_k, such as a ``Logarithm``'s ``coefficient``, or values or int
-    dicts a_1, a_2, ... reaching a_(k_max), such as a catalog entry's ``closed_forms(k_max)``; each
-    a_k is reduced mod k, applied once and dropped before the next is read."""
+    ``coefficient`` is a rule k -> a_k, such as a ``Logarithm``'s ``coefficient``, or values or int dicts
+    a_1..a_(k_max), such as a catalog entry's ``closed_forms(k_max)``; each a_k is dropped after its check."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if not all(q.is_integral() for q in operator.coefficients):

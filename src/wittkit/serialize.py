@@ -154,8 +154,7 @@ def _chunks(obj):
 
 
 def _records(records: Records, keys: dict[str, str]) -> Iterable[str]:
-    """Each object's text, a row whose constant texts are its keys, separators and quotes; ``keys`` holds
-    the key texts, shared by a column of ``Records``."""
+    """Each object's text, a row whose constant texts are its keys (texts from ``keys``), separators and quotes."""
     items = []
     for i, key in enumerate(sorted(records.columns)):
         text = keys[key] if key in keys else keys.setdefault(key, _ENCODER.encode(key))

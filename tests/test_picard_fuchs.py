@@ -268,22 +268,22 @@ def test_congruence_reports_a_changed_coefficient():
 
 #: The failing k and each residual's text for the quintic operator with x^5 theta's coefficient raised by 1, k <= 60.
 CHANGED_OPERATOR_RESIDUALS = {
-    7: '5*x^10', 9: '6*x^10', 11: '6*x^10+10*x^15', 13: '2*x^10+10*x^15', 14: '12*x^10', 16: '8*x^10',
-    17: '5*x^10+15*x^15+7*x^20', 18: '6*x^10', 19: '11*x^10+4*x^15+10*x^20', 21: '12*x^10',
-    22: '6*x^10+10*x^15', 23: '2*x^10+8*x^15+14*x^20+13*x^25', 26: '2*x^10+10*x^15', 27: '6*x^10+18*x^20',
-    28: '12*x^10', 29: '20*x^10+13*x^15+8*x^20+8*x^25+x^30',
-    31: '11*x^10+20*x^15+28*x^20+2*x^25+14*x^30+25*x^35', 32: '24*x^10+16*x^15', 33: '6*x^10+21*x^15',
-    34: '22*x^10+32*x^15+24*x^20', 35: '5*x^10', 36: '24*x^10',
-    37: '8*x^10+24*x^15+8*x^20+29*x^25+28*x^30+3*x^35+16*x^40', 38: '30*x^10+4*x^15+10*x^20',
-    39: '15*x^10+36*x^15', 41: '26*x^10+22*x^15+2*x^20+7*x^25+38*x^30+37*x^35+28*x^40+38*x^45',
-    42: '12*x^10+30*x^45', 43: '41*x^10+4*x^15+35*x^20+13*x^25+7*x^30+26*x^35+41*x^40+42*x^45',
-    44: '28*x^10+32*x^15', 45: '15*x^10', 46: '2*x^10+8*x^15+14*x^20+36*x^25',
-    47: '36*x^10+31*x^15+14*x^20+28*x^25+25*x^30+34*x^35+40*x^40+24*x^45+37*x^50', 48: '24*x^10',
-    49: '12*x^10+42*x^15+35*x^40+19*x^45+7*x^50', 51: '39*x^10+15*x^15+24*x^20', 52: '28*x^10+36*x^15',
-    53: '17*x^10+12*x^15+52*x^20+42*x^25+31*x^30+30*x^35+24*x^40+31*x^45+37*x^50+42*x^55',
-    54: '6*x^10+18*x^20+36*x^55', 55: '50*x^10+10*x^15', 56: '40*x^10', 57: '30*x^10+42*x^15+48*x^20',
-    58: '20*x^10+42*x^15+8*x^20+8*x^25+30*x^30',
-    59: '10*x^10+20*x^15+16*x^20+56*x^25+24*x^30+29*x^35+34*x^40+56*x^45+34*x^50+37*x^55+30*x^60',
+    7: "5*x^10", 9: "6*x^10", 11: "6*x^10+10*x^15", 13: "2*x^10+10*x^15", 14: "12*x^10", 16: "8*x^10",
+    17: "5*x^10+15*x^15+7*x^20", 18: "6*x^10", 19: "11*x^10+4*x^15+10*x^20", 21: "12*x^10",
+    22: "6*x^10+10*x^15", 23: "2*x^10+8*x^15+14*x^20+13*x^25", 26: "2*x^10+10*x^15", 27: "6*x^10+18*x^20",
+    28: "12*x^10", 29: "20*x^10+13*x^15+8*x^20+8*x^25+x^30",
+    31: "11*x^10+20*x^15+28*x^20+2*x^25+14*x^30+25*x^35", 32: "24*x^10+16*x^15", 33: "6*x^10+21*x^15",
+    34: "22*x^10+32*x^15+24*x^20", 35: "5*x^10", 36: "24*x^10",
+    37: "8*x^10+24*x^15+8*x^20+29*x^25+28*x^30+3*x^35+16*x^40", 38: "30*x^10+4*x^15+10*x^20",
+    39: "15*x^10+36*x^15", 41: "26*x^10+22*x^15+2*x^20+7*x^25+38*x^30+37*x^35+28*x^40+38*x^45",
+    42: "12*x^10+30*x^45", 43: "41*x^10+4*x^15+35*x^20+13*x^25+7*x^30+26*x^35+41*x^40+42*x^45",
+    44: "28*x^10+32*x^15", 45: "15*x^10", 46: "2*x^10+8*x^15+14*x^20+36*x^25",
+    47: "36*x^10+31*x^15+14*x^20+28*x^25+25*x^30+34*x^35+40*x^40+24*x^45+37*x^50", 48: "24*x^10",
+    49: "12*x^10+42*x^15+35*x^40+19*x^45+7*x^50", 51: "39*x^10+15*x^15+24*x^20", 52: "28*x^10+36*x^15",
+    53: "17*x^10+12*x^15+52*x^20+42*x^25+31*x^30+30*x^35+24*x^40+31*x^45+37*x^50+42*x^55",
+    54: "6*x^10+18*x^20+36*x^55", 55: "50*x^10+10*x^15", 56: "40*x^10", 57: "30*x^10+42*x^15+48*x^20",
+    58: "20*x^10+42*x^15+8*x^20+8*x^25+30*x^30",
+    59: "10*x^10+20*x^15+16*x^20+56*x^25+24*x^30+29*x^35+34*x^40+56*x^45+34*x^50+37*x^55+30*x^60",
 }
 
 
@@ -301,13 +301,13 @@ def test_changed_operator_residuals_pinned():
 @pytest.mark.parametrize("family", FAMILY_IDS)
 def test_rule_and_walk_give_equal_checks(family):
     """pf-check reads a_k from a rule k -> a_k or from the walk a_1, a_2, ...: equal verdicts and
-    residuals for k <= 300, for the family's operator and for theta alone, which fails."""
+    residuals for k <= 300 with the family's operator, and for k <= 60 with theta alone, which fails."""
     entry = builtin_family(family)
     rule = closed_form_logarithm(family, 300).coefficient
-    for L in (entry.picard_fuchs, expand_operator([(1, 0, (0,))])):
-        walked = pf_congruence_check(L, entry.closed_forms(300), 300)
-        assert walked == pf_congruence_check(L, rule, 300)
-        assert [r.k for r in walked] == list(range(1, 301))
+    for L, k_max in ((entry.picard_fuchs, 300), (expand_operator([(1, 0, (0,))]), 60)):
+        walked = pf_congruence_check(L, entry.closed_forms(k_max), k_max)
+        assert walked == pf_congruence_check(L, rule, k_max)
+        assert [r.k for r in walked] == list(range(1, k_max + 1))
     assert not all(r.passed for r in walked)
 
 
