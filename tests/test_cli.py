@@ -316,7 +316,7 @@ def test_zx_from_ghost_names_the_first_indivisible_coefficient(capsys):
 
 
 #: sha256 of stdout for group laws past the goldens' degrees: over Z[x] by extraction and by
-#: closed form, and at a fixed x, one per format.
+#: closed form, and at a fixed x, one per format; then the group-law benchmark's shapes.
 FGL_DIGESTS = {
     (("--family", "hesse-cubic", "--deg", "40"), "json"):
         "46b03549994988adc7406b3a997e2019701289fce9d0940e233fd334e1370683",
@@ -330,6 +330,30 @@ FGL_DIGESTS = {
         "c7f9ffaaf9cb3032ec53a9d7ac42bcd7835c3e1d9edcab2c70342bb4eacae6fe",
     (("--family", "quartic-k3", "--deg", "20", "--at-x", "-2"), "tsv"):
         "9f1e40625950437cb158409521f114cebb3e577a2f8116cbde0b2d9d3f77e43c",
+    (("--family", "hesse-cubic", "--deg", "13"), "json"):
+        "c7a3968a8c919b774dc0a1cfe5cee05e21ca529944962c521bbf6d5ddbd4c22f",
+    (("--family", "hesse-cubic", "--deg", "13"), "tsv"):
+        "5c0f8da296446c5c7d74b3542835a1e850802acfe3326bceaa62bea2cc37b516",
+    (("--family", "hesse-cubic", "--deg", "12", "--at-x", "-3"), "json"):
+        "7cea54668f94c9ae7e08a569ab66f3761e05db8bde5a2355b214e6240517f216",
+    (("--family", "hesse-cubic", "--deg", "12", "--at-x", "-3"), "tsv"):
+        "bbb8b8aa8ce082dd7db29f69df703dec48b60513a75ffed45ef4c6d25e3f4896",
+    (("--family", "hesse-cubic", "--deg", "12", "--at-x", "3"), "json"):
+        "ca4456d430e0c85bcf61966b58f24d90aba04dfdf81722ac630a286fec8a0643",
+    (("--family", "hesse-cubic", "--deg", "12", "--at-x", "3"), "tsv"):
+        "fa88c8cd6c20fc1ec1d1e0abb2cdd0f45721c004adb00aeb67cc5aeec441f300",
+    (("--family", "quintic-cy3", "--deg", "12", "--at-x", "-3"), "json"):
+        "daf3b5a2ec69bec706fc272911b998f96a15941985ef9f39bdc4cfa02bbaed5d",
+    (("--family", "quintic-cy3", "--deg", "12", "--at-x", "-3"), "tsv"):
+        "a372c6eae780ea4d9184cda5c261002b655828eb17205b5a3a5fa0b875b1dfe8",
+    (("--family", "quintic-cy3", "--deg", "12", "--at-x", "3"), "json"):
+        "820e1faa166e188a31d0330b9a459cb00081efd2fb841abb23f5476f4e7c15f8",
+    (("--family", "quintic-cy3", "--deg", "12", "--at-x", "3"), "tsv"):
+        "09138ec3d443c279034e66b38c859671037a59169d6b483e953762b527dd68b7",
+    (("--family", "quartic-k3", "--deg", "12", "--method", "closed-form"), "json"):
+        "7c0020233ec01a34e9c4e8cc9941632c9a5cc65db02dbf9a8d2ec500637e6cab",
+    (("--family", "quartic-k3", "--deg", "12", "--method", "closed-form"), "tsv"):
+        "b72b9c4dcdd320f9b9c702d62fc8cf6458d15278a0ed53d05a8d6854c2fc317a",
 }
 
 
