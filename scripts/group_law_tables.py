@@ -28,7 +28,7 @@ def run(args: argparse.Namespace) -> int:
             failures += 1
             for i, j, value in report.failures:
                 print(f"  denominator at t1^{i} t2^{j}: {format_value(value)}")
-        for (i, j), c in law.as_integral().series.sorted_terms():
+        for (i, j), c in law.as_integral().sorted_terms():
             if i + j <= 3:
                 print(f"  [t1^{i} t2^{j}] {format_value(c)}")
     return 1 if failures else 0

@@ -7,8 +7,8 @@ byte-identical output.  Each handler builds one value table per result, by
 column; the TSV document prints it, and the JSON payload, a keyed view of the
 same columns (``Records``, ring elements marked as ``Values``), is built only
 when --format json asks for it; a scan's numerals print from one table of
-texts (``Indexed``).  --manifest PATH records the request, a wall time, and a
-content hash of the result bytes.  --config PATH presets flags from key=value
+texts (``Indexed``).  --manifest PATH records the request, a wall time and its
+stages, the result's rows and bytes, and a content hash of those bytes.  --config PATH presets flags from key=value
 lines; each subcommand's parser is the one declaration of its flags' types,
 choices and defaults, and checks the presets too.  A subcommand's parser alone
 reads a request that starts with its name; the top level reads any other argv.
@@ -202,10 +202,10 @@ def _cmd_am_log(args) -> ResultDoc:
 def _cmd_fgl(args) -> ResultDoc:
     family = resolve_family_id(args.family)
     log = family_logarithm(family, max(args.deg, 1), args.method)
-    if args.at_x is not None:
-        log = Logarithm([a.evaluate({"x": args.at_x}) for a in log.coeffs])
+    if args.at_x is not None:  # an int at an int x: as integral as the logarithm, a_1 = 1 still
+        log = Logarithm._canonical(tuple(a.evaluate({"x": args.at_x}) for a in log.coeffs))
     law = group_law_from_logarithm(log, args.deg)
-    exps, coeffs = zip(*law.series.sorted_terms())  # never empty: a law has the terms t1 and t2
+    exps, coeffs = zip(*law.sorted_terms())  # never empty: a law has the terms t1 and t2
     integral = list(map(is_integral, coeffs))  # integrality_report's failures, read off the sorted rows
     column_i, column_j = zip(*exps)
     return ResultDoc(["i", "j", "coeff", "integral"], [[column_i, column_j, coeffs, integral]], lambda: {
@@ -459,7 +459,7 @@ def exit_code(prog: str, exc: Exception) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    started = time.monotonic()
+    started, marks = time.monotonic(), []  # marks: where parsing, computing and emitting end
     try:
         args = _parse_request(argv)
         if args.config:
@@ -467,7 +467,9 @@ def main(argv=None) -> int:
             presets = load_config(args.config, args.command)
             args = _parse_request([args.command, *presets, *argv[1:]])
         _check_required(args)
+        marks.append(time.monotonic())
         doc = args.handler(args)
+        marks.append(time.monotonic())
         body = doc.emit(args.format)
     except (UsageError, UnknownFamilyError) as exc:
         # an unreadable input file reads like an unwritable output path
@@ -489,19 +491,17 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         except BrokenPipeError as exc:
             return exit_code("wittkit", exc)
+    marks.append(time.monotonic())
 
     if args.manifest:
         import hashlib  # only a manifest needs it: a plain request does not load OpenSSL
-        request = {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in ("handler",) and value is not None
-        }
+        ends = [0, *(round(t - started, 6) for t in marks)]  # rounded from the start: the stages add up to the last
         manifest = {
-            "tool": "wittkit",
-            "version": __version__,
-            "request": request,
+            "tool": "wittkit", "version": __version__,
+            "request": {key: value for key, value in vars(args).items() if key != "handler" and value is not None},
             "wall_time_s": round(time.monotonic() - started, 6),
+            "stages": dict(zip(("parse_s", "compute_s", "emit_s"), [round(b - a, 6) for a, b in zip(ends, ends[1:])])),
+            "rows": sum(len(block[0]) for block in doc.tsv_blocks), "output_bytes": len(data),
             "content_hash": "sha256:" + hashlib.sha256(data).hexdigest(),
         }
         if not _write_file(args.manifest, json_dumps(manifest).encode()):

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .formal_groups import Logarithm
 from .picard_fuchs import ThetaOperator, expand_operator
-from .polynomials import SparsePolynomial, x_add_products, x_mul, x_polynomial
+from .polynomials import SparsePolynomial, as_integral, x_add_products, x_mul, x_polynomial
 from .series import TruncatedSeries
 
 PARAMETER = "x"
@@ -294,7 +294,7 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    q = prod(family.polynomials[1:], start=family.polynomials[0])
+    q = as_integral(prod(family.polynomials[1:], start=family.polynomials[0]))  # in Z[x], or refused: a_m is too
     zidx = [q.variables.index(v) for v in family.coordinate_variables()]
     xidx = q.variables.index(PARAMETER)
     rows: dict[tuple, dict] = {}
@@ -338,14 +338,16 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
                 for x2, c2 in c_powers[i].items():
                     out[x1 + x2] = out.get(x1 + x2, 0) + b * c1 * c2
             b = b * (j + i + 1) // (i + 1)
-    return Logarithm(SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)}) for s in sums)
+    return Logarithm._canonical(tuple(SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)})
+                                      for s in sums))
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:
     """Logarithm from the printed binomial/factorial rule of a built-in family."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    return Logarithm(x_polynomial((PARAMETER,), a) for a in builtin_family(identifier).closed_forms(m_max))
+    walk = builtin_family(identifier).closed_forms(m_max)
+    return Logarithm._canonical(tuple(x_polynomial((PARAMETER,), a) for a in walk))
 
 
 def family_logarithm(identifier: str, m_max: int, method: str = "extraction") -> Logarithm:

@@ -12,12 +12,12 @@ the common denominator ``L^deg * deg!`` is divided out once per
 coefficient, at the end: the quotient is an int where the division is
 exact, a Fraction otherwise.  ``G`` is commutative, so only the
 coefficients ``G_ij`` with ``j <= i`` are summed: the flow runs
-``floor(deg/2)`` steps, and each ``G_ji`` is a copy of ``G_ij``.  Its
-series are lists of coefficients: ``{x exponent: int}`` dicts, summed in
-place and made polynomials once, after the division, when every ``a_m``
-used is a polynomial in one and the same variable, else the values.  Whether
-the law has integral coefficients is a certificate checked after
-synthesis, never an assumption.
+``floor(deg/2)`` steps, and each pair ``{G_ij, G_ji}`` is divided once,
+into terms laid out in print order.  Its series are lists of coefficients:
+``{x exponent: int}`` dicts, summed in place and made polynomials once, at
+the division, when every ``a_m`` used is a polynomial in one and the same
+variable, else the values.  Whether the law has integral coefficients is a
+certificate checked after synthesis, never an assumption.
 
 Curves in the formal group are kept in log-coordinates ``eta = l(gamma)``:
 formal-group addition becomes literal addition of series, scaling ``gamma(t)
@@ -71,6 +71,13 @@ class Logarithm:
             raise ValueError("a logarithm requires a_1 = 1")
         self.coeffs = tuple(checked)
 
+    @classmethod
+    def _canonical(cls, coeffs: tuple) -> "Logarithm":
+        """Trusted constructor for a new tuple of integral values, ints not Fractions, ``a_1 = 1``."""
+        log = object.__new__(cls)
+        log.coeffs = coeffs
+        return log
+
     @property
     def truncation(self) -> int:
         return len(self.coeffs)
@@ -116,14 +123,25 @@ def multiplicative_logarithm(truncation: int) -> Logarithm:
 
 
 class FormalGroupLaw:
-    """A synthesized two-variable law; its degree is read from its series."""
+    """A two-variable law: its series, terms in print order (total degree, then i), sorted once by ``__init__``."""
 
     __slots__ = ("series",)
 
     def __init__(self, series: MultiTruncatedSeries):
         if len(series.variables) != 2:
             raise ValueError("a one-dimensional law is a series in two variables")
-        self.series = series
+        self.series = MultiTruncatedSeries._canonical(series.variables, series.degree, dict(series.sorted_terms()))
+
+    @classmethod
+    def _canonical(cls, series: MultiTruncatedSeries) -> "FormalGroupLaw":
+        """Trusted constructor for a series in two variables whose terms are in print order."""
+        law = object.__new__(cls)
+        law.series = series
+        return law
+
+    def sorted_terms(self) -> list[tuple[tuple, Value]]:
+        """The terms ``((i, j), G_ij)`` as stored: by total degree, then by i."""
+        return list(self.series.terms.items())
 
     @property
     def degree(self) -> int:
@@ -142,7 +160,7 @@ class FormalGroupLaw:
 
     def as_integral(self) -> "FormalGroupLaw":
         """The same law with coefficients certified integral (raises if not)."""
-        return FormalGroupLaw(self.series.map_coefficients(as_integral))
+        return FormalGroupLaw._canonical(self.series.map_coefficients(as_integral))  # which keeps the order
 
 
 def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
@@ -151,13 +169,13 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
 
     With ``L = lcm(1..degree)`` and ``lam = L*l`` (integral), the term ``k``
     is ``f_k(t1) lam(t2)^k * D/(L^k k!)`` over ``D = L^degree * degree!``:
-    the integer numerators are summed and each coefficient is divided by
-    ``D`` once.  As ``G_ij = G_ji``, only ``j <= i`` is summed, so ``k <= j
-    <= degree // 2``: the flow stops at ``f_(degree//2)``, ``lam^k`` is
-    needed only to that order, and each ``G_ji`` is copied from ``G_ij``.
+    the integer numerators are summed.  As ``G_ij = G_ji``, only ``j <= i`` is
+    summed, so ``k <= j <= degree // 2``: the flow stops at ``f_(degree//2)``
+    and ``lam^k`` is needed only to that order.  Each pair ``{G_ij, G_ji}`` is
+    divided by ``D`` once, into terms in ``FormalGroupLaw.sorted_terms`` order.
 
     >>> law = group_law_from_logarithm(multiplicative_logarithm(4), 4)
-    >>> [(exps, str(c)) for exps, c in law.series.sorted_terms()]
+    >>> [(exps, str(c)) for exps, c in law.sorted_terms()]
     [((0, 1), '1'), ((1, 0), '1'), ((1, 1), '-1')]
     """
     if degree > log.truncation:
@@ -196,17 +214,20 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
             f, power = product([times(c, i) for i, c in enumerate(f[1:], 1)], w), product(power, lam)
             scale //= common * (k + 1)
 
-    def divide(n: Value | dict) -> Value:  # n / D, an int wherever D divides n
-        if isinstance(n, dict):  # a Z[x] coefficient becomes a polynomial here, once
-            return SparsePolynomial._canonical(variables, {(e,): divide(c) for e, c in n.items()})
-        if isinstance(n, SparsePolynomial):
-            return SparsePolynomial._canonical(n.variables, {e: divide(c) for e, c in n.terms.items()})
-        q, r = divmod(n, denominator)
-        return Fraction(n, denominator) if r else q
-
-    terms = {(i, j): divide(n) for j, column in enumerate(columns) for i, n in enumerate(column) if n}
-    terms.update({(j, i): c for (i, j), c in terms.items()})  # G_ji = G_ij
-    return FormalGroupLaw(MultiTruncatedSeries._canonical(("t1", "t2"), degree, terms))  # i + j <= degree
+    for j, column in enumerate(columns):  # each G_ij, j <= i, is divided by D once: G_ji is the same value
+        for i, n in enumerate(column[j:], j):
+            if type(n) is int:
+                q, r = divmod(n, denominator)
+                column[i] = Fraction(n, denominator) if r else q
+            elif n:  # a Z[x] dict, made a polynomial here, once, or a polynomial
+                x_form, quotients = type(n) is dict, {}
+                for e, c in n.items() if x_form else n.terms.items():
+                    q, r = divmod(c, denominator)
+                    quotients[(e,) if x_form else e] = Fraction(c, denominator) if r else q
+                column[i] = SparsePolynomial._canonical(variables if x_form else n.variables, quotients)
+    terms = {(i, d - i): c for d in range(1, degree + 1) for i in range(d + 1)  # print order: d = i + j, then i
+             if (c := columns[i][d - i] if i + i <= d else columns[d - i][i])}  # G_00 = 0
+    return FormalGroupLaw._canonical(MultiTruncatedSeries._canonical(("t1", "t2"), degree, terms))
 
 
 def _add_products(out: list, start: int, c: Value, row) -> None:
@@ -236,7 +257,7 @@ class IntegralityReport:
 
 def integrality_report(law: FormalGroupLaw) -> IntegralityReport:
     """List every coefficient of the law that carries a denominator."""
-    return IntegralityReport([(i, j, c) for (i, j), c in law.series.sorted_terms() if not is_integral(c)])
+    return IntegralityReport([(i, j, c) for (i, j), c in law.sorted_terms() if not is_integral(c)])
 
 
 class Curve:

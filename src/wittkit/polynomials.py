@@ -120,8 +120,9 @@ class SparsePolynomial:
             return next(iter(self.terms.values()))
         return None
 
-    def is_integral(self) -> bool:
-        return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self.terms.values())
+    def is_integral(self) -> bool:  # ints first: isinstance(c, Fraction) goes through ABCMeta
+        return all(type(c) is int for c in self.terms.values()) or all(
+            not isinstance(c, Fraction) or c.denominator == 1 for c in self.terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -276,17 +277,17 @@ class SparsePolynomial:
                 raise VariableMismatchError(f"{name!r} not among {self.variables!r}")
         assigned = [(i, assignment[v]) for i, v in enumerate(self.variables) if v in assignment]
         remaining = [i for i, v in enumerate(self.variables) if v not in assignment]
-        out: dict[tuple, Scalar] = {}
+        out, total = {}, 0  # total: the scalar, when every variable is assigned, with no key per term
         for exps, c in self.terms.items():
-            value = c
             for i, v in assigned:
                 if exps[i]:
-                    value = value * v ** exps[i]
-            key = tuple(exps[i] for i in remaining)
-            out[key] = out.get(key, 0) + value
-        if not remaining:
-            return out.get((), 0)
-        return SparsePolynomial(tuple(self.variables[i] for i in remaining), out)
+                    c = c * v ** exps[i]
+            if remaining:
+                key = tuple(exps[i] for i in remaining)
+                out[key] = out.get(key, 0) + c
+            else:
+                total = total + c
+        return SparsePolynomial(tuple(self.variables[i] for i in remaining), out) if remaining else total
 
     # -- formatting ----------------------------------------------------------
 

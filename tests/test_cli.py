@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 from wittkit import cli, families, ordinarity
 from wittkit.cli import _CONFIG_KEYS, _REQUIRED, _WITT_OPS, build_parser, main
-from wittkit.families import FAMILY_IDS, builtin_family
+from wittkit.families import FAMILY_IDS, am_logarithm, builtin_family, closed_form_logarithm
+from wittkit.formal_groups import Logarithm, group_law_from_logarithm
 from wittkit.ordinarity import frobenius_power_congruence, ordinarity_scan
 from wittkit.picard_fuchs import ThetaOperator, pf_congruence_check
-from wittkit.polynomials import SparsePolynomial, format_value, x_polynomial, x_terms
+from wittkit.polynomials import SparsePolynomial, format_value, is_integral, x_polynomial, x_terms
 from wittkit.serialize import value_from_obj
 from wittkit.witt import WittVector
 
@@ -99,6 +101,71 @@ def test_fgl_rows_and_failures_flag_the_same_terms(capsys, monkeypatch, at_x):
     assert payload["integral"] is False
     assert payload["failures"] == [{"i": 2, "j": 2}]
     assert [(t["i"], t["j"]) for t in payload["terms"] if not t["integral"]] == [(2, 2)]
+
+
+def _fgl_rows_and_law(monkeypatch, family, deg, method="extraction", at_x=None, log=None):
+    """The rows ``_cmd_fgl`` builds and the law it reads them from; ``log`` replaces the family's."""
+    laws, real = [], group_law_from_logarithm
+    monkeypatch.setattr(cli, "group_law_from_logarithm", lambda lg, d: laws.append(real(lg, d)) or laws[-1])
+    if log is not None:
+        monkeypatch.setattr(cli, "family_logarithm", lambda *args: log)
+    doc = cli._cmd_fgl(argparse.Namespace(family=family, deg=deg, method=method, at_x=at_x))
+    return doc.tsv_blocks[0], laws.pop()
+
+
+def _check_law_order_and_flags(rows, law):
+    """The stored order is MultiTruncatedSeries' sorted order, the rows are the law's terms in
+    it, and each integral flag is the Fraction scan of its coefficient."""
+    column_i, column_j, coeffs, integral = rows
+    assert law.sorted_terms() == law.series.sorted_terms()
+    assert list(zip(zip(column_i, column_j), coeffs)) == law.sorted_terms()
+    scan = [all(not isinstance(c, Fraction) or c.denominator == 1
+                for c in (a.terms.values() if isinstance(a, SparsePolynomial) else [a])) for a in coeffs]
+    assert integral == scan == list(map(is_integral, coeffs))
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_law_order_and_integral_flags_on_every_pencil(monkeypatch, family):
+    for method, at_x in (("extraction", None), ("closed-form", None), *(("extraction", x) for x in range(-3, 4))):
+        for deg in range(1, 21):
+            _check_law_order_and_flags(*_fgl_rows_and_law(monkeypatch, family, deg, method, at_x))
+
+
+def test_law_order_and_integral_flags_on_random_logarithms(monkeypatch):
+    """Int, Z[x], mixed and two-variable logarithms, and the failing law of
+    ``test_integrality_report_failure_lists_coefficients``."""
+    rng = random.Random(49)
+    y = SparsePolynomial.variable("y", ("x", "y"))
+    kinds = (lambda: rng.randint(-3, 3), lambda: rng.randint(-3, 3) * X**rng.randint(0, 3) + rng.randint(-2, 2),
+             lambda: rng.randint(-2, 2) * y + rng.randint(-2, 2))
+    flags = set()
+    for trial in range(60):
+        deg = rng.randint(1, 8)
+        draw = [kinds[0], kinds[1], rng.choice(kinds), kinds[2]][trial % 4]  # the third mixes ints in
+        log = Logarithm([X**0 if trial % 4 == 1 else 1, *(draw() for _ in range(deg - 1))])  # Z[x] as dicts
+        rows, law = _fgl_rows_and_law(monkeypatch, "hesse-cubic", deg, log=log)
+        _check_law_order_and_flags(rows, law)
+        flags.update(rows[3])
+    assert flags == {True, False}
+    rows, law = _fgl_rows_and_law(monkeypatch, "hesse-cubic", 4, log=Logarithm([1, 0, 0, 1]))
+    _check_law_order_and_flags(rows, law)
+    assert [(i, j) for i, j, ok in zip(*rows[:2], rows[3]) if not ok] == [(2, 2)]
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_library_built_logarithms_equal_their_validation(monkeypatch, family):
+    """am_logarithm, closed_form_logarithm and the --at-x logarithms skip validation:
+    each equals its validated form, with a_1 = 1 and int coefficients throughout."""
+    logs = [am_logarithm(builtin_family(family).family, 60), closed_form_logarithm(family, 60)]
+    real = group_law_from_logarithm
+    monkeypatch.setattr(cli, "group_law_from_logarithm", lambda lg, d: logs.append(lg) or real(lg, 1))
+    for at_x in range(-3, 4):
+        cli._cmd_fgl(argparse.Namespace(family=family, deg=60, method="extraction", at_x=at_x))
+    for log in logs:
+        assert log.truncation == 60 and log.coeffs[0] == 1
+        assert log.coeffs == Logarithm(log.coeffs).coeffs
+        assert all(type(c) is int for a in log.coeffs
+                   for c in (a.terms.values() if isinstance(a, SparsePolynomial) else [a]))
 
 
 def test_scan_matches_library(capsys):
@@ -813,6 +880,34 @@ def test_manifest_hash_stable_across_runs(tmp_path, capsys):
         assert code == 0
         hashes.append(json.loads(manifest_path.read_text())["content_hash"])
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("fgl", "--family", "hesse-cubic", "--deg", "6", "--format", "tsv"), 15),
+    (("scan-ordinary", "--family", "hesse-cubic", "--pmax", "7", "--format", "tsv"), 3 + 5 + 7),
+    (("congruence", "--family", "quintic", "--p", "3", "--format", "json"), 1),
+    (("witt", "--op", "teichmueller", "--a", "2", "--length", "4", "--format", "json"), 4),
+])
+def test_manifest_stages_rows_and_output_bytes(tmp_path, capsys, argv, rows):
+    """rows and output_bytes are equal across identical requests and match the document (to
+    stdout or --out); the stages, rounded like wall_time_s, add up to no more than it."""
+    manifests = []
+    for i, out in enumerate(([], ["--out", str(tmp_path / "result")])):
+        path = tmp_path / f"manifest{i}.json"
+        code, stdout, _ = run(capsys, *argv, *out, "--manifest", str(path))
+        assert code == 0
+        manifests.append(json.loads(path.read_text()))
+        body = stdout.encode() if not out else (tmp_path / "result").read_bytes()
+        assert manifests[-1]["output_bytes"] == len(body)
+        if "tsv" in argv:
+            assert manifests[-1]["rows"] == body.count(b"\n") - 1
+    first, second = manifests
+    assert (first["rows"], first["output_bytes"]) == (second["rows"], second["output_bytes"]) == (
+        rows, first["output_bytes"])
+    for manifest in manifests:
+        assert list(manifest["stages"]) == ["compute_s", "emit_s", "parse_s"]  # keys print sorted
+        assert all(s >= 0 for s in manifest["stages"].values())
+        assert round(sum(manifest["stages"].values()), 6) <= manifest["wall_time_s"]
 
 
 #: A ghost request on a Witt input whose variable name is the byte 0xff, which the command

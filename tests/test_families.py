@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
 from operator import add
@@ -89,6 +90,19 @@ def test_family_invariants_enforced():
     x_minus_1 = SparsePolynomial(hesse.variables, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1})
     with pytest.raises(ValueError, match=r"has degree 0 in \('X', 'Y', 'Z'\)"):
         CompleteIntersectionFamily("bad", (hesse, x_minus_1))  # degrees (3, 0)
+
+
+def test_extraction_refuses_a_family_off_z_x():
+    """am_logarithm builds its logarithm unvalidated, so it reads the family's product over Z[x]:
+    a true fraction is refused, and integral Fractions become ints."""
+    hesse = builtin_family("hesse-cubic").family.polynomials[0]
+    halved = CompleteIntersectionFamily("half", (hesse.map_coefficients(lambda c: c * Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="is not an integer"):
+        am_logarithm(halved, 4)
+    as_fractions = CompleteIntersectionFamily("fractions", (hesse.map_coefficients(Fraction),))
+    log = am_logarithm(as_fractions, 12)
+    assert log == am_logarithm(builtin_family("hesse-cubic").family, 12)
+    assert all(type(c) is int for a in log.coeffs for c in a.terms.values())
 
 
 def test_first_coefficient_is_one():

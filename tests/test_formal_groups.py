@@ -8,6 +8,7 @@ from wittkit.families import family_logarithm
 from wittkit.formal_groups import (
     AmbientMismatchError,
     Curve,
+    FormalGroupLaw,
     Logarithm,
     canonical_curve,
     curve_frobenius,
@@ -35,8 +36,8 @@ X = SparsePolynomial.variable("x")
 
 
 def law_identity_checks(law):
-    # G(t1, 0) = t1, and G(t1, t2) = G(t2, t1); synthesis copies G_ji from
-    # G_ij, so the second holds by construction: the half sum is checked
+    # G(t1, 0) = t1, and G(t1, t2) = G(t2, t1); synthesis writes G_ij's value
+    # for G_ji, so the second holds by construction: the half sum is checked
     # against the full flow in test_half_synthesis_matches_full_flow
     for i in range(law.degree + 1):
         assert law.coefficient(i, 0) == (1 if i == 1 else 0)
@@ -194,6 +195,20 @@ def test_integrality_report_failure_lists_coefficients():
     assert report.failures[0][2] == Fraction(-3, 2)
     assert law.coefficient(3, 1) == -1
     assert law.coefficient(1, 3) == -1
+
+
+def test_public_law_constructor_stores_print_order():
+    """``FormalGroupLaw(series)`` puts a series built from a shuffled dict in the order that
+    synthesis writes, which is MultiTruncatedSeries' sorted order."""
+    rng = random.Random(49)
+    for log, degree in ((Logarithm([1, 2, -3, 5, 0, 7, 1, -2]), 8), (family_logarithm("hesse-cubic", 9), 9)):
+        law = group_law_from_logarithm(log, degree)
+        items = list(law.series.terms.items())
+        rng.shuffle(items)
+        rebuilt = FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, dict(items)))
+        assert rebuilt.sorted_terms() == law.sorted_terms() == law.series.sorted_terms()
+        assert list(rebuilt.series.terms) == list(law.series.terms) and rebuilt == law
+    assert law.as_integral().sorted_terms() == law.sorted_terms()  # the hesse law is integral
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -132,6 +132,51 @@ def test_evaluate_full_and_partial():
     assert (1 + 24 * X**3).evaluate({"x": 1}) == 25
 
 
+def _random_polynomials(seed: int):
+    """A seeded grid of polynomials in one to three variables, with int and Fraction
+    coefficients (among them integral Fractions such as Fraction(4, 2))."""
+    rng = random.Random(seed)
+    scalars = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+               lambda: Fraction(2 * rng.randint(-4, 4), 2))
+    for nvars in (1, 2, 3):
+        variables = ("x", "y", "z")[:nvars]
+        for kinds in ((0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)):
+            for _ in range(8):
+                terms = {tuple(rng.randint(0, 3) for _ in variables): scalars[rng.choice(kinds)]()
+                         for _ in range(rng.randint(0, 6))}
+                yield SparsePolynomial(variables, terms)
+
+
+def test_full_evaluation_equals_nested_partial_evaluations():
+    """A full assignment sums scalars directly; the value and its type are those of
+    evaluating one variable at a time."""
+    rng = random.Random(7)
+    values = (-3, -1, 1, 2, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3))
+    for p in _random_polynomials(7):
+        assignment = {v: rng.choice(values) for v in p.variables}
+        nested = p
+        for v in p.variables[:-1]:
+            nested = nested.evaluate({v: assignment[v]})
+        nested = nested.evaluate({p.variables[-1]: assignment[p.variables[-1]]})
+        full = p.evaluate(assignment)
+        assert full == nested and type(full) is type(nested), (p, assignment)
+    assert SparsePolynomial(("x", "y")).evaluate({"x": 1, "y": 2}) == 0
+
+
+def test_integrality_check_agrees_with_the_fraction_scan():
+    """The int check first, then the Fraction scan: the same answer as the scan alone."""
+    def scan(p):
+        return all(not isinstance(c, Fraction) or c.denominator == 1 for c in p.terms.values())
+
+    polynomials = list(_random_polynomials(11))
+    assert {scan(p) for p in polynomials} == {True, False}
+    for p in polynomials:
+        assert p.is_integral() is scan(p) and is_integral(p) is scan(p), p
+    for c in (Fraction(4, 2), Fraction(1, 2), 3, 0):
+        p = SparsePolynomial(("x",), {(0,): 1, (2,): c})
+        assert p.is_integral() is (c != Fraction(1, 2))
+
+
 # -- helpers -----------------------------------------------------------------
 
 
