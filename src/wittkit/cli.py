@@ -7,8 +7,8 @@ byte-identical output.  Each handler builds one value table per result, by
 column; the TSV document prints it, and the JSON payload, a keyed view of the
 same columns (``Records``, ring elements marked as ``Values``), is built only
 when --format json asks for it; a scan's numerals print from one table of
-texts (``Indexed``).  --manifest PATH records the request, a wall time and its
-stages, the result's rows and bytes, and a content hash of those bytes.  --config PATH presets flags from key=value
+texts (``Indexed``).  --manifest PATH records the request, a wall time, and a
+content hash of the result bytes.  --config PATH presets flags from key=value
 lines; each subcommand's parser is the one declaration of its flags' types,
 choices and defaults, and checks the presets too.  A subcommand's parser alone
 reads a request that starts with its name; the top level reads any other argv.
