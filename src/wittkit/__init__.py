@@ -59,7 +59,6 @@ from .polynomials import (
     VariableMismatchError,
 )
 from .series import (
-    MultiTruncatedSeries,
     TruncatedSeries,
     TruncationError,
 )

@@ -13,11 +13,13 @@ coefficient, at the end: the quotient is an int where the division is
 exact, a Fraction otherwise.  ``G`` is commutative, so only the
 coefficients ``G_ij`` with ``j <= i`` are summed: the flow runs
 ``floor(deg/2)`` steps, and each pair ``{G_ij, G_ji}`` is divided once,
-into terms laid out in print order.  Its series are lists of coefficients:
-``{x exponent: int}`` dicts, summed in place and made polynomials once, at
-the division, when every ``a_m`` used is a polynomial in one and the same
-variable, else the values.  Whether the law has integral coefficients is a
-certificate checked after synthesis, never an assumption.
+into terms laid out in print order: a :class:`FormalGroupLaw` is its degree
+and those nonzero terms ``{(i, j): G_ij}``, with no series around them.  The
+flow's series are lists of coefficients: ``{x exponent: int}`` dicts, summed
+in place and made polynomials once, at the division, when every ``a_m`` used
+is a polynomial in one and the same variable, else the values.  Whether the
+law has integral coefficients is a certificate checked after synthesis,
+never an assumption.
 
 Curves in the formal group are kept in log-coordinates ``eta = l(gamma)``:
 formal-group addition becomes literal addition of series, scaling ``gamma(t)
@@ -44,7 +46,7 @@ from typing import Iterable
 
 from .polynomials import NonIntegralError, SparsePolynomial, Value, _value_repr, as_integral, is_integral
 from .polynomials import x_add_products, x_mul, x_terms, x_variables
-from .series import MultiTruncatedSeries, TruncatedSeries
+from .series import TruncatedSeries, TruncationError
 from .witt import GhostVector, WittVector, from_ghost
 
 
@@ -123,44 +125,51 @@ def multiplicative_logarithm(truncation: int) -> Logarithm:
 
 
 class FormalGroupLaw:
-    """A two-variable law: its series, terms in print order (total degree, then i), sorted once by ``__init__``."""
+    """A two-variable law truncated at total degree ``degree``: its nonzero terms
+    ``{(i, j): G_ij}`` in print order (total degree, then i)."""
 
-    __slots__ = ("series",)
+    __slots__ = ("degree", "terms")
 
-    def __init__(self, series: MultiTruncatedSeries):
-        if len(series.variables) != 2:
-            raise ValueError("a one-dimensional law is a series in two variables")
-        self.series = MultiTruncatedSeries._canonical(series.variables, series.degree, dict(series.sorted_terms()))
+    def __init__(self, degree: int, terms: dict):
+        if degree < 0:
+            raise ValueError("total-degree truncation must be nonnegative")
+        for key in terms:
+            if type(key) is not tuple or len(key) != 2 or any(type(e) is not int or e < 0 for e in key):
+                raise ValueError(f"a term's key is a pair of ints >= 0, not {key!r}")
+            if sum(key) > degree:
+                raise TruncationError(f"term {key!r} exceeds total-degree truncation {degree}")
+        self.degree = degree
+        self.terms = {e: c for e, c in sorted(terms.items(), key=lambda item: (sum(item[0]), item[0])) if c}
 
     @classmethod
-    def _canonical(cls, series: MultiTruncatedSeries) -> "FormalGroupLaw":
-        """Trusted constructor for a series in two variables whose terms are in print order."""
+    def _canonical(cls, degree: int, terms: dict) -> "FormalGroupLaw":
+        """Trusted constructor for a new dict of nonzero terms within ``degree``, in print order."""
         law = object.__new__(cls)
-        law.series = series
+        law.degree, law.terms = degree, terms
         return law
 
     def sorted_terms(self) -> list[tuple[tuple, Value]]:
         """The terms ``((i, j), G_ij)`` as stored: by total degree, then by i."""
-        return list(self.series.terms.items())
-
-    @property
-    def degree(self) -> int:
-        return self.series.degree
+        return list(self.terms.items())
 
     def coefficient(self, i: int, j: int) -> Value:
-        return self.series.coefficient((i, j))
+        if i < 0 or j < 0:
+            raise IndexError("negative degree")
+        if i + j > self.degree:
+            raise TruncationError(f"coefficient {(i, j)!r} unknown at total-degree truncation {self.degree}")
+        return self.terms.get((i, j), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalGroupLaw):
             return NotImplemented
-        return self.series == other.series
+        return (self.degree, self.terms) == (other.degree, other.terms)
 
     def __hash__(self):
-        return hash(self.series)
+        return hash((self.degree, len(self.terms)))
 
     def as_integral(self) -> "FormalGroupLaw":
         """The same law with coefficients certified integral (raises if not)."""
-        return FormalGroupLaw._canonical(self.series.map_coefficients(as_integral))  # which keeps the order
+        return FormalGroupLaw._canonical(self.degree, {e: as_integral(c) for e, c in self.terms.items()})
 
 
 def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
@@ -227,7 +236,7 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
                 column[i] = SparsePolynomial._canonical(variables if x_form else n.variables, quotients)
     terms = {(i, d - i): c for d in range(1, degree + 1) for i in range(d + 1)  # print order: d = i + j, then i
              if (c := columns[i][d - i] if i + i <= d else columns[d - i][i])}  # G_00 = 0
-    return FormalGroupLaw._canonical(MultiTruncatedSeries._canonical(("t1", "t2"), degree, terms))
+    return FormalGroupLaw._canonical(degree, terms)
 
 
 def _add_products(out: list, start: int, c: Value, row) -> None:

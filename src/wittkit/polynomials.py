@@ -8,10 +8,10 @@ declared length), so two polynomials are equal exactly when their variable
 tuples and term maps are equal.
 
 Inputs are validated once, at the public boundary: ``SparsePolynomial(...)``,
-the classmethod constructors, ``map_coefficients``, ``coefficient_of``,
-``evaluate`` and ``serialize.value_from_obj``, whose schema checks a one-variable
-object's terms in full and builds it by ``_canonical``, like every result of
-``+``, ``-``, ``*``, ``**`` and ``reduce_mod``: it keeps the new dict it is given
+the classmethod constructors, ``map_coefficients``, ``evaluate`` and
+``serialize.value_from_obj``, whose schema checks a one-variable object's
+terms in full and builds it by ``_canonical``, like every result of ``+``,
+``-``, ``*``, ``**`` and ``reduce_mod``: it keeps the new dict it is given
 unless a zero term must go.  One-variable products add int exponents, an int
 scales terms, ``p + 0`` is ``p``.  Over ``Z[x]``, where ``x_variables`` says so,
 the Witt sieve and group-law synthesis run on ``{x exponent: coefficient}`` dicts.
@@ -229,31 +229,6 @@ class SparsePolynomial:
     def map_coefficients(self, fn) -> "SparsePolynomial":
         return SparsePolynomial(self.variables, {e: fn(c) for e, c in self.terms.items()})
 
-    def coefficient_of(self, monomial: Mapping[str, int]):
-        """Coefficient of the given monomial, in the remaining variables.
-
-        ``monomial`` maps a subset of the declared variables to exponents.
-        The result is a SparsePolynomial over the remaining variables, or a
-        plain scalar when no variables remain.  Absent monomials give zero.
-
-        >>> p = SparsePolynomial(("X", "Y"), {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-        >>> p.coefficient_of({"X": 1, "Y": 1})
-        2
-        """
-        for name in monomial:
-            if name not in self.variables:
-                raise VariableMismatchError(f"{name!r} not among {self.variables!r}")
-        selected = [(i, monomial[v]) for i, v in enumerate(self.variables) if v in monomial]
-        remaining = [i for i, v in enumerate(self.variables) if v not in monomial]
-        out: dict[tuple, Scalar] = {}
-        for exps, c in self.terms.items():
-            if all(exps[i] == want for i, want in selected):
-                key = tuple(exps[i] for i in remaining)
-                out[key] = out.get(key, 0) + c
-        if not remaining:
-            return out.get((), 0)
-        return SparsePolynomial(tuple(self.variables[i] for i in remaining), out)
-
     def reduce_mod(self, modulus: int) -> "SparsePolynomial":
         """Reduce every coefficient into the canonical residue range [0, N).
 
@@ -270,7 +245,11 @@ class SparsePolynomial:
         """Substitute values for some variables; exact, possibly partial.
 
         Returns a scalar when every variable is assigned, otherwise a
-        polynomial over the remaining variables.
+        polynomial over the remaining variables.  A full assignment's scalar
+        is an int or a ``Fraction`` as the arithmetic leaves it, so one call
+        and nested partial calls can return equal values of different types
+        (``Fraction(3, 1)`` against ``3``): a partial result drops a term
+        whose coefficient cancels to ``Fraction(0)``.
         """
         for name in assignment:
             if name not in self.variables:

@@ -7,8 +7,9 @@ precision loss is always explicit.  Coefficients may be ints, Fractions, or
 :class:`~wittkit.polynomials.SparsePolynomial` values.
 
 :class:`MultiTruncatedSeries` is the several-variable analogue, truncated in
-total degree (a group law is one).  :func:`substitute_univariate` evaluates a
-one-variable series at a several-variable one; group-law synthesis never does.
+total degree, and :func:`substitute_univariate` evaluates a one-variable
+series at a several-variable one.  No library code runs either: they are the
+tests' two-variable reference for group laws, which keep only their terms.
 """
 
 from __future__ import annotations
@@ -47,19 +48,8 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variable: str, order: int) -> "TruncatedSeries":
-        return cls(variable, [], order)
-
-    @classmethod
     def constant(cls, value: Value, variable: str, order: int) -> "TruncatedSeries":
         return cls(variable, [value], order)
-
-    @classmethod
-    def identity(cls, variable: str, order: int) -> "TruncatedSeries":
-        """The series ``t``."""
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        return cls(variable, [0, 1], order)
 
     # -- queries -------------------------------------------------------------
 
@@ -128,14 +118,6 @@ class TruncatedSeries:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.variable, [-c for c in self.coefficients], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (TruncatedSeries, SparsePolynomial)) or _is_scalar(other):
-            return self + (-other)
-        return NotImplemented
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -238,14 +220,6 @@ class MultiTruncatedSeries:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
-    def _canonical(cls, variables: tuple, degree: int, terms: dict) -> "MultiTruncatedSeries":
-        """Trusted constructor for a new dict of terms within ``degree``; it copies only to drop zeros."""
-        series = object.__new__(cls)
-        series.variables, series.degree = variables, degree
-        series.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
-        return series
-
-    @classmethod
     def constant(cls, value: Value, variables: Iterable[str], degree: int) -> "MultiTruncatedSeries":
         variables = tuple(variables)
         return cls(variables, degree, {(0,) * len(variables): value})
@@ -265,9 +239,6 @@ class MultiTruncatedSeries:
                 f"coefficient {exps!r} unknown at total-degree truncation {self.degree}"
             )
         return self.terms.get(exps, 0)
-
-    def sorted_terms(self) -> list[tuple[tuple, Value]]:
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def constant_coefficient(self) -> Value:
         return self.terms.get((0,) * len(self.variables), 0)
@@ -323,11 +294,6 @@ class MultiTruncatedSeries:
         return MultiTruncatedSeries(self.variables, degree, terms)
 
     __rmul__ = __mul__
-
-    def map_coefficients(self, fn) -> "MultiTruncatedSeries":
-        return MultiTruncatedSeries(
-            self.variables, self.degree, {e: fn(c) for e, c in self.terms.items()}
-        )
 
 
 def substitute_univariate(outer: TruncatedSeries, inner: MultiTruncatedSeries) -> MultiTruncatedSeries:

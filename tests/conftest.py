@@ -1,8 +1,34 @@
 import hashlib
 import json
 
-from wittkit.polynomials import SparsePolynomial, _scalar_text
+from wittkit.polynomials import SparsePolynomial, VariableMismatchError, _scalar_text
 from wittkit.witt import WittVector
+
+
+def coefficient_of(poly, monomial):
+    """Coefficient of the given monomial of ``poly``, in the remaining variables.
+
+    ``monomial`` maps a subset of the declared variables to exponents.
+    The result is a SparsePolynomial over the remaining variables, or a
+    plain scalar when no variables remain.  Absent monomials give zero.
+
+    >>> p = SparsePolynomial(("X", "Y"), {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    >>> coefficient_of(p, {"X": 1, "Y": 1})
+    2
+    """
+    for name in monomial:
+        if name not in poly.variables:
+            raise VariableMismatchError(f"{name!r} not among {poly.variables!r}")
+    selected = [(i, monomial[v]) for i, v in enumerate(poly.variables) if v in monomial]
+    remaining = [i for i, v in enumerate(poly.variables) if v not in monomial]
+    out = {}
+    for exps, c in poly.terms.items():
+        if all(exps[i] == want for i, want in selected):
+            key = tuple(exps[i] for i in remaining)
+            out[key] = out.get(key, 0) + c
+    if not remaining:
+        return out.get((), 0)
+    return SparsePolynomial(tuple(poly.variables[i] for i in remaining), out)
 
 
 def value_to_obj(value):

@@ -210,9 +210,9 @@ def test_acceptance_4_group_law_integrality():
     quintic_law = group_law_from_logarithm(quintic_log, 8)
     assert integrality_report(quintic_law).passed
 
-    at_zero = hesse_law.series.map_coefficients(
-        lambda c: c.evaluate({"x": 0}) if isinstance(c, SparsePolynomial) else c
-    )
+    at_zero = MultiTruncatedSeries(("t1", "t2"), 10, {
+        e: c.evaluate({"x": 0}) if isinstance(c, SparsePolynomial) else c for e, c in hesse_law.terms.items()
+    })
     multiplicative = MultiTruncatedSeries(
         ("t1", "t2"), 10, {(1, 0): 1, (0, 1): 1, (1, 1): -1}
     )

@@ -22,7 +22,7 @@ from wittkit.formal_groups import (
     witt_cartier_bridge,
 )
 from wittkit.polynomials import SparsePolynomial, is_integral
-from wittkit.series import MultiTruncatedSeries, TruncatedSeries, substitute_univariate
+from wittkit.series import MultiTruncatedSeries, TruncatedSeries, TruncationError, substitute_univariate
 from wittkit.witt import (
     WittVector,
     teichmueller,
@@ -33,6 +33,16 @@ from wittkit.witt import (
 )
 
 X = SparsePolynomial.variable("x")
+
+
+def _t(order):
+    """The series ``t``."""
+    return TruncatedSeries("t", [0, 1], order)
+
+
+def _neg(s):
+    """The series ``-s``."""
+    return TruncatedSeries(s.variable, [-c for c in s.coefficients], s.order)
 
 
 def law_identity_checks(law):
@@ -87,11 +97,9 @@ def law_associativity(law, degree=None):
     u = MultiTruncatedSeries.variable("u", vars3, degree)
     v = MultiTruncatedSeries.variable("v", vars3, degree)
     w = MultiTruncatedSeries.variable("w", vars3, degree)
-    g12 = _compose_multivariate(law.series, [u, v])
-    g23 = _compose_multivariate(law.series, [v, w])
-    return _compose_multivariate(law.series, [g12, w]) == _compose_multivariate(
-        law.series, [u, g23]
-    )
+    g12 = _compose_multivariate(law, [u, v])
+    g23 = _compose_multivariate(law, [v, w])
+    return _compose_multivariate(law, [g12, w]) == _compose_multivariate(law, [u, g23])
 
 
 # -- logarithm bookkeeping -----------------------------------------------------
@@ -109,17 +117,15 @@ def test_logarithm_series_and_round_trip():
     ell = log.series()
     assert ell.coefficients[3] == Fraction(1, 3)
     rev = log.inverse_series(8)
-    assert ell.compose(rev) == TruncatedSeries.identity("t", 8)
+    assert ell.compose(rev) == _t(8)
     for m_max in (4, 8, 12, 16):
         hesse = family_logarithm("hesse-cubic", m_max)
         ell = hesse.series()
-        assert ell.compose(hesse.inverse_series(m_max)) == TruncatedSeries.identity(
-            "t", m_max
-        )
+        assert ell.compose(hesse.inverse_series(m_max)) == _t(m_max)
     for family in ("quartic-k3", "quintic-cy3"):
         log = family_logarithm(family, 16, "closed-form")
         ell = log.series()
-        assert ell.compose(log.inverse_series(16)) == TruncatedSeries.identity("t", 16)
+        assert ell.compose(log.inverse_series(16)) == _t(16)
 
 
 # -- group law synthesis ---------------------------------------------------------
@@ -127,7 +133,7 @@ def test_logarithm_series_and_round_trip():
 
 def test_additive_law():
     law = group_law_from_logarithm(Logarithm([1] + [0] * 5), 6)
-    assert law.series.sorted_terms() == [((0, 1), 1), ((1, 0), 1)]
+    assert law.sorted_terms() == [((0, 1), 1), ((1, 0), 1)]
     assert integrality_report(law).passed
     law_identity_checks(law)
     assert law_associativity(law)
@@ -135,10 +141,7 @@ def test_additive_law():
 
 def test_multiplicative_law_is_exactly_t1_plus_t2_minus_t1t2():
     law = group_law_from_logarithm(multiplicative_logarithm(8), 8)
-    expect = MultiTruncatedSeries(
-        ("t1", "t2"), 8, {(1, 0): 1, (0, 1): 1, (1, 1): -1}
-    )
-    assert law.series == expect
+    assert law == FormalGroupLaw(8, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
     assert integrality_report(law).passed
     law_identity_checks(law)
     assert law_associativity(law)
@@ -171,11 +174,10 @@ def test_hesse_law_generic_parameter():
     law_identity_checks(law)
     assert law_associativity(law.as_integral())
     # specializing the parameter to 0 gives the multiplicative law
-    at0 = law.series.map_coefficients(
-        lambda c: c.evaluate({"x": 0}) if isinstance(c, SparsePolynomial) else c
-    )
-    expect = MultiTruncatedSeries(("t1", "t2"), 6, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
-    assert at0 == expect
+    at0 = FormalGroupLaw(6, {
+        e: c.evaluate({"x": 0}) if isinstance(c, SparsePolynomial) else c for e, c in law.terms.items()
+    })
+    assert at0 == FormalGroupLaw(6, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
 
 
 def test_insufficient_truncation_rejected():
@@ -197,18 +199,55 @@ def test_integrality_report_failure_lists_coefficients():
     assert law.coefficient(1, 3) == -1
 
 
+def _print_order(terms):
+    """Reference: a law's terms sorted by total degree, then by i."""
+    return sorted(terms.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
 def test_public_law_constructor_stores_print_order():
-    """``FormalGroupLaw(series)`` puts a series built from a shuffled dict in the order that
-    synthesis writes, which is MultiTruncatedSeries' sorted order."""
+    """``FormalGroupLaw(degree, terms)`` stores a shuffled dict of terms in the order that
+    synthesis writes, and the law rebuilt from ``law.terms`` equals the synthesized one, hash
+    and all."""
     rng = random.Random(49)
     for log, degree in ((Logarithm([1, 2, -3, 5, 0, 7, 1, -2]), 8), (family_logarithm("hesse-cubic", 9), 9)):
         law = group_law_from_logarithm(log, degree)
-        items = list(law.series.terms.items())
+        items = list(law.terms.items())
         rng.shuffle(items)
-        rebuilt = FormalGroupLaw(MultiTruncatedSeries(("t1", "t2"), degree, dict(items)))
-        assert rebuilt.sorted_terms() == law.sorted_terms() == law.series.sorted_terms()
-        assert list(rebuilt.series.terms) == list(law.series.terms) and rebuilt == law
+        rebuilt = FormalGroupLaw(degree, dict(items))
+        assert rebuilt.sorted_terms() == law.sorted_terms() == _print_order(law.terms)
+        assert list(rebuilt.terms) == list(law.terms) and rebuilt == law and hash(rebuilt) == hash(law)
+        again = FormalGroupLaw(law.degree, law.terms)
+        assert again == law and hash(again) == hash(law)
     assert law.as_integral().sorted_terms() == law.sorted_terms()  # the hesse law is integral
+
+
+def test_public_law_constructor_checks_its_terms():
+    """A key is a pair of ints >= 0 (else ``ValueError``) within the degree (else
+    ``TruncationError``), and zero terms are dropped."""
+    for key in ((1,), (1, 0, 0), (1.0, 0), (True, 0), (-1, 2), (2, -1), "ab", 3):
+        with pytest.raises(ValueError) as refused:
+            FormalGroupLaw(3, {key: 1})
+        assert refused.type is ValueError, key
+    with pytest.raises(TruncationError):
+        FormalGroupLaw(3, {(1, 0): 1, (2, 2): 1})
+    with pytest.raises(ValueError):
+        FormalGroupLaw(-1, {})
+    law = FormalGroupLaw(3, {(2, 1): 0, (1, 0): 1, (1, 1): Fraction(0), (0, 2): SparsePolynomial.zero(("x",)),
+                             (0, 1): 1})
+    assert list(law.terms.items()) == [((0, 1), 1), ((1, 0), 1)]
+    assert law == group_law_from_logarithm(Logarithm([1, 0, 0]), 3)
+
+
+def test_law_coefficient_refuses_negative_degrees():
+    """As ``TruncatedSeries.coefficient`` does: a negative exponent raises ``IndexError``,
+    and a term past the degree is unknown."""
+    law = group_law_from_logarithm(multiplicative_logarithm(4), 4)
+    for i, j in ((-1, 2), (5, -1), (0, -1), (-1, 0)):
+        with pytest.raises(IndexError):
+            law.coefficient(i, j)
+    with pytest.raises(TruncationError):
+        law.coefficient(3, 2)
+    assert [law.coefficient(1, 1), law.coefficient(2, 2), law.coefficient(0, 1)] == [-1, 0, 1]
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -222,9 +261,9 @@ def test_synthesized_law_equals_its_validated_construction(coeffs):
     """The law built by the trusted constructor equals the one the validating constructor
     builds from its terms, and its report lists the failures in ``sorted_terms`` order."""
     law = group_law_from_logarithm(Logarithm(coeffs), 8)
-    assert law.series == MultiTruncatedSeries(("t1", "t2"), 8, law.series.terms)
-    assert all(law.series.terms.values())
-    expected = [(i, j, c) for (i, j), c in law.series.sorted_terms() if not is_integral(c)]
+    assert law == FormalGroupLaw(8, law.terms)
+    assert all(law.terms.values())
+    expected = [(i, j, c) for (i, j), c in _print_order(law.terms) if not is_integral(c)]
     assert list(integrality_report(law).failures) == expected
 
 
@@ -237,7 +276,7 @@ def _law_by_reversion(log, degree):
         {(m, 0): ell.coefficients[m] for m in range(1, degree + 1)}
         | {(0, m): ell.coefficients[m] for m in range(1, degree + 1)},
     )
-    return substitute_univariate(ell.reversion(), summed)
+    return FormalGroupLaw(degree, substitute_univariate(ell.reversion(), summed).terms)
 
 
 def test_integrality_report_consistent_with_independent_reversion():
@@ -252,7 +291,7 @@ def test_integrality_report_consistent_with_independent_reversion():
     for log, degree in cases:
         law = group_law_from_logarithm(log, degree)
         reference = _law_by_reversion(log, degree)
-        assert law.series == reference
+        assert law == reference
         expected_failures = {
             (i, j) for (i, j), c in reference.sorted_terms() if not is_integral(c)
         }
@@ -270,7 +309,7 @@ def test_integral_law_coefficients_are_ints(family):
         law = group_law_from_logarithm(log, 12)
         assert integrality_report(law).passed
         assert law.as_integral() == law
-        for c in law.series.terms.values():
+        for c in law.terms.values():
             inner = c.terms.values() if isinstance(c, SparsePolynomial) else [c]
             assert inner and all(type(v) is int for v in inner), c
 
@@ -280,8 +319,8 @@ def test_non_integral_law_coefficients_are_fractions():
     for log in (Logarithm([1, 0, 0, 1]), Logarithm([1, 0, 0, X])):
         law = group_law_from_logarithm(log, 4)
         reference = _law_by_reversion(log, 4)
-        assert law.series == reference
-        for e, c in law.series.terms.items():
+        assert law == reference
+        for e, c in law.terms.items():
             for v in c.terms.values() if isinstance(c, SparsePolynomial) else [c]:
                 assert type(v) is (int if is_integral(v) else Fraction), (e, v)
         failures = integrality_report(law).failures
@@ -312,7 +351,7 @@ def test_synthesis_matches_reversion_on_a_seeded_grid():
     for log in cases:
         law = group_law_from_logarithm(log, log.truncation)
         reference = _law_by_reversion(log, log.truncation)
-        assert law.series == reference
+        assert law == reference
         expected_failures = {
             (i, j) for (i, j), c in reference.sorted_terms() if not is_integral(c)
         }
@@ -354,7 +393,7 @@ def _full_flow_terms(log, degree):
         return Fraction(n, denominator) if r else q
 
     terms = {ij: divide(n) for ij, n in numerators.items()}
-    return MultiTruncatedSeries(("t1", "t2"), degree, terms).terms
+    return FormalGroupLaw(degree, terms).terms
 
 
 def _typed(value):
@@ -386,7 +425,7 @@ def test_half_synthesis_matches_full_flow():
     for log, degree in cases:
         law = group_law_from_logarithm(log, degree)
         reference = _full_flow_terms(log, degree)
-        assert {e: _typed(c) for e, c in law.series.terms.items()} == {
+        assert {e: _typed(c) for e, c in law.terms.items()} == {
             e: _typed(c) for e, c in reference.items()
         }, (log, degree)
         integral.add((degree % 2, integrality_report(law).passed))
@@ -416,12 +455,12 @@ def test_polynomial_logarithms_match_full_flow_and_reversion():
         name = log.coeffs[0].variables
         assert all(isinstance(a, SparsePolynomial) and a.variables == name for a in log.coeffs)
         law = group_law_from_logarithm(log, degree)
-        assert {e: _typed(c) for e, c in law.series.terms.items()} == {
+        assert {e: _typed(c) for e, c in law.terms.items()} == {
             e: _typed(c) for e, c in _full_flow_terms(log, degree).items()
         }, (log, degree)
-        assert all(type(c) is SparsePolynomial and c.variables == name for c in law.series.terms.values())
+        assert all(type(c) is SparsePolynomial and c.variables == name for c in law.terms.values())
         if degree <= 8:
-            assert law.series == _law_by_reversion(log, degree)
+            assert law == _law_by_reversion(log, degree)
         seen.add((name, integrality_report(law).passed))
     assert any(not a for log, _ in cases for a in log.coeffs)
     assert seen == {(("x",), True), (("x",), False), (("s",), True), (("s",), False)}
@@ -433,9 +472,9 @@ def test_polynomial_logarithms_match_full_flow_and_reversion():
 def test_fg_add_identity_and_inverse():
     log = multiplicative_logarithm(8)
     c = canonical_curve(log, 8)
-    zero = Curve(log, TruncatedSeries.zero("t", 8))
+    zero = Curve(log, TruncatedSeries("t", [], 8))
     assert fg_add(c, zero) == c
-    assert fg_add(c, Curve(c.logarithm, -c.eta)) == zero
+    assert fg_add(c, Curve(c.logarithm, _neg(c.eta))) == zero
 
 
 def test_fg_add_doubling_multiplicative():
@@ -457,7 +496,7 @@ def test_curve_scale():
     log = multiplicative_logarithm(6)
     c = canonical_curve(log, 6)
     assert curve_scale(1, c) == c
-    zero = Curve(log, TruncatedSeries.zero("t", 6))
+    zero = Curve(log, TruncatedSeries("t", [], 6))
     assert curve_scale(0, c) == zero
     scaled = curve_scale(3, c)
     assert scaled.gamma() == TruncatedSeries("t", [0, 3], 6)
@@ -564,7 +603,7 @@ def test_bridge_examples():
     c = canonical_curve(log, 3)
     doubled = fg_add(c, c)
     assert witt_cartier_bridge(doubled).coords == (2, -1, -2)
-    zero = Curve(log, TruncatedSeries.zero("t", 4))
+    zero = Curve(log, TruncatedSeries("t", [], 4))
     assert witt_cartier_bridge(zero) == WittVector.zero(4)
 
 
@@ -597,7 +636,7 @@ def test_bridge_intertwines_operators():
 def _bridge_by_reversion(c):
     """The bridge as the series (1 - gamma)^(-1), gamma recovered by reversion."""
     gamma = c.gamma()
-    one_minus = TruncatedSeries.constant(1, gamma.variable, gamma.order) - gamma
+    one_minus = _neg(gamma) + 1
     return WittVector.from_series(one_minus.inverse())
 
 

@@ -3,7 +3,8 @@ file; every function the package exports is named outside ``__init__.py``;
 the README's library sketch runs; starting the CLI loads no module that no
 request needs; the records keep their fields; the value classes take only
 what their values cannot say; no module but ``families``
-names a pencil; and the check modules do not import ``formal_groups``."""
+names a pencil; the check modules do not import ``formal_groups``; and no
+module but ``series`` names the two-variable series."""
 
 import ast
 import hashlib
@@ -83,6 +84,14 @@ def test_the_checks_do_not_import_formal_groups(module):
         for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
     }
     assert "formal_groups" not in imported
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + [INIT] if p.stem != "series"], ids=lambda p: p.stem)
+def test_only_series_names_the_two_variable_series(path):
+    """A group law is its terms: ``MultiTruncatedSeries`` and ``substitute_univariate``
+    are the tests' two-variable reference, and no module but ``series`` names them."""
+    named = re.findall(r"\b(?:MultiTruncatedSeries|substitute_univariate)\b", path.read_text(encoding="utf-8"))
+    assert not named, f"{path.name} names {sorted(set(named))}"
 
 
 def _named(path):
@@ -183,7 +192,7 @@ def test_records_keep_their_fields(record):
 CONSTRUCTORS = {
     Logarithm: ("coeffs",),
     CompleteIntersectionFamily: ("name", "polynomials"),
-    FormalGroupLaw: ("series",),
+    FormalGroupLaw: ("degree", "terms"),
 }
 
 

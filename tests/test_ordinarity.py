@@ -26,6 +26,8 @@ from wittkit.ordinarity import (
 from wittkit.families import closed_form_logarithm
 from wittkit.polynomials import NonIntegralError, SparsePolynomial, as_integral
 
+from conftest import coefficient_of
+
 X = SparsePolynomial.variable("x")
 
 
@@ -405,7 +407,7 @@ def _unfolded_fiber_counts(a, b, p):
 def test_fiber_counts_match_unfolded_enumeration():
     for family, bound in (("hesse-cubic", 101), ("quartic-k3", 17), ("quintic-cy3", 11)):
         pencil = builtin_family(family).family.polynomials[0]
-        a, b = pencil.coefficient_of({"x": 1}), pencil.coefficient_of({"x": 0})
+        a, b = coefficient_of(pencil, {"x": 1}), coefficient_of(pencil, {"x": 0})
         for p in filter(is_prime, range(3, bound + 1)):
             assert fiber_point_counts(family, p) == _unfolded_fiber_counts(a, b, p), (family, p)
     # the cubic's correlation count against the torus walk, which every other pencil runs

@@ -15,6 +15,8 @@ from wittkit.picard_fuchs import (
 from wittkit.polynomials import SparsePolynomial, format_value, x_polynomial, x_terms
 from wittkit.series import TruncatedSeries
 
+from conftest import coefficient_of
+
 X = SparsePolynomial.variable("x")
 ZERO = SparsePolynomial.zero(("x",))
 ONE = SparsePolynomial.constant(1, ("x",))
@@ -102,12 +104,12 @@ def test_apply_to_series_keeps_truncation():
     log = closed_form_logarithm("quintic-cy3", 40)
     for k in range(1, 41):
         a_k = log.coefficient(k)
-        dense = [a_k.coefficient_of({"x": e}) for e in range(order + 1)]
+        dense = [coefficient_of(a_k, {"x": e}) for e in range(order + 1)]
         from_series = L.apply(TruncatedSeries("x", dense, order))
         from_poly = L.apply(a_k)
         assert max((e for (e,) in from_poly.terms), default=0) <= order
         for e in range(order + 1):
-            assert from_poly.coefficient_of({"x": e}) == from_series.coefficient(e)
+            assert coefficient_of(from_poly, {"x": e}) == from_series.coefficient(e)
 
 
 def test_apply_is_linear():
@@ -190,11 +192,11 @@ def test_apply_matches_theta_power_reference():
             got = L.apply(f)
             assert _typed_terms(got) == _typed_terms(want), (L, f)
             order = rng.randint(0, 9)
-            image = L.apply(TruncatedSeries("x", [f.coefficient_of({"x": n}) for n in range(order + 1)], order))
+            image = L.apply(TruncatedSeries("x", [coefficient_of(f, {"x": n}) for n in range(order + 1)], order))
             truncated = SparsePolynomial(("x",), {e: c for e, c in f.terms.items() if e[0] <= order})
             want = _theta_power_image(L, truncated)
             assert image.order == order
-            assert _typed(image.coefficients) == _typed(want.coefficient_of({"x": n}) for n in range(order + 1))
+            assert _typed(image.coefficients) == _typed(coefficient_of(want, {"x": n}) for n in range(order + 1))
     # (theta - 2) x^2 = 0, so only x/2 is left
     assert expand_operator([(1, 0, (-2,))]).apply(X**2 + Fraction(1, 2) * X).terms == {(1,): Fraction(-1, 2)}
     # at x^2 the theta^0 and theta^1 parts cancel to Fraction(0), so the theta^2 part alone sets the type
@@ -406,6 +408,6 @@ def test_operator_singularity_is_a_declared_singular_rule(family):
     n = entry.family.ambient_dim + 1
     L = entry.picard_fuchs
     assert L.order == n - 1
-    c = -L.coefficients[-1].coefficient_of({"x": n})
+    c = -coefficient_of(L.coefficients[-1], {"x": n})
     assert L.coefficients[-1] == 1 - c * X**n
     assert (c, n) in entry.singular_rules
