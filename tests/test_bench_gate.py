@@ -1,4 +1,5 @@
-"""The benchmark's correctness gate holds on every smoke-size request: exit
+"""The benchmark's correctness gate holds on every smoke-size request, and on
+the full-size requests of the log-extraction and group-law workloads: exit
 0, the frozen stdout digest, and the cross-check, which reads library names
 of its own (``WittVector.to_series``, ``closed_form_logarithm``, ...).  The
 gate turns only a few exception types into a failed request, so a name it
@@ -27,11 +28,25 @@ checks, workloads = _load("checks"), _load("workloads")
 FROZEN = json.loads((ROOT / "perfbench" / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-@pytest.mark.parametrize("seed", [0, 1])
-def test_smoke_requests_pass_the_benchmark_gate(capsys, workload, seed):
-    gate = checks.Gate(FROZEN[f"{workload}:smoke"][str(seed)])
-    for i, argv in enumerate(workloads.requests(workload, seed, smoke=True)):
+def _assert_pass_is_gated(capsys, workload, seed, smoke):
+    gate = checks.Gate(FROZEN[workload + (":smoke" if smoke else "")][str(seed)])
+    for i, argv in enumerate(workloads.requests(workload, seed, smoke=smoke)):
         code = cli.main(argv)
         out = capsys.readouterr().out
         assert gate.failure(i, argv, code, out) is None, argv[:3]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_smoke_requests_pass_the_benchmark_gate(capsys, workload, seed):
+    _assert_pass_is_gated(capsys, workload, seed, smoke=True)
+
+
+#: Full-size passes of the workloads whose bytes the extraction and the printers set: every frozen
+#: log-extraction seed (three requests each) and two group-law seeds (thirteen requests each).
+FULL_SIZE = [("log-extraction", seed) for seed in range(20)] + [("group-law", seed) for seed in range(2)]
+
+
+@pytest.mark.parametrize("workload, seed", FULL_SIZE, ids=[f"{w}-{s}" for w, s in FULL_SIZE])
+def test_full_size_requests_pass_the_benchmark_gate(capsys, workload, seed):
+    _assert_pass_is_gated(capsys, workload, seed, smoke=False)

@@ -447,6 +447,35 @@ AM_LOG_DIGESTS = {
         "dea01993e05e2f01a5c8a5a287c002e3aa7d034c21c1f3e78dbead1bca137c84",
     (("--family", "quartic-k3", "--mmax", "100", "--mod", "999983"), "tsv"):
         "3aa9809c4311aec7612e230a7a337c3f5f0972c4b67495d3256cc7bfaa0177e6",
+    # the log-extraction workload's shapes, and hesse at the group-law workload's m
+    (("--family", "quintic-cy3", "--mmax", "25"), "json"):
+        "9317c1f6cc3b7fc1dd178e4899dd0d7170905fb8ec1db041a784841ad5f405d8",
+    (("--family", "quintic-cy3", "--mmax", "25"), "tsv"):
+        "8ebd57c5beb2836e5750e7e9c0df3dbdf88a12dcb8e4db101fa6538506c50f22",
+    (("--family", "quintic-cy3", "--mmax", "25", "--mod", "403303"), "json"):
+        "13623208c8a2d92757e3d9c988b4d14b7c358231f279ddbb816bb875f6191c19",
+    (("--family", "quintic-cy3", "--mmax", "25", "--mod", "403303"), "tsv"):
+        "0c3509d1eba23b7455ed34c522307e8a80e81a53ada20c124bca1cf17910b356",
+    (("--family", "quartic-k3", "--mmax", "30"), "json"):
+        "6d071dc33be8c184e790b6443c6330b9f8bd5233814e15798c63d64cbda1fd37",
+    (("--family", "quartic-k3", "--mmax", "30"), "tsv"):
+        "89a9f34606931dccca6b6a73c717c80b30bef4024d330d68cfe7392c4d4ed0bf",
+    (("--family", "quartic-k3", "--mmax", "30", "--mod", "403303"), "json"):
+        "bc18ea5d8705841528ca5396a476c8e5a51be9db28954af92894b87aebdc6ad8",
+    (("--family", "quartic-k3", "--mmax", "30", "--mod", "403303"), "tsv"):
+        "2271813c05a581041bd8851c9babf24bc45e5488ebeb216a25fe92eaf82e1b5d",
+    (("--family", "hesse-cubic", "--mmax", "40"), "json"):
+        "b22836ed2f72c7449f4512ba588aea3f0ae3e190a793a7e4b8e67e92a76ed77f",
+    (("--family", "hesse-cubic", "--mmax", "40"), "tsv"):
+        "b74483a682f862759785a41adcde9c4f4701fbb2411685a6d40b65cf7d387a02",
+    (("--family", "hesse-cubic", "--mmax", "40", "--mod", "403303"), "json"):
+        "5662b2dbb68dcd177ccfec33c0ba73b2f66194bab415f144ba69070a6ecd5869",
+    (("--family", "hesse-cubic", "--mmax", "40", "--mod", "403303"), "tsv"):
+        "11fb57b00aaad1e1d83517007937fe9178bea832e303ec4ad42151a469c2a5da",
+    (("--family", "hesse-cubic", "--mmax", "13"), "json"):
+        "8a18ed466add58c26aa0fec6423cbbf42a9ff389c56c0b543bcfe91ff4a3bd44",
+    (("--family", "hesse-cubic", "--mmax", "13"), "tsv"):
+        "27f734bb40a837c5dcaf1de97728e83872d12dcafea6e06a660b4cb42b31677f",
 }
 
 

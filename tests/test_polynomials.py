@@ -488,6 +488,27 @@ _BIG = 10**4400 + 7  # past str()'s 4,300-digit limit
 _BIG_TEXT = "1" + "0" * 4399 + "7"
 
 
+@pytest.mark.parametrize("terms, text", [
+    ({}, "0"),
+    ({(0,): 1}, "1"),
+    ({(0,): -1}, "-1"),
+    ({(0,): 1, (1,): 1, (2,): -1}, "1+x^1-x^2"),
+    ({(0,): -1, (3,): -1, (4,): 1}, "-1-x^3+x^4"),
+    ({(2,): 1}, "x^2"),
+    ({(2,): -1}, "-x^2"),
+    ({(0,): Fraction(1, 2), (1,): Fraction(-1, 3), (2,): Fraction(5, 4)}, "1/2-1/3*x^1+5/4*x^2"),
+    ({(0,): Fraction(-1, 2), (1,): Fraction(1, 3)}, "-1/2+1/3*x^1"),
+    ({(0,): _BIG}, _BIG_TEXT),
+    ({(0,): 2, (1,): -_BIG, (3,): _BIG}, f"2-{_BIG_TEXT}*x^1+{_BIG_TEXT}*x^3"),
+    ({(1,): Fraction(_BIG, 3), (0,): -5}, f"-5+{_BIG_TEXT}/3*x^1"),
+], ids=["zero", "one", "minus-one", "units", "negative-units", "monomial", "minus-monomial",
+        "fractions", "negative-fraction-first", "big-constant", "big", "big-fraction"])
+def test_format_value_of_one_variable(terms, text):
+    """Every kind of one-variable term: a coefficient of 1 or -1 drops beside x^e but not alone,
+    a term after the first is signed, and ints past str()'s digit limit print in full."""
+    assert format_value(SparsePolynomial(("x",), terms)) == text
+
+
 @pytest.mark.parametrize("value, text", [
     (SparsePolynomial(("x", "y"), {(0, 2): Fraction(-1, 2), (1, 0): 3}),
      "SparsePolynomial(('x', 'y'), {(1, 0): 3, (0, 2): Fraction(-1, 2)})"),

@@ -423,6 +423,26 @@ def test_one_variable_values_print_as_the_generic_printers_print_them():
         assert value_text(p) == _generic_value_text(p)
 
 
+#: One-variable edge cases, each spelled out: the zero polynomial, a coefficient past str()'s digit limit,
+#: Fractions, and +-1 at exponent 0 and above it, where the text printer drops the coefficient.
+ONE_VARIABLE_EDGES = {
+    "zero": SparsePolynomial(("x",), {}),
+    "big": SparsePolynomial(("x",), {(0,): _BIG, (2,): -_BIG, (5,): 3}),
+    "big-alone": SparsePolynomial(("t",), {(4,): -_BIG}),
+    "fractions": SparsePolynomial(("x",), {(0,): Fraction(-7, 3), (1,): Fraction(1, 2), (3,): Fraction(-_BIG, 7)}),
+    "units": SparsePolynomial(("x",), {(0,): 1, (1,): -1, (2,): 1}),
+    "negative-units": SparsePolynomial(("x",), {(0,): -1, (3,): 1, (4,): -1}),
+    "odd-name": SparsePolynomial((ODD_NAME,), {(0,): 2, (1,): 1, (2,): -1, (6,): -5}),
+}
+
+
+@pytest.mark.parametrize("value", ONE_VARIABLE_EDGES.values(), ids=ONE_VARIABLE_EDGES)
+def test_one_variable_edges_print_as_the_references_print_them(value):
+    assert value_text(value) == _generic_value_text(value) == _reference(value)
+    assert format_value(value) == _generic_format_value(value)
+    assert str(value) == format_value(value)
+
+
 def _exact(obj):
     """A JSON coefficient as the scalar it names, read here without the schema's helpers."""
     return obj if type(obj) is int else Fraction(obj) if "/" in obj else int(obj)
