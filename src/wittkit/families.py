@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .formal_groups import Logarithm
 from .picard_fuchs import ThetaOperator, expand_operator
-from .polynomials import SparsePolynomial, as_integral, x_add_products, x_mul, x_polynomial
+from .polynomials import SparsePolynomial, as_integral, x_mul, x_polynomial
 from .series import TruncatedSeries
 
 PARAMETER = "x"
@@ -307,39 +307,45 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
     last = {i: r for r, z in enumerate(rows) for i, e in enumerate(z) if e}  # the step that closes i
     states = {(0,) * n: {0: 1}}
     for r, (z, row) in enumerate(rows.items()):
-        done, closing = [i for i in range(n) if last.get(i, -1) < r], [i for i in range(n) if last.get(i) == r]
-        powers, scaled, nxt = [{0: 1}], {}, {}  # row^a, and C(t + a, a) row^a by (t, a)
+        final, closing = [i for i in range(n) if last.get(i, -1) < r], [i for i in range(n) if last.get(i) == r]
+        support, powers, nxt = [(i, e) for i, e in enumerate(z) if e], _powers(row, (m_max - 1) // max(z)), {}
+        c0, rest = closing[0] if closing else None, closing[1:]
         for v, value in states.items():
-            top = v[done[0]] if done else m_max - 1  # j, once a coordinate is final
-            fits = range(min([(top - v[i]) // e for i, e in enumerate(z) if e]) + 1)
-            if done and closing:  # one division: an a that misses j fails the test below
-                a = (top - v[closing[0]]) // z[closing[0]]
-                fits = fits[a:a + 1]
-            t, outs, terms = sum(v) // n, [], []
+            top, t = v[final[0]] if final else m_max - 1, sum(v) // n  # top is j once a coordinate is final
+            fits = ((top - v[c0]) // z[c0],) if final and closing else range(  # one division closes c0 at j
+                min([(top - v[i]) // e for i, e in support]) + 1)
             for a in fits:
-                w = tuple([x + a * e for x, e in zip(v, z)])
-                if closing and any(w[i] != max(w) for i in closing):
+                w = list(v)
+                for i, e in support:
+                    w[i] += a * e
+                w = tuple(w)
+                if closing and ((j := max(w)) != top and final or w[c0] != j or rest and any(w[i] != j for i in rest)):
                     continue
-                if (t, a) not in scaled:
-                    while len(powers) <= a:
-                        powers.append(x_mul(powers[-1], row))
-                    scaled[t, a] = x_mul(powers[a], comb(t + a, a))
-                outs.append(nxt.setdefault(w, {}))
-                terms.append(scaled[t, a])
-            x_add_products(outs, 0, value, terms)
+                k, power, out = comb(t + a, a), powers[a].items(), nxt.setdefault(w, {})
+                for x1, c1 in value.items():  # out += C(t + a, a) row^a value
+                    c1 *= k
+                    for x2, c2 in power:
+                        out[x1 + x2] = out.get(x1 + x2, 0) + c1 * c2
         states = nxt
-    sums, c_powers = [{} for _ in range(m_max)], [{0: 1}]
-    for _ in range(1, m_max):
-        c_powers.append(x_mul(c_powers[-1], c_of_d))
-    for j in range(m_max):  # a loop: a C(j+i, i) c^i dict per (j, i) for x_add_products cost log-extraction 12%
-        b_j, b = states.get((j,) * n), 1  # b = C(j + i, i), carried along the row
-        for i, out in enumerate(sums[j:] if b_j else ()):  # out = a_(j+i+1)'s sum
-            for x1, c1 in b_j.items():
-                for x2, c2 in c_powers[i].items():
-                    out[x1 + x2] = out.get(x1 + x2, 0) + b * c1 * c2
-            b = b * (j + i + 1) // (i + 1)
-    return Logarithm._canonical(tuple(SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)})
-                                      for s in sums))
+    sums, c_powers = [{} for _ in range(m_max)], [list(p.items()) for p in _powers(c_of_d, m_max - 1)]
+    for j in range(m_max):
+        b_j = list(states.get((j,) * n, {}).items())
+        for i in range(m_max - j) if b_j else ():  # a_(j+i+1)'s sum += C(j + i, i) b_j c^i
+            out, b = sums[j + i], comb(j + i, i)
+            for x1, c1 in b_j:
+                c1 *= b
+                for x2, c2 in c_powers[i]:
+                    out[x1 + x2] = out.get(x1 + x2, 0) + c1 * c2
+    return Logarithm._canonical(tuple([SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)})
+                                       for s in sums]))
+
+
+def _powers(p: dict, k: int) -> list[dict]:
+    """p^0 .. p^k for a dict in x; a monomial's by one power of its coefficient each."""
+    powers = [{e * a: c**a for e, c in p.items()} for a in range(k + 1)] if len(p) == 1 else [{0: 1}]
+    while len(powers) <= k:
+        powers.append(x_mul(powers[-1], p))
+    return powers
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:

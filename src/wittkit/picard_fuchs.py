@@ -75,11 +75,15 @@ class ThetaOperator:
         return x_polynomial((X,), self._apply_terms(x_terms(as_x_polynomial(f))))
 
     def _apply_terms(self, terms: dict[int, Value]) -> dict[int, Value]:
-        """The image of ``{n: c}``: over Z by x-shift, P_d(n) from its table; else by + and * (zero sums set types)."""
+        """The image of ``{n: c}``: over Z by ``_shift``; else by + and * (zero sums set types)."""
         if self._shifts is None or not all(type(c) is int for c in terms.values()):
             return x_terms(sum(q * x_polynomial(q.variables, {n: c * n**k for n, c in terms.items()})
                                for k, q in enumerate(self.coefficients)))
-        out: dict[int, Value] = {}
+        return self._shift(terms)
+
+    def _shift(self, terms: dict[int, int]) -> dict[int, int]:
+        """The image of an int dict under an operator over Z (``_shifts`` set): by x-shift, P_d(n) from its table."""
+        out: dict[int, int] = {}
         for d, P, table in self._shifts:
             for n, c in terms.items():  # the table is filled on first use
                 v = table[n] if n in table else table.setdefault(n, sum(a * n**k for k, a in enumerate(P)))
@@ -139,10 +143,11 @@ def pf_congruence_check(
     if not all(q.is_integral() for q in operator.coefficients):
         raise ValueError("the coefficient congruence needs an operator over Z[x]")
     checker, results = ThetaOperator(operator.coefficients), []  # the copy's eigenvalue table lives one check
+    apply = checker.apply if checker._shifts is None else checker._shift  # over ints, each k's residues are ints
     coefficients = map(coefficient, range(1, k_max + 1)) if callable(coefficient) else coefficient
     for k, a in zip(range(1, k_max + 1), coefficients):
         a = a if type(a) is dict else x_terms(as_x_polynomial(a).reduce_mod(k))
-        image = checker.apply({n: r for n, c in a.items() if (r := c % k)})
+        image = apply({n: r for n, c in a.items() if (r := c % k)})
         residual = {n: r for n, c in image.items() if (r := c % k)}
         results.append(CoefficientCongruence(k, not residual, x_polynomial((X,), residual) if residual else None))
     if len(results) < k_max:

@@ -237,9 +237,8 @@ class SparsePolynomial:
         """
         if not isinstance(modulus, int) or modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        return SparsePolynomial._canonical(
-            self.variables, {e: as_integral(c) % modulus for e, c in self.terms.items()}
-        )
+        return SparsePolynomial._canonical(self.variables, {  # an int's residue needs no as_integral
+            e: c % modulus if type(c) is int else as_integral(c) % modulus for e, c in self.terms.items()})
 
     def evaluate(self, assignment: Mapping[str, Value]):
         """Substitute values for some variables; exact, possibly partial.
@@ -391,10 +390,19 @@ def format_value(value: Value) -> str:
         return _scalar_text(value)
     if not value.terms:
         return "0"
-    parts, x = [], value.variables[0] if len(value.variables) == 1 else None
+    if len(value.variables) == 1:  # one template per term; "%s" % c is str(c), which refuses ints past the digit limit
+        x = value.variables[0]
+        one = "%s^%d" if x[:1] == "-" else "+%s^%d"  # a term is signed unless its text starts with "-"
+        try:
+            text = "".join([("+%s" if c > 0 else "%s") % c if not e else one % (x, e) if c == 1
+                            else "-%s^%d" % (x, e) if c == -1 else ("+%s*%s^%d" if c > 0 else "%s*%s^%d") % (c, x, e)
+                            for (e,), c in sorted(value.terms.items())])
+            return text[1:] if text[0] == "+" else text
+        except ValueError:  # then term by term, below
+            pass
+    parts = []
     for exps, c in value.sorted_terms():
-        mono = ("*".join(f"{v}^{e}" for v, e in zip(value.variables, exps) if e) if x is None
-                else f"{x}^{exps[0]}" if exps[0] else "")
+        mono = "*".join(f"{v}^{e}" for v, e in zip(value.variables, exps) if e)
         text = (_scalar_text(c) if not mono else mono if c == 1 else "-" + mono if c == -1
                 else f"{_scalar_text(c)}*{mono}")
         parts.append(text if not parts or text[0] == "-" else "+" + text)

@@ -14,7 +14,7 @@ import json
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import groupby, repeat
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _quoted  # a name as _ENCODER prints it
 
 from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
 from .witt import WittVector
@@ -107,11 +107,12 @@ def value_text(value: Value | None) -> str:
     if not isinstance(value, SparsePolynomial):
         term = '{"coefficient":"' + _scalar_text(value) + '","exponents":[]}' if value else ""
         return '{"terms":[' + term + '],"variables":[]}'
-    one = len(value.variables) == 1  # an exponent vector of one int prints as that int
-    return '{"terms":[' + ",".join([
-        '{"coefficient":"' + _scalar_text(c) + '","exponents":[' + (str(e[0]) if one else ",".join(map(str, e)))
-        + "]}" for e, c in value.sorted_terms()
-    ]) + '],"variables":[' + ",".join(map(encode_basestring_ascii, value.variables)) + "]}"  # as _ENCODER prints them
+    one, term = len(value.variables) == 1, '{"coefficient":"%s","exponents":[%s]}'  # one int prints as that int
+    try:  # "%s" % c is str(c), which refuses an int past the digit limit: then each prints by _scalar_text
+        terms = [term % (c, e[0] if one else ",".join(map(str, e))) for e, c in value.sorted_terms()]
+    except ValueError:
+        terms = [term % (_scalar_text(c), e[0] if one else ",".join(map(str, e))) for e, c in value.sorted_terms()]
+    return '{"terms":[' + ",".join(terms) + '],"variables":[' + ",".join(map(_quoted, value.variables)) + "]}"
 
 
 class Values:

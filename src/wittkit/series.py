@@ -206,9 +206,9 @@ class MultiTruncatedSeries:
             raise ValueError("total-degree truncation must be nonnegative")
         clean: dict[tuple, Value] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(variables):
-                raise ValueError(f"exponent vector {exps!r} does not match {variables!r}")
+            exps = tuple(exps)  # as FormalGroupLaw's keys: no int() that truncates, no negative exponent
+            if len(exps) != len(variables) or any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"exponent vector {exps!r} is not {len(variables)} ints >= 0 for {variables!r}")
             if sum(exps) > degree:
                 raise TruncationError(
                     f"term {exps!r} exceeds total-degree truncation {degree}"

@@ -332,6 +332,34 @@ def test_congruence_needs_an_operator_over_z():
     )
 
 
+def test_congruence_applies_an_operator_over_ints_through_its_table(monkeypatch):
+    """Over ints each k's residues are ints, so the check applies L through the eigenvalue table with no
+    dispatch or scan per k; an operator integral but not over ints keeps ``apply`` and its results, types too."""
+    log = closed_form_logarithm("quintic-cy3", 40)
+    whole = ThetaOperator(tuple(q.map_coefficients(Fraction) for q in QUINTIC.picard_fuchs.coefficients))
+    q = list(whole.coefficients)
+    q[1] = q[1] + X**5  # fails, so residuals are printed
+    whole_failing = ThetaOperator(tuple(q))
+
+    def today(L, k_max):  # the generic path: apply to the residues mod k, then reduce the image mod k
+        rows = []
+        for k in range(1, k_max + 1):
+            residues = {n: r for n, c in x_terms(log.coefficient(k)).items() if (r := c % k)}
+            residual = {n: r for n, c in L.apply(residues).items() if (r := c % k)}
+            rows.append((k, not residual, _typed(residual.values())))
+        return rows
+
+    expected = [today(L, 40) for L in (whole, whole_failing)]
+    assert not all(passed for _, passed, _ in expected[1])
+    over_ints = pf_congruence_check(QUINTIC.picard_fuchs, log.coefficient, 40)
+    monkeypatch.setattr(ThetaOperator, "_apply_terms", lambda *args: pytest.fail("dispatched per k"))
+    assert pf_congruence_check(QUINTIC.picard_fuchs, log.coefficient, 40) == over_ints
+    monkeypatch.undo()
+    for L, rows in zip((whole, whole_failing), expected):
+        results = pf_congruence_check(L, log.coefficient, 40)
+        assert [(r.k, r.passed, _typed(x_terms(r.residual).values()) if r.residual else []) for r in results] == rows
+
+
 def test_congruence_requires_enough_coefficients():
     L = QUINTIC.picard_fuchs
     log = closed_form_logarithm("quintic-cy3", 4)

@@ -433,6 +433,9 @@ ONE_VARIABLE_EDGES = {
     "units": SparsePolynomial(("x",), {(0,): 1, (1,): -1, (2,): 1}),
     "negative-units": SparsePolynomial(("x",), {(0,): -1, (3,): 1, (4,): -1}),
     "odd-name": SparsePolynomial((ODD_NAME,), {(0,): 2, (1,): 1, (2,): -1, (6,): -5}),
+    "signed-name": SparsePolynomial(("-y",), {(0,): 1, (1,): 1, (2,): -1, (3,): 1}),
+    "signed-name-first": SparsePolynomial(("-y",), {(1,): 1, (2,): 2}),
+    "plus-name-first": SparsePolynomial(("+y",), {(1,): 1, (2,): 1}),
 }
 
 

@@ -201,3 +201,13 @@ def test_restriction_and_swap_read_from_coefficients():
     # f(t1, 0) = t1, and f(t2, t1) = 2 t1 + t2 - t1 t2
     assert [f.coefficient((i, 0)) for i in range(3)] == [0, 1, 0]
     assert [f.coefficient((j, i)) for i, j in ((1, 0), (0, 1), (1, 1))] == [2, 1, -1]
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0), (-1, 2), (True, 0), ("1", 0), (1,), (1, 0, 0)],
+                         ids=["float", "negative", "bool", "text", "short", "long"])
+def test_multivariate_series_refuses_exponents_that_are_not_ints_from_zero(exps):
+    """The two-variable reference refuses what the law's constructor refuses, rather than truncate a
+    float exponent through int() or keep a negative one."""
+    with pytest.raises(ValueError, match="exponent vector"):
+        MultiTruncatedSeries(("a", "b"), 3, {exps: 1})
+    assert MultiTruncatedSeries(("a", "b"), 3, {(1, 0): 1}) == MultiTruncatedSeries.variable("a", ("a", "b"), 3)
