@@ -20,6 +20,7 @@ on the parameter locus where those hypotheses hold.  Records are named tuples.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import comb, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -335,17 +336,16 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
             for x1, c1 in b_j:
                 c1 *= b
                 for x2, c2 in c_powers[i]:
-                    out[x1 + x2] = out.get(x1 + x2, 0) + c1 * c2
-    return Logarithm._canonical(tuple([SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)})
-                                       for s in sums]))
+                    key = (x1 + x2,)  # a_m's own key: a sum that comes ascending in x is a_m's terms as it stands
+                    out[key] = out.get(key, 0) + c1 * c2
+    return Logarithm._canonical(tuple([SparsePolynomial._canonical(
+        (PARAMETER,), s if list(s) == sorted(s) else dict(sorted(s.items()))) for s in sums]))
 
 
 def _powers(p: dict, k: int) -> list[dict]:
     """p^0 .. p^k for a dict in x; a monomial's by one power of its coefficient each."""
-    powers = [{e * a: c**a for e, c in p.items()} for a in range(k + 1)] if len(p) == 1 else [{0: 1}]
-    while len(powers) <= k:
-        powers.append(x_mul(powers[-1], p))
-    return powers
+    return ([{e * a: c**a for e, c in p.items()} for a in range(k + 1)] if len(p) == 1
+            else list(accumulate(repeat(p, k), x_mul, initial={0: 1})))
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:

@@ -390,12 +390,12 @@ def format_value(value: Value) -> str:
         return _scalar_text(value)
     if not value.terms:
         return "0"
-    if len(value.variables) == 1:  # one template per term; "%s" % c is str(c), which refuses ints past the digit limit
+    if len(value.variables) == 1:  # one f-string per term, which refuses ints past str()'s digit limit
         x = value.variables[0]
-        one = "%s^%d" if x[:1] == "-" else "+%s^%d"  # a term is signed unless its text starts with "-"
+        one = f"{x}^" if x[:1] == "-" else f"+{x}^"  # a term is signed unless its text starts with "-"
         try:
-            text = "".join([("+%s" if c > 0 else "%s") % c if not e else one % (x, e) if c == 1
-                            else "-%s^%d" % (x, e) if c == -1 else ("+%s*%s^%d" if c > 0 else "%s*%s^%d") % (c, x, e)
+            text = "".join([(f"+{c}" if c > 0 else f"{c}") if not e else f"{one}{e}" if c == 1 else f"-{x}^{e}"
+                            if c == -1 else f"+{c}*{x}^{e}" if c > 0 else f"{c}*{x}^{e}"
                             for (e,), c in sorted(value.terms.items())])
             return text[1:] if text[0] == "+" else text
         except ValueError:  # then term by term, below

@@ -107,11 +107,13 @@ def value_text(value: Value | None) -> str:
     if not isinstance(value, SparsePolynomial):
         term = '{"coefficient":"' + _scalar_text(value) + '","exponents":[]}' if value else ""
         return '{"terms":[' + term + '],"variables":[]}'
-    one, term = len(value.variables) == 1, '{"coefficient":"%s","exponents":[%s]}'  # one int prints as that int
-    try:  # "%s" % c is str(c), which refuses an int past the digit limit: then each prints by _scalar_text
-        terms = [term % (c, e[0] if one else ",".join(map(str, e))) for e, c in value.sorted_terms()]
+    one = len(value.variables) == 1  # an exponent vector of one int prints as that int
+    try:  # one f-string per term, which refuses an int past str()'s digit limit: then each prints by _scalar_text
+        terms = [f'{{"coefficient":"{c}","exponents":[{e[0] if one else ",".join(map(str, e))}]}}'
+                 for e, c in value.sorted_terms()]
     except ValueError:
-        terms = [term % (_scalar_text(c), e[0] if one else ",".join(map(str, e))) for e, c in value.sorted_terms()]
+        terms = [f'{{"coefficient":"{_scalar_text(c)}","exponents":[{e[0] if one else ",".join(map(str, e))}]}}'
+                 for e, c in value.sorted_terms()]
     return '{"terms":[' + ",".join(terms) + '],"variables":[' + ",".join(map(_quoted, value.variables)) + "]}"
 
 

@@ -210,9 +210,7 @@ class MultiTruncatedSeries:
             if len(exps) != len(variables) or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"exponent vector {exps!r} is not {len(variables)} ints >= 0 for {variables!r}")
             if sum(exps) > degree:
-                raise TruncationError(
-                    f"term {exps!r} exceeds total-degree truncation {degree}"
-                )
+                raise TruncationError(f"term {exps!r} exceeds total-degree truncation {degree}")
             if c:
                 clean[exps] = clean.get(exps, 0) + c
         self.variables = variables
