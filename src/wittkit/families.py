@@ -320,7 +320,7 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
                 for i, e in support:
                     w[i] += a * e
                 w = tuple(w)
-                if closing and ((j := max(w)) != top and final or w[c0] != j or rest and any(w[i] != j for i in rest)):
+                if closing and (w[c0] != (j := max(w)) or rest and any(w[i] != j for i in rest)):  # w[c0] <= top bounds j
                     continue
                 k, power, out = comb(t + a, a), powers[a].items(), nxt.setdefault(w, {})
                 for x1, c1 in value.items():  # out += C(t + a, a) row^a value

@@ -224,6 +224,15 @@ def test_integrality_helpers_on_every_value_kind():
             as_integral(value)
 
 
+def test_reduce_mod_gives_int_residues_in_term_order():
+    """Int coefficients reduce as they are; an integral Fraction reduces as its int; a zero residue drops."""
+    p = SparsePolynomial(("x",), {(3,): -3, (0,): 7, (2,): Fraction(12, 1), (5,): 10})
+    assert [(e, c, type(c)) for e, c in p.reduce_mod(5).terms.items()] == [
+        ((3,), 2, int), ((0,), 2, int), ((2,), 2, int)]
+    with pytest.raises(NonIntegralError):
+        SparsePolynomial(("x",), {(1,): 1, (2,): Fraction(1, 2)}).reduce_mod(5)
+
+
 def test_format_value():
     assert format_value(1 + 6 * X**3) == "1+6*x^3"
     assert format_value(1 - 120 * X**5) == "1-120*x^5"
