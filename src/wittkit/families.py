@@ -320,15 +320,15 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
                 for i, e in support:
                     w[i] += a * e
                 w = tuple(w)
-                if closing and (w[c0] != (j := max(w)) or rest and any(w[i] != j for i in rest)):  # w[c0] <= top bounds j
+                if closing and (w[c0] != (j := max(w)) or rest and any(w[i] != j for i in rest)):  # w[c0] <= top caps j
                     continue
-                k, power, out = comb(t + a, a), powers[a].items(), nxt.setdefault(w, {})
+                k, power, out = comb(t + a, a), powers[a], nxt.setdefault(w, {})
                 for x1, c1 in value.items():  # out += C(t + a, a) row^a value
                     c1 *= k
                     for x2, c2 in power:
                         out[x1 + x2] = out.get(x1 + x2, 0) + c1 * c2
         states = nxt
-    sums, c_powers = [{} for _ in range(m_max)], [list(p.items()) for p in _powers(c_of_d, m_max - 1)]
+    sums, c_powers = [{} for _ in range(m_max)], _powers(c_of_d, m_max - 1)
     for j in range(m_max):
         b_j = list(states.get((j,) * n, {}).items())
         for i in range(m_max - j) if b_j else ():  # a_(j+i+1)'s sum += C(j + i, i) b_j c^i
@@ -342,10 +342,10 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
         (PARAMETER,), s if list(s) == sorted(s) else dict(sorted(s.items()))) for s in sums]))
 
 
-def _powers(p: dict, k: int) -> list[dict]:
-    """p^0 .. p^k for a dict in x; a monomial's by one power of its coefficient each."""
-    return ([{e * a: c**a for e, c in p.items()} for a in range(k + 1)] if len(p) == 1
-            else list(accumulate(repeat(p, k), x_mul, initial={0: 1})))
+def _powers(p: dict, k: int) -> list[list]:
+    """The terms of p^0 .. p^k (p a dict in x) as (x exponent, coefficient) lists; a monomial's by a power each."""
+    return ([[(e * a, c**a)] for ((e, c),) in [p.items()] for a in range(k + 1)] if len(p) == 1
+            else [list(q.items()) for q in accumulate(repeat(p, k), x_mul, initial={0: 1})])
 
 
 def closed_form_logarithm(identifier: str, m_max: int) -> Logarithm:
