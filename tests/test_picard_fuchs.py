@@ -341,7 +341,7 @@ def test_congruence_applies_an_operator_over_ints_through_its_table(monkeypatch)
     q[1] = q[1] + X**5  # fails, so residuals are printed
     whole_failing = ThetaOperator(tuple(q))
 
-    def today(L, k_max):  # the generic path: apply to the residues mod k, then reduce the image mod k
+    def by_apply(L, k_max):  # the generic path: apply to the residues mod k, then reduce the image mod k
         rows = []
         for k in range(1, k_max + 1):
             residues = {n: r for n, c in x_terms(log.coefficient(k)).items() if (r := c % k)}
@@ -349,7 +349,7 @@ def test_congruence_applies_an_operator_over_ints_through_its_table(monkeypatch)
             rows.append((k, not residual, _typed(residual.values())))
         return rows
 
-    expected = [today(L, 40) for L in (whole, whole_failing)]
+    expected = [by_apply(L, 40) for L in (whole, whole_failing)]
     assert not all(passed for _, passed, _ in expected[1])
     over_ints = pf_congruence_check(QUINTIC.picard_fuchs, log.coefficient, 40)
     monkeypatch.setattr(ThetaOperator, "_apply_terms", lambda *args: pytest.fail("dispatched per k"))
