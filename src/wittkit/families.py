@@ -336,10 +336,9 @@ def am_logarithm(family: CompleteIntersectionFamily, m_max: int) -> Logarithm:
             for x1, c1 in b_j:
                 c1 *= b
                 for x2, c2 in c_powers[i]:
-                    key = (x1 + x2,)  # a_m's own key: a sum that comes ascending in x is a_m's terms as it stands
-                    out[key] = out.get(key, 0) + c1 * c2
-    return Logarithm._canonical(tuple([SparsePolynomial._canonical(
-        (PARAMETER,), s if list(s) == sorted(s) else dict(sorted(s.items()))) for s in sums]))
+                    out[x1 + x2] = out.get(x1 + x2, 0) + c1 * c2
+    return Logarithm._canonical(tuple(SparsePolynomial._canonical((PARAMETER,), {(x,): s[x] for x in sorted(s)})
+                                      for s in sums))
 
 
 def _powers(p: dict, k: int) -> list[list]:

@@ -14,7 +14,7 @@ import json
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import groupby, repeat
-from json.encoder import encode_basestring_ascii as _quoted  # a name as _ENCODER prints it
+from json.encoder import encode_basestring_ascii
 
 from .polynomials import SparsePolynomial, Value, _scalar_text, format_value
 from .witt import WittVector
@@ -100,21 +100,22 @@ class Records:
 
 
 def value_text(value: Value | None) -> str:
-    """A value's polynomial object as JSON text (None is ``null``): keys sorted, terms in
-    ``sorted_terms`` order, coefficients as decimal strings, and a scalar in no variables."""
+    """A value's polynomial object as JSON text (None is ``null``): keys sorted, terms in ``sorted_terms``
+    order, coefficients as decimal strings, names as ``_ENCODER`` prints them, and a scalar in no variables."""
     if value is None:
         return "null"
     if not isinstance(value, SparsePolynomial):
         term = '{"coefficient":"' + _scalar_text(value) + '","exponents":[]}' if value else ""
         return '{"terms":[' + term + '],"variables":[]}'
     one = len(value.variables) == 1  # an exponent vector of one int prints as that int
-    try:  # one f-string per term, which refuses an int past str()'s digit limit: then each prints by _scalar_text
-        terms = [f'{{"coefficient":"{c}","exponents":[{e[0] if one else ",".join(map(str, e))}]}}'
-                 for e, c in value.sorted_terms()]
-    except ValueError:
-        terms = [f'{{"coefficient":"{_scalar_text(c)}","exponents":[{e[0] if one else ",".join(map(str, e))}]}}'
-                 for e, c in value.sorted_terms()]
-    return '{"terms":[' + ",".join(terms) + '],"variables":[' + ",".join(map(_quoted, value.variables)) + "]}"
+
+    def text(terms):  # one f-string per term, which refuses an int past str()'s digit limit
+        return [f'{{"coefficient":"{c}","exponents":[{e[0] if one else ",".join(map(str, e))}]}}' for e, c in terms]
+    try:
+        terms = text(value.sorted_terms())
+    except ValueError:  # then every coefficient prints by _scalar_text first
+        terms = text([(e, _scalar_text(c)) for e, c in value.sorted_terms()])
+    return f'{{"terms":[{",".join(terms)}],"variables":[{",".join(map(encode_basestring_ascii, value.variables))}]}}'
 
 
 class Values:

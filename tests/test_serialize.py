@@ -404,12 +404,13 @@ def _generic_value_text(value) -> str:
     ) + '],"variables":' + json.dumps(list(value.variables), separators=(",", ":")) + "}"
 
 
-_ONE_VARIABLE_NAMES = ["x", ODD_NAME, "-y", "t \udcff"]
+_ONE_VARIABLE_NAMES = ["x", ODD_NAME, "-y", "+y", "t \udcff"]
 _COEFFICIENTS = [1, -1, 2, -3, _BIG, -_BIG, Fraction(1, 2), Fraction(-1, 3), Fraction(-_BIG, 7)]
 
 
 def _one_variable_polynomials(rng):
-    yield from (SparsePolynomial((name,), {}) for name in _ONE_VARIABLE_NAMES)  # zero polynomials
+    for name in _ONE_VARIABLE_NAMES:  # the zero polynomial, and +-1 leading at an exponent above 0
+        yield from (SparsePolynomial((name,), t) for t in ({}, {(1,): 1, (3,): -1}, {(2,): -1, (4,): 1}))
     for _ in range(400):
         exponents = rng.sample(range(7), rng.randint(1, 5))  # 0 among them in about half the draws
         terms = {(e,): rng.choice(_COEFFICIENTS) for e in exponents}
@@ -419,31 +420,8 @@ def _one_variable_polynomials(rng):
 def test_one_variable_values_print_as_the_generic_printers_print_them():
     for p in _one_variable_polynomials(random.Random(41)):
         assert p.sorted_terms() == _generic_sorted_terms(p)
-        assert format_value(p) == _generic_format_value(p)
-        assert value_text(p) == _generic_value_text(p)
-
-
-#: One-variable edge cases, each spelled out: the zero polynomial, a coefficient past str()'s digit limit,
-#: Fractions, and +-1 at exponent 0 and above it, where the text printer drops the coefficient.
-ONE_VARIABLE_EDGES = {
-    "zero": SparsePolynomial(("x",), {}),
-    "big": SparsePolynomial(("x",), {(0,): _BIG, (2,): -_BIG, (5,): 3}),
-    "big-alone": SparsePolynomial(("t",), {(4,): -_BIG}),
-    "fractions": SparsePolynomial(("x",), {(0,): Fraction(-7, 3), (1,): Fraction(1, 2), (3,): Fraction(-_BIG, 7)}),
-    "units": SparsePolynomial(("x",), {(0,): 1, (1,): -1, (2,): 1}),
-    "negative-units": SparsePolynomial(("x",), {(0,): -1, (3,): 1, (4,): -1}),
-    "odd-name": SparsePolynomial((ODD_NAME,), {(0,): 2, (1,): 1, (2,): -1, (6,): -5}),
-    "signed-name": SparsePolynomial(("-y",), {(0,): 1, (1,): 1, (2,): -1, (3,): 1}),
-    "signed-name-first": SparsePolynomial(("-y",), {(1,): 1, (2,): 2}),
-    "plus-name-first": SparsePolynomial(("+y",), {(1,): 1, (2,): 1}),
-}
-
-
-@pytest.mark.parametrize("value", ONE_VARIABLE_EDGES.values(), ids=ONE_VARIABLE_EDGES)
-def test_one_variable_edges_print_as_the_references_print_them(value):
-    assert value_text(value) == _generic_value_text(value) == _reference(value)
-    assert format_value(value) == _generic_format_value(value)
-    assert str(value) == format_value(value)
+        assert format_value(p) == _generic_format_value(p) == str(p)
+        assert value_text(p) == _generic_value_text(p) == _reference(p)
 
 
 def _exact(obj):
