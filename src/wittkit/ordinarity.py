@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 from .families import (
     FAMILY_IDS, PRIMALITY_BOUND, BudgetExceededError, builtin_family, is_prime, resolve_family_id,
 )
-from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial
+from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial, x_mul, x_polynomial, x_terms
 
 #: Routine-use budget: a point count is refused when P^N(F_p) has more than this
 #: many points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
@@ -394,9 +394,11 @@ def frobenius_power_congruence(
 
     ``coefficient`` is a rule m -> a_m (or a_m mod p), such as a catalog
     entry's ``closed_form_mod`` at s = 1 or a ``Logarithm``'s
-    ``coefficient``; only a_p, a_(p^(nu-1)) and a_(p^nu) are
-    read, and the p-th power is f(x^p), which it equals in F_p[x].  p^nu
-    above ``CONGRUENCE_INDEX_BUDGET`` raises ``BudgetExceededError``.
+    ``coefficient``; a_p, a_(p^(nu-1)) and a_(p^nu) are read once each, by
+    ``reduce_mod(p)`` (``NonIntegralError`` on a fraction), as ``{x exponent: int}``
+    dicts.  The p-th power is f(x^p), which it equals in F_p[x]; one ``x_mul`` and
+    one difference mod p give the residual, built as a polynomial only when nonzero.
+    p^nu above ``CONGRUENCE_INDEX_BUDGET`` raises ``BudgetExceededError``.
     """
     _require_odd_prime(p)
     if nu < 2:
@@ -408,13 +410,12 @@ def frobenius_power_congruence(
             f"p^nu = {p}^{nu} is over the budget {CONGRUENCE_INDEX_BUDGET}"
         )
 
-    def coeff_mod(m: int) -> SparsePolynomial:
-        return as_x_polynomial(coefficient(m)).reduce_mod(p)
+    def residues(m: int) -> dict[int, int]:
+        return x_terms(as_x_polynomial(coefficient(m)).reduce_mod(p))
 
-    lhs = coeff_mod(p**nu)
-    pth_power = {(e * p,): c for (e,), c in coeff_mod(p ** (nu - 1)).terms.items()}
-    rhs = (coeff_mod(p) * SparsePolynomial(("x",), pth_power)).reduce_mod(p)
-    residual = (lhs - rhs).reduce_mod(p)
-    if residual.terms:
-        return CongruenceCheck(p, nu, False, residual)
-    return CongruenceCheck(p, nu, True, None)
+    residual = residues(p**nu)
+    pth_power = {e * p: c for e, c in residues(p ** (nu - 1)).items()}
+    for e, c in x_mul(residues(p), pth_power).items():
+        residual[e] = (residual.get(e, 0) - c) % p  # reduced at once: residues below p are shared small ints
+    residual = {e: c for e, c in residual.items() if c}
+    return CongruenceCheck(p, nu, not residual, x_polynomial(("x",), residual) if residual else None)

@@ -11,8 +11,9 @@ The two checks: L annihilating the distinguished solution series exactly
 through a stated order, and the coefficient congruence ``L a_k = 0 mod k``
 in Z[x] for logarithm coefficients a_k, read one k at a time from a rule or a
 walk.  It applies L to ``a_k mod k`` as an int dict: L is over Z[x], so the
-residual is L a_k's, without L a_k's big integers.  Each check applies an
-operator built for the call, whose table of eigenvalues ``P_d(n)`` lives one check.
+residual is L a_k's, without L a_k's big integers.  An operator holds its
+coefficients and their shift groups ``(d, P_d)`` only: the eigenvalue tables
+``{n: P_d(n)}`` are the call's, one per shift for a check, fresh for an ``apply``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ThetaOperator:
             for (d,), c in q.terms.items():
                 shifts.setdefault(d, [0] * len(coefficients))[k] = c
         integral = all(type(c) is int for q in coefficients for c in q.terms.values())
-        self._shifts = tuple((d, P, {}) for d, P in shifts.items()) if integral else None  # and a table {n: P_d(n)}
+        self._shifts = tuple(shifts.items()) if integral else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaOperator):
@@ -79,13 +80,14 @@ class ThetaOperator:
         if self._shifts is None or not all(type(c) is int for c in terms.values()):
             return x_terms(sum(q * x_polynomial(q.variables, {n: c * n**k for n, c in terms.items()})
                                for k, q in enumerate(self.coefficients)))
-        return self._shift(terms)
+        return self._shift(terms, [{} for _ in self._shifts])
 
-    def _shift(self, terms: dict[int, int]) -> dict[int, int]:
-        """The image of an int dict under an operator over Z (``_shifts`` set): by x-shift, P_d(n) from its table."""
+    def _shift(self, terms: dict[int, int], tables: list[dict]) -> dict[int, int]:
+        """The image of an int dict under an operator over Z (``_shifts`` set): by x-shift, P_d(n) from the
+        caller's table for shift d, filled on first use."""
         out: dict[int, int] = {}
-        for d, P, table in self._shifts:
-            for n, c in terms.items():  # the table is filled on first use
+        for (d, P), table in zip(self._shifts, tables):
+            for n, c in terms.items():
                 v = table[n] if n in table else table.setdefault(n, sum(a * n**k for k, a in enumerate(P)))
                 out[n + d] = out.get(n + d, 0) + v * c  # ints: a zero sum is a plain 0
         return out
@@ -142,8 +144,8 @@ def pf_congruence_check(
         raise ValueError("k_max must be >= 1")
     if not all(q.is_integral() for q in operator.coefficients):
         raise ValueError("the coefficient congruence needs an operator over Z[x]")
-    checker, results = ThetaOperator(operator.coefficients), []  # the copy's eigenvalue table lives one check
-    apply = checker.apply if checker._shifts is None else checker._shift  # over ints, each k's residues are ints
+    results, tables = [], [{} for _ in operator._shifts or ()]  # over ints, each k's residues are ints
+    apply = operator.apply if operator._shifts is None else lambda a: operator._shift(a, tables)
     coefficients = map(coefficient, range(1, k_max + 1)) if callable(coefficient) else coefficient
     for k, a in zip(range(1, k_max + 1), coefficients):
         a = a if type(a) is dict else x_terms(as_x_polynomial(a).reduce_mod(k))
@@ -165,12 +167,12 @@ class SolutionCheck(NamedTuple):
 def series_solution_check(
     operator: ThetaOperator, f: TruncatedSeries, through: int
 ) -> SolutionCheck:
-    """Does L annihilate the series exactly through the stated order?  L applies as a copy, as above."""
+    """Does L annihilate the series exactly through the stated order?"""
     if through < 0:
         raise ValueError(f"cannot check a solution through a negative order {through}")
     if f.order < through:
         raise ValueError(f"series supplied to order {f.order}, cannot check through {through}")
-    image = ThetaOperator(operator.coefficients).apply(f)
+    image = operator.apply(f)
     for d in range(through + 1):
         c = image.coefficient(d)
         if c:

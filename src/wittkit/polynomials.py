@@ -12,9 +12,9 @@ the classmethod constructors, ``map_coefficients``, ``evaluate`` and
 ``serialize.value_from_obj``, whose schema checks a one-variable object's
 terms in full and builds it by ``_canonical``, like every result of ``+``,
 ``-``, ``*``, ``**`` and ``reduce_mod``: it keeps the new dict it is given
-unless a zero term must go.  One-variable products add int exponents, an int
-scales terms, ``p + 0`` is ``p``.  Over ``Z[x]``, where ``x_variables`` says so,
-the Witt sieve and group-law synthesis run on ``{x exponent: coefficient}`` dicts.
+unless a zero term must go.  An int scales terms, ``p + 0`` is ``p``.  Over
+``Z[x]``, where ``x_variables`` says so, the Witt sieve and group-law synthesis
+run on ``{x exponent: coefficient}`` dicts, and so do both coefficient congruences.
 
 Values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -181,13 +181,6 @@ class SparsePolynomial:
             return NotImplemented
         a, b = pair
         terms: dict[tuple, Scalar] = {}
-        if len(a.variables) == 1:  # Z[x]: the Witt, series and law values over Z[x]
-            right = [(e2, c2) for (e2,), c2 in b.terms.items()]
-            for (e1,), c1 in a.terms.items():
-                for e2, c2 in right:
-                    e = (e1 + e2,)
-                    terms[e] = terms.get(e, 0) + c1 * c2
-            return SparsePolynomial._canonical(a.variables, terms)
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(map(add, e1, e2))

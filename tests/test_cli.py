@@ -564,6 +564,46 @@ def test_congruence_prints_failing_residual(capsys, monkeypatch):
     assert payload["residual"] == value_to_obj(expected.residual)
 
 
+@pytest.mark.parametrize("argv, tsv, json_text", [
+    (("congruence", "--family", "quartic-k3", "--p", "7", "--nu", "3"),
+     "p\tnu\tpass\tresidual\n7\t3\ttrue\t\n",
+     '{"family":"quartic-k3","nu":3,"p":7,"passed":true,"residual":null}\n'),
+    (("congruence", "--family", "hesse-cubic", "--p", "5", "--nu", "2"),
+     "p\tnu\tpass\tresidual\n5\t2\tfalse\t1\n",
+     '{"family":"hesse-cubic","nu":2,"p":5,"passed":false,'
+     '"residual":{"terms":[{"coefficient":"1","exponents":[0]}],"variables":["x"]}}\n'),
+    (("pf-check", "--family", "hesse-cubic", "--kmax", "7"),
+     "k\tpass\tresidual\n" + "".join(f"{k}\ttrue\t\n" for k in range(1, 7)) + "7\tfalse\tx^1+x^4\n",
+     '{"all_passed":false,"checks":[' + "".join(f'{{"k":{k},"passed":true,"residual":null}},' for k in range(1, 7))
+     + '{"k":7,"passed":false,"residual":{"terms":[{"coefficient":"1","exponents":[1]},'
+     '{"coefficient":"1","exponents":[4]}],"variables":["x"]}}],"family":"hesse-cubic","kmax":7}\n'),
+], ids=["congruence-pass", "congruence-fail", "pf-check"])
+def test_coefficient_checks_compute_on_int_dicts(capsys, monkeypatch, argv, tsv, json_text):
+    """Both coefficient congruences reduce, multiply and subtract on ``{x exponent: int}`` dicts: with
+    SparsePolynomial's *, and - failing, each request prints what it printed over polynomials.  The
+    catalog has a_25 + 1 in ``closed_form_mod`` (hesse p = 5 fails) and a_7 + x in ``closed_forms``."""
+    real = cli.builtin_family
+
+    def with_wrong_coefficients(identifier):
+        entry = real(identifier)
+        rule, walk = entry.closed_form_mod, entry.closed_forms
+        return entry._replace(
+            closed_form_mod=lambda m, p, s: rule(m, p, s) + 1 if m == 25 else rule(m, p, s),
+            closed_forms=lambda m_max: (
+                x_terms(x_polynomial(("x",), a) + X) if m == 7 else a for m, a in enumerate(walk(m_max), 1)))
+
+    def no_polynomial_arithmetic(*args):
+        raise AssertionError("a coefficient check did polynomial arithmetic")
+
+    monkeypatch.setattr(cli, "builtin_family", with_wrong_coefficients)
+    for fmt, expected in (("tsv", tsv), ("json", json_text)):
+        with monkeypatch.context() as patch:
+            for name in ("__mul__", "__rmul__", "__sub__"):
+                patch.setattr(SparsePolynomial, name, no_polynomial_arithmetic)
+            code = main([*argv, "--format", fmt])
+        assert (code, capsys.readouterr().out) == (0, expected)
+
+
 def test_congruence_reads_only_three_coefficients(capsys):
     # only a_13, a_169 and a_2197 are built; all of a_1..a_2197 would take over a minute
     started = time.monotonic()
@@ -731,12 +771,12 @@ def test_json_emit_of_a_long_values_array_stays_below_two_and_a_quarter_bodies()
 
 
 def test_pf_check_leaves_the_catalog_operator_as_it_was(capsys, monkeypatch):
-    """A request's eigenvalue table is its own: the catalog operator keeps no state across requests."""
+    """A request's eigenvalue tables are its own: the catalog operator keeps no state across requests."""
     entry = builtin_family("quintic-cy3")
     operator = ThetaOperator(entry.picard_fuchs.coefficients)  # a fresh table, whatever ran before
     monkeypatch.setitem(families._CATALOG, "quintic-cy3", entry._replace(picard_fuchs=operator))
     assert run(capsys, "pf-check", "--family", "quintic-cy3", "--kmax", "50")[0] == 0
-    assert [table for _, _, table in operator._shifts] == [{}, {}]
+    assert operator._shifts == ThetaOperator(entry.picard_fuchs.coefficients)._shifts
 
 
 def test_pf_check_holds_one_coefficient_at_a_time(capsys):

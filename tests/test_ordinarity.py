@@ -479,6 +479,20 @@ def test_congruence_truncation_guard():
         frobenius_power_congruence(log.coefficient, 3, 2)
 
 
+def test_congruence_reads_coefficients_through_reduce_mod():
+    """a_p = 1/2 is refused as non-integral; a_p = Fraction(4, 2) checks as the int 2, residual and all:
+    with a_9 = 0 the residual is 0 - 2 * 2 = 2 mod 3."""
+
+    def rule(a_p):
+        return lambda m: a_p if m == 3 else 0
+
+    with pytest.raises(NonIntegralError):
+        frobenius_power_congruence(rule(Fraction(1, 2)), 3, 2)
+    got = frobenius_power_congruence(rule(Fraction(4, 2)), 3, 2)
+    assert got == frobenius_power_congruence(rule(2), 3, 2) == (3, 2, False, SparsePolynomial.constant(2, ("x",)))
+    assert [type(c) for c in got.residual.terms.values()] == [int]
+
+
 @pytest.mark.parametrize("p, nu, refused", [
     (3, 14, False), (3, 15, True), (211, 3, False), (223, 3, True), (3, 10**9, True),
 ])

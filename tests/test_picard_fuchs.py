@@ -139,16 +139,33 @@ def test_apply_to_a_dict_equals_apply_to_the_polynomial():
             assert {n: c for n, c in image.items() if c} == x_terms(L.apply(f))
 
 
+def _held(L):
+    """Everything an operator holds, slot by slot."""
+    return {name: getattr(L, name) for name in ThetaOperator.__slots__}
+
+
 def test_eigenvalue_table_lives_one_check():
-    """A check applies an operator built for the call, so the operator it is given gains no table;
-    applying the operator itself fills its table with each exponent it meets."""
+    """A check fills eigenvalue tables of its own, so the operator it is given gains none, and gives
+    the catalog operator's verdicts; an apply's tables are its own too."""
     L = ThetaOperator(QUINTIC.picard_fuchs.coefficients)
+    fresh = _held(ThetaOperator(L.coefficients))
     assert pf_congruence_check(L, QUINTIC.closed_forms(60), 60) == pf_congruence_check(
         QUINTIC.picard_fuchs, QUINTIC.closed_forms(60), 60)
     series_solution_check(L, QUINTIC.period(40), 40)
-    assert [table for _, _, table in L._shifts] == [{}, {}]
-    L.apply({5: 1, 10: 2})
-    assert [sorted(table) for _, _, table in L._shifts] == [[5, 10], [5, 10]]
+    assert _held(L) == fresh
+    assert L.apply({5: 1, 10: 2}) == L.apply({5: 1, 10: 2})
+    assert _held(L) == fresh
+
+
+def test_catalog_operator_keeps_no_state():
+    """A check, a solution check and an apply leave the catalog's module-global operator holding
+    exactly what a freshly built one holds: no eigenvalue P_d(n) outlives its call."""
+    L = builtin_family("quintic-cy3").picard_fuchs
+    pf_congruence_check(L, QUINTIC.closed_forms(60), 60)
+    series_solution_check(L, QUINTIC.period(40), 40)
+    L.apply({n: n % 7 - 3 for n in range(1000)})
+    assert builtin_family("quintic-cy3").picard_fuchs is L
+    assert _held(L) == _held(ThetaOperator(L.coefficients))
 
 
 def _theta_power_image(L, f):
