@@ -339,7 +339,7 @@ def _scan_prime(family_id: str, p: int, period: tuple, g: int, with_oracle: bool
     locus = tuple(compress(range(p), [not (v or s) for v, s in zip(residues, singular)]))
     oracle = agreements = agree = None
     if with_oracle:
-        # hesse at p = 7 has no smooth parameter: count nothing, so no budget applies
+        # every parameter declared singular (hesse at p = 7, where only 27 lam^3 = 1 is): count nothing, no budget
         counts = repeat(0) if all(singular) else _fiber_counts(family_id, p, budget, powers)
         oracle = ["singular" if s else "ordinary" if (n - 1) % p else "supersingular"
                   for s, n in zip(singular, counts)]  # the trace p + 1 - n is 0 mod p when n - 1 is

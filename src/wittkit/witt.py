@@ -15,16 +15,17 @@ back, asserting exact divisibility at each step; the rings in scope (Z and
 Z[x]) make that pullback exact by theory, so a divisibility failure inside a
 ring operation is a library defect, not a data error.
 
-A vector keeps its ghost: the pullback sums the powers ``k * a_k^(m/k)`` it
-subtracts into the ghost of its result, and the sieve runs at most once per
-vector.  Over Z[x] (``polynomials.x_variables``) the sieve, the ghost arithmetic
-of the ring operations and the pullback run on ``{x exponent: int}`` dicts; a
-vector keeps them until ``to_ghost`` makes them polynomials, once.  The kept
-ghost is what the sieve would return; equality, hashing and repr read only the
-coordinates, which must be integral (ints, or polynomials with integer
-coefficients): rings with torsion are rejected at construction.  All values
-are immutable and all operations pure; two threads that race on a kept ghost
-only compute equal values twice.
+A vector keeps its ghost, in one form: the pullback sums the powers
+``k * a_k^(m/k)`` it subtracts into the ghost of its result, and the sieve
+runs at most once per vector.  Over Z[x] (``polynomials.x_variables``) the
+sieve, the ghost arithmetic of the ring operations and the pullback run on
+``{x exponent: int}`` dicts, which the vector keeps; ``to_ghost`` reads them
+into a fresh ``GhostVector``.  The kept ghost is what the sieve would return;
+equality, hashing and repr read only the coordinates, which must be integral
+(ints, or polynomials with integer coefficients): rings with torsion are
+rejected at construction.  All values are immutable and all operations pure;
+the kept ghost is written once, by the sieve or the pullback, and two threads
+that race on it only compute equal values twice.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class WittVector:
                     f"coordinate a_{i} must lie in a torsion-free integral ring: {exc}"
                 ) from exc
         self.coords = tuple(checked)
-        self._ghost: GhostVector | tuple | None = None  # a tuple: see _kept_ghost
+        self._ghost: tuple | None = None  # (variables, entries): see _kept_ghost
 
     @property
     def length(self) -> int:
@@ -199,9 +200,10 @@ def _ghost_terms(d: int, a: Value | dict, n: int):
         yield i, term
 
 
-def _kept_ghost(w: WittVector) -> GhostVector | tuple:
-    """The ghost ``w`` keeps, the sieve run once: a GhostVector, or over Z[x] ``(variables, entries)``, an
-    entry an ``{x exponent: int}`` dict where to_ghost has a polynomial and the int 0 where it has 0."""
+def _kept_ghost(w: WittVector) -> tuple:
+    """The ghost ``w`` keeps, the sieve run once: ``(variables, entries)``; over Z[x] an entry is an
+    ``{x exponent: int}`` dict where to_ghost has a polynomial and the int 0 where it has 0, else
+    ``variables`` is None and the entries are to_ghost's."""
     if w._ghost is None:
         n, variables = w.length, x_variables(w.coords)
         entries: list = [0] * n  # over Z[x], an entry is a dict once a term reaches it
@@ -213,18 +215,18 @@ def _kept_ghost(w: WittVector) -> GhostVector | tuple:
                         acc[e] = acc.get(e, 0) + c
                 else:
                     entries[i] = entries[i] + term
-        w._ghost = GhostVector(entries) if not variables else (variables, [
-            s if type(s) is int or all(s.values()) else {e: c for e, c in s.items() if c} for s in entries])
+        w._ghost = variables, [s if type(s) is int or all(s.values()) else {e: c for e, c in s.items() if c}
+                               for s in entries] if variables else entries
     return w._ghost
 
 
 def to_ghost(w: WittVector) -> GhostVector:
     """Ghost components ``g_k = sum_{d|k} d * a_d^(k/d)``, by a sieve over
-    multiples; the vector keeps them, so the sieve runs once per vector."""
-    g = _kept_ghost(w)
-    if type(g) is tuple:  # kept as dicts: made polynomials once, here
-        g = w._ghost = GhostVector([x_polynomial(g[0], s) if type(s) is dict else 0 for s in g[1]])
-    return g
+    multiples; the vector keeps them, so the sieve runs once per vector, and
+    each call reads them into a fresh GhostVector."""
+    variables, entries = _kept_ghost(w)
+    return GhostVector(entries if variables is None else
+                       [x_polynomial(variables, s) if type(s) is dict else 0 for s in entries])
 
 
 def from_ghost(g: GhostVector) -> WittVector:
@@ -235,10 +237,8 @@ def from_ghost(g: GhostVector) -> WittVector:
     subtracts, in the order ``to_ghost`` sums them.
     """
     variables = x_variables(g.entries)  # over Z[x], a coefficient Fraction(n, 1) is read as the int n
-    w = _solve(variables, [x_terms(as_integral(a) if is_integral(a) else a) if type(a) is SparsePolynomial else 0
-                           for a in g] if variables else g.entries, g.entries)
-    to_ghost(w)  # the kept ghost as polynomials, like the entries it was read from
-    return w
+    return _solve(variables, [x_terms(as_integral(a) if is_integral(a) else a) if type(a) is SparsePolynomial else 0
+                              for a in g] if variables else g.entries, g.entries)
 
 
 def _solve(variables: tuple | None, entries, values=()) -> WittVector:
@@ -267,19 +267,19 @@ def _solve(variables: tuple | None, entries, values=()) -> WittVector:
     w = object.__new__(WittVector)  # integral by construction: no second as_integral scan
     if variables:  # a coordinate is a polynomial where its entry is one or a term reached it
         coords = [x_polynomial(variables, a) if r or e != 0 else 0 for e, r, a in zip(entries, ghost, coords)]
-        ghost = (variables, [(e or {}) if r else 0 for e, r in zip(entries, ghost)])
-    w.coords, w._ghost = tuple(coords), ghost if variables else GhostVector(ghost)
+        ghost = [(e or {}) if r else 0 for e, r in zip(entries, ghost)]
+    w.coords, w._ghost = tuple(coords), (variables, ghost)
     return w
 
 
 def _pullback(operation: str, x_op, ghost_op, *vectors: WittVector) -> WittVector:
-    """``ghost_op`` of the vectors' ghosts, pulled back; if every vector keeps dicts over the same variable,
-    ``x_op`` of their lists of dicts and int 0s, and the result keeps dicts too."""
+    """``ghost_op`` of the vectors' ghosts, pulled back by from_ghost, which keeps dicts where they are over Z[x]; if
+    every vector keeps dicts over the same variable, ``x_op`` of their lists of dicts and int 0s, pulled back."""
     if vectors[0].length != vectors[-1].length:
         raise ValueError(f"length mismatch: {vectors[0].length} vs {vectors[-1].length}")
     kept = [_kept_ghost(w) for w in vectors]
     try:
-        if x_op and all(type(g) is tuple and g[0] == kept[0][0] for g in kept):
+        if x_op and kept[0][0] and all(g[0] == kept[0][0] for g in kept):
             return _solve(kept[0][0], x_op(*(g[1] for g in kept)))
         return from_ghost(ghost_op(*map(to_ghost, vectors)))
     except IntegralityError as exc:
@@ -311,8 +311,6 @@ def witt_mul(u: WittVector, v: WittVector) -> WittVector:
     >>> w = witt_mul(WittVector([1, 2]), WittVector([3, 0]))
     >>> w, to_ghost(w)
     (WittVector([3, 18]), GhostVector([3, 45]))
-    >>> to_ghost(w) is to_ghost(w)
-    True
     """
     times = lambda a, b: [x_mul(s, t) if s != 0 != t else 0 if s == t else {} for s, t in zip(a, b)]  # 0 * t is {}
     return _pullback("witt_mul", times, GhostVector.__mul__, u, v)

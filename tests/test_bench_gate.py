@@ -1,9 +1,9 @@
 """The benchmark's correctness gate holds on every smoke-size request, and on
-the full-size requests of the log-extraction and group-law workloads: exit
-0, the frozen stdout digest, and the cross-check, which reads library names
-of its own (``WittVector.to_series``, ``closed_form_logarithm``, ...).  The
-gate turns only a few exception types into a failed request, so a name it
-reads that is gone would make ``perfbench/run.py`` crash, not fail."""
+the full-size requests of the log-extraction, group-law and certify-mix
+workloads: exit 0, the frozen stdout digest, and the cross-check, which reads
+library names of its own (``WittVector.to_series``, ``closed_form_logarithm``,
+...).  The gate turns only a few exception types into a failed request, so a
+name it reads that is gone would make ``perfbench/run.py`` crash, not fail."""
 
 import importlib.util
 import json
@@ -42,9 +42,11 @@ def test_smoke_requests_pass_the_benchmark_gate(capsys, workload, seed):
     _assert_pass_is_gated(capsys, workload, seed, smoke=True)
 
 
-#: Full-size passes of the workloads whose bytes the extraction and the printers set: every frozen
-#: log-extraction seed (three requests each) and two group-law seeds (thirteen requests each).
-FULL_SIZE = [("log-extraction", seed) for seed in range(20)] + [("group-law", seed) for seed in range(2)]
+#: Full-size passes of the workloads whose bytes the extraction, the printers and the Witt ghost map set:
+#: every frozen log-extraction seed (three requests each), two group-law seeds (thirteen requests each)
+#: and five certify-mix seeds, whose witt requests cover every op and length the benchmark sends over Z[x].
+FULL_SIZE = ([("log-extraction", seed) for seed in range(20)] + [("group-law", seed) for seed in range(2)]
+             + [("certify-mix", seed) for seed in range(5)])
 
 
 @pytest.mark.parametrize("workload, seed", FULL_SIZE, ids=[f"{w}-{s}" for w, s in FULL_SIZE])
