@@ -108,8 +108,8 @@ class FamilyCatalogEntry(NamedTuple):
     identifier: str
     family: CompleteIntersectionFamily
     closed_forms: Callable[[int], Iterator[dict]]  # m_max -> a_1..a_(m_max) over Z as int dicts
-    # (m, p, s) -> a_m mod p^s from the same formula, over small ints
-    closed_form_mod: Callable[[int, int, int], SparsePolynomial]
+    # (m, p, s) -> a_m mod p^s from the same formula, as an int dict of small ints, like closed_forms
+    closed_form_mod: Callable[[int, int, int], dict]
     # the Picard-Fuchs operator, and its holomorphic period to a given order
     picard_fuchs: ThetaOperator
     period: Callable[[int], TruncatedSeries]
@@ -175,8 +175,8 @@ def is_prime(n: int) -> bool:
     )
 
 
-def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], SparsePolynomial]:
-    """a_m mod p^s for a prime p, term j from term j-1 by sign * (m-nj) ... (m-nj+n-1) / j^n.
+def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], dict]:
+    """a_m mod p^s for a prime p, an int dict, term j from term j-1 by sign * (m-nj) ... (m-nj+n-1) / j^n.
 
     Term j is unit * p^e with unit (sign^j included) prime to p and kept mod
     p^s: each numerator factor m-nj+i (never 0) adds its p-valuation to e and
@@ -185,17 +185,17 @@ def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], S
     vanishes mod p^s.  For hesse, a_7 = 1 + 120 x^3 + 90 x^6 with 120 = 3 * 40
     and 90 = 3^2 * 10, so mod 9:
 
-    >>> print(builtin_family("hesse-cubic").closed_form_mod(7, 3, 2))
-    1+3*x^3
+    >>> builtin_family("hesse-cubic").closed_form_mod(7, 3, 2)
+    {0: 1, 3: 3}
     """
 
-    def rule(m: int, p: int, s: int) -> SparsePolynomial:
+    def rule(m: int, p: int, s: int) -> dict:
         if p >= PRIMALITY_BOUND:
             raise BudgetExceededError(f"p = {p} is at or above the primality bound {PRIMALITY_BOUND}")
         if m < 1 or s < 1 or not is_prime(p):
             raise ValueError(f"need m >= 1, a prime p and s >= 1; got m = {m}, p = {p}, s = {s}")
         q = p**s
-        terms = {(0,): 1}
+        terms = {0: 1}
         unit, e = 1, 0
         for j in range(1, (m - 1) // n + 1):
             for k in range(m - n * j, m - n * j + n):
@@ -208,9 +208,9 @@ def _symmetric_closed_form_mod(n: int, sign: int) -> Callable[[int, int, int], S
                 k //= p
                 e -= n
             unit = sign * unit * pow(k, -n, q) % q
-            if e < s:
-                terms[(n * j,)] = unit * p**e % q
-        return SparsePolynomial._canonical((PARAMETER,), terms)
+            if e < s:  # then unit * p^e is not 0 mod p^s
+                terms[n * j] = unit * p**e % q
+        return terms
 
     return rule
 

@@ -197,7 +197,7 @@ def group_law_from_logarithm(log: Logarithm, degree: int) -> FormalGroupLaw:
     denominator = scale = common**degree * factorial(degree)  # scale = D/(L^k k!)
     a = log.coeffs[:degree]
     zero, one, times, add_products, variables = int, 1, mul, _add_products, x_variables(a)
-    if variables and not any(type(c) is int for c in a):  # an int 0 keeps the value path's types
+    if variables and not any(type(c) is int for c in a):  # any int takes the value path, which keeps its type
         a = [x_terms(p) for p in a]
         zero, one, times, add_products = dict, {0: 1}, x_mul, x_add_products
 

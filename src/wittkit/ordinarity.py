@@ -14,7 +14,8 @@ a_p mod p is the catalog's period F0 = sum_j eps^j (nj)!/(j!)^n x^(nj), eps = (-
 (Dwork, 1969): C(p-1, nj) = (-1)^(nj) mod p makes the closed form's term j F0's when n is odd or
 sign = 1, as in every catalog pencil.  The scan reads F0 to x^pmax once and evaluates each a_p at all
 p values by one chirp-transform product of two big integers, below ``SCAN_PRIME_BOUND``; the reference
-``hasse_witt_value`` (Horner over F_p) and ``congruence`` read ``closed_form_mod``'s term-ratio walk.
+``hasse_witt_value`` (Horner over F_p) and ``congruence`` read ``closed_form_mod``'s term-ratio walk,
+an int dict; the congruence keeps its residues as such dicts until a nonzero residual.
 
 Point counts read only the pencil's shape prod Z_i + sign*x*sum Z_i^n in
 P^(n-1), never a_p; the budget is still compared with #P^N(F_p).  A smooth
@@ -53,7 +54,7 @@ from typing import Callable, NamedTuple
 from .families import (
     FAMILY_IDS, PRIMALITY_BOUND, BudgetExceededError, builtin_family, is_prime, resolve_family_id,
 )
-from .polynomials import SparsePolynomial, Value, as_integral, as_x_polynomial, x_mul, x_polynomial, x_terms
+from .polynomials import SparsePolynomial, Value, as_integral, x_polynomial, x_residues
 
 #: Routine-use budget: a point count is refused when P^N(F_p) has more than this
 #: many points.  p <= 31 with N = 2 needs 993 points; N = 3 at p = 31 needs 30784.
@@ -153,7 +154,7 @@ def _singular_flags(rules: tuple[tuple[int, int], ...], p: int, powers: list[int
 def hasse_witt_poly(family_id: str, p: int) -> SparsePolynomial:
     """a_p(x) reduced mod p, from the closed-form rule evaluated mod p."""
     _require_odd_prime(p)
-    return builtin_family(family_id).closed_form_mod(p, p, 1)
+    return x_polynomial(("x",), builtin_family(family_id).closed_form_mod(p, p, 1))
 
 
 def _packed_product(u: list[int], v: list[int], start: int, count: int, top: int) -> tuple[int, ...]:
@@ -392,12 +393,12 @@ def frobenius_power_congruence(
 ) -> CongruenceCheck:
     """Check  a_{p^nu} = a_p * (a_{p^(nu-1)})^p  mod p  in F_p[x].
 
-    ``coefficient`` is a rule m -> a_m (or a_m mod p), such as a catalog
-    entry's ``closed_form_mod`` at s = 1 or a ``Logarithm``'s
-    ``coefficient``; a_p, a_(p^(nu-1)) and a_(p^nu) are read once each, by
-    ``reduce_mod(p)`` (``NonIntegralError`` on a fraction), as ``{x exponent: int}``
-    dicts.  The p-th power is f(x^p), which it equals in F_p[x]; one ``x_mul`` and
-    one difference mod p give the residual, built as a polynomial only when nonzero.
+    ``coefficient`` is a rule m -> a_m or an int dict of a_m mod p, such as a catalog entry's
+    ``closed_form_mod`` at s = 1, or a ``Logarithm``'s ``coefficient``; a_(p^nu), a_(p^(nu-1))
+    and a_p are read once each, in that order, by ``x_residues`` (``NonIntegralError`` on a
+    fraction).  In F_p[x] f^p is f(x^p), so a_p[r] * a_(p^(nu-1))[E] is subtracted at r + pE
+    straight into a_(p^nu)'s residues, with no product built: deg a_p < p, so no two meet.
+    The residual is a polynomial only when nonzero.
     p^nu above ``CONGRUENCE_INDEX_BUDGET`` raises ``BudgetExceededError``.
     """
     _require_odd_prime(p)
@@ -410,12 +411,10 @@ def frobenius_power_congruence(
             f"p^nu = {p}^{nu} is over the budget {CONGRUENCE_INDEX_BUDGET}"
         )
 
-    def residues(m: int) -> dict[int, int]:
-        return x_terms(as_x_polynomial(coefficient(m)).reduce_mod(p))
-
-    residual = residues(p**nu)
-    pth_power = {e * p: c for e, c in residues(p ** (nu - 1)).items()}
-    for e, c in x_mul(residues(p), pth_power).items():
-        residual[e] = (residual.get(e, 0) - c) % p  # reduced at once: residues below p are shared small ints
+    residual = x_residues(coefficient(p**nu), p)
+    lower = x_residues(coefficient(p ** (nu - 1)), p)
+    for r, a in x_residues(coefficient(p), p).items():
+        for e, b in lower.items():
+            residual[r + p * e] = (residual.get(r + p * e, 0) - a * b) % p  # small shared ints, reduced at once
     residual = {e: c for e, c in residual.items() if c}
     return CongruenceCheck(p, nu, not residual, x_polynomial(("x",), residual) if residual else None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .polynomials import SparsePolynomial, Value, as_x_polynomial, x_polynomial, x_terms
+from .polynomials import SparsePolynomial, Value, as_x_polynomial, x_polynomial, x_residues, x_terms
 from .series import TruncatedSeries
 
 X = "x"
@@ -148,9 +148,7 @@ def pf_congruence_check(
     apply = operator.apply if operator._shifts is None else lambda a: operator._shift(a, tables)
     coefficients = map(coefficient, range(1, k_max + 1)) if callable(coefficient) else coefficient
     for k, a in zip(range(1, k_max + 1), coefficients):
-        a = a if type(a) is dict else x_terms(as_x_polynomial(a).reduce_mod(k))
-        image = apply({n: r for n, c in a.items() if (r := c % k)})
-        residual = {n: r for n, c in image.items() if (r := c % k)}
+        residual = {n: r for n, c in apply(x_residues(a, k)).items() if (r := c % k)}
         results.append(CoefficientCongruence(k, not residual, x_polynomial((X,), residual) if residual else None))
     if len(results) < k_max:
         raise ValueError(f"the coefficients end at a_{len(results)}, before k_max = {k_max}")

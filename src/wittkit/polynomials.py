@@ -13,8 +13,9 @@ the classmethod constructors, ``map_coefficients``, ``evaluate`` and
 terms in full and builds it by ``_canonical``, like every result of ``+``,
 ``-``, ``*``, ``**`` and ``reduce_mod``: it keeps the new dict it is given
 unless a zero term must go.  An int scales terms, ``p + 0`` is ``p``.  Over
-``Z[x]``, where ``x_variables`` says so, the Witt sieve and group-law synthesis
-run on ``{x exponent: coefficient}`` dicts, and so do both coefficient congruences.
+``Z[x]``, where ``x_variables`` says so (ints ride as constants), the Witt sieve
+and group-law synthesis run on ``{x exponent: coefficient}`` dicts, and both
+coefficient congruences read their residues through ``x_residues`` into such dicts.
 
 Values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -335,14 +336,20 @@ def divide_exact(value: Value, k: int) -> Value:
 
 
 def x_variables(values) -> tuple | None:
-    """``(v,)`` if each value is the int 0 or a polynomial in v alone, one at least: the rule for the dict form."""
-    kinds = {a.variables if type(a) is SparsePolynomial else (type(a), a) for a in values} - {(int, 0)}
-    return kinds.pop() if len(kinds) == 1 and len(next(iter(kinds))) == 1 else None  # other kinds are pairs
+    """``(v,)`` if each value is an int or a polynomial in v alone, one polynomial at least: the dict form's rule."""
+    kinds = {a.variables if type(a) is SparsePolynomial else () for a in values if type(a) is not int}
+    return kinds.pop() if len(kinds) == 1 and len(next(iter(kinds))) == 1 else None  # any other value: ()
 
 
 def x_terms(p: SparsePolynomial) -> dict:
     """A polynomial in one variable as an ``{x exponent: coefficient}`` dict."""
     return {e: c for (e,), c in p.terms.items()}
+
+
+def x_residues(value: Value | dict, modulus: int) -> dict:
+    """The nonzero residues mod ``modulus`` of an int dict, or of a value in x by ``reduce_mod``, as a dict."""
+    terms = value if type(value) is dict else x_terms(as_x_polynomial(value).reduce_mod(modulus))
+    return {e: r for e, c in terms.items() if (r := c % modulus)}
 
 
 def x_polynomial(variables: tuple, terms: dict) -> SparsePolynomial:
@@ -361,15 +368,12 @@ def x_add_products(out: list, start: int, c: dict, row) -> None:
 
 
 def x_mul(a: dict, b: dict | int) -> dict:
-    """``a * b`` for a dict and a dict or an int: a new dict, without the 0s a SparsePolynomial product drops.
-    The loop is ``x_add_products``' own, repeated here; ``witt._ghost_terms`` writes it out once more."""
+    """``a * b`` for a dict and a dict or an int: a new dict, without the 0s a SparsePolynomial product drops,
+    by ``x_add_products``' loop (``witt._ghost_terms`` writes it out once more); ``x_mul(a, 0)`` is ``{}``."""
     if type(b) is int:
-        return {e: c * b for e, c in a.items()}
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return out if all(out.values()) else {e: c for e, c in out.items() if c}
+        return {e: c * b for e, c in a.items()} if b else {}
+    x_add_products(out := [{}], 0, a, (b,))
+    return out[0] if all(out[0].values()) else {e: c for e, c in out[0].items() if c}
 
 
 def format_value(value: Value) -> str:

@@ -15,17 +15,14 @@ back, asserting exact divisibility at each step; the rings in scope (Z and
 Z[x]) make that pullback exact by theory, so a divisibility failure inside a
 ring operation is a library defect, not a data error.
 
-A vector keeps its ghost, in one form: the pullback sums the powers
-``k * a_k^(m/k)`` it subtracts into the ghost of its result, and the sieve
-runs at most once per vector.  Over Z[x] (``polynomials.x_variables``) the
-sieve, the ghost arithmetic of the ring operations and the pullback run on
-``{x exponent: int}`` dicts, which the vector keeps; ``to_ghost`` reads them
-into a fresh ``GhostVector``.  The kept ghost is what the sieve would return;
-equality, hashing and repr read only the coordinates, which must be integral
-(ints, or polynomials with integer coefficients): rings with torsion are
-rejected at construction.  All values are immutable and all operations pure;
-the kept ghost is written once, by the sieve or the pullback, and two threads
-that race on it only compute equal values twice.
+A vector keeps its ghost, written once, by the sieve or by the pullback, which
+sums the powers ``k * a_k^(m/k)`` it subtracts; two threads that race on it only
+compute equal values twice.  Each ring operation is one entrywise op on ghosts.
+Over Z[x] (``polynomials.x_variables``) the sieve, the op and the pullback run
+on ``{x exponent: int}`` dicts and ints, with SparsePolynomial's types: an
+entry is an int until a dict term reaches it.  Equality, hashing and repr read
+only the coordinates, which must be integral: rings with torsion are rejected
+at construction.  All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
@@ -97,12 +94,6 @@ class GhostVector:
 
     def __mul__(self, other):
         return GhostVector(a * b for a, b in self._zip(other))
-
-    def __neg__(self):
-        return GhostVector(-a for a in self.entries)
-
-    def scale(self, c: int) -> "GhostVector":
-        return GhostVector(a * c for a in self.entries)
 
 
 class WittVector:
@@ -202,19 +193,21 @@ def _ghost_terms(d: int, a: Value | dict, n: int):
 
 def _kept_ghost(w: WittVector) -> tuple:
     """The ghost ``w`` keeps, the sieve run once: ``(variables, entries)``; over Z[x] an entry is an
-    ``{x exponent: int}`` dict where to_ghost has a polynomial and the int 0 where it has 0, else
+    ``{x exponent: int}`` dict where to_ghost has a polynomial and an int where it has one, else
     ``variables`` is None and the entries are to_ghost's."""
     if w._ghost is None:
         n, variables = w.length, x_variables(w.coords)
-        entries: list = [0] * n  # over Z[x], an entry is a dict once a term reaches it
+        entries: list = [0] * n  # over Z[x], an entry is an int until a dict term reaches it
         for d, a in enumerate(w.coords, start=1):
-            for i, term in _ghost_terms(d, x_terms(a) if variables and a else a, n):
-                if variables:
-                    acc = entries[i] = entries[i] or {}
-                    for e, c in term.items():
-                        acc[e] = acc.get(e, 0) + c
-                else:
-                    entries[i] = entries[i] + term
+            for i, term in _ghost_terms(d, x_terms(a) if variables and type(a) is not int else a, n):
+                acc = entries[i]
+                if type(acc) is not dict and type(term) is not dict:  # values, or ints of a Z[x] vector
+                    entries[i] = acc + term
+                    continue
+                if type(acc) is not dict:
+                    acc = entries[i] = {0: acc} if acc else {}
+                for e, c in term.items() if type(term) is dict else ((0, term),):
+                    acc[e] = acc.get(e, 0) + c
         w._ghost = variables, [s if type(s) is int or all(s.values()) else {e: c for e, c in s.items() if c}
                                for s in entries] if variables else entries
     return w._ghost
@@ -226,62 +219,65 @@ def to_ghost(w: WittVector) -> GhostVector:
     each call reads them into a fresh GhostVector."""
     variables, entries = _kept_ghost(w)
     return GhostVector(entries if variables is None else
-                       [x_polynomial(variables, s) if type(s) is dict else 0 for s in entries])
+                       [x_polynomial(variables, s) if type(s) is dict else s for s in entries])
 
 
 def from_ghost(g: GhostVector) -> WittVector:
-    """Solve the ghost recursion; raises IntegralityError when the input is
-    not the ghost of an integral vector (first failing index reported).
-
-    The result keeps the ghost summed from the powers the recursion
-    subtracts, in the order ``to_ghost`` sums them.
-    """
+    """Solve the ghost recursion; raises IntegralityError when the input is not the ghost of an integral
+    vector (first failing index reported).  The result keeps the ghost summed from the powers it subtracts."""
     variables = x_variables(g.entries)  # over Z[x], a coefficient Fraction(n, 1) is read as the int n
-    return _solve(variables, [x_terms(as_integral(a) if is_integral(a) else a) if type(a) is SparsePolynomial else 0
+    return _solve(variables, [x_terms(as_integral(a) if is_integral(a) else a) if type(a) is SparsePolynomial else a
                               for a in g] if variables else g.entries, g.entries)
 
 
 def _solve(variables: tuple | None, entries, values=()) -> WittVector:
-    """The ghost recursion on to_ghost's entries, or on its dicts and int 0s, which it leaves as they are, and
+    """The ghost recursion on to_ghost's entries, or on its dicts and ints, which it leaves as they are, and
     the result keeps its ghost in the same form; ``values``, if given, are the entries as to_ghost has them."""
     n = len(entries)
-    rest, ghost, coords = [dict(a) if a else {} for a in entries] if variables else list(entries), [0] * n, []
+    rest, ghost, coords = [dict(a) if type(a) is dict else a for a in entries], [0] * n, []
     for k, rk in enumerate(rest, start=1):  # rk: rest[k - 1] as the terms of every d < k left it
         try:
-            coords.append({e: divide_exact(c, k) for e, c in rk.items()} if variables else divide_exact(rk, k))
+            coords.append({e: divide_exact(c, k) for e, c in rk.items()} if type(rk) is dict else divide_exact(rk, k))
         except NonIntegralError as exc:
             if values and not is_integral(values[k - 1]):
                 raise IntegralityError(k, f"g_{k} = {values[k - 1]} is not an integer") from exc
             raise IntegralityError(k, str(exc)) from exc
         for i, term in _ghost_terms(k, coords[-1], n):
-            if variables:  # ghost[i]: a term reached entry i, so the kept ghost is the entry
-                acc, ghost[i] = rest[i], True
-                for e, c in term.items():
-                    if c := acc.get(e, 0) - c:
-                        acc[e] = c
-                    else:  # as a polynomial difference drops it, so the terms keep their order
-                        del acc[e]
+            acc = rest[i]  # in the term order of SparsePolynomial's differences, which drop a zero term
+            if type(term) is dict:  # ghost[i]: a dict term reached entry i, so the kept ghost is the entry
+                ghost[i], terms = True, term.items()
+                if type(acc) is not dict:  # r - P is -P, then the constant r
+                    terms = [*terms, (0, -acc)] if acc else terms
+                    acc = rest[i] = {}
+            elif type(acc) is dict:  # P - c
+                terms = ((0, term),)
             else:
-                rest[i] = rest[i] - term
-                ghost[i] = ghost[i] + term
+                rest[i], ghost[i] = acc - term, ghost[i] + term
+                continue
+            for e, c in terms:
+                if c := acc.get(e, 0) - c:
+                    acc[e] = c
+                else:
+                    del acc[e]
     w = object.__new__(WittVector)  # integral by construction: no second as_integral scan
-    if variables:  # a coordinate is a polynomial where its entry is one or a term reached it
-        coords = [x_polynomial(variables, a) if r or e != 0 else 0 for e, r, a in zip(entries, ghost, coords)]
-        ghost = [(e or {}) if r else 0 for e, r in zip(entries, ghost)]
+    if variables:  # a coordinate is a polynomial where its remainder was a dict, a ghost entry where a dict term came
+        coords = [x_polynomial(variables, a) if type(a) is dict else a for a in coords]
+        ghost = [(e if type(e) is dict else {0: e} if e else {}) if r is True else e if type(e) is int
+                 else e.get(0, 0) for e, r in zip(entries, ghost)]
     w.coords, w._ghost = tuple(coords), (variables, ghost)
     return w
 
 
-def _pullback(operation: str, x_op, ghost_op, *vectors: WittVector) -> WittVector:
-    """``ghost_op`` of the vectors' ghosts, pulled back by from_ghost, which keeps dicts where they are over Z[x]; if
-    every vector keeps dicts over the same variable, ``x_op`` of their lists of dicts and int 0s, pulled back."""
+def _pullback(operation: str, op, *vectors: WittVector) -> WittVector:
+    """``op``, an entrywise list operation, of the vectors' ghosts, pulled back: of their kept dicts and ints if
+    every vector keeps dicts over the same variable, else of to_ghost's values, through from_ghost."""
     if vectors[0].length != vectors[-1].length:
         raise ValueError(f"length mismatch: {vectors[0].length} vs {vectors[-1].length}")
     kept = [_kept_ghost(w) for w in vectors]
     try:
-        if x_op and kept[0][0] and all(g[0] == kept[0][0] for g in kept):
-            return _solve(kept[0][0], x_op(*(g[1] for g in kept)))
-        return from_ghost(ghost_op(*map(to_ghost, vectors)))
+        if kept[0][0] and all(g[0] == kept[0][0] for g in kept):
+            return _solve(kept[0][0], op(*(g[1] for g in kept)))
+        return from_ghost(GhostVector(op(*(to_ghost(w).entries for w in vectors))))
     except IntegralityError as exc:
         raise GhostInvariantViolation(
             f"{operation} produced a non-integral ghost vector at index {exc.index}; "
@@ -289,20 +285,21 @@ def _pullback(operation: str, x_op, ghost_op, *vectors: WittVector) -> WittVecto
         ) from exc
 
 
-def _x_add(a: dict, b: dict) -> dict:
-    """``a + b`` for two dicts, with the SparsePolynomial sum's term order."""
-    out = {**a, **{e: a.get(e, 0) + c for e, c in b.items()}}
+def _x_add(a, b) -> dict:
+    """``a + b`` for dicts and ints, one a dict, with the SparsePolynomial sum's term order: c + P is P + c."""
+    a, b = (a, b) if type(a) is dict else (b, a)
+    out = {**a, **({0: a.get(0, 0) + b} if type(b) is int else {e: a.get(e, 0) + c for e, c in b.items()})}
     return out if all(out.values()) else {e: c for e, c in out.items() if c}
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
     """Group law of 1 + tA[[t]]: multiplication of the series forms."""
-    add = lambda a, b: [t if s == 0 else s if t == 0 else _x_add(s, t) for s, t in zip(a, b)]  # 0 + t is t
-    return _pullback("witt_add", add, GhostVector.__add__, u, v)
+    add = lambda a, b: [_x_add(s, t) if type(s) is dict or type(t) is dict else s + t for s, t in zip(a, b)]
+    return _pullback("witt_add", add, u, v)
 
 
 def witt_neg(u: WittVector) -> WittVector:
-    return _pullback("witt_neg", lambda a: [x_mul(s, -1) if s != 0 else 0 for s in a], GhostVector.__neg__, u)
+    return _pullback("witt_neg", lambda a: [x_mul(s, -1) if type(s) is dict else -s for s in a], u)
 
 
 def witt_mul(u: WittVector, v: WittVector) -> WittVector:
@@ -312,14 +309,16 @@ def witt_mul(u: WittVector, v: WittVector) -> WittVector:
     >>> w, to_ghost(w)
     (WittVector([3, 18]), GhostVector([3, 45]))
     """
-    times = lambda a, b: [x_mul(s, t) if s != 0 != t else 0 if s == t else {} for s, t in zip(a, b)]  # 0 * t is {}
-    return _pullback("witt_mul", times, GhostVector.__mul__, u, v)
+    times = lambda a, b: [x_mul(s, t) if type(s) is dict else x_mul(t, s) if type(t) is dict else s * t
+                          for s, t in zip(a, b)]
+    return _pullback("witt_mul", times, u, v)
 
 
 def witt_scale_int(n: int, u: WittVector) -> WittVector:
-    """Multiplication by the integer n (n-fold addition)."""
-    scale = lambda a: [(x_mul(s, n) if n else {}) if s != 0 else 0 for s in a]
-    return _pullback("witt_scale_int", type(n) is int and scale, lambda g: g.scale(n), u)
+    """Multiplication by the integer n (n-fold addition); any other n, a bool too, raises TypeError."""
+    if type(n) is not int:
+        raise TypeError(f"witt_scale_int scales by an int, not {type(n).__name__}")
+    return _pullback("witt_scale_int", lambda a: [x_mul(s, n) if type(s) is dict else s * n for s in a], u)
 
 
 def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVector:
@@ -338,7 +337,7 @@ def witt_frobenius(m: int, w: WittVector, length: int | None = None) -> WittVect
         raise ValueError(f"insufficient input length {w.length} for F_{m} at output length {k or 1}")
     if m == 1:
         return witt_truncate(w, k)
-    return _pullback("witt_frobenius", lambda a: a[m - 1:m * k:m], lambda g: GhostVector(g[m - 1:m * k:m]), w)
+    return _pullback("witt_frobenius", lambda a: a[m - 1:m * k:m], w)
 
 
 def witt_verschiebung(m: int, w: WittVector, length: int | None = None) -> WittVector:

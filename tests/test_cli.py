@@ -538,6 +538,11 @@ def test_pf_check_prints_failing_residuals(capsys, monkeypatch):
     assert [c["passed"] for c in payload["checks"]] == [r.passed for r in expected]
 
 
+def _plus_one(terms: dict) -> dict:
+    """a + 1 for a closed_form_mod result a, an ``{x exponent: int}`` dict."""
+    return {**terms, 0: terms.get(0, 0) + 1}
+
+
 def test_congruence_prints_failing_residual(capsys, monkeypatch):
     """a_25 off by 1 fails the hesse congruence at p = 5; both formats print
     the library's residual."""
@@ -547,7 +552,7 @@ def test_congruence_prints_failing_residual(capsys, monkeypatch):
         entry = real(identifier)
         rule = entry.closed_form_mod
         return entry._replace(
-            closed_form_mod=lambda m, p, s: rule(m, p, s) + 1 if m == 25 else rule(m, p, s)
+            closed_form_mod=lambda m, p, s: _plus_one(rule(m, p, s)) if m == 25 else rule(m, p, s)
         )
 
     monkeypatch.setattr(cli, "builtin_family", with_a_wrong_coefficient)
@@ -588,7 +593,7 @@ def test_coefficient_checks_compute_on_int_dicts(capsys, monkeypatch, argv, tsv,
         entry = real(identifier)
         rule, walk = entry.closed_form_mod, entry.closed_forms
         return entry._replace(
-            closed_form_mod=lambda m, p, s: rule(m, p, s) + 1 if m == 25 else rule(m, p, s),
+            closed_form_mod=lambda m, p, s: _plus_one(rule(m, p, s)) if m == 25 else rule(m, p, s),
             closed_forms=lambda m_max: (
                 x_terms(x_polynomial(("x",), a) + X) if m == 7 else a for m, a in enumerate(walk(m_max), 1)))
 
@@ -638,6 +643,22 @@ def test_congruence_holds_no_table_of_length_p_nu(capsys):
         tracemalloc.stop()
     assert (code, out) == (0, "p\tnu\tpass\tresidual\n43\t3\ttrue\t\n")
     assert peak < 1024 * 1024
+
+
+def test_congruence_builds_no_product_dict(capsys):
+    """a_p[r] * a_(p^(nu-1))[E] is subtracted at r + pE straight into a_(p^nu)'s residues, all read as
+    int dicts: hesse at p = 43, nu = 3 peaked at 0.68 MiB with a p-th power dict, a product dict and
+    tuple-keyed polynomials in between."""
+    build_parser()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "congruence", "--family", "hesse-cubic", "--p", "43", "--nu", "3",
+                           "--format", "tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "p\tnu\tpass\tresidual\n43\t3\ttrue\t\n")
+    assert peak < 0.55 * 1024 * 1024
 
 
 @pytest.mark.parametrize("p, nu, code, message", [
@@ -806,6 +827,8 @@ def test_usage_errors(capsys):
                          "--oracle", "--budget", "-1")
     assert (code, out) == (1, "")
     assert err == "wittkit: usage error: argument --budget: invalid negative budget: '-1'\n"
+    code, out, err = run(capsys, "scan-ordinary", "--family", "hesse", "--pmax", "40", "--budget", "abc")
+    assert (code, out, err) == (1, "", "wittkit: usage error: argument --budget: invalid int value: 'abc'\n")
 
 
 _WITT_HELP = """\
@@ -1032,6 +1055,13 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"{config}:2:" in err and "'mmax'" in err
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("mmax 3\n")
+    code, out, err = run(capsys, "am-log", "--family", "hesse-cubic", "--mmax", "2", "--config", str(config))
+    assert (code, out, err) == (1, "", f"wittkit: usage error: {config}:1: expected key=value\n")
 
 
 def test_unwritable_output_paths_exit_1(tmp_path, capsys):

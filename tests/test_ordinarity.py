@@ -338,9 +338,9 @@ def test_scan_reads_a_p_mod_p_from_the_truncated_period(monkeypatch, family):
     n = len(builtin_family(family).family.coordinate_variables())
     assert sorted(read) == [p for p in range(3, 1000) if is_prime(p)]
     for p, (coefficients, g) in read.items():
-        terms = builtin_family(family).closed_form_mod(p, p, 1).terms
-        assert g == n and all(not e % n for (e,) in terms), p
-        assert [c % p for c in coefficients] == [terms.get((n * j,), 0) for j in range((p - 1) // n + 1)], p
+        terms = builtin_family(family).closed_form_mod(p, p, 1)
+        assert g == n and all(not e % n for e in terms), p
+        assert [c % p for c in coefficients] == [terms.get(n * j, 0) for j in range((p - 1) // n + 1)], p
 
 
 def test_scan_prime_bound_is_the_slot_bound(monkeypatch):

@@ -12,7 +12,7 @@ from wittkit.picard_fuchs import (
     pf_congruence_check,
     series_solution_check,
 )
-from wittkit.polynomials import SparsePolynomial, format_value, x_polynomial, x_terms
+from wittkit.polynomials import SparsePolynomial, VariableMismatchError, format_value, x_polynomial, x_terms
 from wittkit.series import TruncatedSeries
 
 from conftest import coefficient_of
@@ -336,6 +336,17 @@ def test_a_short_walk_is_refused():
     with pytest.raises(ValueError, match=r"the coefficients end at a_0, before k_max = 1"):
         pf_congruence_check(QUINTIC.picard_fuchs, [], 1)
     assert len(pf_congruence_check(QUINTIC.picard_fuchs, [1, ONE, {0: 1}], 3)) == 3
+
+
+def test_congruence_reads_a_constant_in_another_variable_as_a_constant():
+    """The residue reader both congruences share reads a constant polynomial in y as that constant in x;
+    a y that is not constant is refused."""
+    y = SparsePolynomial.variable("y")
+    threes = [SparsePolynomial.constant(3, ("y",)), 3 + 0 * y, ONE * 3, 3, {0: 3}]
+    checks = [pf_congruence_check(QUINTIC.picard_fuchs, [1] * 6 + [a], 7) for a in threes]
+    assert checks[1:] == checks[:-1] and checks[0][6].residual == X**5  # -5^5 * 4! * 3 x^5 = x^5 mod 7
+    with pytest.raises(VariableMismatchError, match=r"expected a polynomial in 'x', got \('y',\)"):
+        pf_congruence_check(QUINTIC.picard_fuchs, [1, y], 2)
 
 
 def test_congruence_needs_an_operator_over_z():

@@ -10,6 +10,7 @@ from wittkit.polynomials import NonIntegralError, SparsePolynomial, divide_exact
 from wittkit.serialize import json_dumps
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
+    GhostInvariantViolation,
     GhostVector,
     IntegralityError,
     WittVector,
@@ -415,11 +416,14 @@ def test_results_keep_their_ghost(monkeypatch):
 def test_zx_operands_keep_dicts_through_to_ghost_and_from_ghost(monkeypatch):
     """Over Z[x], to_ghost leaves a vector's kept ghost as it is, and from_ghost's result keeps dicts: a ring
     operation on either runs no GhostVector arithmetic and no from_ghost, and gives what it gives on fresh
-    vectors.  An operand with a nonzero int coordinate keeps values, and a product with it still keeps dicts."""
+    vectors.  An operand with a nonzero int coordinate keeps dicts too, and its product gives what the
+    GhostVector product gives."""
     rng = random.Random(55)
     u, w = rand_vector(rng, 16, polynomial=True), rand_vector(rng, 16, polynomial=True)
     product = witt_mul(WittVector(w.coords), WittVector(u.coords))
     total = witt_add(WittVector(u.coords), WittVector(u.coords))
+    mixed = WittVector((3,) + w.coords[1:])
+    mixed_product = from_ghost(to_ghost(WittVector(mixed.coords)) * to_ghost(WittVector(u.coords)))
     v = from_ghost(to_ghost(w))
     kept = witt._kept_ghost(u)
     to_ghost(u)
@@ -429,14 +433,36 @@ def test_zx_operands_keep_dicts_through_to_ghost_and_from_ghost(monkeypatch):
         raise AssertionError("a Z[x] ring operation left the kept dicts")
 
     with monkeypatch.context() as patch:
-        for name in ("__add__", "__mul__", "__neg__", "scale"):
+        for name in ("__add__", "__mul__"):
             patch.setattr(GhostVector, name, refuse)
         patch.setattr(witt, "from_ghost", refuse)
-        got = witt_mul(v, u), witt_add(u, u)
-    assert [json_dumps(witt_to_obj(r)) for r in got] == [json_dumps(witt_to_obj(r)) for r in (product, total)]
-    assert [to_ghost(r) for r in got] == [to_ghost(product), to_ghost(total)]
-    mixed = WittVector((3,) + w.coords[1:])
-    assert witt._kept_ghost(mixed)[0] is None and witt._kept_ghost(witt_mul(mixed, u))[0] == ("a",)
+        got = witt_mul(v, u), witt_add(u, u), witt_mul(mixed, u)
+    expected = product, total, mixed_product
+    assert [json_dumps(witt_to_obj(r)) for r in got] == [json_dumps(witt_to_obj(r)) for r in expected]
+    assert [to_ghost(r) for r in got] == [to_ghost(r) for r in expected]
+    assert witt._kept_ghost(mixed)[0] == witt._kept_ghost(got[2])[0] == ("a",)
+
+
+def test_a_ghost_that_does_not_pull_back_is_a_library_defect(monkeypatch):
+    """A ring operation whose ghost is not integral raises GhostInvariantViolation, naming the operation and
+    the index: with ``witt.x_mul`` adding x to every product, g_2 - c_1^2 gains x - x^2 - 2 c_1 x, odd at x."""
+    x = SparsePolynomial.variable("x")
+    u, v = WittVector([x, 1 + x]), WittVector([2 * x, x])
+    to_ghost(u), to_ghost(v)  # both sieved before the patch
+    real = witt.x_mul
+    monkeypatch.setattr(witt, "x_mul", lambda a, b: {**(p := real(a, b)), 1: p.get(1, 0) + 1})
+    with pytest.raises(GhostInvariantViolation, match=r"^witt_mul produced a non-integral ghost vector at index 2; "):
+        witt_mul(u, v)
+
+
+@pytest.mark.parametrize("n", [True, Fraction(2), 2.0], ids=["bool", "fraction", "float"])
+@pytest.mark.parametrize("polynomial", [False, True], ids=["Z", "Z[x]"])
+def test_scale_takes_only_an_int(n, polynomial):
+    """witt_scale_int refuses every n but an int, over Z and over Z[x] alike, before any sieve."""
+    u = rand_vector(random.Random(3), 4, polynomial=polynomial)
+    with pytest.raises(TypeError, match=f"^witt_scale_int scales by an int, not {type(n).__name__}$"):
+        witt_scale_int(n, u)
+    assert u._ghost is None
 
 
 # -- the sieve over {x exponent: int} dicts ------------------------------------------------
@@ -506,12 +532,19 @@ def _random_value(rng, kinds):
     return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))  # "fraction", a ghost entry only
 
 
+def _zx_route(values):
+    """The variables a vector of ints, fractions and polynomials in x keeps dicts over: ("x",) if it has no
+    fraction and a polynomial, else None."""
+    kinds = set(map(type, values))
+    return ("x",) if SparsePolynomial in kinds and kinds <= {int, SparsePolynomial} else None
+
+
 def test_sieve_over_dicts_matches_a_naive_sieve():
     """to_ghost and from_ghost return what the divisor sums and the ghost recursion over
     SparsePolynomial arithmetic return, value, type and variables of every coordinate and every
-    kept-ghost entry, or fail at the same index with the same text; most inputs are vectors over
-    Z[x] with int 0 and zero polynomials among their values, the rest mix in ints, polynomials in
-    y or in x and y, and rational ghost entries and coefficients.  The last trials run at lengths
+    kept-ghost entry, or fail at the same index with the same text, and over Z[x] keep dicts;
+    most inputs are vectors over Z[x] with ints and zero polynomials among their values, the
+    rest mix in polynomials in y or in x and y, and rational ghost entries and coefficients.  The last trials run at lengths
     10-16, as the benchmark's Witt requests do, so the powers reach a^16."""
     # at index 4 the x^1 term of the remainder cancels and comes back, after the constant term,
     # and both coefficients are not divisible by 4: the message names the constant's
@@ -520,7 +553,7 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
     assert _outcome(from_ghost, GhostVector(entries)) == _outcome(_naive_from_ghost, entries) == (
         "error", IntegralityError, "integrality failure at index 4: -1 is not divisible by 4", 4)
     rng = random.Random(40)
-    zx, mixed = ["zero", "zero-x", "x", "x", "x"], ["zero", "int", "zero-x", "x", "y", "xy"]
+    zx, mixed = ["zero", "int", "zero-x", "x", "x", "x"], ["zero", "int", "zero-x", "x", "y", "xy"]
     failures, lengths = 0, set()
     for trial in range(440):
         n = rng.randint(1, 9) if trial < 400 else rng.randint(10, 16)
@@ -528,9 +561,12 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
         kinds = zx if trial % 3 else mixed
         coords = [_random_value(rng, kinds) for _ in range(n)]
         expected = _outcome(_naive_to_ghost, coords)
-        got = _outcome(lambda: list(to_ghost(WittVector(coords))))
+        w = WittVector(coords)
+        got = _outcome(lambda: list(to_ghost(w)))
         if expected[0] == "value":
             assert got[0] == "value" and _typed(got[1]) == _typed(expected[1])
+            if kinds is zx:  # ints ride the dict route beside polynomials in x
+                assert witt._kept_ghost(w)[0] == _zx_route(coords)
             entries = list(expected[1])
         else:
             assert got[:3] == expected[:3]
@@ -545,6 +581,7 @@ def test_sieve_over_dicts_matches_a_naive_sieve():
             coords, ghost = expected[1]
             assert _typed(got[1].coords) == _typed(coords)
             assert _typed(to_ghost(got[1]).entries) == _typed(ghost)
+            assert kinds is not zx or got[1]._ghost[0] == _zx_route(entries)
         else:
             assert got == expected
             failures += expected[1] is IntegralityError
